@@ -5,7 +5,7 @@ existing measurement), verify (built-in diagnostics battery), full
 (simulate + invert + diagnostics in one go).
 
 Exit codes: 0 success, 1 failed check, 2 config error, 3 I/O error,
-4 measurement/grid sampling mismatch.
+4 sampling mismatch or non-finite samples.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import (
-    DiagnosticsReport,
-    energy_identity_check,
-    lyapunov_decrease_check,
-    run_verify_battery,
-    second_energy_boundedness,
-)
+from .diagnostics import DiagnosticsReport, run_level_checks, run_verify_battery
 from .forward import (
     MeasurementRecord,
     add_noise,
@@ -189,23 +183,7 @@ def _resolve_out(cfg: ScenarioConfig, out_dir) -> str:
 
 
 def _run_diagnostics(result: BackAndForthResult, noisy: bool) -> DiagnosticsReport:
-    from .diagnostics import CheckResult
-
-    h = result.history
-    report = DiagnosticsReport()
-    report.add(lyapunov_decrease_check(h.lyapunov, 1e-3 * h.lyapunov[0]))
-    report.add(energy_identity_check(h, 1e-2))
-    report.add(second_energy_boundedness(h))
-    worst = float(np.max(h.hidden_ratios))
-    report.add(
-        CheckResult(
-            name="hidden_regularity_run",
-            value=worst,
-            threshold=1.0,
-            passed=worst <= 1.0,
-            note="worst trace-bound ratio over all observer sweeps",
-        )
-    )
+    report = DiagnosticsReport(run_level_checks(result.history))
     if noisy:
         # the decrease/balance rows are clean-data identities; with a noisy
         # measurement they describe the run but are not expected to hold
@@ -402,7 +380,7 @@ def main(argv=None) -> int:
     p_inv.add_argument("--measurement", required=True, help="measurement CSV path")
     p_ver = sub.add_parser("verify", help="run the built-in diagnostics battery")
     add_common(p_ver, needs_config=False)
-    p_ver.add_argument("--jobs", type=int, default=1, help="parallel battery groups")
+    p_ver.add_argument("--jobs", type=int, default=1, help="parallel battery groups (>= 1)")
     p_ver.add_argument(
         "--checks",
         default=None,

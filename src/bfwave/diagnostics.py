@@ -6,6 +6,7 @@ built-in scenarios so a single command can vouch for a build.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -13,16 +14,14 @@ import numpy as np
 
 from .forward import simulate_forward
 from .grid import Gains, Grid1D, build_grid, h1_seminorm, l2_norm
-from .leapfrog import (
-    LeapfrogState,
-    discrete_energy,
-    init_leapfrog,
-    reversed_state,
-    run_homogeneous,
-    step,
-    trace_left,
+from .leapfrog import discrete_energy, init_leapfrog, reversed_state, run_homogeneous, step
+from .observer import (
+    OscillatorState,
+    RunHistory,
+    hidden_regularity_ratio,
+    run_back_and_forth,
+    simulate_cascade,
 )
-from .observer import OscillatorState, RunHistory, run_back_and_forth, simulate_cascade
 
 __all__ = [
     "CheckResult",
@@ -33,6 +32,7 @@ __all__ = [
     "energy_identity_check",
     "second_energy_boundedness",
     "hidden_regularity_ratio",
+    "run_level_checks",
     "equivalence_report",
     "run_verify_battery",
     "SECOND_ENERGY_CAP",
@@ -160,40 +160,21 @@ def second_energy_boundedness(history: RunHistory, cap: float = SECOND_ENERGY_CA
     )
 
 
-def hidden_regularity_ratio(
-    f: np.ndarray,
-    q0: np.ndarray,
-    q1: np.ndarray,
-    trace: np.ndarray,
-    T: float,
-    grid: Grid1D,
-) -> float:
-    """Boundary-trace energy over its a-priori bound; at most 1 is expected.
-
-    ratio = ||trace||^2_{L2(0,T)} / [ 2(4T^2+3)||f||^2_{H1(0,T)}
-             + 2(2+T)(||q0_x||^2 + ||q1||^2) ]
-    where f is the x=0 Dirichlet data of the run and trace its x=0 Neumann
-    trace. The H1 norm is the full one (values plus difference-quotient
-    derivative), the conservative reading.
-    """
-    f = np.asarray(f, dtype=float)
-    trace = np.asarray(trace, dtype=float)
-    if f.shape != trace.shape:
-        raise ValueError("boundary data and trace series must share sampling")
-    m = len(f) - 1
-    dt = T / m
-    int_f = dt * (np.sum(f * f) - 0.5 * (f[0] ** 2 + f[-1] ** 2))
-    df = np.diff(f) / dt
-    int_fd = dt * np.sum(df * df)
-    num = dt * (np.sum(trace * trace) - 0.5 * (trace[0] ** 2 + trace[-1] ** 2))
-    den = 2.0 * (4.0 * T * T + 3.0) * (int_f + int_fd) + 2.0 * (2.0 + T) * (
-        h1_seminorm(q0, grid) ** 2 + l2_norm(q1, grid) ** 2
-    )
-    if den <= 0.0:
-        if num <= 1e-300:
-            return 0.0  # vacuous case: nothing moved, bound holds trivially
-        raise ValueError("trace energy is nonzero but the bound's data vanish")
-    return float(num / den)
+def run_level_checks(history: RunHistory) -> list[CheckResult]:
+    """The checks every monitored observer run reports, in their fixed order."""
+    worst_hidden = float(np.max(history.hidden_ratios))
+    return [
+        lyapunov_decrease_check(history.lyapunov, 1e-3 * history.lyapunov[0]),
+        energy_identity_check(history, 1e-2),
+        second_energy_boundedness(history),
+        CheckResult(
+            name="hidden_regularity_run",
+            value=worst_hidden,
+            threshold=1.0,
+            passed=worst_hidden <= 1.0,
+            note="worst trace-bound ratio over all observer sweeps",
+        ),
+    ]
 
 
 def equivalence_report(y: np.ndarray, Y: np.ndarray, tolerance: float = 1e-2) -> CheckResult:
@@ -372,20 +353,7 @@ def _battery_observer_run(injection_sign: float = 1.0) -> list[CheckResult]:
     gains = Gains(1.0, 0.5)
     y = simulate_forward(q, omega, g)
     res = run_back_and_forth(y, gains, omega, g, 8, q_true=q, injection_sign=injection_sign)
-    h = res.history
-    out = [lyapunov_decrease_check(h.lyapunov, 1e-3 * h.lyapunov[0])]
-    out.append(energy_identity_check(h, 1e-2))
-    out.append(second_energy_boundedness(h))
-    worst_hidden = float(np.max(h.hidden_ratios))
-    out.append(
-        CheckResult(
-            name="hidden_regularity_run",
-            value=worst_hidden,
-            threshold=1.0,
-            passed=worst_hidden <= 1.0,
-            note="worst trace-bound ratio over all observer sweeps",
-        )
-    )
+    out = run_level_checks(res.history)
     qn = l2_norm(q, g)
     rel = res.reports[-1].l2_err / qn
     out.append(
@@ -409,6 +377,13 @@ _BATTERY_GROUPS = {
 }
 
 
+def _worker_count(jobs: int, n_groups: int) -> int:
+    """Processes for a parallel battery: never more than groups or CPUs."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return max(1, min(jobs, n_groups, os.cpu_count() or 1))
+
+
 def run_verify_battery(
     jobs: int = 1,
     injection_sign: float = 1.0,
@@ -418,7 +393,8 @@ def run_verify_battery(
 
     groups selects a subset by name (grid, kernel, equivalence, hidden,
     observer); an empty selection yields an empty, vacuously passing
-    report. injection_sign != 1 is the fault-injection hook.
+    report. jobs must be >= 1; at most one process per selected group and
+    CPU is started. injection_sign != 1 is the fault-injection hook.
     """
     if groups is None:
         selected = list(_BATTERY_GROUPS.values())
@@ -427,9 +403,10 @@ def run_verify_battery(
         if unknown:
             raise ValueError(f"unknown battery groups: {sorted(unknown)}")
         selected = [_BATTERY_GROUPS[name] for name in groups]
+    workers = _worker_count(jobs, len(selected))
     report = DiagnosticsReport()
-    if jobs > 1 and selected:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [
                 ex.submit(fn) if fn is not _battery_observer_run else ex.submit(fn, injection_sign)
                 for fn in selected

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import Grid1D
-from .leapfrog import _leap, init_leapfrog
+from .leapfrog import _leap, init_leapfrog, neumann_trace
 
 __all__ = [
     "MeasurementRecord",
@@ -55,19 +55,17 @@ def simulate_forward(q: np.ndarray, omega: float, grid: Grid1D) -> MeasurementRe
         raise ValueError("source must vanish at both endpoints")
     n, dt = grid.n_steps_per_pass, grid.dt
     c2 = grid.cfl * grid.cfl
-    inv2dx = 1.0 / (2.0 * grid.dx)
     dt2q = dt * dt * q
     state = init_leapfrog(np.zeros(grid.nx + 1), None, q.copy(), grid, "forward")
     u_prev, u_curr = state.u_prev, state.u_curr
     y = np.empty(n + 1)
     y[0] = 0.0
     for k in range(n):
-        un = _leap(u_prev, u_curr, c2)
-        un[1:-1] += dt2q[1:-1] * np.cos(omega * k * dt)
+        un = _leap(u_prev, u_curr, c2, dt2q * np.cos(omega * k * dt))
         un[0] = 0.0
         un[-1] = 0.0
         u_prev, u_curr = u_curr, un
-        y[k + 1] = (-3.0 * u_curr[0] + 4.0 * u_curr[1] - u_curr[2]) * inv2dx
+        y[k + 1] = neumann_trace(u_curr, grid.dx)
     return MeasurementRecord(y=y, dt=dt, T=grid.T, omega=omega)
 
 
@@ -108,6 +106,8 @@ def read_measurement_csv(path, omega: float | None = None) -> MeasurementRecord:
         raise ValueError("measurement needs at least two samples")
     t = np.array([a for a, _ in rows])
     y = np.array([b for _, b in rows])
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise ValueError("measurement has non-finite samples")
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-12 + 1e-9 * dt):
         raise ValueError("measurement sampling is not uniform")

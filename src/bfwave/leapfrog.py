@@ -8,6 +8,10 @@ makes repeated forward/backward sweeps trustworthy.
 A state can be integrated in either time direction. "backward" means the
 time label decreases; the stencil is identical because the update is
 symmetric in the two stored levels.
+
+Every integrator in the package advances a level through the one interior
+update _leap and reads the left Neumann trace through the one stencil
+neumann_trace; callers only set the two boundary nodes.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "BoundarySchedule",
     "init_leapfrog",
     "step",
+    "neumann_trace",
     "trace_left",
     "velocity",
     "discrete_energy",
@@ -116,10 +121,14 @@ def step(
     )
 
 
+def neumann_trace(u: np.ndarray, dx: float) -> float:
+    """Second-order one-sided x-derivative of the level u at x = 0."""
+    return float((-3.0 * u[0] + 4.0 * u[1] - u[2]) * (0.5 / dx))
+
+
 def trace_left(state: LeapfrogState, grid: Grid1D) -> float:
-    """Second-order one-sided x-derivative of u_curr at x = 0."""
-    u = state.u_curr
-    return float((-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * grid.dx))
+    """Left Neumann trace of u_curr."""
+    return neumann_trace(state.u_curr, grid.dx)
 
 
 def velocity(state: LeapfrogState, state_next: LeapfrogState, grid: Grid1D) -> np.ndarray:
@@ -226,13 +235,12 @@ def run_homogeneous(
     traces[0] = trace_left(state, grid)
     u_prev, u_curr = state.u_prev, state.u_curr
     c2 = grid.cfl * grid.cfl
-    inv2dx = 1.0 / (2.0 * grid.dx)
     for k in range(n_steps):
         un = _leap(u_prev, u_curr, c2)
         un[0] = 0.0
         un[-1] = 0.0
         u_prev, u_curr = u_curr, un
-        traces[k + 1] = (-3.0 * u_curr[0] + 4.0 * u_curr[1] - u_curr[2]) * inv2dx
+        traces[k + 1] = neumann_trace(u_curr, grid.dx)
     di = n_steps if direction == "forward" else -n_steps
     final = LeapfrogState(u_prev=u_prev, u_curr=u_curr, t_index=state.t_index + di, direction=direction)
     return final, traces

@@ -1,4 +1,4 @@
-"""Cascade system, periodized back-and-forth observer, and the iteration driver.
+"""Cascade, periodized truth cycle, one observer sweep, and the iteration driver.
 
 The unknown source becomes the initial displacement of a source-free
 cascade wave whose left Neumann trace drives a boundary oscillator with
@@ -14,6 +14,13 @@ The oscillator is propagated with the exact matrix exponential of its
 homogeneous part plus trapezoidal forcing. The wave trace entering the
 oscillator is held at its left endpoint within each step (explicit
 coupling); the measured output Y enters with both endpoints.
+
+Each loop is written once. oscillator_drive runs the uncoupled oscillator
+over a given forcing series (the cascade, both halves of the truth cycle,
+oscillator_step). _sweep advances the coupled observer pair over one
+half-pass and records its boundary series; observer_half_pass and
+run_back_and_forth, with or without truth monitoring, all run it, and the
+monitored integrals are computed from the recorded series after each sweep.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .leapfrog import (
     _leap,
     continuation_level,
     init_leapfrog,
+    neumann_trace,
     reversed_state,
     run_homogeneous,
 )
@@ -45,12 +53,13 @@ __all__ = [
     "IterationReport",
     "RunHistory",
     "BackAndForthResult",
+    "oscillator_drive",
     "oscillator_step",
     "oscillator_propagator",
     "injection_value",
     "simulate_cascade",
     "run_plant_cycle",
-    "extended_output",
+    "hidden_regularity_ratio",
     "observer_half_pass",
     "initial_observer_state",
     "run_back_and_forth",
@@ -94,6 +103,37 @@ def oscillator_propagator(
     return expm(dt * A)
 
 
+def oscillator_drive(
+    z0: OscillatorState,
+    trace: np.ndarray,
+    y: np.ndarray | None,
+    omega: float,
+    gamma2: float,
+    dt: float,
+    mode: str = "observer",
+    direction: str = "forward",
+) -> np.ndarray:
+    """Uncoupled oscillator run over given forcing series, one row per node.
+
+    Exact homogeneous propagation, trapezoidal affine forcing: the forcing
+    enters channel 2 as the sign-adjusted wave trace and, in observer mode,
+    channel 1 as gamma2 * y (y None is zero). Row 0 of the result is z0.
+    """
+    E = oscillator_propagator(omega, gamma2, dt, mode, direction)
+    b = np.zeros((len(trace), 3))
+    b[:, 1] = (1.0 if direction == "forward" else -1.0) * np.asarray(trace, dtype=float)
+    if mode == "observer" and y is not None:
+        b[:, 0] = gamma2 * np.asarray(y, dtype=float)
+    forcing = b[:-1] @ E.T
+    forcing += b[1:]
+    forcing *= 0.5 * dt
+    z = b  # the forcing no longer needs b; the states overwrite it
+    z[0] = z0
+    for k in range(len(forcing)):
+        z[k + 1] = E @ z[k] + forcing[k]
+    return z
+
+
 def oscillator_step(
     z: OscillatorState,
     trace_now: float,
@@ -106,18 +146,11 @@ def oscillator_step(
     mode: str = "observer",
     direction: str = "forward",
 ) -> OscillatorState:
-    """One step: exact homogeneous propagation, trapezoidal affine forcing.
-
-    The forcing enters channel 2 as the sign-adjusted wave trace and, in
-    observer mode, channel 1 as gamma2 * Y.
-    """
-    E = oscillator_propagator(omega, gamma2, dt, mode, direction)
-    s = 1.0 if direction == "forward" else -1.0
-    g2 = gamma2 if mode == "observer" else 0.0
-    b_now = np.array([g2 * y_now, s * trace_now, 0.0])
-    b_next = np.array([g2 * y_next, s * trace_next, 0.0])
-    zn = E @ np.array(z) + 0.5 * dt * (E @ b_now + b_next)
-    return OscillatorState(float(zn[0]), float(zn[1]), float(zn[2]))
+    """One step of oscillator_drive."""
+    zs = oscillator_drive(
+        z, [trace_now, trace_next], [y_now, y_next], omega, gamma2, dt, mode, direction
+    )
+    return OscillatorState(*map(float, zs[-1]))
 
 
 def injection_value(z: OscillatorState, Y: float, y_integral: float, gains: Gains) -> float:
@@ -131,10 +164,15 @@ def injection_value(z: OscillatorState, Y: float, y_integral: float, gains: Gain
 
 @dataclass
 class CascadeResult:
-    Y: np.ndarray
+    """One pass of the cascade: driving trace and oscillator (z1, z2, z3) at every node."""
+
     trace: np.ndarray
+    z: np.ndarray
     final_wave: LeapfrogState
-    final_osc: OscillatorState
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self.z[:, 0]
 
 
 def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> CascadeResult:
@@ -148,19 +186,9 @@ def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> CascadeResult
     q = np.asarray(q, dtype=float)
     if q[0] != 0.0 or q[-1] != 0.0:
         raise ValueError("cascade initial datum must vanish at both endpoints")
-    n, dt = grid.n_steps_per_pass, grid.dt
-    state, tr = run_homogeneous(q, None, grid, n, "forward")
-    E = oscillator_propagator(omega, 0.0, dt, "plant", "forward")
-    Y = np.empty(n + 1)
-    Y[0] = 0.0
-    zv = np.zeros(3)
-    hdt = 0.5 * dt
-    for k in range(n):
-        b0 = np.array([0.0, tr[k], 0.0])
-        b1 = np.array([0.0, tr[k + 1], 0.0])
-        zv = E @ zv + hdt * (E @ b0 + b1)
-        Y[k + 1] = zv[0]
-    return CascadeResult(Y=Y, trace=tr, final_wave=state, final_osc=OscillatorState(*map(float, zv)))
+    state, tr = run_homogeneous(q, None, grid, grid.n_steps_per_pass, "forward")
+    z = oscillator_drive(ZERO_OSC, tr, None, omega, 0.0, grid.dt, "plant")
+    return CascadeResult(trace=tr, z=z, final_wave=state)
 
 
 @dataclass
@@ -169,76 +197,39 @@ class PlantCycle:
 
     The discrete cycle is exactly periodic (the backward sweep is the
     inverse map of the forward one), so a single integration serves every
-    iteration. z holds (z1, z2, z3) at the 2n+1 cycle nodes. fields, when
-    stored, is the forward-sweep displacement history; backward positions
-    mirror it evenly, for the field and for the physical velocity alike.
+    iteration. z holds (z1, z2, z3) at the 2n+1 cycle nodes.
     """
 
     trace: np.ndarray
     z: np.ndarray
     field_T: np.ndarray
     vel_T: np.ndarray
-    fields: np.ndarray | None = None
 
     def boundary_state(self, half: int, q: np.ndarray, nx: int):
         if half % 2 == 0:
             return q, np.zeros(nx + 1)
         return self.field_T, self.vel_T
 
-    def state_at(self, m: int, q: np.ndarray, dt: float):
-        """Field and physical velocity at cycle position m (needs fields)."""
-        n = len(self.fields) - 1
-        mm = m if m <= n else 2 * n - m
-        if mm == 0:
-            return self.fields[0], np.zeros_like(q)
-        if mm == n:
-            return self.field_T, self.vel_T
-        vel = (self.fields[mm + 1] - self.fields[mm - 1]) / (2.0 * dt)
-        return self.fields[mm], vel
 
+def run_plant_cycle(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
+    """Integrate the truth cycle once.
 
-def run_plant_cycle(
-    q: np.ndarray, omega: float, grid: Grid1D, store_fields: bool = False
-) -> PlantCycle:
-    n, dt = grid.n_steps_per_pass, grid.dt
-    c2 = grid.cfl * grid.cfl
-    state = init_leapfrog(q, None, None, grid, "forward")
-    u_prev, u_curr = state.u_prev, state.u_curr
-    inv2dx = 1.0 / (2.0 * grid.dx)
-    tr = np.empty(n + 1)
-    tr[0] = (-3.0 * u_curr[0] + 4.0 * u_curr[1] - u_curr[2]) * inv2dx
-    fields = np.empty((n + 1, grid.nx + 1)) if store_fields else None
-    if fields is not None:
-        fields[0] = u_curr
-    for k in range(n):
-        un = _leap(u_prev, u_curr, c2)
-        un[0] = 0.0
-        un[-1] = 0.0
-        u_prev, u_curr = u_curr, un
-        tr[k + 1] = (-3.0 * u_curr[0] + 4.0 * u_curr[1] - u_curr[2]) * inv2dx
-        if fields is not None:
-            fields[k + 1] = u_curr
-    ghost = continuation_level(LeapfrogState(u_prev, u_curr, n, "forward"), None, grid)
-    vel_T = (ghost - u_prev) / (2.0 * dt)
-    # oscillator across the full cycle: forward on the trace, backward on its
-    # reversal (the wave retraces exactly; no second wave sweep is needed)
-    z = np.zeros((2 * n + 1, 3))
-    hdt = 0.5 * dt
-    zv = np.zeros(3)
-    Ef = oscillator_propagator(omega, 0.0, dt, "plant", "forward")
-    for k in range(n):
-        b0 = np.array([0.0, tr[k], 0.0])
-        b1 = np.array([0.0, tr[k + 1], 0.0])
-        zv = Ef @ zv + hdt * (Ef @ b0 + b1)
-        z[k + 1] = zv
-    Eb = oscillator_propagator(omega, 0.0, dt, "plant", "backward")
-    trb = tr[::-1]
-    for k in range(n):
-        b0 = np.array([0.0, -trb[k], 0.0])
-        b1 = np.array([0.0, -trb[k + 1], 0.0])
-        zv = Eb @ zv + hdt * (Eb @ b0 + b1)
-        z[n + k + 1] = zv
-    return PlantCycle(trace=tr, z=z, field_T=u_curr.copy(), vel_T=vel_T, fields=fields)
+    The forward half is the cascade. The backward half drives the oscillator
+    over the reversed trace, negated by the backward direction; the wave
+    retraces its forward sweep exactly, so no second wave sweep is needed.
+    """
+    cascade = simulate_cascade(q, omega, grid)
+    back = oscillator_drive(
+        cascade.z[-1], cascade.trace[::-1], None, omega, 0.0, grid.dt, "plant", "backward"
+    )
+    end = cascade.final_wave
+    vel_T = (continuation_level(end, None, grid) - end.u_prev) / (2.0 * grid.dt)
+    return PlantCycle(
+        trace=cascade.trace,
+        z=np.concatenate([cascade.z, back[1:]]),
+        field_T=end.u_curr.copy(),
+        vel_T=vel_T,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +255,10 @@ class ExtendedMeasurement:
                 f"{self.n_steps_per_pass + 1}"
             )
 
-    def value(self, half_pass_index: int, step_index: int) -> float:
-        n = self.n_steps_per_pass
-        if not 0 <= step_index <= n:
-            raise IndexError(f"step index {step_index} outside [0, {n}]")
-        if half_pass_index % 2 == 0:
-            return float(self.record.y[step_index])
-        return float(self.record.y[n - step_index])
-
     def pass_values(self, half_pass_index: int) -> np.ndarray:
         if half_pass_index % 2 == 0:
             return self.record.y
         return self.record.y[::-1]
-
-
-def extended_output(em: ExtendedMeasurement, half_pass_index: int, step_index: int) -> float:
-    return em.value(half_pass_index, step_index)
 
 
 @dataclass
@@ -296,10 +275,6 @@ class ObserverState:
 def initial_observer_state(grid: Grid1D) -> ObserverState:
     wave = init_leapfrog(np.zeros(grid.nx + 1), None, None, grid, "forward")
     return ObserverState(wave=wave, osc=ZERO_OSC, y_integral=0.0, half_pass=0, direction="forward")
-
-
-def _pass_direction(half: int) -> str:
-    return "forward" if half % 2 == 0 else "backward"
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +308,6 @@ class RunHistory:
     second_energy_lhs: np.ndarray
     initial_bundle: float
     hidden_ratios: np.ndarray
-    intra_times: np.ndarray | None = None
-    intra_lyapunov: np.ndarray | None = None
 
 
 @dataclass
@@ -346,24 +319,51 @@ class BackAndForthResult:
 
 
 # ---------------------------------------------------------------------------
-# half-pass core
+# the observer sweep
 
 
-def _half_pass_raw(u_prev, u_curr, z1, z2, z3, y_int, Yp, E, s, g1, g2, grid, injection_sign):
-    """Advance the coupled wave/oscillator pair one full sweep (raw arrays)."""
-    n = grid.n_steps_per_pass
+def _sweep(
+    state: ObserverState,
+    em: ExtendedMeasurement,
+    gains: Gains,
+    omega: float,
+    grid: Grid1D,
+    injection_sign: float,
+    rec: np.ndarray,
+) -> tuple[ObserverState, LeapfrogState]:
+    """Advance the coupled wave/oscillator pair over half-pass state.half_pass.
+
+    Returns the state turned around for the next half-pass and the wave as
+    the sweep left it (before the turn). The rows of rec, shape (4, n+1),
+    receive z1, z2, the x=0 Dirichlet value and the left trace at each node.
+    """
+    half = state.half_pass
+    direction = "forward" if half % 2 == 0 else "backward"
+    if state.direction != direction:
+        raise ValueError(
+            f"half-pass {half} needs direction {direction!r}, state has {state.direction!r}"
+        )
+    n, dx = grid.n_steps_per_pass, grid.dx
     hdt = 0.5 * grid.dt
     c2 = grid.cfl * grid.cfl
-    inv2dx = 1.0 / (2.0 * grid.dx)
+    g1, g2 = gains.gamma1, gains.gamma2
     g1g2 = g1 * g2
-    e11, e12, _ = E[0]
-    e21, e22, _ = E[1]
-    e31, e32, _ = E[2]
-    nx = grid.nx
+    s = 1.0 if direction == "forward" else -1.0
+    # Python floats throughout the loop: the same IEEE arithmetic as numpy
+    # scalars, at a fraction of the cost per operation
+    E = oscillator_propagator(omega, g2, grid.dt, "observer", direction)
+    (e11, e12, _), (e21, e22, _), (e31, e32, _) = E.tolist()
+    Yp = em.pass_values(half)
+    Yn1 = float(Yp[0])
+    u_prev, u_curr = state.wave.u_prev, state.wave.u_curr
+    z1, z2, z3 = state.osc
+    y_int = state.y_integral
+    rz1, rz2, rf, rtr = rec
+    rz1[0], rz2[0], rf[0] = z1, z2, u_curr[0]
     for k in range(n):
-        trc = (-3.0 * u_curr[0] + 4.0 * u_curr[1] - u_curr[2]) * inv2dx
-        Yn = Yp[k]
-        Yn1 = Yp[k + 1]
+        trc = neumann_trace(u_curr, dx)
+        Yn = Yn1
+        Yn1 = float(Yp[k + 1])
         b1 = g2 * Yn
         b2 = s * trc
         z1n = e11 * z1 + e12 * z2 + hdt * (e11 * b1 + e12 * b2 + g2 * Yn1)
@@ -371,17 +371,27 @@ def _half_pass_raw(u_prev, u_curr, z1, z2, z3, y_int, Yp, E, s, g1, g2, grid, in
         z3n = e31 * z1 + e32 * z2 + z3 + hdt * (e31 * b1 + e32 * b2)
         y_int = y_int + hdt * (Yn + Yn1)
         bc = injection_sign * (g1 * (z1n - Yn1) + g1g2 * (z3n - y_int))
-        un = np.empty(nx + 1)
-        un[1:-1] = (
-            2.0 * u_curr[1:-1]
-            - u_prev[1:-1]
-            + c2 * (u_curr[2:] - 2.0 * u_curr[1:-1] + u_curr[:-2])
-        )
+        un = _leap(u_prev, u_curr, c2)
         un[0] = bc
         un[-1] = 0.0
         u_prev, u_curr = u_curr, un
         z1, z2, z3 = z1n, z2n, z3n
-    return u_prev, u_curr, z1, z2, z3, y_int
+        rtr[k] = trc
+        rz1[k + 1] = z1
+        rz2[k + 1] = z2
+        rf[k + 1] = bc
+    rtr[n] = neumann_trace(u_curr, dx)
+    di = n if direction == "forward" else -n
+    ended = LeapfrogState(u_prev, u_curr, state.wave.t_index + di, direction)
+    turned = reversed_state(ended, None, grid)
+    nxt = ObserverState(
+        wave=turned,
+        osc=OscillatorState(z1, z2, z3),
+        y_integral=y_int,
+        half_pass=half + 1,
+        direction=turned.direction,
+    )
+    return nxt, ended
 
 
 def observer_half_pass(
@@ -398,40 +408,8 @@ def observer_half_pass(
     already re-seeded and the direction flipped, so consecutive calls
     realize the back-and-forth sweep.
     """
-    half = state.half_pass
-    want = _pass_direction(half)
-    if state.direction != want:
-        raise ValueError(
-            f"half-pass {half} needs direction {want!r}, state has {state.direction!r}"
-        )
-    E = oscillator_propagator(omega, gains.gamma2, grid.dt, "observer", want)
-    s = 1.0 if want == "forward" else -1.0
-    u_prev, u_curr, z1, z2, z3, y_int = _half_pass_raw(
-        state.wave.u_prev,
-        state.wave.u_curr,
-        state.osc.z1,
-        state.osc.z2,
-        state.osc.z3,
-        state.y_integral,
-        em.pass_values(half),
-        E,
-        s,
-        gains.gamma1,
-        gains.gamma2,
-        grid,
-        injection_sign,
-    )
-    n = grid.n_steps_per_pass
-    di = n if want == "forward" else -n
-    ended = LeapfrogState(u_prev, u_curr, state.wave.t_index + di, want)
-    turned = reversed_state(ended, None, grid)
-    return ObserverState(
-        wave=turned,
-        osc=OscillatorState(z1, z2, z3),
-        y_integral=y_int,
-        half_pass=half + 1,
-        direction=turned.direction,
-    )
+    rec = np.empty((4, grid.n_steps_per_pass + 1))
+    return _sweep(state, em, gains, omega, grid, injection_sign, rec)[0]
 
 
 def extract_estimate(state: ObserverState, grid: Grid1D) -> np.ndarray:
@@ -449,7 +427,7 @@ def extract_estimate(state: ObserverState, grid: Grid1D) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# full driver with optional truth monitoring
+# truth monitoring
 
 
 def _second_x_derivative(f: np.ndarray, dx: float) -> np.ndarray:
@@ -458,6 +436,145 @@ def _second_x_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     d[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (dx * dx)
     d[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (dx * dx)
     return d
+
+
+def hidden_regularity_ratio(
+    f: np.ndarray,
+    q0: np.ndarray,
+    q1: np.ndarray,
+    trace: np.ndarray,
+    T: float,
+    grid: Grid1D,
+) -> float:
+    """Boundary-trace energy over its a-priori bound; at most 1 is expected.
+
+    ratio = ||trace||^2_{L2(0,T)} / [ 2(4T^2+3)||f||^2_{H1(0,T)}
+             + 2(2+T)(||q0_x||^2 + ||q1||^2) ]
+    where f is the x=0 Dirichlet data of the run and trace its x=0 Neumann
+    trace. The H1 norm is the full one (values plus difference-quotient
+    derivative), the conservative reading.
+    """
+    f = np.asarray(f, dtype=float)
+    trace = np.asarray(trace, dtype=float)
+    if f.shape != trace.shape:
+        raise ValueError("boundary data and trace series must share sampling")
+    m = len(f) - 1
+    dt = T / m
+    int_f = dt * (np.sum(f * f) - 0.5 * (f[0] ** 2 + f[-1] ** 2))
+    df = np.diff(f) / dt
+    int_fd = dt * np.sum(df * df)
+    num = dt * (np.sum(trace * trace) - 0.5 * (trace[0] ** 2 + trace[-1] ** 2))
+    den = 2.0 * (4.0 * T * T + 3.0) * (int_f + int_fd) + 2.0 * (2.0 + T) * (
+        h1_seminorm(q0, grid) ** 2 + l2_norm(q1, grid) ** 2
+    )
+    if den <= 0.0:
+        if num <= 1e-300:
+            return 0.0  # vacuous case: nothing moved, bound holds trivially
+        raise ValueError("trace energy is nonzero but the bound's data vanish")
+    return float(num / den)
+
+
+class _TruthMonitor:
+    """Observer-minus-truth samples against the exactly periodic truth cycle."""
+
+    def __init__(self, q_true: np.ndarray, gains: Gains, omega: float, grid: Grid1D):
+        self.q, self.gains, self.omega, self.grid = q_true, gains, omega, grid
+        self.plant = run_plant_cycle(q_true, omega, grid)
+        n = grid.n_steps_per_pass
+        z = self.plant.z[:, :2]
+        # truth (z1, z2) at the nodes of a forward and of a backward sweep;
+        # the backward sweep ends on cycle node 2n, read as node 0
+        self.truth_z = (z[: n + 1].T, np.vstack([z[n : 2 * n], z[:1]]).T)
+        self.int_zt_sq = np.zeros(2)  # running integrals of (z1 - z1_truth)^2, (z2 - z2_truth)^2
+        self.vel = np.zeros(grid.nx + 1)  # observer velocity at the last boundary
+        self.samples: list[tuple[float, float, float, float]] = []
+        self.hidden: list[float] = []
+        self.initial_bundle = (
+            l2_norm(q_true, grid) ** 2
+            + h1_seminorm(q_true, grid) ** 2
+            + l2_norm(_second_x_derivative(q_true, grid.dx), grid) ** 2
+        )
+        self._sample(0, np.zeros(grid.nx + 1), ZERO_OSC)
+
+    def _sample(self, half: int, u: np.ndarray, osc: OscillatorState) -> None:
+        """Lyapunov value and energy bundles at the boundary before half-pass half."""
+        grid, g1 = self.grid, self.gains.gamma1
+        g1g2 = g1 * self.gains.gamma2
+        om2 = self.omega * self.omega
+        node = (half % 2) * grid.n_steps_per_pass
+        pf, pv = self.plant.boundary_state(half, self.q, grid.nx)
+        w1 = u - pf
+        w2 = self.vel - pv
+        zt1 = osc.z1 - self.plant.z[node, 0]
+        zt2 = osc.z2 - self.plant.z[node, 1]
+        a = h1_seminorm(w1, grid) ** 2
+        b = l2_norm(w2, grid) ** 2
+        w2t = l2_norm(_second_x_derivative(w1, grid.dx), grid)
+        tr_err = neumann_trace(w1, grid.dx)
+        self.samples.append(
+            (
+                half * grid.T,
+                0.5 * (a + b + g1 * om2 * zt1 * zt1 + g1 * zt2 * zt2),
+                a
+                + b
+                + g1 * zt2 * zt2
+                + g1 * om2 * zt1 * zt1
+                + 2.0 * g1g2 * om2 * self.int_zt_sq[0],
+                0.5 * (w2t * w2t + h1_seminorm(w2, grid) ** 2 + g1 * om2 * om2 * zt1 * zt1)
+                + 0.25 * g1 * tr_err * tr_err
+                + 0.5 * g1g2 * om2 * self.int_zt_sq[1]
+                + g1 * om2 * zt2 * zt2,
+            )
+        )
+
+    def fold(
+        self,
+        half: int,
+        start: ObserverState,
+        ended: LeapfrogState,
+        nxt: ObserverState,
+        rec: np.ndarray,
+    ) -> None:
+        """Fold the series recorded by sweep half into the run integrals, then sample its end."""
+        grid = self.grid
+        sq = rec[:2] - self.truth_z[half % 2]
+        sq *= sq
+        terms = sq[:, :-1] + sq[:, 1:]
+        terms *= 0.5 * grid.dt
+        # trapezoid rule summed in step order, as a running total would be
+        terms[:, 0] += self.int_zt_sq
+        self.int_zt_sq = np.cumsum(terms, axis=1, out=terms)[:, -1].copy()
+        self.hidden.append(
+            hidden_regularity_ratio(rec[2], start.wave.u_curr, self.vel, rec[3], grid.T, grid)
+        )
+        s = 1.0 if ended.direction == "forward" else -1.0
+        self.vel = s * (nxt.wave.u_prev - ended.u_prev) / (2.0 * grid.dt)
+        self._sample(half + 1, nxt.wave.u_curr, nxt.osc)
+
+    def fill(self, rep: IterationReport, q_hat: np.ndarray) -> None:
+        """Errors and the latest boundary sample for the report of estimate q_hat."""
+        _, V, lhs, _ = self.samples[-1]
+        rhs = self.samples[0][2]
+        rep.l2_err = l2_norm(q_hat - self.q, self.grid)
+        rep.h1_err = h1_seminorm(q_hat - self.q, self.grid)
+        rep.lyapunov = V
+        rep.energy_residual = abs(lhs - rhs) / max(rhs, 1e-300)
+
+    def history(self) -> RunHistory:
+        times, V, lhs, lhs_b = (np.array(c) for c in zip(*self.samples))
+        return RunHistory(
+            times=times,
+            lyapunov=V,
+            energy_lhs=lhs,
+            energy_rhs=lhs[0],
+            second_energy_lhs=lhs_b,
+            initial_bundle=self.initial_bundle,
+            hidden_ratios=np.array(self.hidden),
+        )
+
+
+# ---------------------------------------------------------------------------
+# iteration driver
 
 
 def run_back_and_forth(
@@ -469,7 +586,6 @@ def run_back_and_forth(
     q_true: np.ndarray | None = None,
     *,
     injection_sign: float = 1.0,
-    lyapunov_stride: int = 0,
 ) -> BackAndForthResult:
     """Alternate forward/backward observer sweeps over the measurement.
 
@@ -481,9 +597,6 @@ def run_back_and_forth(
 
     injection_sign is a fault-injection hook for the diagnostics battery
     (a wrong sign must break the Lyapunov decrease); leave at 1.0.
-    lyapunov_stride > 0 additionally samples the Lyapunov value every that
-    many steps inside passes (needs q_true; costs memory for the truth
-    field history).
     """
     if grid.T < 2.0:
         warnings.warn(
@@ -495,220 +608,36 @@ def run_back_and_forth(
         raise ValueError("n_iterations must be >= 1")
     if abs(measurement.dt - grid.dt) > 1e-12 + 1e-9 * grid.dt:
         raise ValueError(f"measurement dt={measurement.dt} does not match grid dt={grid.dt}")
-    ExtendedMeasurement(record=measurement, n_steps_per_pass=grid.n_steps_per_pass)
+    em = ExtendedMeasurement(record=measurement, n_steps_per_pass=grid.n_steps_per_pass)
+    monitor = None
+    if q_true is not None:
+        monitor = _TruthMonitor(np.asarray(q_true, dtype=float), gains, omega, grid)
 
-    n = grid.n_steps_per_pass
-    nx = grid.nx
-    dt = grid.dt
-    dx = grid.dx
-    hdt = 0.5 * dt
-    c2 = grid.cfl * grid.cfl
-    inv2dx = 1.0 / (2.0 * dx)
-    g1 = gains.gamma1
-    g2 = gains.gamma2
-    g1g2 = g1 * g2
-    om2 = omega * omega
-    y = measurement.y
-    two_n = 2 * n
-
-    monitor = q_true is not None
-    if monitor:
-        q_true = np.asarray(q_true, dtype=float)
-        plant = run_plant_cycle(q_true, omega, grid, store_fields=lyapunov_stride > 0)
-        pz1 = np.ascontiguousarray(plant.z[:, 0])
-        pz2 = np.ascontiguousarray(plant.z[:, 1])
-
-    u_prev = np.zeros(nx + 1)
-    u_curr = np.zeros(nx + 1)
-    z1 = z2 = z3 = 0.0
-    y_int = 0.0
-    int_z1t_sq = 0.0
-    int_z2t_sq = 0.0
-    last_vel_sq = 0.0  # squared L2 norm of the observer velocity at the last boundary
-
-    times: list[float] = []
-    V_hist: list[float] = []
-    lhs26: list[float] = []
-    lhs26b: list[float] = []
-    hidden: list[float] = []
-    intra_t: list[float] = []
-    intra_V: list[float] = []
-    estimates: list[np.ndarray] = [np.zeros(nx + 1)]
-    reports: list[IterationReport] = []
-
-    def boundary_sample(half: int, vel_sign: float) -> np.ndarray:
-        """Record error diagnostics at a boundary; returns the turn ghost."""
-        nonlocal last_vel_sq
-        gh = np.empty(nx + 1)
-        gh[1:-1] = (
-            2.0 * u_curr[1:-1]
-            - u_prev[1:-1]
-            + c2 * (u_curr[2:] - 2.0 * u_curr[1:-1] + u_curr[:-2])
-        )
-        gh[0] = 2.0 * u_curr[0] - u_prev[0]
-        gh[-1] = 0.0
-        if not monitor:
-            return gh
-        vel = vel_sign * (gh - u_prev) / (2.0 * dt)
-        last_vel_sq = l2_norm(vel, grid) ** 2
-        pf, pv = plant.boundary_state(half, q_true, nx)
-        w1 = u_curr - pf
-        w2 = vel - pv
-        zt1 = z1 - pz1[(half % 2) * n]
-        zt2 = z2 - pz2[(half % 2) * n]
-        a = h1_seminorm(w1, grid) ** 2
-        b = l2_norm(w2, grid) ** 2
-        times.append(half * grid.T)
-        V_hist.append(0.5 * (a + b + g1 * om2 * zt1 * zt1 + g1 * zt2 * zt2))
-        lhs26.append(a + b + g1 * zt2 * zt2 + g1 * om2 * zt1 * zt1 + 2.0 * g1g2 * om2 * int_z1t_sq)
-        w2t = l2_norm(_second_x_derivative(w1, dx), grid)
-        tr_err = (-3.0 * w1[0] + 4.0 * w1[1] - w1[2]) * inv2dx
-        lhs26b.append(
-            0.5 * (w2t * w2t + h1_seminorm(w2, grid) ** 2 + g1 * om2 * om2 * zt1 * zt1)
-            + 0.25 * g1 * tr_err * tr_err
-            + 0.5 * g1g2 * om2 * int_z2t_sq
-            + g1 * om2 * zt2 * zt2
-        )
-        return gh
-
-    ghost = boundary_sample(0, 1.0)
-    if monitor:
-        energy_rhs = lhs26[0]
-        initial_bundle = (
-            l2_norm(q_true, grid) ** 2
-            + h1_seminorm(q_true, grid) ** 2
-            + l2_norm(_second_x_derivative(q_true, dx), grid) ** 2
-        )
-        reports.append(
-            IterationReport(
-                iteration=0,
-                l2_err=l2_norm(q_true, grid),
-                h1_err=h1_seminorm(q_true, grid),
-                lyapunov=V_hist[0],
-                energy_residual=0.0,
-            )
-        )
-    else:
-        reports.append(IterationReport(iteration=0))
-
+    state = initial_observer_state(grid)
+    estimates = [extract_estimate(state, grid)]
+    reports = [IterationReport(iteration=0)]
+    if monitor is not None:
+        monitor.fill(reports[0], estimates[0])
+    rec = np.empty((4, grid.n_steps_per_pass + 1))
     t_iter_start = time.perf_counter()
     for half in range(2 * n_iterations):
-        fwd = half % 2 == 0
-        s = 1.0 if fwd else -1.0
-        E = oscillator_propagator(omega, g2, dt, "observer", _pass_direction(half))
-        e11, e12, _ = E[0]
-        e21, e22, _ = E[1]
-        e31, e32, _ = E[2]
-        Yp = y if fwd else y[::-1]
-        u_prev = ghost  # the turn: previous level := continuation of the old sweep
-        if monitor:
-            hr_q0 = h1_seminorm(u_curr, grid) ** 2
-            hr_q1 = last_vel_sq
-            int_f = 0.0
-            int_fd = 0.0
-            int_tr = 0.0
-            f_prev = u_curr[0]
-            tr_prev = (-3.0 * u_curr[0] + 4.0 * u_curr[1] - u_curr[2]) * inv2dx
-        for k in range(n):
-            trc = (-3.0 * u_curr[0] + 4.0 * u_curr[1] - u_curr[2]) * inv2dx
-            Yn = Yp[k]
-            Yn1 = Yp[k + 1]
-            b1 = g2 * Yn
-            b2 = s * trc
-            z1n = e11 * z1 + e12 * z2 + hdt * (e11 * b1 + e12 * b2 + g2 * Yn1)
-            z2n = e21 * z1 + e22 * z2 + hdt * (e21 * b1 + e22 * b2 + b2)
-            z3n = e31 * z1 + e32 * z2 + z3 + hdt * (e31 * b1 + e32 * b2)
-            y_int += hdt * (Yn + Yn1)
-            bc = injection_sign * (g1 * (z1n - Yn1) + g1g2 * (z3n - y_int))
-            un = np.empty(nx + 1)
-            un[1:-1] = (
-                2.0 * u_curr[1:-1]
-                - u_prev[1:-1]
-                + c2 * (u_curr[2:] - 2.0 * u_curr[1:-1] + u_curr[:-2])
-            )
-            un[0] = bc
-            un[-1] = 0.0
-            if monitor:
-                a = half * n + k
-                m = a % two_n
-                m1 = (a + 1) % two_n
-                zt1 = z1 - pz1[m]
-                zt1n = z1n - pz1[m1]
-                zt2 = z2 - pz2[m]
-                zt2n = z2n - pz2[m1]
-                int_z1t_sq += hdt * (zt1 * zt1 + zt1n * zt1n)
-                int_z2t_sq += hdt * (zt2 * zt2 + zt2n * zt2n)
-                int_f += hdt * (f_prev * f_prev + bc * bc)
-                df = (bc - f_prev) / dt
-                int_fd += dt * df * df
-                trn = (-3.0 * un[0] + 4.0 * un[1] - un[2]) * inv2dx
-                int_tr += hdt * (tr_prev * tr_prev + trn * trn)
-                f_prev = bc
-                tr_prev = trn
-                if lyapunov_stride > 0 and k > 0 and a % lyapunov_stride == 0:
-                    # centered velocity at the current node, physical sign
-                    vel = s * (un - u_prev) / (2.0 * dt)
-                    pf, pv = plant.state_at(m, q_true, dt)
-                    intra_t.append(a * dt)
-                    intra_V.append(
-                        0.5
-                        * (
-                            h1_seminorm(u_curr - pf, grid) ** 2
-                            + l2_norm(vel - pv, grid) ** 2
-                            + g1 * om2 * zt1 * zt1
-                            + g1 * zt2 * zt2
-                        )
-                    )
-            u_prev, u_curr = u_curr, un
-            z1, z2, z3 = z1n, z2n, z3n
-        ghost = boundary_sample(half + 1, s)
-        if monitor:
-            den = 2.0 * (4.0 * grid.T * grid.T + 3.0) * (int_f + int_fd) + 2.0 * (
-                2.0 + grid.T
-            ) * (hr_q0 + hr_q1)
-            hidden.append(int_tr / den if den > 0 else 0.0)
-        if not fwd:
-            q_hat = u_curr.copy()
-            q_hat[0] = 0.0
-            q_hat[-1] = 0.0
-            estimates.append(q_hat)
+        start = state
+        state, ended = _sweep(start, em, gains, omega, grid, injection_sign, rec)
+        if monitor is not None:
+            monitor.fold(half, start, ended, state, rec)
+        if state.half_pass % 2 == 0:
+            estimates.append(extract_estimate(state, grid))
             rep = IterationReport(
-                iteration=half // 2 + 1, seconds=time.perf_counter() - t_iter_start
+                iteration=state.half_pass // 2, seconds=time.perf_counter() - t_iter_start
             )
-            if monitor:
-                rep.l2_err = l2_norm(q_hat - q_true, grid)
-                rep.h1_err = h1_seminorm(q_hat - q_true, grid)
-                rep.lyapunov = V_hist[-1]
-                rep.energy_residual = abs(lhs26[-1] - energy_rhs) / max(energy_rhs, 1e-300)
+            if monitor is not None:
+                monitor.fill(rep, estimates[-1])
             reports.append(rep)
             t_iter_start = time.perf_counter()
 
-    history = None
-    if monitor:
-        history = RunHistory(
-            times=np.array(times),
-            lyapunov=np.array(V_hist),
-            energy_lhs=np.array(lhs26),
-            energy_rhs=energy_rhs,
-            second_energy_lhs=np.array(lhs26b),
-            initial_bundle=initial_bundle,
-            hidden_ratios=np.array(hidden),
-            intra_times=np.array(intra_t) if intra_t else None,
-            intra_lyapunov=np.array(intra_V) if intra_V else None,
-        )
-    final_wave = LeapfrogState(
-        u_prev=ghost,
-        u_curr=u_curr.copy(),
-        t_index=2 * n_iterations * n,
-        direction=_pass_direction(2 * n_iterations),
-    )
-    final_state = ObserverState(
-        wave=final_wave,
-        osc=OscillatorState(z1, z2, z3),
-        y_integral=y_int,
-        half_pass=2 * n_iterations,
-        direction=final_wave.direction,
-    )
     return BackAndForthResult(
-        estimates=estimates, reports=reports, history=history, final_state=final_state
+        estimates=estimates,
+        reports=reports,
+        history=None if monitor is None else monitor.history(),
+        final_state=state,
     )

@@ -161,6 +161,19 @@ class TestInvert:
         mpath.write_text("t,y\n0.0,0.0\n0.1,0.0\n0.2,0.0\n")
         assert cmd_invert(p, mpath, tmp_path / "out") == EXIT_MISMATCH
 
+    def test_non_finite_sample_exit_4(self, tmp_path):
+        p = write_config(tmp_path / "c.json", iterations=1)
+        out_sim = tmp_path / "sim"
+        assert cmd_simulate(p, out_sim, quiet=True) == EXIT_OK
+        lines = (out_sim / "measurement.csv").read_text().splitlines()
+        t, _ = lines[5].split(",")
+        lines[5] = f"{t},nan"
+        mpath = tmp_path / "m.csv"
+        mpath.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "inv"
+        assert cmd_invert(p, mpath, out, quiet=True) == EXIT_MISMATCH
+        assert not (out / "estimate_final.csv").exists()
+
     def test_final_error_column(self, tmp_path):
         p = write_config(tmp_path / "c.json", iterations=4)
         out_sim = tmp_path / "sim"
@@ -199,6 +212,13 @@ class TestVerify:
 
     def test_unknown_group_exit_2(self, tmp_path):
         assert cmd_verify(tmp_path / "v", quiet=True, checks="nope") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "v"
+        assert main(["verify", "--out", str(out), "--jobs", jobs, "--quiet"]) == EXIT_CONFIG
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.slow
     def test_parallel_jobs(self, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bfwave import diagnostics
 from bfwave.diagnostics import (
     SECOND_ENERGY_CAP,
     energy_identity_check,
@@ -10,6 +11,7 @@ from bfwave.diagnostics import (
     hidden_regularity_ratio,
     lyapunov_decrease_check,
     lyapunov_value,
+    run_level_checks,
     run_verify_battery,
     second_energy_boundedness,
 )
@@ -84,6 +86,16 @@ class TestRunLevelChecks:
         assert energy_identity_residual(h) == 0.0
         assert second_energy_boundedness(h).value == 0.0
 
+    def test_one_list_in_fixed_order(self, reduced_run):
+        rows = run_level_checks(reduced_run["result"].history)
+        assert [r.name for r in rows] == [
+            "lyapunov_decrease",
+            "energy_identity",
+            "second_energy_bound",
+            "hidden_regularity_run",
+        ]
+        assert all(r.passed for r in rows)
+
     def test_second_energy_zero_cap_fails(self, reduced_run):
         h = reduced_run["result"].history
         assert not second_energy_boundedness(h, cap=0.0).passed
@@ -143,6 +155,25 @@ class TestEquivalenceReport:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             equivalence_report(np.ones(5), np.ones(6))
+
+
+class TestWorkerCount:
+    # computed only: no pool is started
+    def test_clamped_to_groups_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 2)
+        assert diagnostics._worker_count(1000, 5) == 2
+        assert diagnostics._worker_count(1000, 1) == 1
+        assert diagnostics._worker_count(1, 5) == 1
+        assert diagnostics._worker_count(4, 0) == 1
+        monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: None)
+        assert diagnostics._worker_count(8, 5) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            diagnostics._worker_count(jobs, 5)
+        with pytest.raises(ValueError, match="jobs"):
+            run_verify_battery(jobs=jobs, groups=[])
 
 
 @pytest.mark.slow

@@ -124,3 +124,13 @@ class TestMeasurementCsv:
         path.write_text("t,y\n0,0\n0.1,1\n0.3,2\n")
         with pytest.raises(ValueError):
             read_measurement_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["t", "y"])
+    def test_rejects_non_finite_samples(self, tmp_path, bad, column):
+        rows = [["0", "0"], ["0.1", "1"], ["0.2", "2"]]
+        rows[1][0 if column == "t" else 1] = bad
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n" + "".join(f"{a},{b}\n" for a, b in rows))
+        with pytest.raises(ValueError, match="non-finite"):
+            read_measurement_csv(path)

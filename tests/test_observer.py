@@ -9,7 +9,6 @@ from bfwave.observer import (
     ExtendedMeasurement,
     ObserverState,
     OscillatorState,
-    extended_output,
     extract_estimate,
     initial_observer_state,
     injection_value,
@@ -159,25 +158,25 @@ class TestExtendedMeasurement:
         n = grid.n_steps_per_pass
         y = np.arange(n + 1, dtype=float)
         em = ExtendedMeasurement(MeasurementRecord(y=y, dt=grid.dt, T=grid.T), n)
-        assert extended_output(em, 0, 0) == 0.0
-        assert extended_output(em, 0, 5) == 5.0
-        assert extended_output(em, 1, 0) == n  # backward pass starts at y(T)
-        assert extended_output(em, 1, n) == 0.0
-        assert extended_output(em, 2, 3) == 3.0
+        assert em.pass_values(0)[0] == 0.0
+        assert em.pass_values(0)[5] == 5.0
+        assert em.pass_values(1)[0] == n  # backward pass starts at y(T)
+        assert em.pass_values(1)[n] == 0.0
+        assert em.pass_values(2)[3] == 3.0
 
     def test_reversal_is_permutation(self, grid):
         n = grid.n_steps_per_pass
         y = np.sin(np.arange(n + 1.0))
         em = ExtendedMeasurement(MeasurementRecord(y=y, dt=grid.dt, T=grid.T), n)
-        fwd = [extended_output(em, 0, k) for k in range(n + 1)]
-        back = [extended_output(em, 1, k) for k in range(n + 1)]
+        fwd = list(em.pass_values(0))
+        back = list(em.pass_values(1))
         assert sorted(fwd) == sorted(back)
 
     def test_range_check(self, grid):
         n = grid.n_steps_per_pass
         em = ExtendedMeasurement(zero_measurement(grid), n)
         with pytest.raises(IndexError):
-            em.value(0, n + 1)
+            em.pass_values(0)[n + 1]
 
     def test_length_check(self, grid):
         with pytest.raises(ValueError):
@@ -243,6 +242,39 @@ class TestObserverHalfPass:
         assert s.y_integral == fin.y_integral
         assert np.array_equal(extract_estimate(s, grid), res.estimates[1])
 
+    def test_matches_stepwise_reference(self, grid):
+        # the fused sweep against the same scheme spelled out with the public
+        # one-step kernels; explicit coupling holds the trace at the left end
+        # of each step. Checked on a backward pass from a nonzero state.
+        from bfwave.leapfrog import step, trace_left
+        from bfwave.observer import _sweep
+
+        q = poly_source(grid)
+        m = simulate_forward(q, 2.0, grid)
+        em = ExtendedMeasurement(m, grid.n_steps_per_pass)
+        gains = Gains(1.0, 0.5)
+        state = observer_half_pass(initial_observer_state(grid), em, gains, 2.0, grid)
+        rec = np.empty((4, grid.n_steps_per_pass + 1))
+        _, ended = _sweep(state, em, gains, 2.0, grid, 1.0, rec)
+        y = em.pass_values(1)
+        wave, z, y_int = state.wave, state.osc, state.y_integral
+        ref = [(z.z1, z.z2, wave.u_curr[0])]
+        traces = []
+        for k in range(grid.n_steps_per_pass):
+            tr = trace_left(wave, grid)
+            traces.append(tr)
+            z = oscillator_step(
+                z, tr, tr, y[k], y[k + 1], 2.0, 0.5, grid.dt, "observer", "backward"
+            )
+            y_int += 0.5 * grid.dt * (y[k] + y[k + 1])
+            wave = step(wave, injection_value(z, y[k + 1], y_int, gains), None, grid)
+            ref.append((z.z1, z.z2, wave.u_curr[0]))
+        traces.append(trace_left(wave, grid))
+        ref = np.vstack([np.array(ref).T, traces])
+        assert np.allclose(rec, ref, rtol=1e-10, atol=1e-12)
+        assert np.allclose(ended.u_curr, wave.u_curr, rtol=1e-10, atol=1e-12)
+        assert np.allclose(ended.u_prev, wave.u_prev, rtol=1e-10, atol=1e-12)
+
 
 class TestRunBackAndForth:
     def test_zero_measurement_zero_estimates(self, grid):
@@ -306,16 +338,18 @@ class TestRunBackAndForth:
         b = run_back_and_forth(scaled, Gains(1.0, 0.5), 2.0, grid, 1)
         assert np.allclose(b.estimates[1], c * a.estimates[1], atol=1e-12)
 
-    def test_intra_pass_lyapunov_sampling(self, grid):
+    def test_monitoring_leaves_the_sweep_unchanged(self, grid):
+        # monitored and unmonitored runs share one sweep; truth monitoring
+        # only reads what it records
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
-        res = run_back_and_forth(
-            m, Gains(1.0, 0.5), 2.0, grid, 1, q_true=q, lyapunov_stride=20
-        )
-        h = res.history
-        assert h.intra_lyapunov is not None and len(h.intra_lyapunov) > 10
-        # intra-pass values interleave continuously with the boundary samples
-        assert h.intra_lyapunov.max() <= h.lyapunov[0] * 1.05
+        a = run_back_and_forth(m, Gains(1.0, 0.5), 2.0, grid, 2)
+        b = run_back_and_forth(m, Gains(1.0, 0.5), 2.0, grid, 2, q_true=q)
+        assert len(a.estimates) == len(b.estimates) == 3
+        for qa, qb in zip(a.estimates, b.estimates):
+            assert np.array_equal(qa, qb)
+        assert np.array_equal(a.final_state.wave.u_prev, b.final_state.wave.u_prev)
+        assert a.final_state.osc == b.final_state.osc
 
 
 class TestExtractEstimate:
