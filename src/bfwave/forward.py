@@ -9,6 +9,7 @@ RMS of the clean signal.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,27 +89,63 @@ def add_noise(record: MeasurementRecord, level: float, seed: int) -> Measurement
 
 
 def write_measurement_csv(record: MeasurementRecord, path) -> None:
+    """Columns t,y; a noisy record is preceded by one provenance comment line.
+
+    The line reads "# provenance=noisy noise_level=<level> noise_seed=<seed>"
+    (the seed left out when unknown); clean records have no such line.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
+        if record.provenance == "noisy":
+            meta = f"provenance=noisy noise_level={record.noise_level:.17g}"
+            if record.noise_seed is not None:
+                meta += f" noise_seed={record.noise_seed}"
+            fh.write(f"# {meta}{w.dialect.lineterminator}")
         w.writerow(["t", "y"])
         for n, v in enumerate(record.y):
             w.writerow([format(n * record.dt, ".17g"), format(v, ".17g")])
 
 
+def _read_provenance(line: str) -> dict:
+    """Record fields from a "# key=value ..." provenance line."""
+    meta = dict(item.partition("=")[::2] for item in line[1:].split())
+    fields = {"provenance": meta.pop("provenance", "clean")}
+    if fields["provenance"] not in ("clean", "noisy"):
+        raise ValueError(f"unknown measurement provenance {fields['provenance']!r}")
+    if "noise_level" in meta:
+        fields["noise_level"] = float(meta.pop("noise_level"))
+    if "noise_seed" in meta:
+        fields["noise_seed"] = int(meta.pop("noise_seed"))
+    if meta:
+        raise ValueError(f"unknown measurement provenance keys {sorted(meta)}")
+    return fields
+
+
 def read_measurement_csv(path, omega: float | None = None) -> MeasurementRecord:
+    """Read a t,y measurement, and its provenance line if it has one.
+
+    Samples are parsed straight into two float arrays. A file without a
+    provenance line reads as clean.
+    """
     with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
+        line = fh.readline()
+        fields = {}
+        if line.startswith("#"):
+            fields = _read_provenance(line)
+            line = fh.readline()
+        header = next(csv.reader([line]))
         if header[:2] != ["t", "y"]:
             raise ValueError(f"unexpected measurement header {header!r}")
-        rows = [(float(a), float(b)) for a, b in r]
-    if len(rows) < 2:
+        t, y = array("d"), array("d")
+        for a, b in csv.reader(fh):
+            t.append(float(a))
+            y.append(float(b))
+    if len(t) < 2:
         raise ValueError("measurement needs at least two samples")
-    t = np.array([a for a, _ in rows])
-    y = np.array([b for _, b in rows])
+    t, y = np.frombuffer(t), np.frombuffer(y)
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise ValueError("measurement has non-finite samples")
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-12 + 1e-9 * dt):
         raise ValueError("measurement sampling is not uniform")
-    return MeasurementRecord(y=y, dt=float(dt), T=float(t[-1]), omega=omega)
+    return MeasurementRecord(y=y, dt=float(dt), T=float(t[-1]), omega=omega, **fields)

@@ -15,6 +15,9 @@ __all__ = [
     "Gains",
     "SourceSpec",
     "ScenarioConfig",
+    "RESONANCE_TOL",
+    "ResonanceError",
+    "check_resonance",
     "build_grid",
     "l2_norm",
     "h1_seminorm",
@@ -132,6 +135,27 @@ def eval_source_profile(spec: SourceSpec, grid: Grid1D) -> np.ndarray:
     return q
 
 
+# |omega| closer than this to a natural frequency k*pi counts as resonant
+RESONANCE_TOL = 1e-8
+
+
+class ResonanceError(ValueError):
+    """Forcing frequency collides with a natural frequency k*pi."""
+
+
+def check_resonance(omega: float, n_modes: int | None = None) -> None:
+    """Refuse |omega| within RESONANCE_TOL of k*pi, k >= 1 (and k <= n_modes if given).
+
+    Only the nearest k can be that close; a non-finite omega is not resonant.
+    """
+    k = max(1.0, float(np.rint(abs(omega) / np.pi)))
+    if abs(abs(omega) - k * np.pi) < RESONANCE_TOL and (n_modes is None or k <= n_modes):
+        k = int(k)
+        raise ResonanceError(
+            f"omega={omega} is within {RESONANCE_TOL} of mode {k} frequency {k}*pi"
+        )
+
+
 # Scenario defaults. The forcing frequency of the bundled reference scenario
 # is 2.0: it is non-resonant (|omega - k*pi| >= 1.14 for all k) and the
 # 50-iteration estimator contracts well there, which omega near 1 does not.
@@ -158,6 +182,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not np.isfinite(self.omega):
             raise ValueError("omega must be finite")
+        check_resonance(self.omega)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.noise < 0.0:

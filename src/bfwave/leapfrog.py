@@ -11,7 +11,9 @@ symmetric in the two stored levels.
 
 Every integrator in the package advances a level through the one interior
 update _leap and reads the left Neumann trace through the one stencil
-neumann_trace; callers only set the two boundary nodes.
+neumann_trace; callers only set the two boundary nodes. _leap,
+neumann_trace and continuation_level also take (nx+1, m) arrays, one level
+per column, which is how the observer's cycle map is built.
 """
 
 from __future__ import annotations
@@ -61,15 +63,21 @@ class LeapfrogState:
 
 
 def _leap(u_prev, u_curr, c2, dt2_f=None):
-    """One interior leapfrog update; boundary nodes are left for the caller."""
+    """One interior leapfrog update; boundary nodes are left for the caller.
+
+    un = (2 u_curr - u_prev) + c2 ((u_curr[+1] - 2 u_curr) + u_curr[-1]) [+ dt2_f],
+    evaluated in that order, in place where the result allows.
+    """
     un = np.empty_like(u_curr)
-    un[1:-1] = (
-        2.0 * u_curr[1:-1]
-        - u_prev[1:-1]
-        + c2 * (u_curr[2:] - 2.0 * u_curr[1:-1] + u_curr[:-2])
-    )
+    inner = un[1:-1]
+    twice = 2.0 * u_curr[1:-1]
+    lap = u_curr[2:] - twice
+    lap += u_curr[:-2]
+    lap *= c2
+    np.subtract(twice, u_prev[1:-1], out=inner)
+    inner += lap
     if dt2_f is not None:
-        un[1:-1] += dt2_f[1:-1]
+        inner += dt2_f[1:-1]
     return un
 
 
@@ -121,9 +129,14 @@ def step(
     )
 
 
-def neumann_trace(u: np.ndarray, dx: float) -> float:
-    """Second-order one-sided x-derivative of the level u at x = 0."""
-    return float((-3.0 * u[0] + 4.0 * u[1] - u[2]) * (0.5 / dx))
+def neumann_trace(u: np.ndarray, dx: float) -> float | np.ndarray:
+    """Second-order one-sided x-derivative of the level u at x = 0.
+
+    A float for one level; for an (nx+1, m) array of levels, the row of
+    the m traces.
+    """
+    tr = (-3.0 * u[0] + 4.0 * u[1] - u[2]) * (0.5 / dx)
+    return float(tr) if u.ndim == 1 else tr
 
 
 def trace_left(state: LeapfrogState, grid: Grid1D) -> float:

@@ -1,4 +1,4 @@
-"""Cascade, periodized truth cycle, one observer sweep, and the iteration driver.
+"""Cascade, periodized truth cycle, one observer sweep, the cycle map, run_back_and_forth.
 
 The unknown source becomes the initial displacement of a source-free
 cascade wave whose left Neumann trace drives a boundary oscillator with
@@ -17,10 +17,19 @@ coupling); the measured output Y enters with both endpoints.
 
 Each loop is written once. oscillator_drive runs the uncoupled oscillator
 over a given forcing series (the cascade, both halves of the truth cycle,
-oscillator_step). _sweep advances the coupled observer pair over one
-half-pass and records its boundary series; observer_half_pass and
-run_back_and_forth, with or without truth monitoring, all run it, and the
-monitored integrals are computed from the recorded series after each sweep.
+oscillator_step). _observer_step is the one coupled observer step; _sweep
+runs it over one half-pass and records its boundary series.
+
+run_back_and_forth takes one of two routes. A cycle is linear in the
+observer state and affine in the measurement, so the iteration is
+x <- M x + b with M fixed by grid, gains and omega (Ramdani, Tucsnak &
+Weiss 2010; Ito, Ramdani & Tucsnak 2011). Without truth monitoring the
+first cycle runs on the sweep, its end state is b, and the other cycles
+apply the map; _cycle_map builds M from the same step applied to the
+columns of the identity. With truth monitoring every cycle runs on the
+sweep, because the monitored integrals (dissipation, trace bound) need the
+series recorded inside each sweep; they are computed from it after each
+sweep, so monitoring leaves the sweep's arithmetic as it is.
 """
 
 from __future__ import annotations
@@ -319,7 +328,45 @@ class BackAndForthResult:
 
 
 # ---------------------------------------------------------------------------
-# the observer sweep
+# the observer step and the sweep
+
+
+def _observer_step(
+    gains: Gains, omega: float, grid: Grid1D, direction: str, injection_sign: float
+):
+    """One coupled observer step in the given direction, as a function.
+
+    step(u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1) returns the left trace
+    of u_curr and the advanced (u_prev, u_curr, z1, z2, z3, y_int), where Yn
+    and Yn1 are the measurement at the two ends of the step. The oscillator
+    holds that trace over the whole step (explicit coupling); the new wave
+    level takes the injection value at x=0. The same arithmetic serves the
+    sweep, on one state in Python floats (the same IEEE arithmetic as numpy
+    scalars, at a fraction of the cost per operation), and the cycle-map
+    builder, on (nx+1, m) arrays of levels with rows of oscillator values.
+    """
+    E = oscillator_propagator(omega, gains.gamma2, grid.dt, "observer", direction)
+    (e11, e12, _), (e21, e22, _), (e31, e32, _) = E.tolist()
+    hdt = 0.5 * grid.dt
+    dx, c2 = grid.dx, grid.cfl * grid.cfl
+    g1, g2 = gains.gamma1, gains.gamma2
+    g1g2 = g1 * g2
+    s = 1.0 if direction == "forward" else -1.0
+
+    def step(u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1):
+        trc = neumann_trace(u_curr, dx)
+        b1 = g2 * Yn
+        b2 = s * trc
+        z1n = e11 * z1 + e12 * z2 + hdt * (e11 * b1 + e12 * b2 + g2 * Yn1)
+        z2n = e21 * z1 + e22 * z2 + hdt * (e21 * b1 + e22 * b2 + b2)
+        z3n = e31 * z1 + e32 * z2 + z3 + hdt * (e31 * b1 + e32 * b2)
+        y_int = y_int + hdt * (Yn + Yn1)
+        un = _leap(u_prev, u_curr, c2)
+        un[0] = injection_sign * (g1 * (z1n - Yn1) + g1g2 * (z3n - y_int))
+        un[-1] = 0.0
+        return trc, (u_curr, un, z1n, z2n, z3n, y_int)
+
+    return step
 
 
 def _sweep(
@@ -343,16 +390,8 @@ def _sweep(
         raise ValueError(
             f"half-pass {half} needs direction {direction!r}, state has {state.direction!r}"
         )
-    n, dx = grid.n_steps_per_pass, grid.dx
-    hdt = 0.5 * grid.dt
-    c2 = grid.cfl * grid.cfl
-    g1, g2 = gains.gamma1, gains.gamma2
-    g1g2 = g1 * g2
-    s = 1.0 if direction == "forward" else -1.0
-    # Python floats throughout the loop: the same IEEE arithmetic as numpy
-    # scalars, at a fraction of the cost per operation
-    E = oscillator_propagator(omega, g2, grid.dt, "observer", direction)
-    (e11, e12, _), (e21, e22, _), (e31, e32, _) = E.tolist()
+    n = grid.n_steps_per_pass
+    step = _observer_step(gains, omega, grid, direction, injection_sign)
     Yp = em.pass_values(half)
     Yn1 = float(Yp[0])
     u_prev, u_curr = state.wave.u_prev, state.wave.u_curr
@@ -361,26 +400,15 @@ def _sweep(
     rz1, rz2, rf, rtr = rec
     rz1[0], rz2[0], rf[0] = z1, z2, u_curr[0]
     for k in range(n):
-        trc = neumann_trace(u_curr, dx)
         Yn = Yn1
         Yn1 = float(Yp[k + 1])
-        b1 = g2 * Yn
-        b2 = s * trc
-        z1n = e11 * z1 + e12 * z2 + hdt * (e11 * b1 + e12 * b2 + g2 * Yn1)
-        z2n = e21 * z1 + e22 * z2 + hdt * (e21 * b1 + e22 * b2 + b2)
-        z3n = e31 * z1 + e32 * z2 + z3 + hdt * (e31 * b1 + e32 * b2)
-        y_int = y_int + hdt * (Yn + Yn1)
-        bc = injection_sign * (g1 * (z1n - Yn1) + g1g2 * (z3n - y_int))
-        un = _leap(u_prev, u_curr, c2)
-        un[0] = bc
-        un[-1] = 0.0
-        u_prev, u_curr = u_curr, un
-        z1, z2, z3 = z1n, z2n, z3n
-        rtr[k] = trc
+        rtr[k], (u_prev, u_curr, z1, z2, z3, y_int) = step(
+            u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1
+        )
         rz1[k + 1] = z1
         rz2[k + 1] = z2
-        rf[k + 1] = bc
-    rtr[n] = neumann_trace(u_curr, dx)
+        rf[k + 1] = u_curr[0]
+    rtr[n] = neumann_trace(u_curr, grid.dx)
     di = n if direction == "forward" else -n
     ended = LeapfrogState(u_prev, u_curr, state.wave.t_index + di, direction)
     turned = reversed_state(ended, None, grid)
@@ -574,6 +602,94 @@ class _TruthMonitor:
 
 
 # ---------------------------------------------------------------------------
+# the cycle map
+#
+# One forward+backward cycle is linear in the observer state and affine in
+# the measurement, x <- M x + b, with M fixed by grid, gains and omega and b
+# the state that one cycle leaves from the zero start. The state vector is
+# (u_curr, (u_curr - u_prev)/dt, z1, z2, z3, y_int). Raised to the n-th
+# power in this velocity basis, the one-step matrix keeps the reference
+# estimates within 2e-11 of the step path over 50 cycles; in the two-level
+# basis (u_prev, u_curr), where |M| is about 400, they drift by up to 7.5e-7.
+
+
+def _state_vector(u_prev, u_curr, z1, z2, z3, y_int, dt: float) -> np.ndarray:
+    """Velocity-basis vector of a state, or matrix of one state per column."""
+    return np.concatenate([u_curr, (u_curr - u_prev) / dt, np.array([z1, z2, z3, y_int])])
+
+
+def _state_parts(x: np.ndarray, nx1: int, dt: float) -> tuple:
+    """(u_prev, u_curr, z1, z2, z3, y_int) of a velocity-basis vector or matrix."""
+    u, v, (z1, z2, z3, y_int) = x[:nx1], x[nx1 : 2 * nx1], x[2 * nx1 :]
+    return u - dt * v, u, z1, z2, z3, y_int
+
+
+def _cycle_map(gains: Gains, omega: float, grid: Grid1D, injection_sign: float) -> np.ndarray:
+    """M = R S_b^n R S_f^n in the velocity basis.
+
+    S_f and S_b are the one-step matrices of a forward and a backward sweep
+    over a zero measurement and R is the turn; each is the step's or the
+    turn's own arithmetic applied to the columns of the identity.
+    np.linalg.matrix_power reaches the n-th power by repeated squaring.
+    """
+    nx1, dt = grid.nx + 1, grid.dt
+    basis = _state_parts(np.eye(2 * nx1 + 4), nx1, dt)
+    u_prev, u_curr, *osc = basis
+    ghost = continuation_level(LeapfrogState(u_prev, u_curr, 0), None, grid)
+    turn = _state_vector(ghost, u_curr, *osc, dt)
+    sweeps = []
+    for direction in ("forward", "backward"):
+        step = _observer_step(gains, omega, grid, direction, injection_sign)
+        _, advanced = step(*basis, 0.0, 0.0)
+        sweeps.append(np.linalg.matrix_power(_state_vector(*advanced, dt), grid.n_steps_per_pass))
+    forward, backward = sweeps
+    return turn @ backward @ turn @ forward
+
+
+def _cycle_ends(
+    state: ObserverState,
+    em: ExtendedMeasurement,
+    gains: Gains,
+    omega: float,
+    grid: Grid1D,
+    n_iterations: int,
+    injection_sign: float,
+    monitor: _TruthMonitor | None,
+):
+    """The observer states at the ends of cycles 1 to n_iterations.
+
+    The truth monitor reads the series of every sweep, so monitored runs
+    step through every cycle. Unmonitored runs step through the first one
+    only; its end state is b, and the others come from x <- M x + b.
+    """
+    rec = np.empty((4, grid.n_steps_per_pass + 1))
+    stepped = n_iterations if monitor is not None else 1
+    for half in range(2 * stepped):
+        start = state
+        state, ended = _sweep(start, em, gains, omega, grid, injection_sign, rec)
+        if monitor is not None:
+            monitor.fold(half, start, ended, state, rec)
+        if half % 2 == 1:
+            yield state
+    if stepped == n_iterations:
+        return
+    nx1, dt = grid.nx + 1, grid.dt
+    b = _state_vector(state.wave.u_prev, state.wave.u_curr, *state.osc, state.y_integral, dt)
+    M = _cycle_map(gains, omega, grid, injection_sign)
+    x = b
+    for k in range(stepped + 1, n_iterations + 1):
+        x = M @ x + b
+        u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x, nx1, dt)
+        yield ObserverState(
+            wave=LeapfrogState(u_prev, u_curr, 0, "forward"),
+            osc=OscillatorState(float(z1), float(z2), float(z3)),
+            y_integral=float(y_int),
+            half_pass=2 * k,
+            direction="forward",
+        )
+
+
+# ---------------------------------------------------------------------------
 # iteration driver
 
 
@@ -593,7 +709,8 @@ def run_back_and_forth(
     estimate after k full cycles (estimates[0] is the zero initial guess);
     reports carry per-iteration errors when q_true is given. With q_true
     the exact periodized truth cycle is integrated once and error fields
-    observer-minus-truth are sampled at every half-pass boundary.
+    observer-minus-truth are sampled at every half-pass boundary. Without
+    it, cycles after the first go through the cycle map x <- M x + b.
 
     injection_sign is a fault-injection hook for the diagnostics battery
     (a wrong sign must break the Lyapunov decrease); leave at 1.0.
@@ -618,22 +735,18 @@ def run_back_and_forth(
     reports = [IterationReport(iteration=0)]
     if monitor is not None:
         monitor.fill(reports[0], estimates[0])
-    rec = np.empty((4, grid.n_steps_per_pass + 1))
     t_iter_start = time.perf_counter()
-    for half in range(2 * n_iterations):
-        start = state
-        state, ended = _sweep(start, em, gains, omega, grid, injection_sign, rec)
+    for state in _cycle_ends(
+        state, em, gains, omega, grid, n_iterations, injection_sign, monitor
+    ):
+        estimates.append(extract_estimate(state, grid))
+        rep = IterationReport(
+            iteration=state.half_pass // 2, seconds=time.perf_counter() - t_iter_start
+        )
         if monitor is not None:
-            monitor.fold(half, start, ended, state, rec)
-        if state.half_pass % 2 == 0:
-            estimates.append(extract_estimate(state, grid))
-            rep = IterationReport(
-                iteration=state.half_pass // 2, seconds=time.perf_counter() - t_iter_start
-            )
-            if monitor is not None:
-                monitor.fill(rep, estimates[-1])
-            reports.append(rep)
-            t_iter_start = time.perf_counter()
+            monitor.fill(rep, estimates[-1])
+        reports.append(rep)
+        t_iter_start = time.perf_counter()
 
     return BackAndForthResult(
         estimates=estimates,

@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .grid import Grid1D
+from .grid import RESONANCE_TOL, Grid1D, ResonanceError, check_resonance
 from .observer import OscillatorState
 
 __all__ = [
+    "RESONANCE_TOL",
     "ResonanceError",
     "sine_coefficients",
     "synthesize_modes",
@@ -25,23 +26,12 @@ __all__ = [
     "poly_paper_coefficients",
 ]
 
-RESONANCE_TOL = 1e-8
-
-
-class ResonanceError(ValueError):
-    """Forcing frequency collides with a natural frequency k*pi."""
+# RESONANCE_TOL and ResonanceError live in grid, whose check_resonance also
+# guards ScenarioConfig; they stay importable from here.
 
 
 def _mode_freqs(n_modes: int) -> np.ndarray:
     return np.pi * np.arange(1, n_modes + 1)
-
-
-def _check_resonance(omega: float, n_modes: int) -> None:
-    k = _mode_freqs(n_modes)
-    bad = np.abs(np.abs(omega) - k) < RESONANCE_TOL
-    if np.any(bad):
-        idx = int(np.argmax(bad)) + 1
-        raise ResonanceError(f"omega={omega} is within {RESONANCE_TOL} of mode {idx} frequency {idx}*pi")
 
 
 def sine_coefficients(f: np.ndarray, grid: Grid1D, n_modes: int) -> np.ndarray:
@@ -83,7 +73,7 @@ def forced_modal_solution(coeffs: np.ndarray, omega: float, t: float):
     a_k(t) = q_k (cos(omega t) - cos(k pi t)) / ((k pi)^2 - omega^2)
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    _check_resonance(omega, len(coeffs))
+    check_resonance(omega, len(coeffs))
     wk = _mode_freqs(len(coeffs))
     denom = wk * wk - omega * omega
     pos = coeffs * (np.cos(omega * t) - np.cos(wk * t)) / denom
@@ -100,7 +90,7 @@ def neumann_trace_series(coeffs: np.ndarray) -> float:
 def oracle_measurement(coeffs: np.ndarray, omega: float, times: np.ndarray) -> np.ndarray:
     """Analytic output y(t) = sum_k q_k k pi (cos(omega t) - cos(k pi t)) / ((k pi)^2 - omega^2)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    _check_resonance(omega, len(coeffs))
+    check_resonance(omega, len(coeffs))
     times = np.asarray(times, dtype=float)
     wk = _mode_freqs(len(coeffs))
     amp = coeffs * wk / (wk * wk - omega * omega)

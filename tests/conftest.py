@@ -27,7 +27,9 @@ def reference_run(reference_cfg):
     t0 = time.perf_counter()
     res = run_back_and_forth(m, cfg.gains(), cfg.omega, grid, cfg.iterations, q_true=q)
     elapsed = time.perf_counter() - t0
-    return dict(cfg=cfg, grid=grid, q=q, qn=l2_norm(q, grid), result=res, elapsed=elapsed)
+    return dict(
+        cfg=cfg, grid=grid, q=q, qn=l2_norm(q, grid), measurement=m, result=res, elapsed=elapsed
+    )
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +39,7 @@ def reference_run_noisy():
     q = cfg.q_true(grid)
     m = add_noise(simulate_forward(q, cfg.omega, grid), cfg.noise, cfg.seed)
     res = run_back_and_forth(m, cfg.gains(), cfg.omega, grid, cfg.iterations, q_true=q)
-    return dict(cfg=cfg, grid=grid, q=q, qn=l2_norm(q, grid), result=res)
+    return dict(cfg=cfg, grid=grid, q=q, qn=l2_norm(q, grid), measurement=m, result=res)
 
 
 @pytest.fixture(scope="session")

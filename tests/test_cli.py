@@ -309,3 +309,46 @@ class TestCsvFormatting:
         rng = np.random.default_rng(0)
         for x in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200):
             assert float(_fmt(x)) == x
+
+
+class TestResonance:
+    @pytest.mark.parametrize("command", ["simulate", "invert", "full"])
+    def test_resonant_omega_exit_2(self, tmp_path, capsys, command):
+        p = write_config(tmp_path / "c.json", omega=np.pi)
+        mpath = tmp_path / "m.csv"
+        mpath.write_text("t,y\n0,0\n0.1,0\n")
+        argv = [command, "--config", str(p), "--out", str(tmp_path / "out"), "--quiet"]
+        if command == "invert":
+            argv += ["--measurement", str(mpath)]
+        assert main(argv) == EXIT_CONFIG
+        assert "mode 1 frequency 1*pi" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_near_resonant_omega_accepted(self, tmp_path):
+        p = write_config(tmp_path / "c.json", omega=2.0 * np.pi + 1e-6)
+        assert load_config(p).omega == 2.0 * np.pi + 1e-6
+
+
+class TestNoisyProvenance:
+    def test_invert_tags_noisy_rows_as_full_does(self, tmp_path):
+        # the noisy measurement file carries its provenance to invert
+        p = write_config(tmp_path / "c.json", iterations=1, noise=0.1)
+        out_full = tmp_path / "full"
+        assert cmd_full(p, out_full, quiet=True) == EXIT_OK
+        out_inv = tmp_path / "inv"
+        assert cmd_invert(p, out_full / "measurement_noisy.csv", out_inv, quiet=True) == EXIT_OK
+        summary = (out_inv / "diagnostics.txt").read_text()
+        for row in ("lyapunov_decrease", "energy_identity", "second_energy_bound"):
+            line = next(ln for ln in summary.splitlines() if f"] {row}:" in ln)
+            assert line.endswith("[noisy measurement: informational]")
+        for name in ("diagnostics.txt", "diagnostics.csv", "estimate_final.csv"):
+            assert (out_inv / name).read_bytes() == (out_full / name).read_bytes(), name
+
+    def test_clean_measurement_untagged(self, tmp_path):
+        p = write_config(tmp_path / "c.json", iterations=1)
+        out_sim = tmp_path / "sim"
+        assert cmd_simulate(p, out_sim, quiet=True) == EXIT_OK
+        assert (out_sim / "measurement.csv").read_bytes().startswith(b"t,y\r\n")
+        out = tmp_path / "inv"
+        assert cmd_invert(p, out_sim / "measurement.csv", out, quiet=True) == EXIT_OK
+        assert "informational" not in (out / "diagnostics.txt").read_text()

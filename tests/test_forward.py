@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,4 +135,48 @@ class TestMeasurementCsv:
         path = tmp_path / "bad.csv"
         path.write_text("t,y\n" + "".join(f"{a},{b}\n" for a, b in rows))
         with pytest.raises(ValueError, match="non-finite"):
+            read_measurement_csv(path)
+
+    def test_arrays_match_row_by_row_parse(self, grid, tmp_path):
+        # the arrays equal, bit for bit, a parse through a list of row tuples
+        m = add_noise(simulate_forward(sine_mode(grid), 1.0, grid), 0.1, 42)
+        path = tmp_path / "m.csv"
+        write_measurement_csv(m, path)
+        with open(path, newline="") as fh:
+            assert next(fh).startswith("# provenance=noisy")
+            assert next(csv.reader(fh)) == ["t", "y"]
+            rows = [(float(a), float(b)) for a, b in csv.reader(fh)]
+        back = read_measurement_csv(path)
+        assert np.array_equal(back.y, np.array([b for _, b in rows]))
+        assert back.dt == rows[1][0] - rows[0][0]
+        assert back.T == rows[-1][0]
+
+    def test_noisy_provenance_round_trip(self, grid, tmp_path):
+        m = add_noise(simulate_forward(sine_mode(grid), 1.0, grid), 0.1, 42)
+        path = tmp_path / "m.csv"
+        write_measurement_csv(m, path)
+        back = read_measurement_csv(path)
+        assert (back.provenance, back.noise_level, back.noise_seed) == ("noisy", 0.1, 42)
+
+    def test_clean_file_is_plain_t_y(self, grid, tmp_path):
+        m = simulate_forward(sine_mode(grid), 1.0, grid)
+        path = tmp_path / "m.csv"
+        write_measurement_csv(m, path)
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[0] == b"t,y"
+        assert lines[2].decode() == f"{grid.dt:.17g},{m.y[1]:.17g}"
+        back = read_measurement_csv(path)
+        assert (back.provenance, back.noise_level, back.noise_seed) == ("clean", 0.0, None)
+
+    def test_rejects_unknown_provenance(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# provenance=smoothed\nt,y\n0,0\n0.1,1\n")
+        with pytest.raises(ValueError, match="provenance"):
+            read_measurement_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "t,y\n", "t,y\n0,0\n", "t,y\n0,0\n0.1\n"])
+    def test_rejects_short_files(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
             read_measurement_csv(path)

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bfwave.grid import (
+    RESONANCE_TOL,
     Gains,
+    ResonanceError,
     ScenarioConfig,
     SourceSpec,
     build_grid,
+    check_resonance,
     eval_source_profile,
     h1_seminorm,
     l2_norm,
@@ -143,3 +146,22 @@ class TestConfigTypes:
             ScenarioConfig(noise=-0.1)
         with pytest.raises(ValueError):
             ScenarioConfig(omega=float("inf"))
+
+    @pytest.mark.parametrize("omega", [np.pi, -np.pi, 3.0 * np.pi, 7.0 * np.pi + 5e-9])
+    def test_resonant_omega_rejected(self, omega):
+        with pytest.raises(ResonanceError):
+            ScenarioConfig(omega=omega)
+
+    @pytest.mark.parametrize("omega", [0.0, 2.0, np.pi + 1e-7, 0.5 * np.pi])
+    def test_non_resonant_omega_accepted(self, omega):
+        assert ScenarioConfig(omega=omega).omega == omega
+
+    def test_oracle_shares_the_check(self):
+        from bfwave import oracle
+
+        assert oracle.ResonanceError is ResonanceError
+        assert oracle.RESONANCE_TOL == RESONANCE_TOL
+        check_resonance(np.pi, n_modes=0)  # no modes, nothing to hit
+        with pytest.raises(ResonanceError):
+            oracle.forced_modal_solution(np.zeros(3), 3.0 * np.pi, 1.0)
+        oracle.forced_modal_solution(np.zeros(2), 3.0 * np.pi, 1.0)  # mode 3 not in the series

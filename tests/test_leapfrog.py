@@ -6,8 +6,11 @@ from bfwave.grid import build_grid
 from bfwave.leapfrog import (
     BoundarySchedule,
     LeapfrogState,
+    _leap,
+    continuation_level,
     discrete_energy,
     init_leapfrog,
+    neumann_trace,
     reversed_state,
     run_homogeneous,
     run_with_boundary,
@@ -128,6 +131,25 @@ class TestTrace:
             assert err <= (np.pi**3 / 3.0) * g.dx**2 * 1.05
             errs.append(err)
         assert 3.0 <= errs[0] / errs[1] <= 5.0
+
+
+class TestColumnForms:
+    def test_columns_match_single_levels(self, grid20):
+        # update, trace and turn act on each column of an (nx+1, m) array
+        # exactly as on that column alone
+        rng = np.random.default_rng(3)
+        prev, curr = rng.standard_normal((2, 21, 5))
+        c2 = grid20.cfl * grid20.cfl
+        traces = neumann_trace(curr, grid20.dx)
+        cols = LeapfrogState(prev, curr, 0, "forward")
+        nxt = _leap(prev, curr, c2)
+        ghost = continuation_level(cols, None, grid20)
+        for j in range(5):
+            one = LeapfrogState(prev[:, j], curr[:, j], 0, "forward")
+            assert traces[j] == neumann_trace(curr[:, j], grid20.dx)
+            assert np.array_equal(nxt[1:-1, j], _leap(prev[:, j], curr[:, j], c2)[1:-1])
+            assert np.array_equal(ghost[:, j], continuation_level(one, None, grid20))
+        assert isinstance(neumann_trace(curr[:, 0], grid20.dx), float)
 
 
 class TestVelocity:

@@ -339,17 +339,62 @@ class TestRunBackAndForth:
         assert np.allclose(b.estimates[1], c * a.estimates[1], atol=1e-12)
 
     def test_monitoring_leaves_the_sweep_unchanged(self, grid):
-        # monitored and unmonitored runs share one sweep; truth monitoring
-        # only reads what it records
+        # monitored runs step through every cycle with the public half-pass
+        # sweep; truth monitoring only reads what the sweep records
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
-        a = run_back_and_forth(m, Gains(1.0, 0.5), 2.0, grid, 2)
-        b = run_back_and_forth(m, Gains(1.0, 0.5), 2.0, grid, 2, q_true=q)
-        assert len(a.estimates) == len(b.estimates) == 3
-        for qa, qb in zip(a.estimates, b.estimates):
+        em = ExtendedMeasurement(m, grid.n_steps_per_pass)
+        gains = Gains(1.0, 0.5)
+        b = run_back_and_forth(m, gains, 2.0, grid, 2, q_true=q)
+        s = initial_observer_state(grid)
+        composed = [extract_estimate(s, grid)]
+        for _ in range(4):
+            s = observer_half_pass(s, em, gains, 2.0, grid)
+            if s.half_pass % 2 == 0:
+                composed.append(extract_estimate(s, grid))
+        assert len(b.estimates) == len(composed) == 3
+        for qa, qb in zip(composed, b.estimates):
             assert np.array_equal(qa, qb)
-        assert np.array_equal(a.final_state.wave.u_prev, b.final_state.wave.u_prev)
-        assert a.final_state.osc == b.final_state.osc
+        assert np.array_equal(s.wave.u_prev, b.final_state.wave.u_prev)
+        assert s.osc == b.final_state.osc
+
+
+class TestCycleMap:
+    """Unmonitored runs: cycle 1 on the sweep, the others through x <- M x + b."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("run", ["reference_run", "reference_run_noisy"])
+    def test_matches_step_path(self, run, request):
+        # the monitored fixture run is the step path over all 50 cycles
+        ref = request.getfixturevalue(run)
+        cfg, grid = ref["cfg"], ref["grid"]
+        stepped = ref["result"]
+        res = run_back_and_forth(ref["measurement"], cfg.gains(), cfg.omega, grid, cfg.iterations)
+        assert res.history is None
+        assert len(res.estimates) == len(stepped.estimates) == cfg.iterations + 1
+        assert np.array_equal(res.estimates[1], stepped.estimates[1])
+        gap = max(np.max(np.abs(a - b)) for a, b in zip(res.estimates, stepped.estimates))
+        assert gap <= 1e-9
+        # the rebuilt final state keeps the injection invariant at x=0
+        s = res.final_state
+        assert s.half_pass == 2 * cfg.iterations
+        assert s.direction == s.wave.direction == "forward"
+        y0 = float(ref["measurement"].y[0])
+        bc = injection_value(s.osc, y0, s.y_integral, cfg.gains())
+        assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12)
+        assert [r.iteration for r in res.reports] == list(range(cfg.iterations + 1))
+
+    def test_injection_sign_carried(self, grid):
+        # the fault-injection hook reaches the map as it reaches the sweep
+        q = poly_source(grid)
+        m = simulate_forward(q, 2.0, grid)
+        em = ExtendedMeasurement(m, grid.n_steps_per_pass)
+        gains = Gains(1.0, 0.5)
+        res = run_back_and_forth(m, gains, 2.0, grid, 3, injection_sign=-1.0)
+        s = initial_observer_state(grid)
+        for _ in range(6):
+            s = observer_half_pass(s, em, gains, 2.0, grid, injection_sign=-1.0)
+        assert np.max(np.abs(res.estimates[-1] - extract_estimate(s, grid))) <= 1e-9
 
 
 class TestExtractEstimate:
