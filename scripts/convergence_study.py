@@ -26,7 +26,7 @@ def main() -> None:
         g = build_grid(nx, 0.005, 1.3)
         q = np.sin(np.pi * g.nodes)
         q[0] = q[-1] = 0.0
-        fin, _ = run_homogeneous(q, None, g, g.n_steps_per_pass, "forward")
+        fin, _ = run_homogeneous(q, g, g.n_steps_per_pass)
         err = float(np.max(np.abs(fin.u_curr - np.sin(np.pi * g.nodes) * np.cos(np.pi * g.T))))
         ratio = "" if prev is None else f"  ratio {prev / err:.2f}"
         print(f"  nx={nx:3d}: {err:.3e}{ratio}")

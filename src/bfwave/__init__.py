@@ -25,12 +25,9 @@ from .leapfrog import (
     init_leapfrog,
     run_homogeneous,
     step,
-    trace_left,
-    velocity,
 )
 from .observer import (
     BackAndForthResult,
-    ExtendedMeasurement,
     ObserverState,
     OscillatorState,
     extract_estimate,
@@ -59,10 +56,7 @@ __all__ = [
     "init_leapfrog",
     "run_homogeneous",
     "step",
-    "trace_left",
-    "velocity",
     "BackAndForthResult",
-    "ExtendedMeasurement",
     "ObserverState",
     "OscillatorState",
     "extract_estimate",

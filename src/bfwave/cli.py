@@ -30,7 +30,7 @@ from .forward import (
     simulate_forward,
     write_measurement_csv,
 )
-from .grid import ScenarioConfig, source_spec_from_dict
+from .grid import Grid1D, ScenarioConfig, source_spec_from_dict
 from .observer import BackAndForthResult, run_back_and_forth
 
 EXIT_OK = 0
@@ -194,6 +194,19 @@ def _run_diagnostics(result: BackAndForthResult, noisy: bool) -> DiagnosticsRepo
     return report
 
 
+def _synthesize(cfg: ScenarioConfig, grid: Grid1D, out: Path, seed: int) -> MeasurementRecord:
+    """Write measurement.csv and, with noise, measurement_noisy.csv.
+
+    Returns the measurement to invert: the noisy one when there is noise.
+    """
+    measurement = simulate_forward(cfg.q_true(grid), cfg.omega, grid)
+    write_measurement_csv(measurement, out / "measurement.csv")
+    if cfg.noise > 0:
+        measurement = add_noise(measurement, cfg.noise, seed)
+        write_measurement_csv(measurement, out / "measurement_noisy.csv")
+    return measurement
+
+
 def cmd_simulate(config_path, out_dir=None, seed: int | None = None, quiet: bool = False) -> int:
     try:
         cfg = load_config(config_path)
@@ -211,16 +224,12 @@ def cmd_simulate(config_path, out_dir=None, seed: int | None = None, quiet: bool
         if cfg.noise > 0:
             outputs.append(out / "measurement_noisy.csv")
         write_manifest(out, cfg, "simulate", [config_path], outputs, seed_used)
-        clean = simulate_forward(cfg.q_true(grid), cfg.omega, grid)
-        write_measurement_csv(clean, out / "measurement.csv")
-        if cfg.noise > 0:
-            noisy = add_noise(clean, cfg.noise, seed_used)
-            write_measurement_csv(noisy, out / "measurement_noisy.csv")
+        measurement = _synthesize(cfg, grid, out, seed_used)
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
     if not quiet:
-        print(f"wrote measurement ({len(clean.y)} samples) to {out}")
+        print(f"wrote measurement ({len(measurement.y)} samples) to {out}")
     return EXIT_OK
 
 
@@ -339,12 +348,7 @@ def cmd_full(config_path, out_dir=None, seed: int | None = None, quiet: bool = F
             [out / "measurement.csv", out / "iterations.csv", out / "lyapunov.csv"],
             seed_used,
         )
-        clean = simulate_forward(cfg.q_true(grid), cfg.omega, grid)
-        write_measurement_csv(clean, out / "measurement.csv")
-        measurement = clean
-        if cfg.noise > 0:
-            measurement = add_noise(clean, cfg.noise, seed_used)
-            write_measurement_csv(measurement, out / "measurement_noisy.csv")
+        measurement = _synthesize(cfg, grid, out, seed_used)
         code, result = _invert_impl(cfg, measurement, out, quiet)
         if code != EXIT_OK:
             return code

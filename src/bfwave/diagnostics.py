@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,9 +16,9 @@ from .forward import simulate_forward
 from .grid import Gains, Grid1D, build_grid, h1_seminorm, l2_norm
 from .leapfrog import discrete_energy, init_leapfrog, reversed_state, run_homogeneous, step
 from .observer import (
-    OscillatorState,
     RunHistory,
     hidden_regularity_ratio,
+    lyapunov_value,
     run_back_and_forth,
     simulate_cascade,
 )
@@ -78,28 +78,6 @@ def _interval_check(name: str, value: float, lo: float, hi: float, note: str) ->
 
 # ---------------------------------------------------------------------------
 # pointwise functionals
-
-
-def lyapunov_value(
-    w1_err: np.ndarray,
-    w2_err: np.ndarray,
-    z_err: OscillatorState,
-    gains: Gains,
-    omega: float,
-    grid: Grid1D,
-) -> float:
-    """Energy functional of the error state.
-
-    V = (1/2)(|w1_x|^2 + |w2|^2 + gamma1*omega^2*z1^2 + gamma1*z2^2);
-    positive definite in (w1_x, w2, z1, z2) and non-increasing along the
-    monitored error dynamics.
-    """
-    return 0.5 * (
-        h1_seminorm(w1_err, grid) ** 2
-        + l2_norm(w2_err, grid) ** 2
-        + gains.gamma1 * omega * omega * z_err.z1 * z_err.z1
-        + gains.gamma1 * z_err.z2 * z_err.z2
-    )
 
 
 def lyapunov_decrease_check(v_series: np.ndarray, tolerance: float) -> CheckResult:
@@ -235,11 +213,11 @@ def _battery_kernel() -> list[CheckResult]:
     out = []
     g = build_grid(20, 0.005, 2.5)  # 10000 steps per pass
     q0 = np.sin(np.pi * g.nodes)
-    state = init_leapfrog(q0, None, None, g, "forward")
+    state = init_leapfrog(q0, None, g)
     e0 = discrete_energy(state, g)
     drift = 0.0
     for _ in range(g.n_steps_per_pass):
-        state = step(state, 0.0, None, g)
+        state = step(state, 0.0, g)
         drift = max(drift, abs(discrete_energy(state, g) - e0) / e0)
     out.append(
         CheckResult(
@@ -251,10 +229,10 @@ def _battery_kernel() -> list[CheckResult]:
         )
     )
     # forward n steps, turn, backward n steps must reproduce the start
-    fwd, _ = run_homogeneous(q0, None, g, g.n_steps_per_pass, "forward")
-    back = reversed_state(fwd, None, g)
+    fwd, _ = run_homogeneous(q0, g, g.n_steps_per_pass)
+    back = reversed_state(fwd, g)
     for _ in range(g.n_steps_per_pass):
-        back = step(back, 0.0, None, g)
+        back = step(back, 0.0, g)
     rt = float(np.max(np.abs(back.u_curr - q0)))
     out.append(
         CheckResult(
@@ -270,7 +248,7 @@ def _battery_kernel() -> list[CheckResult]:
     for nx in (20, 40):
         gg = build_grid(nx, 0.005, 1.3)
         qq = np.sin(np.pi * gg.nodes)
-        fin, _ = run_homogeneous(qq, None, gg, gg.n_steps_per_pass, "forward")
+        fin, _ = run_homogeneous(qq, gg, gg.n_steps_per_pass)
         exact = np.sin(np.pi * gg.nodes) * np.cos(np.pi * gg.T)
         errs.append(float(np.max(np.abs(fin.u_curr - exact))))
     out.append(
@@ -288,29 +266,18 @@ def _battery_kernel() -> list[CheckResult]:
 def _battery_equivalence() -> list[CheckResult]:
     out = []
     gaps_w1 = []
-    for omega in (0.0, 1.0):
-        g = build_grid(20, 0.005, 3.0)
+    # each (nx, omega) output pair is synthesized once; (20, 1) serves both checks
+    for nx, omega in ((20, 0.0), (20, 1.0), (40, 1.0)):
+        g = build_grid(nx, 0.005, 3.0)
         q = np.sin(np.pi * g.nodes)
         q[0] = q[-1] = 0.0
         y = simulate_forward(q, omega, g).y
         Y = simulate_cascade(q, omega, g).Y
         entry = equivalence_report(y, Y, tolerance=1e-2)
-        out.append(
-            CheckResult(
-                name=f"output_equivalence_w{int(omega)}",
-                value=entry.value,
-                threshold=entry.threshold,
-                passed=entry.passed,
-                note=entry.note,
-            )
-        )
-    for nx in (20, 40):
-        g = build_grid(nx, 0.005, 3.0)
-        q = np.sin(np.pi * g.nodes)
-        q[0] = q[-1] = 0.0
-        y = simulate_forward(q, 1.0, g).y
-        Y = simulate_cascade(q, 1.0, g).Y
-        gaps_w1.append(float(np.max(np.abs(y - Y))) / float(np.max(np.abs(y))))
+        if omega == 1.0:
+            gaps_w1.append(entry.value)
+        if nx == 20:
+            out.append(replace(entry, name=f"output_equivalence_w{int(omega)}"))
     out.append(
         _interval_check(
             "output_equivalence_refinement",
@@ -328,7 +295,7 @@ def _battery_hidden_regularity() -> list[CheckResult]:
     g = build_grid(20, 0.005, 2.0)
     q0 = np.sin(np.pi * g.nodes)
     q0[0] = q0[-1] = 0.0
-    _, tr = run_homogeneous(q0, None, g, g.n_steps_per_pass, "forward")
+    _, tr = run_homogeneous(q0, g, g.n_steps_per_pass)
     f = np.zeros_like(tr)
     r = hidden_regularity_ratio(f, q0, np.zeros_like(q0), tr, g.T, g)
     err = abs(r - 0.25)

@@ -57,7 +57,7 @@ def simulate_forward(q: np.ndarray, omega: float, grid: Grid1D) -> MeasurementRe
     n, dt = grid.n_steps_per_pass, grid.dt
     c2 = grid.cfl * grid.cfl
     dt2q = dt * dt * q
-    state = init_leapfrog(np.zeros(grid.nx + 1), None, q.copy(), grid, "forward")
+    state = init_leapfrog(np.zeros(grid.nx + 1), q.copy(), grid)
     u_prev, u_curr = state.u_prev, state.u_curr
     y = np.empty(n + 1)
     y[0] = 0.0

@@ -7,13 +7,16 @@ Dirichlet value by the output mismatch; forward and time-reversed sweeps
 over the measurement window alternate, and after every backward sweep the
 observer displacement at t = 2kT is the current source estimate.
 
-Every sweep integrates in a local time that increases; a backward sweep is
-the time-reversed dynamics, realized by the same stencil after the two
-stored wave levels are re-seeded at the turn (leapfrog.reversed_state).
-The oscillator is propagated with the exact matrix exponential of its
-homogeneous part plus trapezoidal forcing. The wave trace entering the
-oscillator is held at its left endpoint within each step (explicit
-coupling); the measured output Y enters with both endpoints.
+Every sweep integrates in a local time that increases. Half-pass k runs
+forward for even k and backward (the time-reversed dynamics) for odd k, so
+a direction is never stored: it is the parity of the half-pass index. A
+backward sweep replays the measurement reversed and is realized by the
+same stencil after the two stored wave levels are re-seeded at the turn
+(leapfrog.reversed_state). The oscillator is propagated with the exact
+matrix exponential of its homogeneous part plus trapezoidal forcing. The
+wave trace entering the oscillator is held at its left endpoint within
+each step (explicit coupling); the measured output Y enters with both
+endpoints.
 
 Each loop is written once. oscillator_drive runs the uncoupled oscillator
 over a given forcing series (the cascade, both halves of the truth cycle,
@@ -58,7 +61,6 @@ from .leapfrog import (
 __all__ = [
     "OscillatorState",
     "ObserverState",
-    "ExtendedMeasurement",
     "IterationReport",
     "RunHistory",
     "BackAndForthResult",
@@ -69,6 +71,7 @@ __all__ = [
     "simulate_cascade",
     "run_plant_cycle",
     "hidden_regularity_ratio",
+    "lyapunov_value",
     "observer_half_pass",
     "initial_observer_state",
     "run_back_and_forth",
@@ -88,23 +91,17 @@ ZERO_OSC = OscillatorState(0.0, 0.0, 0.0)
 
 
 @lru_cache(maxsize=64)
-def oscillator_propagator(
-    omega: float, gamma2: float, dt: float, mode: str, direction: str
-) -> np.ndarray:
+def oscillator_propagator(omega: float, gamma2: float, dt: float, direction: str) -> np.ndarray:
     """exp(dt*A) for the augmented (z1, z2, z3) system.
 
-    mode "plant": z1' = s*z2, z2' = -s*omega^2*z1 + trace forcing, with
-    s = +1 forward and -1 backward. mode "observer" adds the -gamma2*z1
-    relaxation in the first channel. z3' = z1 in every regime, so the
-    integral channel is propagated exactly along with the rotation.
+    z1' = -gamma2*z1 + s*z2, z2' = -s*omega^2*z1 + trace forcing, with
+    s = +1 forward and -1 backward; the plant is gamma2 = 0. z3' = z1, so
+    the integral channel is propagated exactly along with the rotation.
     """
-    if mode not in ("plant", "observer"):
-        raise ValueError(f"mode must be plant|observer, got {mode!r}")
     s = {"forward": 1.0, "backward": -1.0}[direction]
-    g2 = gamma2 if mode == "observer" else 0.0
     A = np.array(
         [
-            [-g2, s, 0.0],
+            [-gamma2, s, 0.0],
             [-s * omega * omega, 0.0, 0.0],
             [1.0, 0.0, 0.0],
         ]
@@ -119,19 +116,18 @@ def oscillator_drive(
     omega: float,
     gamma2: float,
     dt: float,
-    mode: str = "observer",
     direction: str = "forward",
 ) -> np.ndarray:
     """Uncoupled oscillator run over given forcing series, one row per node.
 
     Exact homogeneous propagation, trapezoidal affine forcing: the forcing
-    enters channel 2 as the sign-adjusted wave trace and, in observer mode,
-    channel 1 as gamma2 * y (y None is zero). Row 0 of the result is z0.
+    enters channel 2 as the sign-adjusted wave trace and channel 1 as
+    gamma2 * y (y None is zero, as for the plant). Row 0 of the result is z0.
     """
-    E = oscillator_propagator(omega, gamma2, dt, mode, direction)
+    E = oscillator_propagator(omega, gamma2, dt, direction)
     b = np.zeros((len(trace), 3))
     b[:, 1] = (1.0 if direction == "forward" else -1.0) * np.asarray(trace, dtype=float)
-    if mode == "observer" and y is not None:
+    if y is not None:
         b[:, 0] = gamma2 * np.asarray(y, dtype=float)
     forcing = b[:-1] @ E.T
     forcing += b[1:]
@@ -152,12 +148,11 @@ def oscillator_step(
     omega: float,
     gamma2: float,
     dt: float,
-    mode: str = "observer",
     direction: str = "forward",
 ) -> OscillatorState:
     """One step of oscillator_drive."""
     zs = oscillator_drive(
-        z, [trace_now, trace_next], [y_now, y_next], omega, gamma2, dt, mode, direction
+        z, [trace_now, trace_next], [y_now, y_next], omega, gamma2, dt, direction
     )
     return OscillatorState(*map(float, zs[-1]))
 
@@ -195,8 +190,8 @@ def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> CascadeResult
     q = np.asarray(q, dtype=float)
     if q[0] != 0.0 or q[-1] != 0.0:
         raise ValueError("cascade initial datum must vanish at both endpoints")
-    state, tr = run_homogeneous(q, None, grid, grid.n_steps_per_pass, "forward")
-    z = oscillator_drive(ZERO_OSC, tr, None, omega, 0.0, grid.dt, "plant")
+    state, tr = run_homogeneous(q, grid, grid.n_steps_per_pass)
+    z = oscillator_drive(ZERO_OSC, tr, None, omega, 0.0, grid.dt)
     return CascadeResult(trace=tr, z=z, final_wave=state)
 
 
@@ -229,10 +224,10 @@ def run_plant_cycle(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
     """
     cascade = simulate_cascade(q, omega, grid)
     back = oscillator_drive(
-        cascade.z[-1], cascade.trace[::-1], None, omega, 0.0, grid.dt, "plant", "backward"
+        cascade.z[-1], cascade.trace[::-1], None, omega, 0.0, grid.dt, "backward"
     )
     end = cascade.final_wave
-    vel_T = (continuation_level(end, None, grid) - end.u_prev) / (2.0 * grid.dt)
+    vel_T = (continuation_level(end, grid) - end.u_prev) / (2.0 * grid.dt)
     return PlantCycle(
         trace=cascade.trace,
         z=np.concatenate([cascade.z, back[1:]]),
@@ -242,32 +237,19 @@ def run_plant_cycle(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
 
 
 # ---------------------------------------------------------------------------
-# extended measurement and observer state
+# observer state
 
 
-@dataclass(frozen=True)
-class ExtendedMeasurement:
-    """Periodized view of a one-pass measurement.
+def _pass_samples(measurement: MeasurementRecord, grid: Grid1D) -> np.ndarray:
+    """The measurement's samples, refused unless they fill exactly one pass.
 
-    Forward half-passes replay the samples in order; backward half-passes
-    replay them reversed, so the extended signal is continuous at every
-    turn.
+    Forward half-passes replay them in order, backward ones reversed, so
+    the periodized signal is continuous at every turn.
     """
-
-    record: MeasurementRecord
-    n_steps_per_pass: int
-
-    def __post_init__(self):
-        if len(self.record.y) != self.n_steps_per_pass + 1:
-            raise ValueError(
-                f"measurement has {len(self.record.y)} samples, a pass needs "
-                f"{self.n_steps_per_pass + 1}"
-            )
-
-    def pass_values(self, half_pass_index: int) -> np.ndarray:
-        if half_pass_index % 2 == 0:
-            return self.record.y
-        return self.record.y[::-1]
+    n = grid.n_steps_per_pass
+    if len(measurement.y) != n + 1:
+        raise ValueError(f"measurement has {len(measurement.y)} samples, a pass needs {n + 1}")
+    return measurement.y
 
 
 @dataclass
@@ -278,12 +260,16 @@ class ObserverState:
     osc: OscillatorState
     y_integral: float
     half_pass: int
-    direction: str
+
+    @property
+    def direction(self) -> str:
+        """Time direction of half-pass `half_pass`: forward when it is even."""
+        return "forward" if self.half_pass % 2 == 0 else "backward"
 
 
 def initial_observer_state(grid: Grid1D) -> ObserverState:
-    wave = init_leapfrog(np.zeros(grid.nx + 1), None, None, grid, "forward")
-    return ObserverState(wave=wave, osc=ZERO_OSC, y_integral=0.0, half_pass=0, direction="forward")
+    wave = init_leapfrog(np.zeros(grid.nx + 1), None, grid)
+    return ObserverState(wave=wave, osc=ZERO_OSC, y_integral=0.0, half_pass=0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +331,7 @@ def _observer_step(
     scalars, at a fraction of the cost per operation), and the cycle-map
     builder, on (nx+1, m) arrays of levels with rows of oscillator values.
     """
-    E = oscillator_propagator(omega, gains.gamma2, grid.dt, "observer", direction)
+    E = oscillator_propagator(omega, gains.gamma2, grid.dt, direction)
     (e11, e12, _), (e21, e22, _), (e31, e32, _) = E.tolist()
     hdt = 0.5 * grid.dt
     dx, c2 = grid.dx, grid.cfl * grid.cfl
@@ -371,7 +357,7 @@ def _observer_step(
 
 def _sweep(
     state: ObserverState,
-    em: ExtendedMeasurement,
+    y: np.ndarray,
     gains: Gains,
     omega: float,
     grid: Grid1D,
@@ -380,19 +366,16 @@ def _sweep(
 ) -> tuple[ObserverState, LeapfrogState]:
     """Advance the coupled wave/oscillator pair over half-pass state.half_pass.
 
-    Returns the state turned around for the next half-pass and the wave as
-    the sweep left it (before the turn). The rows of rec, shape (4, n+1),
-    receive z1, z2, the x=0 Dirichlet value and the left trace at each node.
+    The pass replays the one-pass samples y, reversed on a backward
+    half-pass. Returns the state turned around for the next half-pass and
+    the wave as the sweep left it (before the turn). The rows of rec, shape
+    (4, n+1), receive z1, z2, the x=0 Dirichlet value and the left trace at
+    each node.
     """
     half = state.half_pass
-    direction = "forward" if half % 2 == 0 else "backward"
-    if state.direction != direction:
-        raise ValueError(
-            f"half-pass {half} needs direction {direction!r}, state has {state.direction!r}"
-        )
     n = grid.n_steps_per_pass
-    step = _observer_step(gains, omega, grid, direction, injection_sign)
-    Yp = em.pass_values(half)
+    step = _observer_step(gains, omega, grid, state.direction, injection_sign)
+    Yp = y if half % 2 == 0 else y[::-1]
     Yn1 = float(Yp[0])
     u_prev, u_curr = state.wave.u_prev, state.wave.u_curr
     z1, z2, z3 = state.osc
@@ -409,35 +392,33 @@ def _sweep(
         rz2[k + 1] = z2
         rf[k + 1] = u_curr[0]
     rtr[n] = neumann_trace(u_curr, grid.dx)
-    di = n if direction == "forward" else -n
-    ended = LeapfrogState(u_prev, u_curr, state.wave.t_index + di, direction)
-    turned = reversed_state(ended, None, grid)
+    ended = LeapfrogState(u_prev, u_curr)
     nxt = ObserverState(
-        wave=turned,
+        wave=reversed_state(ended, grid),
         osc=OscillatorState(z1, z2, z3),
         y_integral=y_int,
         half_pass=half + 1,
-        direction=turned.direction,
     )
     return nxt, ended
 
 
 def observer_half_pass(
     state: ObserverState,
-    em: ExtendedMeasurement,
+    measurement: MeasurementRecord,
     gains: Gains,
     omega: float,
     grid: Grid1D,
     injection_sign: float = 1.0,
 ) -> ObserverState:
-    """Run one half-pass and turn the wave around for the next one.
+    """Run one half-pass over the measurement and turn the wave around for the next one.
 
     The returned state sits at the next half-pass boundary with the wave
-    already re-seeded and the direction flipped, so consecutive calls
-    realize the back-and-forth sweep.
+    already re-seeded, so consecutive calls realize the back-and-forth
+    sweep. The measurement must hold exactly one pass of samples.
     """
+    y = _pass_samples(measurement, grid)
     rec = np.empty((4, grid.n_steps_per_pass + 1))
-    return _sweep(state, em, gains, omega, grid, injection_sign, rec)[0]
+    return _sweep(state, y, gains, omega, grid, injection_sign, rec)[0]
 
 
 def extract_estimate(state: ObserverState, grid: Grid1D) -> np.ndarray:
@@ -502,6 +483,29 @@ def hidden_regularity_ratio(
     return float(num / den)
 
 
+def lyapunov_value(
+    w1_err: np.ndarray,
+    w2_err: np.ndarray,
+    z_err: OscillatorState,
+    gains: Gains,
+    omega: float,
+    grid: Grid1D,
+) -> float:
+    """Energy functional of the error state.
+
+    V = (1/2)(|w1_x|^2 + |w2|^2 + gamma1*omega^2*z1^2 + gamma1*z2^2);
+    positive definite in (w1_x, w2, z1, z2) and non-increasing along the
+    monitored error dynamics.
+    """
+    g1, om2 = gains.gamma1, omega * omega
+    return 0.5 * (
+        h1_seminorm(w1_err, grid) ** 2
+        + l2_norm(w2_err, grid) ** 2
+        + g1 * om2 * z_err.z1 * z_err.z1
+        + g1 * z_err.z2 * z_err.z2
+    )
+
+
 class _TruthMonitor:
     """Observer-minus-truth samples against the exactly periodic truth cycle."""
 
@@ -539,10 +543,11 @@ class _TruthMonitor:
         b = l2_norm(w2, grid) ** 2
         w2t = l2_norm(_second_x_derivative(w1, grid.dx), grid)
         tr_err = neumann_trace(w1, grid.dx)
+        V = lyapunov_value(w1, w2, OscillatorState(zt1, zt2, 0.0), self.gains, self.omega, grid)
         self.samples.append(
             (
                 half * grid.T,
-                0.5 * (a + b + g1 * om2 * zt1 * zt1 + g1 * zt2 * zt2),
+                V,
                 a
                 + b
                 + g1 * zt2 * zt2
@@ -575,7 +580,7 @@ class _TruthMonitor:
         self.hidden.append(
             hidden_regularity_ratio(rec[2], start.wave.u_curr, self.vel, rec[3], grid.T, grid)
         )
-        s = 1.0 if ended.direction == "forward" else -1.0
+        s = 1.0 if start.direction == "forward" else -1.0
         self.vel = s * (nxt.wave.u_prev - ended.u_prev) / (2.0 * grid.dt)
         self._sample(half + 1, nxt.wave.u_curr, nxt.osc)
 
@@ -635,7 +640,7 @@ def _cycle_map(gains: Gains, omega: float, grid: Grid1D, injection_sign: float) 
     nx1, dt = grid.nx + 1, grid.dt
     basis = _state_parts(np.eye(2 * nx1 + 4), nx1, dt)
     u_prev, u_curr, *osc = basis
-    ghost = continuation_level(LeapfrogState(u_prev, u_curr, 0), None, grid)
+    ghost = continuation_level(LeapfrogState(u_prev, u_curr), grid)
     turn = _state_vector(ghost, u_curr, *osc, dt)
     sweeps = []
     for direction in ("forward", "backward"):
@@ -648,7 +653,7 @@ def _cycle_map(gains: Gains, omega: float, grid: Grid1D, injection_sign: float) 
 
 def _cycle_ends(
     state: ObserverState,
-    em: ExtendedMeasurement,
+    y: np.ndarray,
     gains: Gains,
     omega: float,
     grid: Grid1D,
@@ -666,7 +671,7 @@ def _cycle_ends(
     stepped = n_iterations if monitor is not None else 1
     for half in range(2 * stepped):
         start = state
-        state, ended = _sweep(start, em, gains, omega, grid, injection_sign, rec)
+        state, ended = _sweep(start, y, gains, omega, grid, injection_sign, rec)
         if monitor is not None:
             monitor.fold(half, start, ended, state, rec)
         if half % 2 == 1:
@@ -681,11 +686,10 @@ def _cycle_ends(
         x = M @ x + b
         u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x, nx1, dt)
         yield ObserverState(
-            wave=LeapfrogState(u_prev, u_curr, 0, "forward"),
+            wave=LeapfrogState(u_prev, u_curr),
             osc=OscillatorState(float(z1), float(z2), float(z3)),
             y_integral=float(y_int),
             half_pass=2 * k,
-            direction="forward",
         )
 
 
@@ -725,7 +729,7 @@ def run_back_and_forth(
         raise ValueError("n_iterations must be >= 1")
     if abs(measurement.dt - grid.dt) > 1e-12 + 1e-9 * grid.dt:
         raise ValueError(f"measurement dt={measurement.dt} does not match grid dt={grid.dt}")
-    em = ExtendedMeasurement(record=measurement, n_steps_per_pass=grid.n_steps_per_pass)
+    y = _pass_samples(measurement, grid)
     monitor = None
     if q_true is not None:
         monitor = _TruthMonitor(np.asarray(q_true, dtype=float), gains, omega, grid)
@@ -737,7 +741,7 @@ def run_back_and_forth(
         monitor.fill(reports[0], estimates[0])
     t_iter_start = time.perf_counter()
     for state in _cycle_ends(
-        state, em, gains, omega, grid, n_iterations, injection_sign, monitor
+        state, y, gains, omega, grid, n_iterations, injection_sign, monitor
     ):
         estimates.append(extract_estimate(state, grid))
         rep = IterationReport(

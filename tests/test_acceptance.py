@@ -137,7 +137,7 @@ def test_criterion_6_hidden_regularity(reference_run):
     g = build_grid(20, 0.005, 2.0)
     q0 = np.sin(np.pi * g.nodes)
     q0[0] = q0[-1] = 0.0
-    _, tr = run_homogeneous(q0, None, g, g.n_steps_per_pass, "forward")
+    _, tr = run_homogeneous(q0, g, g.n_steps_per_pass)
     r_analytic = hidden_regularity_ratio(
         np.zeros_like(tr), q0, np.zeros_like(q0), tr, g.T, g
     )
@@ -156,23 +156,23 @@ def test_criterion_7_kernel_invariants():
     g = build_grid(20, 0.005, 2.5)
     q0 = np.sin(np.pi * g.nodes)
     q0[0] = q0[-1] = 0.0
-    s = init_leapfrog(q0, None, None, g, "forward")
+    s = init_leapfrog(q0, None, g)
     e0 = discrete_energy(s, g)
     drift = 0.0
     for _ in range(10_000):
-        s = step(s, 0.0, None, g)
+        s = step(s, 0.0, g)
         drift = max(drift, abs(discrete_energy(s, g) - e0) / e0)
-    fwd, _ = run_homogeneous(q0, None, g, 10_000, "forward")
-    back = reversed_state(fwd, None, g)
+    fwd, _ = run_homogeneous(q0, g, 10_000)
+    back = reversed_state(fwd, g)
     for _ in range(10_000):
-        back = step(back, 0.0, None, g)
+        back = step(back, 0.0, g)
     rt = float(np.max(np.abs(back.u_curr - q0)))
     errs = []
     for nx in (20, 40):
         gg = build_grid(nx, 0.005, 1.3)
         qq = np.sin(np.pi * gg.nodes)
         qq[0] = qq[-1] = 0.0
-        fin, _ = run_homogeneous(qq, None, gg, gg.n_steps_per_pass, "forward")
+        fin, _ = run_homogeneous(qq, gg, gg.n_steps_per_pass)
         errs.append(np.max(np.abs(fin.u_curr - np.sin(np.pi * gg.nodes) * np.cos(np.pi * gg.T))))
     factor = errs[0] / errs[1]
     ok = drift <= 1e-10 and rt <= 1e-12 and 3.0 <= factor <= 5.0

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from bfwave.grid import build_grid
 from bfwave.leapfrog import (
-    BoundarySchedule,
     LeapfrogState,
     _leap,
     continuation_level,
@@ -13,10 +12,7 @@ from bfwave.leapfrog import (
     neumann_trace,
     reversed_state,
     run_homogeneous,
-    run_with_boundary,
     step,
-    trace_left,
-    velocity,
 )
 
 
@@ -31,46 +27,41 @@ def mode(grid, k=1):
     return f
 
 
+def centered_velocity(s, s1, grid):
+    """Centered time derivative at s's current level; s1 is one step after s."""
+    return (s1.u_curr - s.u_prev) / (2.0 * grid.dt)
+
+
 class TestInit:
     def test_zero_data(self, grid20):
-        s = init_leapfrog(np.zeros(21), None, None, grid20, "forward")
+        s = init_leapfrog(np.zeros(21), None, grid20)
         assert not s.u_prev.any() and not s.u_curr.any()
 
     def test_taylor_ghost_on_eigenmode(self, grid20):
         # D2 sin(pi x) = -(4/dx^2) sin^2(pi dx/2) sin(pi x) exactly on the grid
         g = grid20
         q0 = mode(g)
-        s = init_leapfrog(q0, None, None, g, "forward")
+        s = init_leapfrog(q0, None, g)
         lam = (4.0 / g.dx**2) * np.sin(np.pi * g.dx / 2.0) ** 2
         expected = q0 * (1.0 - 0.5 * g.dt**2 * lam)
         assert np.allclose(s.u_prev[1:-1], expected[1:-1], rtol=0, atol=1e-14)
         assert s.u_prev[10] < 1.0
 
-    def test_velocity_only(self, grid20):
-        v0 = mode(grid20)
-        s = init_leapfrog(np.zeros(21), v0, None, grid20, "forward")
-        assert np.allclose(s.u_prev, -grid20.dt * v0, atol=1e-15)
-        sb = init_leapfrog(np.zeros(21), v0, None, grid20, "backward")
-        assert np.allclose(sb.u_prev, grid20.dt * v0, atol=1e-15)
-
     def test_shape_mismatch(self, grid20):
         with pytest.raises(ValueError):
-            init_leapfrog(np.zeros(20), None, None, grid20)
+            init_leapfrog(np.zeros(20), None, grid20)
 
 
 class TestStep:
     def test_zero_stays_zero(self, grid20):
-        s = init_leapfrog(np.zeros(21), None, None, grid20)
-        s = step(s, 0.0, None, grid20)
+        s = init_leapfrog(np.zeros(21), None, grid20)
+        s = step(s, 0.0, grid20)
         assert not s.u_curr.any()
 
     def test_unit_forcing_one_step(self, grid20):
-        # direct substitution with both levels zero
-        s = LeapfrogState(np.zeros(21), np.zeros(21), 0, "forward")
-        s1 = step(s, 0.0, np.ones(21), grid20)
-        assert np.allclose(s1.u_curr[1:-1], grid20.dt**2, atol=1e-18)
-        assert s1.u_curr[0] == 0.0 and s1.u_curr[-1] == 0.0
-        assert s1.t_index == 1
+        # direct substitution with both levels zero; forcing enters as dt^2 f
+        un = _leap(np.zeros(21), np.zeros(21), grid20.cfl**2, grid20.dt**2 * np.ones(21))
+        assert np.allclose(un[1:-1], grid20.dt**2, atol=1e-18)
 
     def test_discrete_mode_period(self):
         # pick cfl so the discrete mode period is exactly 100 steps
@@ -80,12 +71,12 @@ class TestStep:
         g = build_grid(nx, cfl, n * cfl * dx)
         assert g.n_steps_per_pass == n
         q0 = mode(g)
-        fin, _ = run_homogeneous(q0, None, g, n, "forward")
+        fin, _ = run_homogeneous(q0, g, n)
         assert np.max(np.abs(fin.u_curr - q0)) <= 1e-10 * np.max(np.abs(q0))
 
     def test_dirichlet_value_applied(self, grid20):
-        s = init_leapfrog(np.zeros(21), None, None, grid20)
-        s = step(s, 0.7, None, grid20)
+        s = init_leapfrog(np.zeros(21), None, grid20)
+        s = step(s, 0.7, grid20)
         assert s.u_curr[0] == 0.7
         assert s.u_curr[-1] == 0.0
 
@@ -105,29 +96,32 @@ class TestStep:
         v2 = rng.standard_normal(11)
         f1 = rng.standard_normal(11)
         f2 = rng.standard_normal(11)
-        sa = LeapfrogState(u1, v1, 0, "forward")
-        sb = LeapfrogState(u2, v2, 0, "forward")
-        sc = LeapfrogState(a * u1 + b * u2, a * v1 + b * v2, 0, "forward")
-        ra = step(sa, bc1, f1, g)
-        rb = step(sb, bc2, f2, g)
-        rc = step(sc, a * bc1 + b * bc2, a * f1 + b * f2, g)
+        sa = LeapfrogState(u1, v1)
+        sb = LeapfrogState(u2, v2)
+        sc = LeapfrogState(a * u1 + b * u2, a * v1 + b * v2)
+        ra = step(sa, bc1, g)
+        rb = step(sb, bc2, g)
+        rc = step(sc, a * bc1 + b * bc2, g)
         assert np.allclose(rc.u_curr, a * ra.u_curr + b * rb.u_curr, atol=1e-12)
+        # the forced interior update is linear in the forcing as well
+        c2 = g.cfl * g.cfl
+        fa = _leap(u1, v1, c2, f1)
+        fb = _leap(u2, v2, c2, f2)
+        fc = _leap(sc.u_prev, sc.u_curr, c2, a * f1 + b * f2)
+        assert np.allclose(fc[1:-1], a * fa[1:-1] + b * fb[1:-1], atol=1e-12)
 
 
 class TestTrace:
     def test_zero_and_affine(self, grid20):
-        z = LeapfrogState(np.zeros(21), np.zeros(21), 0, "forward")
-        assert trace_left(z, grid20) == 0.0
-        lin = LeapfrogState(grid20.nodes.copy(), grid20.nodes.copy(), 0, "forward")
-        assert trace_left(lin, grid20) == pytest.approx(1.0, abs=1e-13)
+        assert neumann_trace(np.zeros(21), grid20.dx) == 0.0
+        assert neumann_trace(grid20.nodes, grid20.dx) == pytest.approx(1.0, abs=1e-13)
 
     def test_sine_second_order(self):
         # one-sided stencil Taylor bound: (dx^2/3) * max|f'''| = pi^3 dx^2 / 3
         errs = []
         for nx in (20, 40):
             g = build_grid(nx, 0.5, 1.0)
-            s = LeapfrogState(mode(g), mode(g), 0, "forward")
-            err = abs(trace_left(s, g) - np.pi)
+            err = abs(neumann_trace(mode(g), g.dx) - np.pi)
             assert err <= (np.pi**3 / 3.0) * g.dx**2 * 1.05
             errs.append(err)
         assert 3.0 <= errs[0] / errs[1] <= 5.0
@@ -141,98 +135,93 @@ class TestColumnForms:
         prev, curr = rng.standard_normal((2, 21, 5))
         c2 = grid20.cfl * grid20.cfl
         traces = neumann_trace(curr, grid20.dx)
-        cols = LeapfrogState(prev, curr, 0, "forward")
         nxt = _leap(prev, curr, c2)
-        ghost = continuation_level(cols, None, grid20)
+        ghost = continuation_level(LeapfrogState(prev, curr), grid20)
         for j in range(5):
-            one = LeapfrogState(prev[:, j], curr[:, j], 0, "forward")
+            one = LeapfrogState(prev[:, j], curr[:, j])
             assert traces[j] == neumann_trace(curr[:, j], grid20.dx)
             assert np.array_equal(nxt[1:-1, j], _leap(prev[:, j], curr[:, j], c2)[1:-1])
-            assert np.array_equal(ghost[:, j], continuation_level(one, None, grid20))
+            assert np.array_equal(ghost[:, j], continuation_level(one, grid20))
         assert isinstance(neumann_trace(curr[:, 0], grid20.dx), float)
 
 
 class TestVelocity:
     def test_stationary(self, grid20):
-        lin = grid20.nodes.copy()
-        s = LeapfrogState(lin, lin, 0, "forward")
-        s1 = LeapfrogState(lin, lin, 1, "forward")
-        assert np.allclose(velocity(s, s1, grid20), 0.0, atol=1e-15)
+        # a linear profile with matching boundary data stays at rest
+        lin = 1.0 - grid20.nodes
+        s = LeapfrogState(lin, lin)
+        s1 = step(s, 1.0, grid20)
+        assert np.allclose(centered_velocity(s, s1, grid20), 0.0, atol=1e-15)
 
     def test_forced_start_has_zero_initial_velocity(self, grid20):
         # the Taylor ghost carries the forcing, so the centered difference
         # reproduces u_t(0) = 0 exactly
         f = np.ones(21)
-        s = init_leapfrog(np.zeros(21), None, f, grid20)
-        s1 = step(s, 0.0, f, grid20)
-        v = velocity(s, s1, grid20)
+        s = init_leapfrog(np.zeros(21), f, grid20)
+        un = _leap(s.u_prev, s.u_curr, grid20.cfl**2, grid20.dt**2 * f)
+        v = centered_velocity(s, LeapfrogState(s.u_curr, un), grid20)
         assert np.allclose(v[1:-1], 0.0, atol=1e-16)
 
     def test_modal_velocity(self):
         g = build_grid(40, 0.25, 0.5)
         q0 = mode(g)
         n = g.n_steps_per_pass
-        s = init_leapfrog(q0, None, None, g)
+        s = init_leapfrog(q0, None, g)
         for _ in range(n - 1):
-            s = step(s, 0.0, None, g)
-        s1 = step(s, 0.0, None, g)
-        v = velocity(s, s1, g)
+            s = step(s, 0.0, g)
+        s1 = step(s, 0.0, g)
+        v = centered_velocity(s, s1, g)
         t = (n - 1) * g.dt
         exact = -np.pi * np.sin(np.pi * t) * np.sin(np.pi * g.nodes)
         assert np.max(np.abs(v - exact)) <= 20.0 * g.dx**2
 
-    def test_mismatched_states_rejected(self, grid20):
-        s = init_leapfrog(np.zeros(21), None, None, grid20)
-        with pytest.raises(ValueError):
-            velocity(s, s, grid20)
-
 
 class TestEnergy:
     def test_zero(self, grid20):
-        s = LeapfrogState(np.zeros(21), np.zeros(21), 0, "forward")
+        s = LeapfrogState(np.zeros(21), np.zeros(21))
         assert discrete_energy(s, grid20) == 0.0
 
     def test_quadratic_scaling(self, grid20):
         q0 = mode(grid20)
-        s = init_leapfrog(q0, None, None, grid20)
-        s2 = LeapfrogState(2.0 * s.u_prev, 2.0 * s.u_curr, 0, "forward")
+        s = init_leapfrog(q0, None, grid20)
+        s2 = LeapfrogState(2.0 * s.u_prev, 2.0 * s.u_curr)
         assert discrete_energy(s2, grid20) == pytest.approx(
             4.0 * discrete_energy(s, grid20), rel=1e-12
         )
 
     def test_conservation_10k_steps(self):
         g = build_grid(20, 0.005, 2.5)
-        s = init_leapfrog(mode(g), None, None, g)
+        s = init_leapfrog(mode(g), None, g)
         e0 = discrete_energy(s, g)
         drift = 0.0
         for _ in range(10_000):
-            s = step(s, 0.0, None, g)
+            s = step(s, 0.0, g)
             drift = max(drift, abs(discrete_energy(s, g) - e0) / e0)
         assert drift <= 1e-10
 
 
 class TestRunHomogeneous:
     def test_zero_run(self, grid20):
-        fin, tr = run_homogeneous(np.zeros(21), None, grid20, 40)
+        fin, tr = run_homogeneous(np.zeros(21), grid20, 40)
         assert not fin.u_curr.any()
         assert not tr.any()
 
     def test_trace_matches_modal_solution(self):
         g = build_grid(20, 0.25, 2.0)
-        _, tr = run_homogeneous(mode(g), None, g, g.n_steps_per_pass)
+        _, tr = run_homogeneous(mode(g), g, g.n_steps_per_pass)
         t = np.arange(g.n_steps_per_pass + 1) * g.dt
         assert np.max(np.abs(tr - np.pi * np.cos(np.pi * t))) <= 0.06
 
     def test_round_trip(self):
         g = build_grid(20, 0.005, 2.5)
         q0 = mode(g)
-        fwd, _ = run_homogeneous(q0, None, g, g.n_steps_per_pass)
-        back = reversed_state(fwd, None, g)
+        fwd, _ = run_homogeneous(q0, g, g.n_steps_per_pass)
+        back = reversed_state(fwd, g)
         for _ in range(g.n_steps_per_pass):
-            back = step(back, 0.0, None, g)
+            back = step(back, 0.0, g)
         assert np.max(np.abs(back.u_curr - q0)) <= 1e-12
         # the previous level is restored too (mirror of the start ghost)
-        start = init_leapfrog(q0, None, None, g)
+        start = init_leapfrog(q0, None, g)
         assert np.max(np.abs(back.u_prev - start.u_prev)) <= 1e-12
 
     @given(k=st.integers(1, 4), n=st.integers(1, 60))
@@ -240,21 +229,34 @@ class TestRunHomogeneous:
     def test_reversibility_property(self, k, n):
         g = build_grid(12, 0.9, 1.0)
         q0 = mode(g, k)
-        fwd, _ = run_homogeneous(q0, None, g, n)
-        back = reversed_state(fwd, None, g)
+        fwd, _ = run_homogeneous(q0, g, n)
+        back = reversed_state(fwd, g)
         for _ in range(n):
-            back = step(back, 0.0, None, g)
+            back = step(back, 0.0, g)
         assert np.max(np.abs(back.u_curr - q0)) <= 1e-12
 
 
 class TestBoundarySchedule:
+    """Time-dependent Dirichlet data at x = 0, applied one step at a time."""
+
+    @staticmethod
+    def driven_run(f, g):
+        # from rest; f[k] is the x=0 value at node k. Returns the final state
+        # and the left trace at every node.
+        state = init_leapfrog(np.zeros(g.nx + 1), None, g)
+        traces = [neumann_trace(state.u_curr, g.dx)]
+        for value in f[1:]:
+            state = step(state, value, g)
+            traces.append(neumann_trace(state.u_curr, g.dx))
+        return state, np.array(traces)
+
     def test_boundary_values_tracked(self):
         g = build_grid(20, 0.25, 2.0)
         n = g.n_steps_per_pass
         t = np.arange(n + 1) * g.dt
-        sched = BoundarySchedule(left_values=np.sin(2.0 * t) ** 2)
-        fin, tr = run_with_boundary(np.zeros(21), None, sched, g, n)
-        assert fin.u_curr[0] == sched.value(n)
+        f = np.sin(2.0 * t) ** 2
+        fin, tr = self.driven_run(f, g)
+        assert fin.u_curr[0] == f[n]
         assert fin.u_curr[-1] == 0.0
         assert np.abs(tr).max() > 0.0
 
@@ -266,19 +268,9 @@ class TestBoundarySchedule:
         n = g.n_steps_per_pass
         t = np.arange(n + 1) * g.dt
         f = np.sin(2.0 * t) ** 2
-        sched = BoundarySchedule(left_values=f)
-        _, tr = run_with_boundary(np.zeros(21), None, sched, g, n)
+        _, tr = self.driven_run(f, g)
         r = hidden_regularity_ratio(f, np.zeros(21), np.zeros(21), tr, g.T, g)
         assert 0.0 < r <= 1.0
-
-    def test_schedule_mismatch_rejected(self):
-        g = build_grid(20, 0.25, 2.0)
-        sched = BoundarySchedule(left_values=np.ones(5))
-        with pytest.raises(ValueError):
-            run_with_boundary(np.zeros(21), None, sched, g, 10)
-        long_sched = BoundarySchedule(left_values=np.ones(g.n_steps_per_pass + 1))
-        with pytest.raises(ValueError):
-            run_with_boundary(np.zeros(21), None, long_sched, g, g.n_steps_per_pass)
 
 
 class TestSolverOrder:
@@ -287,7 +279,7 @@ class TestSolverOrder:
         for nx in (20, 40):
             g = build_grid(nx, 0.005, 1.3)
             q0 = mode(g)
-            fin, _ = run_homogeneous(q0, None, g, g.n_steps_per_pass)
+            fin, _ = run_homogeneous(q0, g, g.n_steps_per_pass)
             exact = np.sin(np.pi * g.nodes) * np.cos(np.pi * g.T)
             errs.append(np.max(np.abs(fin.u_curr - exact)))
         assert 3.0 <= errs[0] / errs[1] <= 5.0

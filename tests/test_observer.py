@@ -6,8 +6,6 @@ from bfwave.forward import MeasurementRecord, simulate_forward
 from bfwave.grid import Gains, build_grid
 from bfwave.leapfrog import init_leapfrog
 from bfwave.observer import (
-    ExtendedMeasurement,
-    ObserverState,
     OscillatorState,
     extract_estimate,
     initial_observer_state,
@@ -41,7 +39,7 @@ class TestOscillatorStep:
     def test_exact_rotation_quarter_turn(self):
         # homogeneous plant dynamics are propagated exactly, z3 included
         z = oscillator_step(
-            OscillatorState(1.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, np.pi / 2.0, "plant"
+            OscillatorState(1.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, np.pi / 2.0
         )
         assert z.z1 == pytest.approx(0.0, abs=1e-15)
         assert z.z2 == pytest.approx(-1.0, rel=1e-14)
@@ -56,7 +54,7 @@ class TestOscillatorStep:
         dt = 5e-4
         z = OscillatorState(0.0, 0.0, 0.0)
         for _ in range(2000):
-            z = oscillator_step(z, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, dt, "plant")
+            z = oscillator_step(z, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, dt)
         assert z.z1 == pytest.approx(1.0 - np.cos(1.0), abs=1e-6)
 
     def test_matches_quadrature_oracle(self):
@@ -68,7 +66,7 @@ class TestOscillatorStep:
         z = OscillatorState(0.2, -0.1, 0.05)
         zs = z
         for k in range(n):
-            zs = oscillator_step(zs, g[k], g[k + 1], 0.0, 0.0, 2.0, 0.0, dt, "plant")
+            zs = oscillator_step(zs, g[k], g[k + 1], 0.0, 0.0, 2.0, 0.0, dt)
         zo = oscillator_closed_form(2.0, g, dt, z, n * dt)
         assert zs.z1 == pytest.approx(zo.z1, abs=1e-6)
         assert zs.z2 == pytest.approx(zo.z2, abs=1e-6)
@@ -84,14 +82,10 @@ class TestOscillatorStep:
     def test_backward_inverts_forward(self, z1, z2, z3, omega):
         # the (z1, z2) rotation inverts; z3 keeps integrating either way
         z = OscillatorState(z1, z2, z3)
-        fwd = oscillator_step(z, 0.0, 0.0, 0.0, 0.0, omega, 0.0, 0.05, "plant", "forward")
-        back = oscillator_step(fwd, 0.0, 0.0, 0.0, 0.0, omega, 0.0, 0.05, "plant", "backward")
+        fwd = oscillator_step(z, 0.0, 0.0, 0.0, 0.0, omega, 0.0, 0.05, "forward")
+        back = oscillator_step(fwd, 0.0, 0.0, 0.0, 0.0, omega, 0.0, 0.05, "backward")
         assert back.z1 == pytest.approx(z.z1, abs=1e-12)
         assert back.z2 == pytest.approx(z.z2, abs=1e-12)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            oscillator_step(OscillatorState(0, 0, 0), 0, 0, 0, 0, 1.0, 0.5, 0.1, "wrong")
 
 
 class TestSimulateCascade:
@@ -144,53 +138,58 @@ class TestPlantCycle:
         from bfwave.leapfrog import reversed_state, step
 
         q = poly_source(grid)
-        state = init_leapfrog(q, None, None, grid, "forward")
+        state = init_leapfrog(q, None, grid)
         for _cycle in range(2):
             for _half in range(2):
                 for _ in range(grid.n_steps_per_pass):
-                    state = step(state, 0.0, None, grid)
-                state = reversed_state(state, None, grid)
+                    state = step(state, 0.0, grid)
+                state = reversed_state(state, grid)
             assert np.max(np.abs(state.u_curr - q)) <= 1e-12
 
 
 class TestExtendedMeasurement:
+    """The periodized measurement: forward half-passes replay y, backward ones y reversed."""
+
     def test_indexing(self, grid):
+        # each half-pass ends on the injection value of its last replayed
+        # sample: y(T) after a forward pass, y(0) after a backward one
         n = grid.n_steps_per_pass
-        y = np.arange(n + 1, dtype=float)
-        em = ExtendedMeasurement(MeasurementRecord(y=y, dt=grid.dt, T=grid.T), n)
-        assert em.pass_values(0)[0] == 0.0
-        assert em.pass_values(0)[5] == 5.0
-        assert em.pass_values(1)[0] == n  # backward pass starts at y(T)
-        assert em.pass_values(1)[n] == 0.0
-        assert em.pass_values(2)[3] == 3.0
+        m = MeasurementRecord(y=np.arange(n + 1, dtype=float), dt=grid.dt, T=grid.T)
+        gains = Gains(1.0, 0.5)
+        s = initial_observer_state(grid)
+        for half, last in enumerate([n, 0, n]):
+            s = observer_half_pass(s, m, gains, 2.0, grid)
+            assert s.half_pass == half + 1
+            bc = injection_value(s.osc, float(last), s.y_integral, gains)
+            assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12 * n)
 
     def test_reversal_is_permutation(self, grid):
+        # a backward pass integrates the same samples as the forward one
         n = grid.n_steps_per_pass
-        y = np.sin(np.arange(n + 1.0))
-        em = ExtendedMeasurement(MeasurementRecord(y=y, dt=grid.dt, T=grid.T), n)
-        fwd = list(em.pass_values(0))
-        back = list(em.pass_values(1))
-        assert sorted(fwd) == sorted(back)
+        m = MeasurementRecord(y=np.sin(np.arange(n + 1.0)), dt=grid.dt, T=grid.T)
+        s = observer_half_pass(initial_observer_state(grid), m, Gains(1.0, 0.5), 2.0, grid)
+        once = s.y_integral
+        s = observer_half_pass(s, m, Gains(1.0, 0.5), 2.0, grid)
+        assert s.y_integral == pytest.approx(2.0 * once, rel=1e-12)
 
     def test_range_check(self, grid):
-        n = grid.n_steps_per_pass
-        em = ExtendedMeasurement(zero_measurement(grid), n)
-        with pytest.raises(IndexError):
-            em.pass_values(0)[n + 1]
+        # a pass replays exactly n + 1 samples; one more is refused
+        m = MeasurementRecord(y=np.zeros(grid.n_steps_per_pass + 2), dt=grid.dt, T=grid.T)
+        with pytest.raises(ValueError):
+            observer_half_pass(initial_observer_state(grid), m, Gains(1.0, 0.5), 2.0, grid)
 
     def test_length_check(self, grid):
+        m = MeasurementRecord(y=np.zeros(5), dt=grid.dt, T=grid.T)
         with pytest.raises(ValueError):
-            ExtendedMeasurement(
-                MeasurementRecord(y=np.zeros(5), dt=grid.dt, T=grid.T), grid.n_steps_per_pass
-            )
+            observer_half_pass(initial_observer_state(grid), m, Gains(1.0, 0.5), 2.0, grid)
 
 
 class TestObserverHalfPass:
     def test_zero_everything_stays_zero(self, grid):
-        em = ExtendedMeasurement(zero_measurement(grid), grid.n_steps_per_pass)
+        m = zero_measurement(grid)
         s = initial_observer_state(grid)
         for _ in range(4):
-            s = observer_half_pass(s, em, Gains(1.0, 0.5), 2.0, grid)
+            s = observer_half_pass(s, m, Gains(1.0, 0.5), 2.0, grid)
             assert not s.wave.u_curr.any()
             assert s.osc == OscillatorState(0.0, 0.0, 0.0)
 
@@ -201,8 +200,8 @@ class TestObserverHalfPass:
         assert n < g.nx - 1
         y = np.ones(n + 1)
         y[0] = 0.0
-        em = ExtendedMeasurement(MeasurementRecord(y=y, dt=g.dt, T=g.T), n)
-        s = observer_half_pass(initial_observer_state(g), em, Gains(1.0, 0.5), 2.0, g)
+        m = MeasurementRecord(y=y, dt=g.dt, T=g.T)
+        s = observer_half_pass(initial_observer_state(g), m, Gains(1.0, 0.5), 2.0, g)
         u = s.wave.u_curr
         assert np.max(np.abs(u[n:])) == 0.0
         assert np.max(np.abs(u[:n])) > 0.0
@@ -211,29 +210,20 @@ class TestObserverHalfPass:
         # with negligible injection, forward+backward retraces the zero start
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
-        em = ExtendedMeasurement(m, grid.n_steps_per_pass)
         s = initial_observer_state(grid)
         tiny = Gains(1e-12, 1e-12)
-        s = observer_half_pass(s, em, tiny, 2.0, grid)
-        s = observer_half_pass(s, em, tiny, 2.0, grid)
+        s = observer_half_pass(s, m, tiny, 2.0, grid)
+        s = observer_half_pass(s, m, tiny, 2.0, grid)
         assert np.max(np.abs(s.wave.u_curr)) <= 1e-9
-
-    def test_direction_mismatch_rejected(self, grid):
-        em = ExtendedMeasurement(zero_measurement(grid), grid.n_steps_per_pass)
-        s = initial_observer_state(grid)
-        s.direction = "backward"
-        with pytest.raises(ValueError):
-            observer_half_pass(s, em, Gains(1.0, 0.5), 2.0, grid)
 
     def test_matches_driver(self, grid):
         # composing the public half-pass reproduces the fused driver exactly
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
-        em = ExtendedMeasurement(m, grid.n_steps_per_pass)
         gains = Gains(1.0, 0.5)
         s = initial_observer_state(grid)
-        s = observer_half_pass(s, em, gains, 2.0, grid)
-        s = observer_half_pass(s, em, gains, 2.0, grid)
+        s = observer_half_pass(s, m, gains, 2.0, grid)
+        s = observer_half_pass(s, m, gains, 2.0, grid)
         res = run_back_and_forth(m, gains, 2.0, grid, 1)
         fin = res.final_state
         assert np.array_equal(s.wave.u_curr, fin.wave.u_curr)
@@ -246,30 +236,27 @@ class TestObserverHalfPass:
         # the fused sweep against the same scheme spelled out with the public
         # one-step kernels; explicit coupling holds the trace at the left end
         # of each step. Checked on a backward pass from a nonzero state.
-        from bfwave.leapfrog import step, trace_left
+        from bfwave.leapfrog import neumann_trace, step
         from bfwave.observer import _sweep
 
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
-        em = ExtendedMeasurement(m, grid.n_steps_per_pass)
         gains = Gains(1.0, 0.5)
-        state = observer_half_pass(initial_observer_state(grid), em, gains, 2.0, grid)
+        state = observer_half_pass(initial_observer_state(grid), m, gains, 2.0, grid)
         rec = np.empty((4, grid.n_steps_per_pass + 1))
-        _, ended = _sweep(state, em, gains, 2.0, grid, 1.0, rec)
-        y = em.pass_values(1)
+        _, ended = _sweep(state, m.y, gains, 2.0, grid, 1.0, rec)
+        y = m.y[::-1]
         wave, z, y_int = state.wave, state.osc, state.y_integral
         ref = [(z.z1, z.z2, wave.u_curr[0])]
         traces = []
         for k in range(grid.n_steps_per_pass):
-            tr = trace_left(wave, grid)
+            tr = neumann_trace(wave.u_curr, grid.dx)
             traces.append(tr)
-            z = oscillator_step(
-                z, tr, tr, y[k], y[k + 1], 2.0, 0.5, grid.dt, "observer", "backward"
-            )
+            z = oscillator_step(z, tr, tr, y[k], y[k + 1], 2.0, 0.5, grid.dt, "backward")
             y_int += 0.5 * grid.dt * (y[k] + y[k + 1])
-            wave = step(wave, injection_value(z, y[k + 1], y_int, gains), None, grid)
+            wave = step(wave, injection_value(z, y[k + 1], y_int, gains), grid)
             ref.append((z.z1, z.z2, wave.u_curr[0]))
-        traces.append(trace_left(wave, grid))
+        traces.append(neumann_trace(wave.u_curr, grid.dx))
         ref = np.vstack([np.array(ref).T, traces])
         assert np.allclose(rec, ref, rtol=1e-10, atol=1e-12)
         assert np.allclose(ended.u_curr, wave.u_curr, rtol=1e-10, atol=1e-12)
@@ -343,13 +330,12 @@ class TestRunBackAndForth:
         # sweep; truth monitoring only reads what the sweep records
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
-        em = ExtendedMeasurement(m, grid.n_steps_per_pass)
         gains = Gains(1.0, 0.5)
         b = run_back_and_forth(m, gains, 2.0, grid, 2, q_true=q)
         s = initial_observer_state(grid)
         composed = [extract_estimate(s, grid)]
         for _ in range(4):
-            s = observer_half_pass(s, em, gains, 2.0, grid)
+            s = observer_half_pass(s, m, gains, 2.0, grid)
             if s.half_pass % 2 == 0:
                 composed.append(extract_estimate(s, grid))
         assert len(b.estimates) == len(composed) == 3
@@ -378,7 +364,7 @@ class TestCycleMap:
         # the rebuilt final state keeps the injection invariant at x=0
         s = res.final_state
         assert s.half_pass == 2 * cfg.iterations
-        assert s.direction == s.wave.direction == "forward"
+        assert s.direction == "forward"
         y0 = float(ref["measurement"].y[0])
         bc = injection_value(s.osc, y0, s.y_integral, cfg.gains())
         assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12)
@@ -388,12 +374,11 @@ class TestCycleMap:
         # the fault-injection hook reaches the map as it reaches the sweep
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
-        em = ExtendedMeasurement(m, grid.n_steps_per_pass)
         gains = Gains(1.0, 0.5)
         res = run_back_and_forth(m, gains, 2.0, grid, 3, injection_sign=-1.0)
         s = initial_observer_state(grid)
         for _ in range(6):
-            s = observer_half_pass(s, em, gains, 2.0, grid, injection_sign=-1.0)
+            s = observer_half_pass(s, m, gains, 2.0, grid, injection_sign=-1.0)
         assert np.max(np.abs(res.estimates[-1] - extract_estimate(s, grid))) <= 1e-9
 
 
@@ -403,7 +388,7 @@ class TestExtractEstimate:
         assert not extract_estimate(s, grid).any()
 
     def test_mid_cycle_rejected(self, grid):
-        em = ExtendedMeasurement(zero_measurement(grid), grid.n_steps_per_pass)
-        s = observer_half_pass(initial_observer_state(grid), em, Gains(1, 0.5), 2.0, grid)
+        m = zero_measurement(grid)
+        s = observer_half_pass(initial_observer_state(grid), m, Gains(1, 0.5), 2.0, grid)
         with pytest.raises(ValueError):
             extract_estimate(s, grid)
