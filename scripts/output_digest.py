@@ -11,7 +11,15 @@ Runs, in a temporary directory and in this process:
 
 and prints one `<sha256>  <run>/<file>` line per output file, sorted, with
 `manifest.json` left out (it holds a timestamp and the temporary paths).
-Two checkouts that print the same lines write the same files byte for byte:
+
+It then runs five commands that must be refused (malformed config JSON, a
+resonant omega, a measurement that does not fill one pass, a non-finite
+sample, an unknown `verify` group) and prints one
+`refused <case>: exit <code>, <k> files` line each, k counting every file
+the command left in its output directory.
+
+Two checkouts that print the same lines write the same files byte for byte
+and refuse the same inputs the same way:
 
     python scripts/output_digest.py > digests.txt
 
@@ -21,6 +29,7 @@ the script measures the checkout it sits in, installed or not.
 
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -37,6 +46,31 @@ def _config(path: Path, noise: float, blind: bool = False) -> str:
         cfg["source"] = None
     path.write_text(json.dumps(cfg, indent=2) + "\n")
     return str(path)
+
+
+def _refusals(root: Path, clean_config: str, measurement: Path) -> list[tuple[str, list[str]]]:
+    """(case, argv) of the refused runs; their inputs are written under root."""
+    root.mkdir()
+    bad_json = root / "malformed.json"
+    bad_json.write_text("{not json")
+    cfg = json.loads(Path(clean_config).read_text())
+    resonant = root / "resonant.json"
+    resonant.write_text(json.dumps(dict(cfg, omega=math.pi)))
+    short = root / "short.csv"
+    short.write_text("t,y\n0,0\n0.1,0\n0.2,0\n")
+    lines = measurement.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",nan"
+    nan = root / "nan.csv"
+    nan.write_text("\n".join(lines) + "\n")
+    return [
+        ("malformed_config", ["full", "--config", str(bad_json)]),
+        ("resonant_omega", ["full", "--config", str(resonant)]),
+        ("sampling_mismatch",
+         ["invert", "--config", clean_config, "--measurement", str(short)]),
+        ("non_finite_sample",
+         ["invert", "--config", clean_config, "--measurement", str(nan)]),
+        ("unknown_verify_group", ["verify", "--checks", "nope"]),
+    ]
 
 
 def main() -> int:
@@ -66,6 +100,12 @@ def main() -> int:
             digest = hashlib.sha256(p.read_bytes()).hexdigest()
             print(f"{digest}  {p.relative_to(root).as_posix()}")
         print(f"{len(files)} files", file=sys.stderr)
+        refused = root / "refused"
+        for case, argv in _refusals(refused, clean, root / "full_clean" / "measurement.csv"):
+            out = refused / case
+            code = cli_main(argv + ["--out", str(out), "--quiet"])
+            written = sum(p.is_file() for p in out.rglob("*"))
+            print(f"refused {case}: exit {code}, {written} files")
     return 0
 
 

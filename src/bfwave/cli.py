@@ -5,14 +5,19 @@ existing measurement), verify (built-in diagnostics battery), full
 (simulate + invert + diagnostics in one go).
 
 Exit codes: 0 success, 1 failed check, 2 config error, 3 I/O error,
-4 sampling mismatch or non-finite samples.
+4 unreadable measurement, sampling mismatch or non-finite samples. A
+command checks its config, output directory and measurement (against
+observer.pass_samples) before it writes, so exit 2 or 4 leaves no files;
+_exit_codes is the one place where refusals become exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -31,7 +36,7 @@ from .forward import (
     write_measurement_csv,
 )
 from .grid import Grid1D, ScenarioConfig, source_spec_from_dict
-from .observer import BackAndForthResult, run_back_and_forth
+from .observer import BackAndForthResult, pass_samples, run_back_and_forth
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -39,24 +44,15 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_MISMATCH = 4
 
-_CONFIG_KEYS = {
-    "source",
-    "omega",
-    "T",
-    "nx",
-    "cfl",
-    "gamma1",
-    "gamma2",
-    "iterations",
-    "noise",
-    "seed",
-    "snapshot_stride",
-    "out_dir",
-}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 class ConfigError(ValueError):
     pass
+
+
+class MeasurementError(ValueError):
+    """An unreadable measurement file, or one that does not fill one pass of the grid."""
 
 
 def _fmt(x: float) -> str:
@@ -126,28 +122,19 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 def write_iterations_csv(path: Path, result: BackAndForthResult) -> None:
     # seconds stays empty so reruns are byte-identical; timings live in memory
-    rows = []
-    for r in result.reports:
-        rows.append(
-            [
-                r.iteration,
-                "" if r.l2_err is None else _fmt(r.l2_err),
-                "" if r.h1_err is None else _fmt(r.h1_err),
-                "" if r.lyapunov is None else _fmt(r.lyapunov),
-                "" if r.energy_residual is None else _fmt(r.energy_residual),
-                "",
-            ]
-        )
+    rows = [
+        [r.iteration]
+        + ["" if v is None else _fmt(v) for v in (r.l2_err, r.h1_err, r.lyapunov, r.energy_residual)]
+        + [""]
+        for r in result.reports
+    ]
     _write_rows(path, ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual", "seconds"], rows)
 
 
 def write_estimate_csv(path: Path, x: np.ndarray, q_hat: np.ndarray, q_true=None) -> None:
-    if q_true is None:
-        rows = [[_fmt(a), _fmt(b)] for a, b in zip(x, q_hat)]
-        _write_rows(path, ["x", "q_hat"], rows)
-    else:
-        rows = [[_fmt(a), _fmt(b), _fmt(c)] for a, b, c in zip(x, q_hat, q_true)]
-        _write_rows(path, ["x", "q_hat", "q_true"], rows)
+    cols = [x, q_hat] if q_true is None else [x, q_hat, q_true]
+    rows = [[_fmt(v) for v in row] for row in zip(*cols)]
+    _write_rows(path, ["x", "q_hat", "q_true"][: len(cols)], rows)
 
 
 def write_checks_csv(path: Path, report: DiagnosticsReport) -> None:
@@ -168,20 +155,6 @@ def write_lyapunov_csv(path: Path, result: BackAndForthResult) -> None:
     _write_rows(path, ["iter", "V"], rows)
 
 
-def _prepare_out(out_dir) -> Path:
-    p = Path(out_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _resolve_out(cfg: ScenarioConfig, out_dir) -> str:
-    if out_dir is not None:
-        return out_dir
-    if cfg.out_dir:
-        return cfg.out_dir
-    raise ConfigError("no output directory: pass --out or set out_dir in the config")
-
-
 def _run_diagnostics(result: BackAndForthResult, noisy: bool) -> DiagnosticsReport:
     report = DiagnosticsReport(run_level_checks(result.history))
     if noisy:
@@ -192,6 +165,50 @@ def _run_diagnostics(result: BackAndForthResult, noisy: bool) -> DiagnosticsRepo
             for e in report.entries
         ]
     return report
+
+
+def _exit_codes(command):
+    """The one place where a refused command becomes its exit code and stderr line."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        except MeasurementError as e:
+            print(f"measurement error: {e}", file=sys.stderr)
+            return EXIT_MISMATCH
+        except OSError as e:
+            print(f"I/O error: {e}", file=sys.stderr)
+            return EXIT_IO
+
+    return run
+
+
+@contextlib.contextmanager
+def _refused_as(error: type[ValueError]):
+    """Re-raise a library ValueError as the CLI error that names its cause."""
+    try:
+        yield
+    except ValueError as e:
+        raise error(str(e)) from e
+
+
+def _setup(config_path, out_dir, seed: int | None, needs_source: str | None = None):
+    """Config, output directory and seed of a command, all checked before any write.
+
+    needs_source names the command when it cannot run without a source profile.
+    """
+    cfg = load_config(config_path)
+    if needs_source and cfg.source is None:
+        raise ConfigError(f"{needs_source} needs a source profile")
+    if out_dir is None:
+        if not cfg.out_dir:
+            raise ConfigError("no output directory: pass --out or set out_dir in the config")
+        out_dir = cfg.out_dir
+    return cfg, Path(out_dir), cfg.seed if seed is None else seed
 
 
 def _synthesize(cfg: ScenarioConfig, grid: Grid1D, out: Path, seed: int) -> MeasurementRecord:
@@ -207,53 +224,18 @@ def _synthesize(cfg: ScenarioConfig, grid: Grid1D, out: Path, seed: int) -> Meas
     return measurement
 
 
-def cmd_simulate(config_path, out_dir=None, seed: int | None = None, quiet: bool = False) -> int:
-    try:
-        cfg = load_config(config_path)
-        if cfg.source is None:
-            raise ConfigError("simulate needs a source profile")
-        out_dir = _resolve_out(cfg, out_dir)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    seed_used = cfg.seed if seed is None else seed
-    try:
-        out = _prepare_out(out_dir)
-        grid = cfg.grid()
-        outputs = [out / "measurement.csv"]
-        if cfg.noise > 0:
-            outputs.append(out / "measurement_noisy.csv")
-        write_manifest(out, cfg, "simulate", [config_path], outputs, seed_used)
-        measurement = _synthesize(cfg, grid, out, seed_used)
-    except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
-    if not quiet:
-        print(f"wrote measurement ({len(measurement.y)} samples) to {out}")
-    return EXIT_OK
-
-
-def _invert_impl(cfg: ScenarioConfig, measurement: MeasurementRecord, out: Path, quiet: bool):
-    grid = cfg.grid()
-    n = grid.n_steps_per_pass
-    if len(measurement.y) != n + 1 or abs(measurement.dt - grid.dt) > 1e-12 + 1e-9 * grid.dt:
-        print(
-            f"sampling mismatch: measurement has {len(measurement.y)} samples at "
-            f"dt={measurement.dt}, grid expects {n + 1} at dt={grid.dt}",
-            file=sys.stderr,
-        )
-        return EXIT_MISMATCH, None
+def _invert_impl(
+    cfg: ScenarioConfig, grid: Grid1D, measurement: MeasurementRecord, out: Path, quiet: bool
+) -> BackAndForthResult:
     q_true = cfg.q_true(grid) if cfg.source is not None else None
     result = run_back_and_forth(
         measurement, cfg.gains(), cfg.omega, grid, cfg.iterations, q_true=q_true
     )
     x = grid.nodes
     write_iterations_csv(out / "iterations.csv", result)
-    for k in range(0, len(result.estimates), cfg.snapshot_stride):
-        write_estimate_csv(out / f"estimate_iter_{k}.csv", x, result.estimates[k], q_true)
     last = len(result.estimates) - 1
-    if last % cfg.snapshot_stride != 0:
-        write_estimate_csv(out / f"estimate_iter_{last}.csv", x, result.estimates[last], q_true)
+    for k in [*range(0, last, cfg.snapshot_stride), last]:
+        write_estimate_csv(out / f"estimate_iter_{k}.csv", x, result.estimates[k], q_true)
     write_estimate_csv(out / "estimate_final.csv", x, result.estimates[-1], q_true)
     if result.history is not None:
         noisy = measurement.provenance == "noisy"
@@ -264,42 +246,39 @@ def _invert_impl(cfg: ScenarioConfig, measurement: MeasurementRecord, out: Path,
         if tail.l2_err is not None:
             msg += f", final L2 error {tail.l2_err:.4g}"
         print(msg)
-    return EXIT_OK, result
+    return result
 
 
+@_exit_codes
+def cmd_simulate(config_path, out_dir=None, seed: int | None = None, quiet: bool = False) -> int:
+    cfg, out, seed_used = _setup(config_path, out_dir, seed, needs_source="simulate")
+    grid = cfg.grid()
+    outputs = [out / "measurement.csv"]
+    if cfg.noise > 0:
+        outputs.append(out / "measurement_noisy.csv")
+    out.mkdir(parents=True, exist_ok=True)
+    write_manifest(out, cfg, "simulate", [config_path], outputs, seed_used)
+    measurement = _synthesize(cfg, grid, out, seed_used)
+    if not quiet:
+        print(f"wrote measurement ({len(measurement.y)} samples) to {out}")
+    return EXIT_OK
+
+
+@_exit_codes
 def cmd_invert(config_path, measurement_path, out_dir=None, seed: int | None = None, quiet: bool = False) -> int:
-    try:
-        cfg = load_config(config_path)
-        out_dir = _resolve_out(cfg, out_dir)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    seed_used = cfg.seed if seed is None else seed
-    try:
+    cfg, out, seed_used = _setup(config_path, out_dir, seed)
+    grid = cfg.grid()
+    with _refused_as(MeasurementError):
         measurement = read_measurement_csv(measurement_path, omega=cfg.omega)
-    except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
-        print(f"measurement error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    try:
-        out = _prepare_out(out_dir)
-        write_manifest(
-            out,
-            cfg,
-            "invert",
-            [config_path, measurement_path],
-            [out / "iterations.csv", out / "estimate_final.csv"],
-            seed_used,
-        )
-        code, _ = _invert_impl(cfg, measurement, out, quiet)
-    except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
-    return code
+        pass_samples(measurement, grid)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = [out / "iterations.csv", out / "estimate_final.csv"]
+    write_manifest(out, cfg, "invert", [config_path, measurement_path], outputs, seed_used)
+    _invert_impl(cfg, grid, measurement, out, quiet)
+    return EXIT_OK
 
 
+@_exit_codes
 def cmd_verify(
     out_dir,
     jobs: int = 1,
@@ -307,55 +286,28 @@ def cmd_verify(
     injection_sign: float = 1.0,
     checks: str | None = None,
 ) -> int:
-    groups = None
-    if checks is not None:
-        groups = [c for c in checks.split(",") if c]
-    try:
+    groups = None if checks is None else [c for c in checks.split(",") if c]
+    with _refused_as(ConfigError):  # unknown group, jobs < 1
         report = run_verify_battery(jobs=jobs, injection_sign=injection_sign, groups=groups)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        out = _prepare_out(out_dir)
-        write_checks_csv(out / "verify.csv", report)
-    except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_checks_csv(out / "verify.csv", report)
     if not quiet:
         print(report.summary())
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
+@_exit_codes
 def cmd_full(config_path, out_dir=None, seed: int | None = None, quiet: bool = False) -> int:
-    try:
-        cfg = load_config(config_path)
-        if cfg.source is None:
-            raise ConfigError("full needs a source profile")
-        out_dir = _resolve_out(cfg, out_dir)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    seed_used = cfg.seed if seed is None else seed
+    cfg, out, seed_used = _setup(config_path, out_dir, seed, needs_source="full")
     t0 = time.perf_counter()
-    try:
-        out = _prepare_out(out_dir)
-        grid = cfg.grid()
-        write_manifest(
-            out,
-            cfg,
-            "full",
-            [config_path],
-            [out / "measurement.csv", out / "iterations.csv", out / "lyapunov.csv"],
-            seed_used,
-        )
-        measurement = _synthesize(cfg, grid, out, seed_used)
-        code, result = _invert_impl(cfg, measurement, out, quiet)
-        if code != EXIT_OK:
-            return code
-        write_lyapunov_csv(out / "lyapunov.csv", result)
-    except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
+    grid = cfg.grid()
+    outputs = [out / "measurement.csv", out / "iterations.csv", out / "lyapunov.csv"]
+    out.mkdir(parents=True, exist_ok=True)
+    write_manifest(out, cfg, "full", [config_path], outputs, seed_used)
+    measurement = _synthesize(cfg, grid, out, seed_used)
+    result = _invert_impl(cfg, grid, measurement, out, quiet)
+    write_lyapunov_csv(out / "lyapunov.csv", result)
     if not quiet:
         print(f"full run finished in {time.perf_counter() - t0:.1f}s, outputs in {out}")
     return EXIT_OK
@@ -366,24 +318,20 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=f"bfwave {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="scenario JSON path")
-            p.add_argument(
-                "--out", default=None, help="output directory (default: config's out_dir)"
-            )
-        else:
-            p.add_argument("--out", required=True, help="output directory")
+    def add_run(name: str, summary: str):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", required=True, help="scenario JSON path")
+        p.add_argument("--out", default=None, help="output directory (default: config's out_dir)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
+        return p
 
-    p_sim = sub.add_parser("simulate", help="synthesize the measurement")
-    add_common(p_sim)
-    p_inv = sub.add_parser("invert", help="run the estimator on a measurement CSV")
-    add_common(p_inv)
+    add_run("simulate", "synthesize the measurement")
+    p_inv = add_run("invert", "run the estimator on a measurement CSV")
     p_inv.add_argument("--measurement", required=True, help="measurement CSV path")
     p_ver = sub.add_parser("verify", help="run the built-in diagnostics battery")
-    add_common(p_ver, needs_config=False)
+    p_ver.add_argument("--out", required=True, help="output directory")
+    p_ver.add_argument("--quiet", action="store_true")
     p_ver.add_argument("--jobs", type=int, default=1, help="parallel battery groups (>= 1)")
     p_ver.add_argument(
         "--checks",
@@ -391,8 +339,7 @@ def main(argv=None) -> int:
         help="comma-separated battery groups (grid,kernel,equivalence,hidden,observer)",
     )
     p_ver.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
-    p_full = sub.add_parser("full", help="simulate + invert + diagnostics")
-    add_common(p_full)
+    add_run("full", "simulate + invert + diagnostics")
 
     args = parser.parse_args(argv)
     if args.command == "simulate":
@@ -402,9 +349,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         sign = -1.0 if args.inject_sign_error else 1.0
         return cmd_verify(args.out, args.jobs, args.quiet, injection_sign=sign, checks=args.checks)
-    if args.command == "full":
-        return cmd_full(args.config, args.out, args.seed, args.quiet)
-    return EXIT_CONFIG
+    return cmd_full(args.config, args.out, args.seed, args.quiet)
 
 
 if __name__ == "__main__":

@@ -102,7 +102,7 @@ def energy_identity_residual(history: RunHistory) -> float:
     dissipation integral with its value at t=0; exact for the continuum
     dynamics, so the defect measures pure discretization error.
     """
-    rhs = history.energy_rhs
+    rhs = history.energy_lhs[0]
     if rhs <= 0.0:
         return float(np.max(np.abs(history.energy_lhs - rhs)))
     return float(np.max(np.abs(history.energy_lhs - rhs) / rhs))

@@ -189,6 +189,12 @@ class ScenarioConfig:
             raise ValueError("noise level must be >= 0")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        # grid, gains and source must build, so that a command refuses a bad
+        # value before it writes anything
+        grid = self.grid()
+        self.gains()
+        if self.source is not None:
+            self.q_true(grid)
 
     def grid(self) -> Grid1D:
         return build_grid(self.nx, self.cfl, self.T)

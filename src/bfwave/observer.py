@@ -9,14 +9,15 @@ observer displacement at t = 2kT is the current source estimate.
 
 Every sweep integrates in a local time that increases. Half-pass k runs
 forward for even k and backward (the time-reversed dynamics) for odd k, so
-a direction is never stored: it is the parity of the half-pass index. A
-backward sweep replays the measurement reversed and is realized by the
-same stencil after the two stored wave levels are re-seeded at the turn
-(leapfrog.reversed_state). The oscillator is propagated with the exact
-matrix exponential of its homogeneous part plus trapezoidal forcing. The
-wave trace entering the oscillator is held at its left endpoint within
-each step (explicit coupling); the measured output Y enters with both
-endpoints.
+a direction is never stored: the time sign s = +1 or -1 that the
+oscillator functions take comes from the parity of the half-pass index
+(ObserverState.time_sign). A backward sweep replays the measurement
+reversed and is realized by the same stencil after the two stored wave
+levels are re-seeded at the turn (leapfrog.reversed_state). The
+oscillator is propagated with the exact matrix exponential of its
+homogeneous part plus trapezoidal forcing. The wave trace entering the
+oscillator is held at its left endpoint within each step (explicit
+coupling); the measured output Y enters with both endpoints.
 
 Each loop is written once. oscillator_drive runs the uncoupled oscillator
 over a given forcing series (the cascade, both halves of the truth cycle,
@@ -74,6 +75,7 @@ __all__ = [
     "lyapunov_value",
     "observer_half_pass",
     "initial_observer_state",
+    "pass_samples",
     "run_back_and_forth",
     "extract_estimate",
 ]
@@ -91,14 +93,14 @@ ZERO_OSC = OscillatorState(0.0, 0.0, 0.0)
 
 
 @lru_cache(maxsize=64)
-def oscillator_propagator(omega: float, gamma2: float, dt: float, direction: str) -> np.ndarray:
+def oscillator_propagator(omega: float, gamma2: float, dt: float, s: float) -> np.ndarray:
     """exp(dt*A) for the augmented (z1, z2, z3) system.
 
-    z1' = -gamma2*z1 + s*z2, z2' = -s*omega^2*z1 + trace forcing, with
-    s = +1 forward and -1 backward; the plant is gamma2 = 0. z3' = z1, so
-    the integral channel is propagated exactly along with the rotation.
+    z1' = -gamma2*z1 + s*z2, z2' = -s*omega^2*z1 + trace forcing, with the
+    time sign s = +1 forward and -1 backward; the plant is gamma2 = 0.
+    z3' = z1, so the integral channel is propagated exactly along with the
+    rotation.
     """
-    s = {"forward": 1.0, "backward": -1.0}[direction]
     A = np.array(
         [
             [-gamma2, s, 0.0],
@@ -116,17 +118,17 @@ def oscillator_drive(
     omega: float,
     gamma2: float,
     dt: float,
-    direction: str = "forward",
+    s: float = 1.0,
 ) -> np.ndarray:
     """Uncoupled oscillator run over given forcing series, one row per node.
 
     Exact homogeneous propagation, trapezoidal affine forcing: the forcing
-    enters channel 2 as the sign-adjusted wave trace and channel 1 as
+    enters channel 2 as the wave trace times the time sign s and channel 1 as
     gamma2 * y (y None is zero, as for the plant). Row 0 of the result is z0.
     """
-    E = oscillator_propagator(omega, gamma2, dt, direction)
+    E = oscillator_propagator(omega, gamma2, dt, s)
     b = np.zeros((len(trace), 3))
-    b[:, 1] = (1.0 if direction == "forward" else -1.0) * np.asarray(trace, dtype=float)
+    b[:, 1] = s * np.asarray(trace, dtype=float)
     if y is not None:
         b[:, 0] = gamma2 * np.asarray(y, dtype=float)
     forcing = b[:-1] @ E.T
@@ -148,12 +150,10 @@ def oscillator_step(
     omega: float,
     gamma2: float,
     dt: float,
-    direction: str = "forward",
+    s: float = 1.0,
 ) -> OscillatorState:
     """One step of oscillator_drive."""
-    zs = oscillator_drive(
-        z, [trace_now, trace_next], [y_now, y_next], omega, gamma2, dt, direction
-    )
+    zs = oscillator_drive(z, [trace_now, trace_next], [y_now, y_next], omega, gamma2, dt, s)
     return OscillatorState(*map(float, zs[-1]))
 
 
@@ -201,35 +201,27 @@ class PlantCycle:
 
     The discrete cycle is exactly periodic (the backward sweep is the
     inverse map of the forward one), so a single integration serves every
-    iteration. z holds (z1, z2, z3) at the 2n+1 cycle nodes.
+    iteration. z holds (z1, z2, z3) at the 2n+1 cycle nodes; field_T and
+    vel_T are the wave at the turn t = T.
     """
 
-    trace: np.ndarray
     z: np.ndarray
     field_T: np.ndarray
     vel_T: np.ndarray
-
-    def boundary_state(self, half: int, q: np.ndarray, nx: int):
-        if half % 2 == 0:
-            return q, np.zeros(nx + 1)
-        return self.field_T, self.vel_T
 
 
 def run_plant_cycle(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
     """Integrate the truth cycle once.
 
     The forward half is the cascade. The backward half drives the oscillator
-    over the reversed trace, negated by the backward direction; the wave
-    retraces its forward sweep exactly, so no second wave sweep is needed.
+    over the reversed trace with time sign -1; the wave retraces its forward
+    sweep exactly, so no second wave sweep is needed.
     """
     cascade = simulate_cascade(q, omega, grid)
-    back = oscillator_drive(
-        cascade.z[-1], cascade.trace[::-1], None, omega, 0.0, grid.dt, "backward"
-    )
+    back = oscillator_drive(cascade.z[-1], cascade.trace[::-1], None, omega, 0.0, grid.dt, -1.0)
     end = cascade.final_wave
     vel_T = (continuation_level(end, grid) - end.u_prev) / (2.0 * grid.dt)
     return PlantCycle(
-        trace=cascade.trace,
         z=np.concatenate([cascade.z, back[1:]]),
         field_T=end.u_curr.copy(),
         vel_T=vel_T,
@@ -240,15 +232,19 @@ def run_plant_cycle(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
 # observer state
 
 
-def _pass_samples(measurement: MeasurementRecord, grid: Grid1D) -> np.ndarray:
+def pass_samples(measurement: MeasurementRecord, grid: Grid1D) -> np.ndarray:
     """The measurement's samples, refused unless they fill exactly one pass.
 
-    Forward half-passes replay them in order, backward ones reversed, so
-    the periodized signal is continuous at every turn.
+    One pass is n_steps_per_pass + 1 samples at the grid's dt. Forward
+    half-passes replay them in order, backward ones reversed, so the
+    periodized signal is continuous at every turn. Raises ValueError.
     """
     n = grid.n_steps_per_pass
-    if len(measurement.y) != n + 1:
-        raise ValueError(f"measurement has {len(measurement.y)} samples, a pass needs {n + 1}")
+    if len(measurement.y) != n + 1 or abs(measurement.dt - grid.dt) > 1e-12 + 1e-9 * grid.dt:
+        raise ValueError(
+            f"sampling mismatch: measurement has {len(measurement.y)} samples at "
+            f"dt={measurement.dt}, a pass needs {n + 1} at dt={grid.dt}"
+        )
     return measurement.y
 
 
@@ -262,9 +258,9 @@ class ObserverState:
     half_pass: int
 
     @property
-    def direction(self) -> str:
-        """Time direction of half-pass `half_pass`: forward when it is even."""
-        return "forward" if self.half_pass % 2 == 0 else "backward"
+    def time_sign(self) -> float:
+        """Time sign of half-pass `half_pass`: +1 (forward) when it is even, else -1."""
+        return 1.0 if self.half_pass % 2 == 0 else -1.0
 
 
 def initial_observer_state(grid: Grid1D) -> ObserverState:
@@ -291,15 +287,13 @@ class RunHistory:
     """Error-system samples at half-pass boundaries (truth monitoring only).
 
     energy_lhs bundles the conserved quadratic form plus the dissipation
-    integral; energy_rhs is its t=0 value. second_energy_lhs is the
-    higher-order bundle whose boundedness is checked against
+    integral; it should keep its t=0 value energy_lhs[0]. second_energy_lhs
+    is the higher-order bundle whose boundedness is checked against
     initial_bundle. hidden_ratios holds one trace-bound ratio per sweep.
     """
 
-    times: np.ndarray
     lyapunov: np.ndarray
     energy_lhs: np.ndarray
-    energy_rhs: float
     second_energy_lhs: np.ndarray
     initial_bundle: float
     hidden_ratios: np.ndarray
@@ -317,10 +311,8 @@ class BackAndForthResult:
 # the observer step and the sweep
 
 
-def _observer_step(
-    gains: Gains, omega: float, grid: Grid1D, direction: str, injection_sign: float
-):
-    """One coupled observer step in the given direction, as a function.
+def _observer_step(gains: Gains, omega: float, grid: Grid1D, s: float, injection_sign: float):
+    """One coupled observer step with time sign s, as a function.
 
     step(u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1) returns the left trace
     of u_curr and the advanced (u_prev, u_curr, z1, z2, z3, y_int), where Yn
@@ -331,13 +323,12 @@ def _observer_step(
     scalars, at a fraction of the cost per operation), and the cycle-map
     builder, on (nx+1, m) arrays of levels with rows of oscillator values.
     """
-    E = oscillator_propagator(omega, gains.gamma2, grid.dt, direction)
+    E = oscillator_propagator(omega, gains.gamma2, grid.dt, s)
     (e11, e12, _), (e21, e22, _), (e31, e32, _) = E.tolist()
     hdt = 0.5 * grid.dt
     dx, c2 = grid.dx, grid.cfl * grid.cfl
     g1, g2 = gains.gamma1, gains.gamma2
     g1g2 = g1 * g2
-    s = 1.0 if direction == "forward" else -1.0
 
     def step(u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1):
         trc = neumann_trace(u_curr, dx)
@@ -374,7 +365,7 @@ def _sweep(
     """
     half = state.half_pass
     n = grid.n_steps_per_pass
-    step = _observer_step(gains, omega, grid, state.direction, injection_sign)
+    step = _observer_step(gains, omega, grid, state.time_sign, injection_sign)
     Yp = y if half % 2 == 0 else y[::-1]
     Yn1 = float(Yp[0])
     u_prev, u_curr = state.wave.u_prev, state.wave.u_curr
@@ -416,7 +407,7 @@ def observer_half_pass(
     already re-seeded, so consecutive calls realize the back-and-forth
     sweep. The measurement must hold exactly one pass of samples.
     """
-    y = _pass_samples(measurement, grid)
+    y = pass_samples(measurement, grid)
     rec = np.empty((4, grid.n_steps_per_pass + 1))
     return _sweep(state, y, gains, omega, grid, injection_sign, rec)[0]
 
@@ -519,7 +510,7 @@ class _TruthMonitor:
         self.truth_z = (z[: n + 1].T, np.vstack([z[n : 2 * n], z[:1]]).T)
         self.int_zt_sq = np.zeros(2)  # running integrals of (z1 - z1_truth)^2, (z2 - z2_truth)^2
         self.vel = np.zeros(grid.nx + 1)  # observer velocity at the last boundary
-        self.samples: list[tuple[float, float, float, float]] = []
+        self.samples: list[tuple[float, float, float]] = []
         self.hidden: list[float] = []
         self.initial_bundle = (
             l2_norm(q_true, grid) ** 2
@@ -534,7 +525,8 @@ class _TruthMonitor:
         g1g2 = g1 * self.gains.gamma2
         om2 = self.omega * self.omega
         node = (half % 2) * grid.n_steps_per_pass
-        pf, pv = self.plant.boundary_state(half, self.q, grid.nx)
+        # the truth wave at a boundary: (q, 0) at t = 0, the turn state at t = T
+        pf, pv = (self.q, 0.0) if half % 2 == 0 else (self.plant.field_T, self.plant.vel_T)
         w1 = u - pf
         w2 = self.vel - pv
         zt1 = osc.z1 - self.plant.z[node, 0]
@@ -546,7 +538,6 @@ class _TruthMonitor:
         V = lyapunov_value(w1, w2, OscillatorState(zt1, zt2, 0.0), self.gains, self.omega, grid)
         self.samples.append(
             (
-                half * grid.T,
                 V,
                 a
                 + b
@@ -580,26 +571,23 @@ class _TruthMonitor:
         self.hidden.append(
             hidden_regularity_ratio(rec[2], start.wave.u_curr, self.vel, rec[3], grid.T, grid)
         )
-        s = 1.0 if start.direction == "forward" else -1.0
-        self.vel = s * (nxt.wave.u_prev - ended.u_prev) / (2.0 * grid.dt)
+        self.vel = start.time_sign * (nxt.wave.u_prev - ended.u_prev) / (2.0 * grid.dt)
         self._sample(half + 1, nxt.wave.u_curr, nxt.osc)
 
     def fill(self, rep: IterationReport, q_hat: np.ndarray) -> None:
         """Errors and the latest boundary sample for the report of estimate q_hat."""
-        _, V, lhs, _ = self.samples[-1]
-        rhs = self.samples[0][2]
+        V, lhs, _ = self.samples[-1]
+        rhs = self.samples[0][1]
         rep.l2_err = l2_norm(q_hat - self.q, self.grid)
         rep.h1_err = h1_seminorm(q_hat - self.q, self.grid)
         rep.lyapunov = V
         rep.energy_residual = abs(lhs - rhs) / max(rhs, 1e-300)
 
     def history(self) -> RunHistory:
-        times, V, lhs, lhs_b = (np.array(c) for c in zip(*self.samples))
+        V, lhs, lhs_b = (np.array(c) for c in zip(*self.samples))
         return RunHistory(
-            times=times,
             lyapunov=V,
             energy_lhs=lhs,
-            energy_rhs=lhs[0],
             second_energy_lhs=lhs_b,
             initial_bundle=self.initial_bundle,
             hidden_ratios=np.array(self.hidden),
@@ -643,8 +631,8 @@ def _cycle_map(gains: Gains, omega: float, grid: Grid1D, injection_sign: float) 
     ghost = continuation_level(LeapfrogState(u_prev, u_curr), grid)
     turn = _state_vector(ghost, u_curr, *osc, dt)
     sweeps = []
-    for direction in ("forward", "backward"):
-        step = _observer_step(gains, omega, grid, direction, injection_sign)
+    for s in (1.0, -1.0):
+        step = _observer_step(gains, omega, grid, s, injection_sign)
         _, advanced = step(*basis, 0.0, 0.0)
         sweeps.append(np.linalg.matrix_power(_state_vector(*advanced, dt), grid.n_steps_per_pass))
     forward, backward = sweeps
@@ -727,9 +715,7 @@ def run_back_and_forth(
         )
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
-    if abs(measurement.dt - grid.dt) > 1e-12 + 1e-9 * grid.dt:
-        raise ValueError(f"measurement dt={measurement.dt} does not match grid dt={grid.dt}")
-    y = _pass_samples(measurement, grid)
+    y = pass_samples(measurement, grid)
     monitor = None
     if q_true is not None:
         monitor = _TruthMonitor(np.asarray(q_true, dtype=float), gains, omega, grid)

@@ -159,7 +159,9 @@ class TestInvert:
         p = write_config(tmp_path / "c.json")
         mpath = tmp_path / "m.csv"
         mpath.write_text("t,y\n0.0,0.0\n0.1,0.0\n0.2,0.0\n")
-        assert cmd_invert(p, mpath, tmp_path / "out") == EXIT_MISMATCH
+        out = tmp_path / "out"
+        assert cmd_invert(p, mpath, out) == EXIT_MISMATCH
+        assert not out.exists()  # refused before the manifest
 
     def test_non_finite_sample_exit_4(self, tmp_path):
         p = write_config(tmp_path / "c.json", iterations=1)
@@ -218,6 +220,14 @@ class TestVerify:
         out = tmp_path / "v"
         assert main(["verify", "--out", str(out), "--jobs", jobs, "--quiet"]) == EXIT_CONFIG
         assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_rejected(self, tmp_path):
+        # verify runs no seeded scenario, so it takes no --seed
+        out = tmp_path / "v"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--out", str(out), "--checks", "", "--seed", "3"])
+        assert exc.value.code == 2  # argparse's usage error
         assert not out.exists()
 
     @pytest.mark.slow
@@ -299,7 +309,17 @@ class TestExitCodes:
         p = write_config(tmp_path / "c.json")
         m = tmp_path / "m.csv"
         m.write_text("t,y\n0,abc\n")
-        assert cmd_invert(p, m, tmp_path / "out") == EXIT_MISMATCH
+        out = tmp_path / "out"
+        assert cmd_invert(p, m, out) == EXIT_MISMATCH
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [{"nx": 2}, {"gamma1": -1.0}, {"source": {"profile": "x"}}])
+    def test_bad_grid_gains_or_source_exit_2(self, tmp_path, bad):
+        # refused before the manifest, as a resonant omega is
+        p = write_config(tmp_path / "c.json", **bad)
+        out = tmp_path / "out"
+        assert cmd_full(p, out, quiet=True) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestCsvFormatting:

@@ -146,6 +146,10 @@ class TestConfigTypes:
             ScenarioConfig(noise=-0.1)
         with pytest.raises(ValueError):
             ScenarioConfig(omega=float("inf"))
+        # grid, gains and source are checked on construction too
+        for bad in ({"nx": 2}, {"cfl": 1.5}, {"T": 0.0}, {"gamma1": 0.0}, {"source": SourceSpec("x")}):
+            with pytest.raises(ValueError):
+                ScenarioConfig(**bad)
 
     @pytest.mark.parametrize("omega", [np.pi, -np.pi, 3.0 * np.pi, 7.0 * np.pi + 5e-9])
     def test_resonant_omega_rejected(self, omega):

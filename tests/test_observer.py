@@ -82,8 +82,8 @@ class TestOscillatorStep:
     def test_backward_inverts_forward(self, z1, z2, z3, omega):
         # the (z1, z2) rotation inverts; z3 keeps integrating either way
         z = OscillatorState(z1, z2, z3)
-        fwd = oscillator_step(z, 0.0, 0.0, 0.0, 0.0, omega, 0.0, 0.05, "forward")
-        back = oscillator_step(fwd, 0.0, 0.0, 0.0, 0.0, omega, 0.0, 0.05, "backward")
+        fwd = oscillator_step(z, 0.0, 0.0, 0.0, 0.0, omega, 0.0, 0.05, 1.0)
+        back = oscillator_step(fwd, 0.0, 0.0, 0.0, 0.0, omega, 0.0, 0.05, -1.0)
         assert back.z1 == pytest.approx(z.z1, abs=1e-12)
         assert back.z2 == pytest.approx(z.z2, abs=1e-12)
 
@@ -252,7 +252,7 @@ class TestObserverHalfPass:
         for k in range(grid.n_steps_per_pass):
             tr = neumann_trace(wave.u_curr, grid.dx)
             traces.append(tr)
-            z = oscillator_step(z, tr, tr, y[k], y[k + 1], 2.0, 0.5, grid.dt, "backward")
+            z = oscillator_step(z, tr, tr, y[k], y[k + 1], 2.0, 0.5, grid.dt, -1.0)
             y_int += 0.5 * grid.dt * (y[k] + y[k + 1])
             wave = step(wave, injection_value(z, y[k + 1], y_int, gains), grid)
             ref.append((z.z1, z.z2, wave.u_curr[0]))
@@ -364,7 +364,7 @@ class TestCycleMap:
         # the rebuilt final state keeps the injection invariant at x=0
         s = res.final_state
         assert s.half_pass == 2 * cfg.iterations
-        assert s.direction == "forward"
+        assert s.time_sign == 1.0
         y0 = float(ref["measurement"].y[0])
         bc = injection_value(s.osc, y0, s.y_integral, cfg.gains())
         assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12)
