@@ -11,6 +11,10 @@ Runs, in a temporary directory and in this process:
 
 and prints one `<sha256>  <run>/<file>` line per output file, sorted, with
 `manifest.json` left out (it holds a timestamp and the temporary paths).
+Then one `manifest <run>: lists <k> of <m> files` line per run: m counts
+the files the run left besides `manifest.json`, k those of them that the
+manifest's `outputs` names (`manifest <run>: none` for `verify`, which
+writes no manifest).
 
 It then runs five commands that must be refused (malformed config JSON, a
 resonant omega, a measurement that does not fill one pass, a non-finite
@@ -73,6 +77,16 @@ def _refusals(root: Path, clean_config: str, measurement: Path) -> list[tuple[st
     ]
 
 
+def _manifest_line(run: Path) -> str:
+    """How many of the files in the run directory its manifest lists."""
+    files = {p.name for p in run.iterdir() if p.is_file() and p.name != "manifest.json"}
+    manifest = run / "manifest.json"
+    if not manifest.exists():
+        return f"manifest {run.name}: none"
+    listed = {Path(p).name for p in json.loads(manifest.read_text())["outputs"]}
+    return f"manifest {run.name}: lists {len(files & listed)} of {len(files)} files"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -100,6 +114,8 @@ def main() -> int:
             digest = hashlib.sha256(p.read_bytes()).hexdigest()
             print(f"{digest}  {p.relative_to(root).as_posix()}")
         print(f"{len(files)} files", file=sys.stderr)
+        for argv in runs:
+            print(_manifest_line(Path(argv[argv.index("--out") + 1])))
         refused = root / "refused"
         for case, argv in _refusals(refused, clean, root / "full_clean" / "measurement.csv"):
             out = refused / case

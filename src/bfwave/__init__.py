@@ -32,7 +32,6 @@ from .observer import (
     OscillatorState,
     extract_estimate,
     observer_half_pass,
-    oscillator_step,
     run_back_and_forth,
     simulate_cascade,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "OscillatorState",
     "extract_estimate",
     "observer_half_pass",
-    "oscillator_step",
     "run_back_and_forth",
     "simulate_cascade",
     "minimal_horizon_scenario",

@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 failed check, 2 config error, 3 I/O error,
 4 unreadable measurement, sampling mismatch or non-finite samples. A
 command checks its config, output directory and measurement (against
 observer.pass_samples) before it writes, so exit 2 or 4 leaves no files;
-_exit_codes is the one place where refusals become exit codes.
+_exit_codes is the one place where refusals become exit codes. The
+writers return the paths they wrote, and simulate, invert and full write
+manifest.json last, listing exactly those.
 """
 
 from __future__ import annotations
@@ -98,6 +100,10 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def write_manifest(out_dir: Path, cfg: ScenarioConfig, command: str, inputs: list, outputs: list, seed: int):
+    """manifest.json: the run's config, inputs and the files it wrote.
+
+    Commands write it last, so its presence means the run finished.
+    """
     manifest = {
         "tool": "bfwave",
         "version": __version__,
@@ -120,7 +126,7 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def write_iterations_csv(path: Path, result: BackAndForthResult) -> None:
+def write_iterations_csv(path: Path, result: BackAndForthResult) -> Path:
     # seconds stays empty so reruns are byte-identical; timings live in memory
     rows = [
         [r.iteration]
@@ -129,42 +135,47 @@ def write_iterations_csv(path: Path, result: BackAndForthResult) -> None:
         for r in result.reports
     ]
     _write_rows(path, ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual", "seconds"], rows)
+    return path
 
 
-def write_estimate_csv(path: Path, x: np.ndarray, q_hat: np.ndarray, q_true=None) -> None:
+def write_estimate_csv(path: Path, x: np.ndarray, q_hat: np.ndarray, q_true=None) -> Path:
     cols = [x, q_hat] if q_true is None else [x, q_hat, q_true]
     rows = [[_fmt(v) for v in row] for row in zip(*cols)]
     _write_rows(path, ["x", "q_hat", "q_true"][: len(cols)], rows)
+    return path
 
 
-def write_checks_csv(path: Path, report: DiagnosticsReport) -> None:
+def write_checks_csv(path: Path, report: DiagnosticsReport) -> tuple[Path, Path]:
+    """The rows as CSV and, next to it, the human-readable summary; returns both paths."""
     rows = [
         [e.name, _fmt(e.value), _fmt(e.threshold), str(e.passed).lower()] for e in report.entries
     ]
     _write_rows(path, ["check", "value", "threshold", "pass"], rows)
-    # companion human-readable summary
-    with open(path.with_suffix(".txt"), "w") as fh:
+    txt = path.with_suffix(".txt")
+    with open(txt, "w") as fh:
         fh.write(report.summary())
         if report.entries:
             fh.write("\n")
+    return path, txt
 
 
-def write_lyapunov_csv(path: Path, result: BackAndForthResult) -> None:
+def write_lyapunov_csv(path: Path, result: BackAndForthResult) -> Path:
     h = result.history
     rows = [[_fmt(k / 2.0), _fmt(v)] for k, v in enumerate(h.lyapunov)]
     _write_rows(path, ["iter", "V"], rows)
+    return path
 
 
 def _run_diagnostics(result: BackAndForthResult, noisy: bool) -> DiagnosticsReport:
-    report = DiagnosticsReport(run_level_checks(result.history))
+    rows = run_level_checks(result.history)
     if noisy:
         # the decrease/balance rows are clean-data identities; with a noisy
         # measurement they describe the run but are not expected to hold
-        report.entries = [
+        rows = [
             dataclasses.replace(e, note=e.note + " [noisy measurement: informational]")
-            for e in report.entries
+            for e in rows
         ]
-    return report
+    return DiagnosticsReport(rows)
 
 
 def _exit_codes(command):
@@ -211,35 +222,44 @@ def _setup(config_path, out_dir, seed: int | None, needs_source: str | None = No
     return cfg, Path(out_dir), cfg.seed if seed is None else seed
 
 
-def _synthesize(cfg: ScenarioConfig, grid: Grid1D, out: Path, seed: int) -> MeasurementRecord:
+def _synthesize(
+    cfg: ScenarioConfig, grid: Grid1D, out: Path, seed: int, written: list
+) -> MeasurementRecord:
     """Write measurement.csv and, with noise, measurement_noisy.csv.
 
     Returns the measurement to invert: the noisy one when there is noise.
+    Paths of the written files are appended to written.
     """
     measurement = simulate_forward(cfg.q_true(grid), cfg.omega, grid)
-    write_measurement_csv(measurement, out / "measurement.csv")
+    written.append(write_measurement_csv(measurement, out / "measurement.csv"))
     if cfg.noise > 0:
         measurement = add_noise(measurement, cfg.noise, seed)
-        write_measurement_csv(measurement, out / "measurement_noisy.csv")
+        written.append(write_measurement_csv(measurement, out / "measurement_noisy.csv"))
     return measurement
 
 
 def _invert_impl(
-    cfg: ScenarioConfig, grid: Grid1D, measurement: MeasurementRecord, out: Path, quiet: bool
+    cfg: ScenarioConfig,
+    grid: Grid1D,
+    measurement: MeasurementRecord,
+    out: Path,
+    quiet: bool,
+    written: list,
 ) -> BackAndForthResult:
+    """Run the estimator and write its files, appending their paths to written."""
     q_true = cfg.q_true(grid) if cfg.source is not None else None
     result = run_back_and_forth(
         measurement, cfg.gains(), cfg.omega, grid, cfg.iterations, q_true=q_true
     )
-    x = grid.nodes
-    write_iterations_csv(out / "iterations.csv", result)
-    last = len(result.estimates) - 1
+    x, est = grid.nodes, result.estimates
+    written.append(write_iterations_csv(out / "iterations.csv", result))
+    last = len(est) - 1
     for k in [*range(0, last, cfg.snapshot_stride), last]:
-        write_estimate_csv(out / f"estimate_iter_{k}.csv", x, result.estimates[k], q_true)
-    write_estimate_csv(out / "estimate_final.csv", x, result.estimates[-1], q_true)
+        written.append(write_estimate_csv(out / f"estimate_iter_{k}.csv", x, est[k], q_true))
+    written.append(write_estimate_csv(out / "estimate_final.csv", x, est[-1], q_true))
     if result.history is not None:
         noisy = measurement.provenance == "noisy"
-        write_checks_csv(out / "diagnostics.csv", _run_diagnostics(result, noisy))
+        written.extend(write_checks_csv(out / "diagnostics.csv", _run_diagnostics(result, noisy)))
     if not quiet:
         tail = result.reports[-1]
         msg = f"{cfg.iterations} iterations done"
@@ -252,13 +272,10 @@ def _invert_impl(
 @_exit_codes
 def cmd_simulate(config_path, out_dir=None, seed: int | None = None, quiet: bool = False) -> int:
     cfg, out, seed_used = _setup(config_path, out_dir, seed, needs_source="simulate")
-    grid = cfg.grid()
-    outputs = [out / "measurement.csv"]
-    if cfg.noise > 0:
-        outputs.append(out / "measurement_noisy.csv")
     out.mkdir(parents=True, exist_ok=True)
-    write_manifest(out, cfg, "simulate", [config_path], outputs, seed_used)
-    measurement = _synthesize(cfg, grid, out, seed_used)
+    written = []
+    measurement = _synthesize(cfg, cfg.grid(), out, seed_used, written)
+    write_manifest(out, cfg, "simulate", [config_path], written, seed_used)
     if not quiet:
         print(f"wrote measurement ({len(measurement.y)} samples) to {out}")
     return EXIT_OK
@@ -272,9 +289,9 @@ def cmd_invert(config_path, measurement_path, out_dir=None, seed: int | None = N
         measurement = read_measurement_csv(measurement_path, omega=cfg.omega)
         pass_samples(measurement, grid)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = [out / "iterations.csv", out / "estimate_final.csv"]
-    write_manifest(out, cfg, "invert", [config_path, measurement_path], outputs, seed_used)
-    _invert_impl(cfg, grid, measurement, out, quiet)
+    written = []
+    _invert_impl(cfg, grid, measurement, out, quiet, written)
+    write_manifest(out, cfg, "invert", [config_path, measurement_path], written, seed_used)
     return EXIT_OK
 
 
@@ -302,12 +319,12 @@ def cmd_full(config_path, out_dir=None, seed: int | None = None, quiet: bool = F
     cfg, out, seed_used = _setup(config_path, out_dir, seed, needs_source="full")
     t0 = time.perf_counter()
     grid = cfg.grid()
-    outputs = [out / "measurement.csv", out / "iterations.csv", out / "lyapunov.csv"]
     out.mkdir(parents=True, exist_ok=True)
-    write_manifest(out, cfg, "full", [config_path], outputs, seed_used)
-    measurement = _synthesize(cfg, grid, out, seed_used)
-    result = _invert_impl(cfg, grid, measurement, out, quiet)
-    write_lyapunov_csv(out / "lyapunov.csv", result)
+    written = []
+    measurement = _synthesize(cfg, grid, out, seed_used, written)
+    result = _invert_impl(cfg, grid, measurement, out, quiet, written)
+    written.append(write_lyapunov_csv(out / "lyapunov.csv", result))
+    write_manifest(out, cfg, "full", [config_path], written, seed_used)
     if not quiet:
         print(f"full run finished in {time.perf_counter() - t0:.1f}s, outputs in {out}")
     return EXIT_OK

@@ -6,9 +6,10 @@ built-in scenarios so a single command can vouch for a build.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,10 +56,7 @@ class CheckResult:
 
 @dataclass
 class DiagnosticsReport:
-    entries: list[CheckResult] = field(default_factory=list)
-
-    def add(self, entry: CheckResult) -> None:
-        self.entries.append(entry)
+    entries: list[CheckResult]
 
     @property
     def all_passed(self) -> bool:
@@ -76,6 +74,13 @@ def _interval_check(name: str, value: float, lo: float, hi: float, note: str) ->
     return CheckResult(name=name, value=value, threshold=hi, passed=lo <= value <= hi, note=note)
 
 
+def _at_most(name: str, value: float, threshold: float, note: str) -> CheckResult:
+    """The one pass rule of a bounded row: passes iff value <= threshold."""
+    return CheckResult(
+        name=name, value=value, threshold=threshold, passed=value <= threshold, note=note
+    )
+
+
 # ---------------------------------------------------------------------------
 # pointwise functionals
 
@@ -86,13 +91,8 @@ def lyapunov_decrease_check(v_series: np.ndarray, tolerance: float) -> CheckResu
     if len(v) < 2:
         raise ValueError("need at least two Lyapunov samples")
     worst = float(np.max(np.diff(v)))
-    return CheckResult(
-        name="lyapunov_decrease",
-        value=worst,
-        threshold=tolerance,
-        passed=worst <= tolerance,
-        note="largest increase of the error energy between half-pass boundaries",
-    )
+    note = "largest increase of the error energy between half-pass boundaries"
+    return _at_most("lyapunov_decrease", worst, tolerance, note)
 
 
 def energy_identity_residual(history: RunHistory) -> float:
@@ -109,14 +109,8 @@ def energy_identity_residual(history: RunHistory) -> float:
 
 
 def energy_identity_check(history: RunHistory, tolerance: float = 1e-2) -> CheckResult:
-    r = energy_identity_residual(history)
-    return CheckResult(
-        name="energy_identity",
-        value=r,
-        threshold=tolerance,
-        passed=r <= tolerance,
-        note="relative defect of the error-energy balance, max over boundaries",
-    )
+    note = "relative defect of the error-energy balance, max over boundaries"
+    return _at_most("energy_identity", energy_identity_residual(history), tolerance, note)
 
 
 def second_energy_boundedness(history: RunHistory, cap: float = SECOND_ENERGY_CAP) -> CheckResult:
@@ -126,32 +120,21 @@ def second_energy_boundedness(history: RunHistory, cap: float = SECOND_ENERGY_CA
     boundedness is asserted since the estimate's constant is free.
     """
     bundle = history.initial_bundle
-    ratio = float(np.max(history.second_energy_lhs) / bundle) if bundle > 0 else float(
-        np.max(history.second_energy_lhs)
-    )
-    return CheckResult(
-        name="second_energy_bound",
-        value=ratio,
-        threshold=cap,
-        passed=ratio <= cap,
-        note="max higher-order error bundle over its initial-data bundle",
-    )
+    worst = float(np.max(history.second_energy_lhs))
+    ratio = worst / bundle if bundle > 0 else worst
+    note = "max higher-order error bundle over its initial-data bundle"
+    return _at_most("second_energy_bound", ratio, cap, note)
 
 
 def run_level_checks(history: RunHistory) -> list[CheckResult]:
     """The checks every monitored observer run reports, in their fixed order."""
     worst_hidden = float(np.max(history.hidden_ratios))
+    note = "worst trace-bound ratio over all observer sweeps"
     return [
         lyapunov_decrease_check(history.lyapunov, 1e-3 * history.lyapunov[0]),
         energy_identity_check(history, 1e-2),
         second_energy_boundedness(history),
-        CheckResult(
-            name="hidden_regularity_run",
-            value=worst_hidden,
-            threshold=1.0,
-            passed=worst_hidden <= 1.0,
-            note="worst trace-bound ratio over all observer sweeps",
-        ),
+        _at_most("hidden_regularity_run", worst_hidden, 1.0, note),
     ]
 
 
@@ -163,14 +146,8 @@ def equivalence_report(y: np.ndarray, Y: np.ndarray, tolerance: float = 1e-2) ->
         raise ValueError("output series must share sampling")
     scale = float(np.max(np.abs(y)))
     gap = float(np.max(np.abs(y - Y)))
-    rel = gap / scale if scale > 0 else gap
-    return CheckResult(
-        name="output_equivalence",
-        value=rel,
-        threshold=tolerance,
-        passed=rel <= tolerance,
-        note="relative max-norm gap between direct and cascade outputs",
-    )
+    note = "relative max-norm gap between direct and cascade outputs"
+    return _at_most("output_equivalence", gap / scale if scale > 0 else gap, tolerance, note)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +155,6 @@ def equivalence_report(y: np.ndarray, Y: np.ndarray, tolerance: float = 1e-2) ->
 
 
 def _battery_grid_norms() -> list[CheckResult]:
-    out = []
     exact_l2 = float(np.sqrt((np.e**2 - 1.0) / 2.0))
     exact_h1 = exact_l2  # derivative of e^x is e^x
     errs_l2 = []
@@ -188,29 +164,15 @@ def _battery_grid_norms() -> list[CheckResult]:
         f = np.exp(g.nodes)
         errs_l2.append(abs(l2_norm(f, g) - exact_l2))
         errs_h1.append(abs(h1_seminorm(f, g) - exact_h1))
-    out.append(
-        _interval_check(
-            "grid_l2_convergence",
-            errs_l2[0] / errs_l2[1],
-            3.0,
-            5.0,
-            "trapezoid L2 error reduction per nx doubling (2nd order)",
-        )
-    )
-    out.append(
-        _interval_check(
-            "grid_h1_convergence",
-            errs_h1[0] / errs_h1[1],
-            3.0,
-            5.0,
-            "midpoint H1 seminorm error reduction per nx doubling (2nd order)",
-        )
-    )
-    return out
+    l2_note = "trapezoid L2 error reduction per nx doubling (2nd order)"
+    h1_note = "midpoint H1 seminorm error reduction per nx doubling (2nd order)"
+    return [
+        _interval_check("grid_l2_convergence", errs_l2[0] / errs_l2[1], 3.0, 5.0, l2_note),
+        _interval_check("grid_h1_convergence", errs_h1[0] / errs_h1[1], 3.0, 5.0, h1_note),
+    ]
 
 
 def _battery_kernel() -> list[CheckResult]:
-    out = []
     g = build_grid(20, 0.005, 2.5)  # 10000 steps per pass
     q0 = np.sin(np.pi * g.nodes)
     state = init_leapfrog(q0, None, g)
@@ -219,30 +181,12 @@ def _battery_kernel() -> list[CheckResult]:
     for _ in range(g.n_steps_per_pass):
         state = step(state, 0.0, g)
         drift = max(drift, abs(discrete_energy(state, g) - e0) / e0)
-    out.append(
-        CheckResult(
-            name="kernel_energy_conservation",
-            value=drift,
-            threshold=1e-10,
-            passed=drift <= 1e-10,
-            note="relative drift of the conserved discrete energy over 1e4 steps",
-        )
-    )
     # forward n steps, turn, backward n steps must reproduce the start
     fwd, _ = run_homogeneous(q0, g, g.n_steps_per_pass)
     back = reversed_state(fwd, g)
     for _ in range(g.n_steps_per_pass):
         back = step(back, 0.0, g)
     rt = float(np.max(np.abs(back.u_curr - q0)))
-    out.append(
-        CheckResult(
-            name="kernel_reversibility",
-            value=rt,
-            threshold=1e-12,
-            passed=rt <= 1e-12,
-            note="max-norm round-trip error after 1e4 forward + 1e4 backward steps",
-        )
-    )
     # order of accuracy against the closed-form mode, generic sampling time
     errs = []
     for nx in (20, 40):
@@ -251,16 +195,14 @@ def _battery_kernel() -> list[CheckResult]:
         fin, _ = run_homogeneous(qq, gg, gg.n_steps_per_pass)
         exact = np.sin(np.pi * gg.nodes) * np.cos(np.pi * gg.T)
         errs.append(float(np.max(np.abs(fin.u_curr - exact))))
-    out.append(
-        _interval_check(
-            "kernel_convergence_order",
-            errs[0] / errs[1],
-            3.0,
-            5.0,
-            "max-norm field error reduction per nx doubling vs the modal solution",
-        )
-    )
-    return out
+    drift_note = "relative drift of the conserved discrete energy over 1e4 steps"
+    rt_note = "max-norm round-trip error after 1e4 forward + 1e4 backward steps"
+    order_note = "max-norm field error reduction per nx doubling vs the modal solution"
+    return [
+        _at_most("kernel_energy_conservation", drift, 1e-10, drift_note),
+        _at_most("kernel_reversibility", rt, 1e-12, rt_note),
+        _interval_check("kernel_convergence_order", errs[0] / errs[1], 3.0, 5.0, order_note),
+    ]
 
 
 def _battery_equivalence() -> list[CheckResult]:
@@ -278,14 +220,9 @@ def _battery_equivalence() -> list[CheckResult]:
             gaps_w1.append(entry.value)
         if nx == 20:
             out.append(replace(entry, name=f"output_equivalence_w{int(omega)}"))
+    note = "equivalence gap reduction per nx doubling (omega=1)"
     out.append(
-        _interval_check(
-            "output_equivalence_refinement",
-            gaps_w1[0] / gaps_w1[1],
-            3.0,
-            5.0,
-            "equivalence gap reduction per nx doubling (omega=1)",
-        )
+        _interval_check("output_equivalence_refinement", gaps_w1[0] / gaps_w1[1], 3.0, 5.0, note)
     )
     return out
 
@@ -320,19 +257,9 @@ def _battery_observer_run(injection_sign: float = 1.0) -> list[CheckResult]:
     gains = Gains(1.0, 0.5)
     y = simulate_forward(q, omega, g)
     res = run_back_and_forth(y, gains, omega, g, 8, q_true=q, injection_sign=injection_sign)
-    out = run_level_checks(res.history)
-    qn = l2_norm(q, g)
-    rel = res.reports[-1].l2_err / qn
-    out.append(
-        CheckResult(
-            name="reconstruction_smoke",
-            value=rel,
-            threshold=0.40,
-            passed=rel <= 0.40,
-            note="relative L2 estimate error after 8 reduced-scenario iterations",
-        )
-    )
-    return out
+    rel = res.reports[-1].l2_err / l2_norm(q, g)
+    note = "relative L2 estimate error after 8 reduced-scenario iterations"
+    return [*run_level_checks(res.history), _at_most("reconstruction_smoke", rel, 0.40, note)]
 
 
 _BATTERY_GROUPS = {
@@ -363,27 +290,20 @@ def run_verify_battery(
     report. jobs must be >= 1; at most one process per selected group and
     CPU is started. injection_sign != 1 is the fault-injection hook.
     """
-    if groups is None:
-        selected = list(_BATTERY_GROUPS.values())
-    else:
-        unknown = set(groups) - set(_BATTERY_GROUPS)
-        if unknown:
-            raise ValueError(f"unknown battery groups: {sorted(unknown)}")
-        selected = [_BATTERY_GROUPS[name] for name in groups]
-    workers = _worker_count(jobs, len(selected))
-    report = DiagnosticsReport()
+    names = list(_BATTERY_GROUPS) if groups is None else groups
+    unknown = set(names) - set(_BATTERY_GROUPS)
+    if unknown:
+        raise ValueError(f"unknown battery groups: {sorted(unknown)}")
+    calls = [
+        functools.partial(_BATTERY_GROUPS[name], injection_sign)
+        if name == "observer"
+        else _BATTERY_GROUPS[name]
+        for name in names
+    ]
+    workers = _worker_count(jobs, len(calls))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [
-                ex.submit(fn) if fn is not _battery_observer_run else ex.submit(fn, injection_sign)
-                for fn in selected
-            ]
-            for fut in futures:
-                for entry in fut.result():
-                    report.add(entry)
+            rows = [fut.result() for fut in [ex.submit(call) for call in calls]]
     else:
-        for fn in selected:
-            entries = fn(injection_sign) if fn is _battery_observer_run else fn()
-            for entry in entries:
-                report.add(entry)
-    return report
+        rows = [call() for call in calls]
+    return DiagnosticsReport([row for group_rows in rows for row in group_rows])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import Grid1D
-from .leapfrog import _leap, init_leapfrog, neumann_trace
+from .leapfrog import run_homogeneous
 
 __all__ = [
     "MeasurementRecord",
@@ -54,20 +54,8 @@ def simulate_forward(q: np.ndarray, omega: float, grid: Grid1D) -> MeasurementRe
         raise ValueError(f"q has shape {q.shape}, expected ({grid.nx + 1},)")
     if q[0] != 0.0 or q[-1] != 0.0:
         raise ValueError("source must vanish at both endpoints")
-    n, dt = grid.n_steps_per_pass, grid.dt
-    c2 = grid.cfl * grid.cfl
-    dt2q = dt * dt * q
-    state = init_leapfrog(np.zeros(grid.nx + 1), q.copy(), grid)
-    u_prev, u_curr = state.u_prev, state.u_curr
-    y = np.empty(n + 1)
-    y[0] = 0.0
-    for k in range(n):
-        un = _leap(u_prev, u_curr, c2, dt2q * np.cos(omega * k * dt))
-        un[0] = 0.0
-        un[-1] = 0.0
-        u_prev, u_curr = u_curr, un
-        y[k + 1] = neumann_trace(u_curr, grid.dx)
-    return MeasurementRecord(y=y, dt=dt, T=grid.T, omega=omega)
+    _, y = run_homogeneous(np.zeros(grid.nx + 1), grid, grid.n_steps_per_pass, q, omega)
+    return MeasurementRecord(y=y, dt=grid.dt, T=grid.T, omega=omega)
 
 
 def rms(y: np.ndarray, dt: float, T: float) -> float:
@@ -77,22 +65,26 @@ def rms(y: np.ndarray, dt: float, T: float) -> float:
 
 
 def add_noise(record: MeasurementRecord, level: float, seed: int) -> MeasurementRecord:
-    """Additive white Gaussian noise with sigma = level * RMS(clean signal)."""
+    """Additive white Gaussian noise with sigma = level * RMS(clean signal).
+
+    Level 0 returns the record unchanged, so a clean record keeps noise_seed None.
+    """
     if level < 0.0:
         raise ValueError(f"noise level must be >= 0, got {level}")
     if level == 0.0:
-        return replace(record, noise_level=0.0, noise_seed=seed, provenance=record.provenance)
+        return record
     sigma = level * rms(record.y, record.dt, record.T)
     rng = np.random.default_rng(seed)
     y_noisy = record.y + sigma * rng.standard_normal(record.y.shape)
     return replace(record, y=y_noisy, noise_level=level, noise_seed=seed, provenance="noisy")
 
 
-def write_measurement_csv(record: MeasurementRecord, path) -> None:
+def write_measurement_csv(record: MeasurementRecord, path):
     """Columns t,y; a noisy record is preceded by one provenance comment line.
 
     The line reads "# provenance=noisy noise_level=<level> noise_seed=<seed>"
     (the seed left out when unknown); clean records have no such line.
+    Returns path.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -104,6 +96,7 @@ def write_measurement_csv(record: MeasurementRecord, path) -> None:
         w.writerow(["t", "y"])
         for n, v in enumerate(record.y):
             w.writerow([format(n * record.dt, ".17g"), format(v, ".17g")])
+    return path
 
 
 def _read_provenance(line: str) -> dict:

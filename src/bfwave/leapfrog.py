@@ -11,10 +11,13 @@ reversed_state has swapped the roles of past and future at the turn.
 Callers that alternate directions read theirs from their own pass index.
 
 Every integrator in the package advances a level through the one interior
-update _leap and reads the left Neumann trace through the one stencil
-neumann_trace; callers only set the two boundary nodes. _leap,
-neumann_trace and continuation_level also take (nx+1, m) arrays, one level
-per column, which is how the observer's cycle map is built.
+update _leap (the start-up ghost level of init_leapfrog included) and reads
+the left Neumann trace through the one stencil neumann_trace; callers only
+set the two boundary nodes. run_homogeneous is the one run loop with
+homogeneous walls, free or forced: the truth cascade and the kernel checks
+run it free, forward synthesis forced. _leap, neumann_trace and
+continuation_level also take (nx+1, m) arrays, one level per column, which
+is how the observer's cycle map is built.
 """
 
 from __future__ import annotations
@@ -75,18 +78,16 @@ def _leap(u_prev, u_curr, c2, dt2_f=None):
 def init_leapfrog(q0: np.ndarray, f0: np.ndarray | None, grid: Grid1D) -> LeapfrogState:
     """Second-order start from rest: ghost level from a Taylor expansion at t = 0.
 
-    u_prev = q0 + (dt^2/2)(D2 q0 + f0).
+    u_prev = q0 + (dt^2/2)(D2 q0 + f0), which is _leap from (q0, q0) with
+    half the coefficients.
     """
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (grid.nx + 1,):
         raise ValueError(f"q0 has shape {q0.shape}, expected ({grid.nx + 1},)")
-    c2 = grid.cfl * grid.cfl
-    up = q0.copy()
-    up[1:-1] += 0.5 * c2 * (q0[2:] - 2.0 * q0[1:-1] + q0[:-2])
-    if f0 is not None:
-        if f0.shape != q0.shape:
-            raise ValueError("f0 shape mismatch")
-        up[1:-1] += 0.5 * grid.dt * grid.dt * f0[1:-1]
+    if f0 is not None and f0.shape != q0.shape:
+        raise ValueError("f0 shape mismatch")
+    half_dt2_f = None if f0 is None else 0.5 * grid.dt * grid.dt * f0
+    up = _leap(q0, q0, 0.5 * grid.cfl * grid.cfl, half_dt2_f)
     up[0] = q0[0]
     up[-1] = q0[-1]
     return LeapfrogState(u_prev=up, u_curr=q0.copy())
@@ -148,20 +149,23 @@ def reversed_state(state: LeapfrogState, grid: Grid1D) -> LeapfrogState:
 
 
 def run_homogeneous(
-    q0: np.ndarray, grid: Grid1D, n_steps: int
+    q0: np.ndarray, grid: Grid1D, n_steps: int, q: np.ndarray | None = None, omega: float = 0.0
 ) -> tuple[LeapfrogState, np.ndarray]:
-    """Free evolution (no forcing, homogeneous Dirichlet BCs) from (q0, 0).
+    """Run from (q0, 0) with homogeneous Dirichlet walls.
 
-    Returns the final state and the left Neumann trace at every visited node
+    Free evolution, or with q given, forced by q(x) cos(omega t). Returns
+    the final state and the left Neumann trace at every visited node
     (n_steps + 1 values including the initial one).
     """
-    state = init_leapfrog(q0, None, grid)
+    state = init_leapfrog(q0, q, grid)
+    dt2q = None if q is None else grid.dt * grid.dt * q
     traces = np.empty(n_steps + 1)
     traces[0] = neumann_trace(state.u_curr, grid.dx)
     u_prev, u_curr = state.u_prev, state.u_curr
     c2 = grid.cfl * grid.cfl
     for k in range(n_steps):
-        un = _leap(u_prev, u_curr, c2)
+        dt2_f = None if q is None else dt2q * np.cos(omega * k * grid.dt)
+        un = _leap(u_prev, u_curr, c2, dt2_f)
         un[0] = 0.0
         un[-1] = 0.0
         u_prev, u_curr = u_curr, un

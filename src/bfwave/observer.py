@@ -20,9 +20,11 @@ oscillator is held at its left endpoint within each step (explicit
 coupling); the measured output Y enters with both endpoints.
 
 Each loop is written once. oscillator_drive runs the uncoupled oscillator
-over a given forcing series (the cascade, both halves of the truth cycle,
-oscillator_step). _observer_step is the one coupled observer step; _sweep
-runs it over one half-pass and records its boundary series.
+over a given forcing series (the cascade and both halves of the truth
+cycle); the cascade's wave is leapfrog.run_homogeneous. _observer_step is
+the one coupled observer step, and it alone computes the injection value
+that the x=0 node takes; _sweep runs the step over one half-pass and
+records its boundary series.
 
 run_back_and_forth takes one of two routes. A cycle is linear in the
 observer state and affine in the measurement, so the iteration is
@@ -66,9 +68,7 @@ __all__ = [
     "RunHistory",
     "BackAndForthResult",
     "oscillator_drive",
-    "oscillator_step",
     "oscillator_propagator",
-    "injection_value",
     "simulate_cascade",
     "run_plant_cycle",
     "hidden_regularity_ratio",
@@ -139,27 +139,6 @@ def oscillator_drive(
     for k in range(len(forcing)):
         z[k + 1] = E @ z[k] + forcing[k]
     return z
-
-
-def oscillator_step(
-    z: OscillatorState,
-    trace_now: float,
-    trace_next: float,
-    y_now: float,
-    y_next: float,
-    omega: float,
-    gamma2: float,
-    dt: float,
-    s: float = 1.0,
-) -> OscillatorState:
-    """One step of oscillator_drive."""
-    zs = oscillator_drive(z, [trace_now, trace_next], [y_now, y_next], omega, gamma2, dt, s)
-    return OscillatorState(*map(float, zs[-1]))
-
-
-def injection_value(z: OscillatorState, Y: float, y_integral: float, gains: Gains) -> float:
-    """Output-mismatch injection applied as the x=0 Dirichlet value."""
-    return gains.gamma1 * (z.z1 - Y) + gains.gamma1 * gains.gamma2 * (z.z3 - y_integral)
 
 
 # ---------------------------------------------------------------------------

@@ -4,29 +4,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .grid import ScenarioConfig, SourceSpec
+from .grid import ScenarioConfig
 
 __all__ = ["reference_scenario", "minimal_horizon_scenario"]
 
 
 def reference_scenario(noise: float = 0.1) -> ScenarioConfig:
-    """The reference experiment: q = x - x^2 on a 20-cell grid, T = 3.
-
-    gamma1 = 1, gamma2 = 1/2, cfl = 0.005 (dt = 2.5e-4), 50 iterations,
-    forcing frequency omega = 2 and, by default, 10% RMS output noise.
-    """
-    return ScenarioConfig(
-        source=SourceSpec(profile="poly_paper"),
-        omega=2.0,
-        T=3.0,
-        nx=20,
-        cfl=0.005,
-        gamma1=1.0,
-        gamma2=0.5,
-        iterations=50,
-        noise=noise,
-        seed=42,
-    )
+    """The reference experiment (ScenarioConfig's defaults) with noise, 10 % RMS by default."""
+    return ScenarioConfig(noise=noise)
 
 
 def minimal_horizon_scenario(T: float = 2.0) -> ScenarioConfig:

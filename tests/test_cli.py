@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +321,42 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cmd_full(p, out, quiet=True) == EXIT_CONFIG
         assert not out.exists()
+
+
+def assert_manifest_lists_directory(out):
+    """The manifest names each file in out besides itself once, and was written after them."""
+    manifest = out / "manifest.json"
+    listed = [Path(p).name for p in json.loads(manifest.read_text())["outputs"]]
+    others = [p for p in out.iterdir() if p != manifest]
+    assert sorted(listed) == sorted(p.name for p in others)
+    assert all(p.stat().st_mtime_ns <= manifest.stat().st_mtime_ns for p in others)
+
+
+class TestManifest:
+    """manifest.json is written last and lists every file the command wrote."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_simulate(self, tmp_path, noise):
+        p = write_config(tmp_path / "c.json", noise=noise)
+        out = tmp_path / "out"
+        assert cmd_simulate(p, out, quiet=True) == EXIT_OK
+        assert_manifest_lists_directory(out)
+
+    def test_invert(self, tmp_path):
+        p = write_config(tmp_path / "c.json", iterations=1)
+        out_sim = tmp_path / "sim"
+        assert cmd_simulate(p, out_sim, quiet=True) == EXIT_OK
+        out = tmp_path / "inv"
+        assert cmd_invert(p, out_sim / "measurement.csv", out, quiet=True) == EXIT_OK
+        assert_manifest_lists_directory(out)
+
+    @pytest.mark.parametrize("iterations, stride", [(1, 1), (3, 2)])
+    def test_full(self, tmp_path, iterations, stride):
+        # stride 2 over 3 iterations writes snapshots 0, 2 and 3
+        p = write_config(tmp_path / "c.json", iterations=iterations, snapshot_stride=stride)
+        out = tmp_path / "full"
+        assert cmd_full(p, out, quiet=True) == EXIT_OK
+        assert_manifest_lists_directory(out)
 
 
 class TestCsvFormatting:

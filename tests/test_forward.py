@@ -72,6 +72,7 @@ class TestAddNoise:
         m = simulate_forward(sine_mode(grid), 1.0, grid)
         m0 = add_noise(m, 0.0, 123)
         assert np.array_equal(m0.y, m.y)
+        assert m0.noise_seed is None  # a clean record carries no seed
 
     def test_deterministic(self, grid):
         m = simulate_forward(sine_mode(grid), 1.0, grid)

@@ -9,9 +9,8 @@ from bfwave.observer import (
     OscillatorState,
     extract_estimate,
     initial_observer_state,
-    injection_value,
     observer_half_pass,
-    oscillator_step,
+    oscillator_drive,
     run_back_and_forth,
     run_plant_cycle,
     simulate_cascade,
@@ -36,25 +35,26 @@ def zero_measurement(g):
 
 
 class TestOscillatorStep:
+    """One step of the uncoupled oscillator: oscillator_drive over two-sample series."""
+
     def test_exact_rotation_quarter_turn(self):
         # homogeneous plant dynamics are propagated exactly, z3 included
-        z = oscillator_step(
-            OscillatorState(1.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, np.pi / 2.0
-        )
+        z = OscillatorState(1.0, 0.0, 0.0)
+        z = OscillatorState(*oscillator_drive(z, [0.0, 0.0], None, 1.0, 0.0, np.pi / 2.0)[-1])
         assert z.z1 == pytest.approx(0.0, abs=1e-15)
         assert z.z2 == pytest.approx(-1.0, rel=1e-14)
         assert z.z3 == pytest.approx(1.0, rel=1e-14)
 
     def test_zero_stays_zero(self):
-        z = oscillator_step(OscillatorState(0, 0, 0), 0.0, 0.0, 0.0, 0.0, 1.7, 0.4, 0.01)
-        assert z == OscillatorState(0.0, 0.0, 0.0)
+        zs = oscillator_drive(OscillatorState(0, 0, 0), [0.0, 0.0], [0.0, 0.0], 1.7, 0.4, 0.01)
+        assert OscillatorState(*zs[-1]) == OscillatorState(0.0, 0.0, 0.0)
 
     def test_constant_trace_closed_form(self):
         # z1(t) = 1 - cos t for plant, omega = 1, unit trace forcing
         dt = 5e-4
         z = OscillatorState(0.0, 0.0, 0.0)
         for _ in range(2000):
-            z = oscillator_step(z, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, dt)
+            z = OscillatorState(*oscillator_drive(z, [1.0, 1.0], None, 1.0, 0.0, dt)[-1])
         assert z.z1 == pytest.approx(1.0 - np.cos(1.0), abs=1e-6)
 
     def test_matches_quadrature_oracle(self):
@@ -66,7 +66,7 @@ class TestOscillatorStep:
         z = OscillatorState(0.2, -0.1, 0.05)
         zs = z
         for k in range(n):
-            zs = oscillator_step(zs, g[k], g[k + 1], 0.0, 0.0, 2.0, 0.0, dt)
+            zs = OscillatorState(*oscillator_drive(zs, g[k : k + 2], None, 2.0, 0.0, dt)[-1])
         zo = oscillator_closed_form(2.0, g, dt, z, n * dt)
         assert zs.z1 == pytest.approx(zo.z1, abs=1e-6)
         assert zs.z2 == pytest.approx(zo.z2, abs=1e-6)
@@ -82,8 +82,8 @@ class TestOscillatorStep:
     def test_backward_inverts_forward(self, z1, z2, z3, omega):
         # the (z1, z2) rotation inverts; z3 keeps integrating either way
         z = OscillatorState(z1, z2, z3)
-        fwd = oscillator_step(z, 0.0, 0.0, 0.0, 0.0, omega, 0.0, 0.05, 1.0)
-        back = oscillator_step(fwd, 0.0, 0.0, 0.0, 0.0, omega, 0.0, 0.05, -1.0)
+        fwd = OscillatorState(*oscillator_drive(z, [0.0, 0.0], None, omega, 0.0, 0.05, 1.0)[-1])
+        back = OscillatorState(*oscillator_drive(fwd, [0.0, 0.0], None, omega, 0.0, 0.05, -1.0)[-1])
         assert back.z1 == pytest.approx(z.z1, abs=1e-12)
         assert back.z2 == pytest.approx(z.z2, abs=1e-12)
 
@@ -155,12 +155,12 @@ class TestExtendedMeasurement:
         # sample: y(T) after a forward pass, y(0) after a backward one
         n = grid.n_steps_per_pass
         m = MeasurementRecord(y=np.arange(n + 1, dtype=float), dt=grid.dt, T=grid.T)
-        gains = Gains(1.0, 0.5)
+        g1, g2 = 1.0, 0.5
         s = initial_observer_state(grid)
         for half, last in enumerate([n, 0, n]):
-            s = observer_half_pass(s, m, gains, 2.0, grid)
+            s = observer_half_pass(s, m, Gains(g1, g2), 2.0, grid)
             assert s.half_pass == half + 1
-            bc = injection_value(s.osc, float(last), s.y_integral, gains)
+            bc = g1 * (s.osc.z1 - last) + g1 * g2 * (s.osc.z3 - s.y_integral)
             assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12 * n)
 
     def test_reversal_is_permutation(self, grid):
@@ -234,8 +234,9 @@ class TestObserverHalfPass:
 
     def test_matches_stepwise_reference(self, grid):
         # the fused sweep against the same scheme spelled out with the public
-        # one-step kernels; explicit coupling holds the trace at the left end
-        # of each step. Checked on a backward pass from a nonzero state.
+        # kernels, one step at a time; explicit coupling holds the trace at
+        # the left end of each step. Checked on a backward pass from a
+        # nonzero state.
         from bfwave.leapfrog import neumann_trace, step
         from bfwave.observer import _sweep
 
@@ -252,9 +253,11 @@ class TestObserverHalfPass:
         for k in range(grid.n_steps_per_pass):
             tr = neumann_trace(wave.u_curr, grid.dx)
             traces.append(tr)
-            z = oscillator_step(z, tr, tr, y[k], y[k + 1], 2.0, 0.5, grid.dt, -1.0)
+            zs = oscillator_drive(z, [tr, tr], y[k : k + 2], 2.0, 0.5, grid.dt, -1.0)
+            z = OscillatorState(*zs[-1])
             y_int += 0.5 * grid.dt * (y[k] + y[k + 1])
-            wave = step(wave, injection_value(z, y[k + 1], y_int, gains), grid)
+            bc = gains.gamma1 * (z.z1 - y[k + 1]) + gains.gamma1 * gains.gamma2 * (z.z3 - y_int)
+            wave = step(wave, bc, grid)
             ref.append((z.z1, z.z2, wave.u_curr[0]))
         traces.append(neumann_trace(wave.u_curr, grid.dx))
         ref = np.vstack([np.array(ref).T, traces])
@@ -288,7 +291,8 @@ class TestRunBackAndForth:
         res = reduced_run["result"]
         m = reduced_run["measurement"]
         s = res.final_state
-        bc = injection_value(s.osc, float(m.y[0]), s.y_integral, Gains(1.0, 0.5))
+        g1, g2 = 1.0, 0.5  # the reduced run's gains
+        bc = g1 * (s.osc.z1 - float(m.y[0])) + g1 * g2 * (s.osc.z3 - s.y_integral)
         assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-13)
 
     def test_error_decreases(self, reduced_run):
@@ -366,7 +370,8 @@ class TestCycleMap:
         assert s.half_pass == 2 * cfg.iterations
         assert s.time_sign == 1.0
         y0 = float(ref["measurement"].y[0])
-        bc = injection_value(s.osc, y0, s.y_integral, cfg.gains())
+        g1, g2 = cfg.gamma1, cfg.gamma2
+        bc = g1 * (s.osc.z1 - y0) + g1 * g2 * (s.osc.z3 - s.y_integral)
         assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12)
         assert [r.iteration for r in res.reports] == list(range(cfg.iterations + 1))
 
