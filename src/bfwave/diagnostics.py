@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .forward import simulate_forward
-from .grid import Gains, Grid1D, build_grid, h1_seminorm, l2_norm
+from .grid import ScenarioConfig, build_grid, h1_seminorm, l2_norm
 from .leapfrog import discrete_energy, init_leapfrog, reversed_state, run_homogeneous, step
 from .observer import (
     RunHistory,
@@ -248,17 +248,16 @@ def _battery_hidden_regularity() -> list[CheckResult]:
 
 
 def _battery_observer_run(injection_sign: float = 1.0) -> list[CheckResult]:
-    # reduced back-and-forth scenario: reference scenario, coarser in time
-    g = build_grid(20, 0.02, 3.0)
-    x = g.nodes
-    q = x - x * x
-    q[0] = q[-1] = 0.0
-    omega = 2.0
-    gains = Gains(1.0, 0.5)
-    y = simulate_forward(q, omega, g)
-    res = run_back_and_forth(y, gains, omega, g, 8, q_true=q, injection_sign=injection_sign)
+    # reduced back-and-forth scenario: the reference scenario, coarser in time
+    cfg = ScenarioConfig(cfl=0.02, iterations=8)
+    g = cfg.grid()
+    q = cfg.q_true(g)
+    y = simulate_forward(q, cfg.omega, g)
+    res = run_back_and_forth(
+        y, cfg.gains(), cfg.omega, g, cfg.iterations, q_true=q, injection_sign=injection_sign
+    )
     rel = res.reports[-1].l2_err / l2_norm(q, g)
-    note = "relative L2 estimate error after 8 reduced-scenario iterations"
+    note = f"relative L2 estimate error after {cfg.iterations} reduced-scenario iterations"
     return [*run_level_checks(res.history), _at_most("reconstruction_smoke", rel, 0.40, note)]
 
 

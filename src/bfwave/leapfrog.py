@@ -17,7 +17,7 @@ set the two boundary nodes. run_homogeneous is the one run loop with
 homogeneous walls, free or forced: the truth cascade and the kernel checks
 run it free, forward synthesis forced. _leap, neumann_trace and
 continuation_level also take (nx+1, m) arrays, one level per column, which
-is how the observer's cycle map is built.
+is how the observer's half-pass maps are built.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Cascade, periodized truth cycle, one observer sweep, the cycle map, run_back_and_forth.
+"""Cascade, periodized truth cycle, one observer sweep, the half-pass maps, run_back_and_forth.
 
 The unknown source becomes the initial displacement of a source-free
 cascade wave whose left Neumann trace drives a boundary oscillator with
@@ -26,16 +26,17 @@ the one coupled observer step, and it alone computes the injection value
 that the x=0 node takes; _sweep runs the step over one half-pass and
 records its boundary series.
 
-run_back_and_forth takes one of two routes. A cycle is linear in the
-observer state and affine in the measurement, so the iteration is
-x <- M x + b with M fixed by grid, gains and omega (Ramdani, Tucsnak &
-Weiss 2010; Ito, Ramdani & Tucsnak 2011). Without truth monitoring the
-first cycle runs on the sweep, its end state is b, and the other cycles
-apply the map; _cycle_map builds M from the same step applied to the
-columns of the identity. With truth monitoring every cycle runs on the
-sweep, because the monitored integrals (dissipation, trace bound) need the
-series recorded inside each sweep; they are computed from it after each
-sweep, so monitoring leaves the sweep's arithmetic as it is.
+run_back_and_forth takes one route. A half-pass is linear in the observer
+state and affine in the measurement, so after cycle 1, which runs on the
+sweep, every half-pass is the map x <- S^n x + c followed by the turn R,
+with S the one-step matrix of its direction (fixed by grid, gains and
+omega; Ramdani, Tucsnak & Weiss 2010; Ito, Ramdani & Tucsnak 2011) and c
+the measurement's share, summed over the pass's samples. _linear_parts
+builds S, the step's input matrix B and R from the same step and turn
+applied to the columns of the identity. The truth monitor only reads the
+iteration: the series cycle 1 records, and for every later sweep five
+quadratic forms in its start state (_sweep_forms), which give the
+integrals it would have taken from that sweep's series.
 """
 
 from __future__ import annotations
@@ -417,6 +418,40 @@ def _second_x_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     return d
 
 
+def _trapezoid_sq(series: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid-rule integral of series^2 at spacing dt, per row of a 2-D array."""
+    sq = series * series
+    return dt * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1]))
+
+
+def _slope_sq(f: np.ndarray, dt: float) -> float:
+    """Integral of the squared difference quotient of f, sum((f[k+1] - f[k])^2) / dt."""
+    df = np.diff(f) / dt
+    return dt * np.sum(df * df)
+
+
+def _sweep_integrals(e: np.ndarray, dt: float) -> np.ndarray:
+    """The five integrals the truth monitor takes from one sweep.
+
+    e holds the sweep's series (z1 - z1_truth, z2 - z2_truth, f, trace), f
+    the x=0 Dirichlet value; the result is the trapezoid integrals of their
+    squares, then the integral of the squared slope of f.
+    """
+    return np.append(_trapezoid_sq(e, dt), _slope_sq(e[2], dt))
+
+
+def _trace_bound_ratio(int_f, int_tr, int_fd, q0, q1, T: float, grid: Grid1D) -> float:
+    """hidden_regularity_ratio from the integrals of f^2, trace^2 and the slope of f."""
+    den = 2.0 * (4.0 * T * T + 3.0) * (int_f + int_fd) + 2.0 * (2.0 + T) * (
+        h1_seminorm(q0, grid) ** 2 + l2_norm(q1, grid) ** 2
+    )
+    if den <= 0.0:
+        if int_tr <= 1e-300:
+            return 0.0  # vacuous case: nothing moved, bound holds trivially
+        raise ValueError("trace energy is nonzero but the bound's data vanish")
+    return float(int_tr / den)
+
+
 def hidden_regularity_ratio(
     f: np.ndarray,
     q0: np.ndarray,
@@ -437,20 +472,10 @@ def hidden_regularity_ratio(
     trace = np.asarray(trace, dtype=float)
     if f.shape != trace.shape:
         raise ValueError("boundary data and trace series must share sampling")
-    m = len(f) - 1
-    dt = T / m
-    int_f = dt * (np.sum(f * f) - 0.5 * (f[0] ** 2 + f[-1] ** 2))
-    df = np.diff(f) / dt
-    int_fd = dt * np.sum(df * df)
-    num = dt * (np.sum(trace * trace) - 0.5 * (trace[0] ** 2 + trace[-1] ** 2))
-    den = 2.0 * (4.0 * T * T + 3.0) * (int_f + int_fd) + 2.0 * (2.0 + T) * (
-        h1_seminorm(q0, grid) ** 2 + l2_norm(q1, grid) ** 2
+    dt = T / (len(f) - 1)
+    return _trace_bound_ratio(
+        _trapezoid_sq(f, dt), _trapezoid_sq(trace, dt), _slope_sq(f, dt), q0, q1, T, grid
     )
-    if den <= 0.0:
-        if num <= 1e-300:
-            return 0.0  # vacuous case: nothing moved, bound holds trivially
-        raise ValueError("trace energy is nonzero but the bound's data vanish")
-    return float(num / den)
 
 
 def lyapunov_value(
@@ -481,13 +506,16 @@ class _TruthMonitor:
 
     def __init__(self, q_true: np.ndarray, gains: Gains, omega: float, grid: Grid1D):
         self.q, self.gains, self.omega, self.grid = q_true, gains, omega, grid
-        self.plant = run_plant_cycle(q_true, omega, grid)
+        plant = run_plant_cycle(q_true, omega, grid)
+        self.turn_wave = plant.field_T, plant.vel_T
         n = grid.n_steps_per_pass
-        z = self.plant.z[:, :2]
+        z = plant.z[:, :2]
         # truth (z1, z2) at the nodes of a forward and of a backward sweep;
         # the backward sweep ends on cycle node 2n, read as node 0
-        self.truth_z = (z[: n + 1].T, np.vstack([z[n : 2 * n], z[:1]]).T)
+        self.truth_z = (z[: n + 1].T.copy(), np.vstack([z[n : 2 * n], z[:1]]).T)
         self.int_zt_sq = np.zeros(2)  # running integrals of (z1 - z1_truth)^2, (z2 - z2_truth)^2
+        self.cycle_one: list[np.ndarray | None] = [None, None]  # error series, kept by fold
+        self.forms: list[tuple | None] = [None, None]  # per direction, set by linearize
         self.vel = np.zeros(grid.nx + 1)  # observer velocity at the last boundary
         self.samples: list[tuple[float, float, float]] = []
         self.hidden: list[float] = []
@@ -503,13 +531,14 @@ class _TruthMonitor:
         grid, g1 = self.grid, self.gains.gamma1
         g1g2 = g1 * self.gains.gamma2
         om2 = self.omega * self.omega
-        node = (half % 2) * grid.n_steps_per_pass
-        # the truth wave at a boundary: (q, 0) at t = 0, the turn state at t = T
-        pf, pv = (self.q, 0.0) if half % 2 == 0 else (self.plant.field_T, self.plant.vel_T)
+        # the truth at a boundary: (q, 0) at t = 0, the turn state at t = T,
+        # and the oscillator at the first node of the coming sweep
+        pf, pv = (self.q, 0.0) if half % 2 == 0 else self.turn_wave
+        zt = self.truth_z[half % 2][:, 0]
         w1 = u - pf
         w2 = self.vel - pv
-        zt1 = osc.z1 - self.plant.z[node, 0]
-        zt2 = osc.z2 - self.plant.z[node, 1]
+        zt1 = osc.z1 - zt[0]
+        zt2 = osc.z2 - zt[1]
         a = h1_seminorm(w1, grid) ** 2
         b = l2_norm(w2, grid) ** 2
         w2t = l2_norm(_second_x_derivative(w1, grid.dx), grid)
@@ -538,17 +567,52 @@ class _TruthMonitor:
         nxt: ObserverState,
         rec: np.ndarray,
     ) -> None:
-        """Fold the series recorded by sweep half into the run integrals, then sample its end."""
+        """Fold the series recorded by sweep half into the run integrals, then sample its end.
+
+        The error series of cycle 1 (half-passes 0 and 1) are kept for linearize.
+        """
+        e = rec.copy()
+        e[:2] -= self.truth_z[half % 2]
+        if half < 2:
+            self.cycle_one[half] = e
+        self._fold(half, start, ended, nxt, _sweep_integrals(e, self.grid.dt))
+
+    def linearize(self, half: int, S: np.ndarray, x: np.ndarray) -> None:
+        """Quadratic forms of the integrals of every later sweep in direction half (0 or 1).
+
+        S is the direction's one-step matrix and x the velocity-basis start
+        of cycle 1's sweep half, whose error series the forms expand around.
+        """
+        e, self.cycle_one[half] = self.cycle_one[half], None
+        self.forms[half] = (x, _sweep_integrals(e, self.grid.dt), *_sweep_forms(S, e, self.grid))
+
+    def fold_mapped(
+        self,
+        half: int,
+        start: ObserverState,
+        ended: LeapfrogState,
+        nxt: ObserverState,
+        x: np.ndarray,
+    ) -> None:
+        """Fold sweep half, which starts at velocity-basis x, from its direction's forms."""
+        x1, h, g, G = self.forms[half % 2]
+        d = x - x1
+        self._fold(half, start, ended, nxt, h + (2.0 * g + G @ d) @ d)
+
+    def _fold(
+        self,
+        half: int,
+        start: ObserverState,
+        ended: LeapfrogState,
+        nxt: ObserverState,
+        integrals: np.ndarray,
+    ) -> None:
+        """Add sweep half's five integrals (_sweep_integrals) to the run, then sample its end."""
         grid = self.grid
-        sq = rec[:2] - self.truth_z[half % 2]
-        sq *= sq
-        terms = sq[:, :-1] + sq[:, 1:]
-        terms *= 0.5 * grid.dt
-        # trapezoid rule summed in step order, as a running total would be
-        terms[:, 0] += self.int_zt_sq
-        self.int_zt_sq = np.cumsum(terms, axis=1, out=terms)[:, -1].copy()
+        self.int_zt_sq = self.int_zt_sq + integrals[:2]
+        int_f, int_tr, int_fd = integrals[2:]
         self.hidden.append(
-            hidden_regularity_ratio(rec[2], start.wave.u_curr, self.vel, rec[3], grid.T, grid)
+            _trace_bound_ratio(int_f, int_tr, int_fd, start.wave.u_curr, self.vel, grid.T, grid)
         )
         self.vel = start.time_sign * (nxt.wave.u_prev - ended.u_prev) / (2.0 * grid.dt)
         self._sample(half + 1, nxt.wave.u_curr, nxt.osc)
@@ -574,15 +638,20 @@ class _TruthMonitor:
 
 
 # ---------------------------------------------------------------------------
-# the cycle map
+# the half-pass maps
 #
-# One forward+backward cycle is linear in the observer state and affine in
-# the measurement, x <- M x + b, with M fixed by grid, gains and omega and b
-# the state that one cycle leaves from the zero start. The state vector is
-# (u_curr, (u_curr - u_prev)/dt, z1, z2, z3, y_int). Raised to the n-th
-# power in this velocity basis, the one-step matrix keeps the reference
-# estimates within 2e-11 of the step path over 50 cycles; in the two-level
-# basis (u_prev, u_curr), where |M| is about 400, they drift by up to 7.5e-7.
+# A half-pass is linear in the observer state and affine in the measurement:
+# the sweep leaves S^n x + c from the start x, and the turn R re-seeds it, with
+# S the one-step matrix of the pass's direction over a zero measurement and c
+# = sum_k S^(n-1-k) B (Y_k, Y_k+1). The state vector is (u_curr,
+# (u_curr - u_prev)/dt, z1, z2, z3, y_int). In this velocity basis the map
+# keeps the 50-cycle reference estimates within 6e-12 (relative) of an
+# extended-precision run of the same recurrence (the step path: 1.3e-11); in the
+# two-level basis (u_prev, u_curr), where the cycle map is about 400 in norm,
+# they drift by up to 7.5e-7. Reading c off cycle 1's stepped end instead
+# applies that sweep's rounding again in every cycle (estimates 5e-11 off).
+# One cycle is x <- M x + b with M = R S_b^n R S_f^n (Ramdani, Tucsnak &
+# Weiss 2010).
 
 
 def _state_vector(u_prev, u_curr, z1, z2, z3, y_int, dt: float) -> np.ndarray:
@@ -596,26 +665,107 @@ def _state_parts(x: np.ndarray, nx1: int, dt: float) -> tuple:
     return u - dt * v, u, z1, z2, z3, y_int
 
 
-def _cycle_map(gains: Gains, omega: float, grid: Grid1D, injection_sign: float) -> np.ndarray:
-    """M = R S_b^n R S_f^n in the velocity basis.
+def _observer_vector(wave: LeapfrogState, state: ObserverState, dt: float) -> np.ndarray:
+    """Velocity-basis vector of wave with the oscillator and y integral of state."""
+    return _state_vector(wave.u_prev, wave.u_curr, *state.osc, state.y_integral, dt)
 
-    S_f and S_b are the one-step matrices of a forward and a backward sweep
-    over a zero measurement and R is the turn; each is the step's or the
-    turn's own arithmetic applied to the columns of the identity.
-    np.linalg.matrix_power reaches the n-th power by repeated squaring.
+
+def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: float):
+    """The turn R and, per direction, the one-step matrix S and input matrix B.
+
+    A step takes the velocity-basis state x to S x + B (Y_k, Y_k+1), the
+    measurement at its two ends. Each is the step's or the turn's own
+    arithmetic applied to the columns of the identity, B to the zero state
+    under unit measurement values.
     """
     nx1, dt = grid.nx + 1, grid.dt
     basis = _state_parts(np.eye(2 * nx1 + 4), nx1, dt)
     u_prev, u_curr, *osc = basis
     ghost = continuation_level(LeapfrogState(u_prev, u_curr), grid)
-    turn = _state_vector(ghost, u_curr, *osc, dt)
-    sweeps = []
+    zero = _state_parts(np.zeros((2 * nx1 + 4, 2)), nx1, dt)
+    parts = []
     for s in (1.0, -1.0):
         step = _observer_step(gains, omega, grid, s, injection_sign)
         _, advanced = step(*basis, 0.0, 0.0)
-        sweeps.append(np.linalg.matrix_power(_state_vector(*advanced, dt), grid.n_steps_per_pass))
-    forward, backward = sweeps
-    return turn @ backward @ turn @ forward
+        _, driven = step(*zero, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        parts.append((_state_vector(*advanced, dt), _state_vector(*driven, dt)))
+    return _state_vector(ghost, u_curr, *osc, dt), parts
+
+
+_POWER_BLOCK = 128  # steps whose rows _power_sum holds at once
+
+
+def _power_sum(S: np.ndarray, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_k a[:, k] * (rows S^k), one result row per row of rows.
+
+    The rows S^j, j < b, are carried one step at a time; each block of b
+    terms is then one matrix product with them, and the blocks are joined
+    by Horner's rule in S^b, b = _POWER_BLOCK. That is about b + K/b small
+    products for K terms, each sum as accurate as the rows.
+    """
+    b = _POWER_BLOCK
+    block = np.empty((b, *rows.shape))
+    block[0] = rows
+    for j in range(1, b):
+        block[j] = block[j - 1] @ S
+    Sb = np.linalg.matrix_power(S, b)
+    full = a.shape[1] // b
+    tail = a[:, full * b :]
+    total = np.einsum("ck,kcd->cd", tail, block[: tail.shape[1]])
+    sums = np.matmul(a[:, : full * b].reshape(len(a), full, b), block.transpose(1, 0, 2))
+    for i in reversed(range(full)):
+        total = total @ Sb + sums[:, i]
+    return total
+
+
+def _sweep_forms(S: np.ndarray, e: np.ndarray, grid: Grid1D):
+    """Linear and quadratic parts (g, G) of the five sweep integrals in the start offset.
+
+    A sweep that starts d away from the sweep that recorded e (the series of
+    _sweep_integrals) records e + (D S^k d)_k, D the rows that read z1, z2,
+    f and the trace off a state, and the differences of its f change by
+    D_f (S - I) S^k d. So each of its integrals is h + 2 g.d + d.G.d, h
+    that of e, with g = sum_k a_k D S^k and G = sum_k w_k S^k' D'D S^k over
+    the sweep's steps (a_k the weighted series, w_k the weights). g is a
+    _power_sum; G is summed by doubling, W(i + j) = W(i) + S^i' W(j) S^i
+    with W(j) the sum over j steps.
+    """
+    nx1, dt, n = grid.nx + 1, grid.dt, grid.n_steps_per_pass
+    dim = S.shape[0]
+    D = np.zeros((5, dim))
+    D[0, 2 * nx1] = D[1, 2 * nx1 + 1] = D[2, 0] = 1.0
+    D[3, :nx1] = neumann_trace(np.eye(nx1), grid.dx)
+    D[4] = D[2] @ S - D[2]
+    # trapezoid over k = 0..n for the four series; the slope of f over k = 0..n-1
+    a = np.zeros((5, n + 1))
+    np.multiply(e, dt, out=a[:4])
+    a[:4, [0, n]] *= 0.5
+    a[4, :n] = np.diff(e[2]) / dt
+    # The term k = 0 is summed apart: D[4] reads f_1 - f_0, which is not
+    # small off the sweep's states, while D[4] S^k, k >= 1, are differences
+    # of consecutive f, and carried from D S they keep their own scale.
+    DS = D @ S
+    g = a[:, :1] * D + _power_sum(S, DS, a[:, 1:])
+    W = DS[:, :, None] * DS[:, None, :]
+    P, A, total, bits = S, np.eye(dim), np.zeros_like(W), n - 1
+    while True:
+        if bits & 1:
+            total += A.T @ W @ A
+            A = A @ P
+        bits >>= 1
+        if not bits:
+            break
+        W = W + P.T @ W @ P
+        P = P @ P
+    # total sums k = 1 .. n-1 and A = S^(n-1); the trapezoid adds k = 0 and
+    # k = n at half weight, the slope k = 0 at full weight
+    first, last = D[:4], DS[:4] @ A
+    G = np.empty_like(W)
+    G[:4] = dt * total[:4] + 0.5 * dt * (
+        first[:, :, None] * first[:, None, :] + last[:, :, None] * last[:, None, :]
+    )
+    G[4] = (total[4] + np.outer(D[4], D[4])) / dt
+    return g, G
 
 
 def _cycle_ends(
@@ -630,34 +780,53 @@ def _cycle_ends(
 ):
     """The observer states at the ends of cycles 1 to n_iterations.
 
-    The truth monitor reads the series of every sweep, so monitored runs
-    step through every cycle. Unmonitored runs step through the first one
-    only; its end state is b, and the others come from x <- M x + b.
+    Cycle 1 runs on the sweep. Every later half-pass comes from its
+    direction's map: the sweep's end is S^n x + c, with the offset c the
+    measurement's share, summed from the input matrix B by _power_sum, and
+    the turn R re-seeds it. The truth monitor only reads: the series cycle 1
+    records, then, for the later sweeps, the quadratic forms it builds
+    around them from S.
     """
-    rec = np.empty((4, grid.n_steps_per_pass + 1))
-    stepped = n_iterations if monitor is not None else 1
-    for half in range(2 * stepped):
+    n, nx1, dt = grid.n_steps_per_pass, grid.nx + 1, grid.dt
+    rec = np.empty((4, n + 1))
+    starts = []
+    for half in range(2):
         start = state
         state, ended = _sweep(start, y, gains, omega, grid, injection_sign, rec)
         if monitor is not None:
             monitor.fold(half, start, ended, state, rec)
-        if half % 2 == 1:
-            yield state
-    if stepped == n_iterations:
+        starts.append(_observer_vector(start.wave, start, dt))
+    del rec  # the monitor keeps its own copy of cycle 1's series
+    yield state
+    if n_iterations == 1:
         return
-    nx1, dt = grid.nx + 1, grid.dt
-    b = _state_vector(state.wave.u_prev, state.wave.u_curr, *state.osc, state.y_integral, dt)
-    M = _cycle_map(gains, omega, grid, injection_sign)
-    x = b
-    for k in range(stepped + 1, n_iterations + 1):
-        x = M @ x + b
-        u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x, nx1, dt)
-        yield ObserverState(
-            wave=LeapfrogState(u_prev, u_curr),
+    turn, parts = _linear_parts(gains, omega, grid, injection_sign)
+    maps = []
+    for half, (S, B) in enumerate(parts):
+        # c = sum_k S^(n-1-k) B (Y_k, Y_k+1), the step inputs of the pass's samples
+        Yp = y if half == 0 else y[::-1]
+        c = _power_sum(S.T, B.T, np.vstack([Yp[-2::-1], Yp[:0:-1]])).sum(axis=0)
+        maps.append((np.linalg.matrix_power(S, n), c))
+        if monitor is not None:
+            monitor.linearize(half, S, starts[half])
+    x = _observer_vector(state.wave, state, dt)
+    for half in range(2, 2 * n_iterations):
+        P, c = maps[half % 2]
+        start, x_start = state, x
+        x_end = P @ x + c
+        x = turn @ x_end
+        u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x_end, nx1, dt)
+        ended = LeapfrogState(u_prev, u_curr)
+        state = ObserverState(
+            wave=LeapfrogState(*_state_parts(x, nx1, dt)[:2]),
             osc=OscillatorState(float(z1), float(z2), float(z3)),
             y_integral=float(y_int),
-            half_pass=2 * k,
+            half_pass=half + 1,
         )
+        if monitor is not None:
+            monitor.fold_mapped(half, start, ended, state, x_start)
+        if half % 2 == 1:
+            yield state
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +849,9 @@ def run_back_and_forth(
     estimate after k full cycles (estimates[0] is the zero initial guess);
     reports carry per-iteration errors when q_true is given. With q_true
     the exact periodized truth cycle is integrated once and error fields
-    observer-minus-truth are sampled at every half-pass boundary. Without
-    it, cycles after the first go through the cycle map x <- M x + b.
+    observer-minus-truth are sampled at every half-pass boundary; the
+    iteration is the same with or without it, cycles after the first going
+    through the half-pass maps.
 
     injection_sign is a fault-injection hook for the diagnostics battery
     (a wrong sign must break the Lyapunov decrease); leave at 1.0.

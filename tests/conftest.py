@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, settings
 
-from bfwave import Gains, add_noise, build_grid, l2_norm, run_back_and_forth, simulate_forward
+from bfwave import ScenarioConfig, add_noise, l2_norm, run_back_and_forth, simulate_forward
 from bfwave.scenarios import minimal_horizon_scenario, reference_scenario
 
 settings.register_profile(
@@ -55,12 +55,11 @@ def minimal_horizon_run():
 @pytest.fixture(scope="session")
 def reduced_run():
     """Cheap monitored run (coarse dt) for driver/diagnostics tests."""
-    grid = build_grid(20, 0.02, 3.0)
-    x = grid.nodes
-    q = x - x * x
-    q[0] = q[-1] = 0.0
-    m = simulate_forward(q, 2.0, grid)
-    res = run_back_and_forth(m, Gains(1.0, 0.5), 2.0, grid, 6, q_true=q)
+    cfg = ScenarioConfig(cfl=0.02, iterations=6)
+    grid = cfg.grid()
+    q = cfg.q_true(grid)
+    m = simulate_forward(q, cfg.omega, grid)
+    res = run_back_and_forth(m, cfg.gains(), cfg.omega, grid, cfg.iterations, q_true=q)
     return dict(grid=grid, q=q, qn=l2_norm(q, grid), measurement=m, result=res)
 
 

@@ -16,7 +16,7 @@ from bfwave.diagnostics import (
     second_energy_boundedness,
 )
 from bfwave.forward import simulate_forward
-from bfwave.grid import Gains, build_grid
+from bfwave.grid import Gains, ScenarioConfig, build_grid
 from bfwave.observer import OscillatorState, run_back_and_forth
 
 
@@ -102,12 +102,13 @@ class TestRunLevelChecks:
 
     def test_sign_fault_breaks_lyapunov_decrease(self):
         # a flipped injection must be caught by the decrease check
-        g = build_grid(20, 0.02, 3.0)
-        x = g.nodes
-        q = x - x * x
-        q[0] = q[-1] = 0.0
-        m = simulate_forward(q, 2.0, g)
-        res = run_back_and_forth(m, Gains(1.0, 0.5), 2.0, g, 4, q_true=q, injection_sign=-1.0)
+        cfg = ScenarioConfig(cfl=0.02, iterations=4)
+        g = cfg.grid()
+        q = cfg.q_true(g)
+        m = simulate_forward(q, cfg.omega, g)
+        res = run_back_and_forth(
+            m, cfg.gains(), cfg.omega, g, cfg.iterations, q_true=q, injection_sign=-1.0
+        )
         h = res.history
         assert not lyapunov_decrease_check(h.lyapunov, 1e-3 * h.lyapunov[0]).passed
 

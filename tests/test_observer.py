@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfwave.forward import MeasurementRecord, simulate_forward
-from bfwave.grid import Gains, build_grid
+from bfwave.grid import Gains, ScenarioConfig, build_grid
 from bfwave.leapfrog import init_leapfrog
 from bfwave.observer import (
+    IterationReport,
     OscillatorState,
+    _sweep,
+    _TruthMonitor,
     extract_estimate,
     initial_observer_state,
     observer_half_pass,
@@ -32,6 +35,42 @@ def poly_source(g):
 
 def zero_measurement(g):
     return MeasurementRecord(y=np.zeros(g.n_steps_per_pass + 1), dt=g.dt, T=g.T)
+
+
+def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.0):
+    """The step path of a monitored run: every half-pass on _sweep, its record fed to the monitor.
+
+    Returns (estimates, reports, history) as run_back_and_forth would.
+    """
+    monitor = _TruthMonitor(q, gains, omega, g)
+    state = initial_observer_state(g)
+    estimates = [extract_estimate(state, g)]
+    reports = [IterationReport(iteration=0)]
+    monitor.fill(reports[0], estimates[0])
+    rec = np.empty((4, g.n_steps_per_pass + 1))
+    for half in range(2 * n_iterations):
+        start = state
+        state, ended = _sweep(start, m.y, gains, omega, g, injection_sign, rec)
+        monitor.fold(half, start, ended, state, rec)
+        if half % 2 == 1:
+            estimates.append(extract_estimate(state, g))
+            reports.append(IterationReport(iteration=state.half_pass // 2))
+            monitor.fill(reports[-1], estimates[-1])
+    return estimates, reports, monitor.history()
+
+
+HISTORY_SERIES = ("lyapunov", "energy_lhs", "second_energy_lhs", "hidden_ratios")
+REPORT_SERIES = ("l2_err", "h1_err", "lyapunov", "energy_residual")
+
+
+def series_gaps(a_history, a_reports, b_history, b_reports):
+    """Largest gap of each history and report series, over that series' max |value|."""
+    pairs = {k: (getattr(a_history, k), getattr(b_history, k)) for k in HISTORY_SERIES}
+    for k in REPORT_SERIES:
+        pairs["report." + k] = tuple(
+            np.array([getattr(r, k) for r in reps]) for reps in (a_reports, b_reports)
+        )
+    return {k: np.max(np.abs(a - b)) / np.max(np.abs(a)) for k, (a, b) in pairs.items()}
 
 
 class TestOscillatorStep:
@@ -330,46 +369,132 @@ class TestRunBackAndForth:
         assert np.allclose(b.estimates[1], c * a.estimates[1], atol=1e-12)
 
     def test_monitoring_leaves_the_sweep_unchanged(self, grid):
-        # monitored runs step through every cycle with the public half-pass
-        # sweep; truth monitoring only reads what the sweep records
+        # monitored and unmonitored runs take one route: monitoring reads the
+        # iteration and never changes it. Against the public half-pass, cycle 1
+        # (on the sweep) is bitwise and cycle 2 (through the map) within 1e-9.
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
         gains = Gains(1.0, 0.5)
         b = run_back_and_forth(m, gains, 2.0, grid, 2, q_true=q)
+        a = run_back_and_forth(m, gains, 2.0, grid, 2)
+        assert len(a.estimates) == len(b.estimates) == 3
+        for qa, qb in zip(a.estimates, b.estimates):
+            assert np.array_equal(qa, qb)
+        assert np.array_equal(a.final_state.wave.u_prev, b.final_state.wave.u_prev)
+        assert np.array_equal(a.final_state.wave.u_curr, b.final_state.wave.u_curr)
+        assert a.final_state.osc == b.final_state.osc
         s = initial_observer_state(grid)
         composed = [extract_estimate(s, grid)]
         for _ in range(4):
             s = observer_half_pass(s, m, gains, 2.0, grid)
             if s.half_pass % 2 == 0:
                 composed.append(extract_estimate(s, grid))
-        assert len(b.estimates) == len(composed) == 3
-        for qa, qb in zip(composed, b.estimates):
-            assert np.array_equal(qa, qb)
-        assert np.array_equal(s.wave.u_prev, b.final_state.wave.u_prev)
-        assert s.osc == b.final_state.osc
+        assert np.array_equal(composed[1], b.estimates[1])
+        assert np.max(np.abs(composed[2] - b.estimates[2])) <= 1e-9
+        assert np.max(np.abs(s.wave.u_prev - b.final_state.wave.u_prev)) <= 1e-9
+
+
+class TestMonitorForms:
+    """Monitored runs after cycle 1: the monitor evaluates per-direction quadratic forms."""
+
+    @pytest.fixture(scope="class")
+    def reduced(self):
+        cfg = ScenarioConfig(cfl=0.02, iterations=8)
+        g = cfg.grid()
+        q = cfg.q_true(g)
+        m = simulate_forward(q, cfg.omega, g)
+        args = (m, cfg.gains(), cfg.omega, g, cfg.iterations)
+        return dict(
+            args=args,
+            q=q,
+            mapped=run_back_and_forth(*args, q_true=q),
+            stepped=stepped_monitored_run(*args, q),
+        )
+
+    def test_matches_step_path(self, reduced):
+        res = reduced["mapped"]
+        estimates, reports, history = reduced["stepped"]
+        gaps = series_gaps(history, reports, res.history, res.reports)
+        assert max(gaps.values()) <= 1e-9, gaps
+        gap = max(np.max(np.abs(a - b)) for a, b in zip(estimates, res.estimates))
+        assert gap <= 1e-9
+        assert len(res.history.lyapunov) == len(history.lyapunov) == 17
+
+    def test_cycle_one_bitwise(self, reduced):
+        res = reduced["mapped"]
+        estimates, reports, history = reduced["stepped"]
+        assert np.array_equal(estimates[1], res.estimates[1])
+        for k in HISTORY_SERIES[:3]:
+            assert np.array_equal(getattr(history, k)[:3], getattr(res.history, k)[:3])
+        assert np.array_equal(history.hidden_ratios[:2], res.history.hidden_ratios[:2])
+        for k in REPORT_SERIES:
+            assert getattr(reports[1], k) == getattr(res.reports[1], k)
+
+    def test_one_cycle_run(self, reduced):
+        # a one-cycle run never builds the maps or the forms
+        res = run_back_and_forth(*reduced["args"][:-1], 1, q_true=reduced["q"])
+        mapped = reduced["mapped"]
+        assert len(res.history.lyapunov) == 3 and len(res.history.hidden_ratios) == 2
+        assert np.array_equal(res.history.energy_lhs, mapped.history.energy_lhs[:3])
+        assert np.array_equal(res.estimates[1], mapped.estimates[1])
+
+    def test_sign_fault_still_caught(self, reduced):
+        # the flipped injection reaches the forms as it reaches the step path
+        from bfwave.diagnostics import lyapunov_decrease_check
+
+        res = run_back_and_forth(*reduced["args"], q_true=reduced["q"], injection_sign=-1.0)
+        h = res.history
+        assert not lyapunov_decrease_check(h.lyapunov, 1e-3 * h.lyapunov[0]).passed
+        _, reports, history = stepped_monitored_run(
+            *reduced["args"], reduced["q"], injection_sign=-1.0
+        )
+        gaps = series_gaps(history, reports, h, res.reports)
+        assert max(gaps.values()) <= 1e-9, gaps
+
+    def test_zero_truth_zero_measurement(self, grid):
+        # the forms of an all-zero run are zero: no energy, no trace, no refusal
+        m = zero_measurement(grid)
+        res = run_back_and_forth(m, Gains(1, 0.5), 2.0, grid, 3, q_true=np.zeros(21))
+        assert not res.history.energy_lhs.any()
+        assert not res.history.hidden_ratios.any()
 
 
 class TestCycleMap:
-    """Unmonitored runs: cycle 1 on the sweep, the others through x <- M x + b."""
+    """Every run: cycle 1 on the sweep, the later half-passes through their maps."""
 
     @pytest.mark.slow
     @pytest.mark.parametrize("run", ["reference_run", "reference_run_noisy"])
     def test_matches_step_path(self, run, request):
-        # the monitored fixture run is the step path over all 50 cycles
+        # the fixture's monitored run against the step path over all 50 cycles,
+        # composed here with the same monitor feed
         ref = request.getfixturevalue(run)
-        cfg, grid = ref["cfg"], ref["grid"]
-        stepped = ref["result"]
-        res = run_back_and_forth(ref["measurement"], cfg.gains(), cfg.omega, grid, cfg.iterations)
-        assert res.history is None
-        assert len(res.estimates) == len(stepped.estimates) == cfg.iterations + 1
-        assert np.array_equal(res.estimates[1], stepped.estimates[1])
-        gap = max(np.max(np.abs(a - b)) for a, b in zip(res.estimates, stepped.estimates))
+        cfg, grid, m = ref["cfg"], ref["grid"], ref["measurement"]
+        mapped = ref["result"]
+        estimates, reports, history = stepped_monitored_run(
+            m, cfg.gains(), cfg.omega, grid, cfg.iterations, ref["q"]
+        )
+        assert len(mapped.estimates) == len(estimates) == cfg.iterations + 1
+        assert np.array_equal(mapped.estimates[1], estimates[1])
+        gap = max(np.max(np.abs(a - b)) for a, b in zip(mapped.estimates, estimates))
         assert gap <= 1e-9
+        gaps = series_gaps(history, reports, mapped.history, mapped.reports)
+        assert max(gaps[k] for k in HISTORY_SERIES) <= 1e-9, gaps
+        assert max(gaps["report." + k] for k in REPORT_SERIES[:3]) <= 1e-9, gaps
+        # the residual |lhs - rhs| / rhs, lhs within 1 % of rhs, carries the
+        # bundle's gap over rhs: the energy_lhs bound above, in its own units
+        lhs = history.energy_lhs
+        res_gap = gaps["report.energy_residual"] * max(r.energy_residual for r in reports)
+        assert res_gap <= 1e-9 * np.max(lhs) / lhs[0], gaps
+        # the unmonitored run is the same iteration
+        res = run_back_and_forth(m, cfg.gains(), cfg.omega, grid, cfg.iterations)
+        assert res.history is None
+        for a, b in zip(res.estimates, mapped.estimates):
+            assert np.array_equal(a, b)
         # the rebuilt final state keeps the injection invariant at x=0
         s = res.final_state
         assert s.half_pass == 2 * cfg.iterations
         assert s.time_sign == 1.0
-        y0 = float(ref["measurement"].y[0])
+        y0 = float(m.y[0])
         g1, g2 = cfg.gamma1, cfg.gamma2
         bc = g1 * (s.osc.z1 - y0) + g1 * g2 * (s.osc.z3 - s.y_integral)
         assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12)
