@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""How far the reference estimates are from an extended-precision run.
+
+Runs the observer recurrence of the clean 50-cycle reference scenario in
+numpy longdouble: the library's own observer step
+(observer._observer_step) and turn (leapfrog.continuation_level, with the
+oscillator velocity z2 negated) applied to (nx+1, 1) long-double columns,
+the measurement replayed reversed on backward passes, as observer._sweep
+does. The coefficients are the library's float64 ones, so the reference
+differs from the float64 runs only in the rounding of the arithmetic. It
+then prints, for two float64 routes,
+
+* run_back_and_forth (cycle 1 on the sweep, later cycles through the map),
+* the step path (every half-pass on observer_half_pass),
+
+the largest |estimate - reference| over the 50 cycle ends, divided by the
+largest |reference|. Where longdouble has no more mantissa bits than
+float64, the reference is no better than what it measures, and the script
+says so.
+
+    python scripts/extended_reference.py      # about a minute
+
+The package is imported from the `src/` directory next to this script.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bfwave.forward import simulate_forward  # noqa: E402
+from bfwave.leapfrog import LeapfrogState, continuation_level  # noqa: E402
+from bfwave.observer import (  # noqa: E402
+    _observer_step,
+    extract_estimate,
+    initial_observer_state,
+    observer_half_pass,
+    run_back_and_forth,
+)
+from bfwave.scenarios import reference_scenario  # noqa: E402
+
+
+def reference_estimates(y, gains, omega, grid, cycles: int) -> np.ndarray:
+    """Estimates after cycles 1..cycles of the long-double recurrence, one row each."""
+    step = _observer_step(gains, omega, grid, 1.0)
+    n, nx1 = grid.n_steps_per_pass, grid.nx + 1
+    y = np.asarray(y, dtype=np.longdouble)
+    u_prev = np.zeros((nx1, 1), dtype=np.longdouble)
+    u_curr = u_prev.copy()
+    z1 = z2 = z3 = y_int = np.zeros(1, dtype=np.longdouble)
+    estimates = []
+    for half in range(2 * cycles):
+        Yp = y if half % 2 == 0 else y[::-1]
+        for k in range(n):
+            _, (u_prev, u_curr, z1, z2, z3, y_int) = step(
+                u_prev, u_curr, z1, z2, z3, y_int, Yp[k], Yp[k + 1]
+            )
+        u_prev = continuation_level(LeapfrogState(u_prev, u_curr), grid)
+        z2 = -z2
+        if half % 2 == 1:
+            q_hat = u_curr[:, 0].copy()
+            q_hat[0] = q_hat[-1] = 0.0
+            estimates.append(q_hat)
+    return np.array(estimates)
+
+
+def step_path_estimates(m, gains, omega, grid, cycles: int) -> np.ndarray:
+    state = initial_observer_state(grid)
+    estimates = []
+    for _ in range(cycles):
+        for _half in range(2):
+            state = observer_half_pass(state, m, gains, omega, grid)
+        estimates.append(extract_estimate(state, grid))
+    return np.array(estimates)
+
+
+def main() -> None:
+    cfg = reference_scenario(noise=0.0)
+    grid = cfg.grid()
+    gains, cycles = cfg.gains(), cfg.iterations
+    m = simulate_forward(cfg.q_true(grid), cfg.omega, grid)
+    if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+        print("longdouble is no wider than float64 here; the reference measures nothing")
+    t0 = time.perf_counter()
+    ref = reference_estimates(m.y, gains, cfg.omega, grid, cycles)
+    print(f"extended-precision reference: {cycles} cycles in {time.perf_counter() - t0:.1f} s")
+    scale = float(np.max(np.abs(ref)))
+    routes = {
+        "run_back_and_forth": np.array(
+            run_back_and_forth(m, gains, cfg.omega, grid, cycles).estimates[1:]
+        ),
+        "step path": step_path_estimates(m, gains, cfg.omega, grid, cycles),
+    }
+    for label, est in routes.items():
+        gap = float(np.max(np.abs(est - ref))) / scale
+        print(f"  {label}: largest |estimate - reference| / max|reference| = {gap:.2e}")
+
+
+if __name__ == "__main__":
+    main()

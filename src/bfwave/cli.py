@@ -207,7 +207,7 @@ def _refused_as(error: type[ValueError]):
         raise error(str(e)) from e
 
 
-def _setup(config_path, out_dir, seed: int | None, needs_source: str | None = None):
+def _setup(config_path, out_dir, seed: int | None = None, needs_source: str | None = None):
     """Config, output directory and seed of a command, all checked before any write.
 
     needs_source names the command when it cannot run without a source profile.
@@ -282,11 +282,11 @@ def cmd_simulate(config_path, out_dir=None, seed: int | None = None, quiet: bool
 
 
 @_exit_codes
-def cmd_invert(config_path, measurement_path, out_dir=None, seed: int | None = None, quiet: bool = False) -> int:
-    cfg, out, seed_used = _setup(config_path, out_dir, seed)
+def cmd_invert(config_path, measurement_path, out_dir=None, quiet: bool = False) -> int:
+    cfg, out, seed_used = _setup(config_path, out_dir)
     grid = cfg.grid()
     with _refused_as(MeasurementError):
-        measurement = read_measurement_csv(measurement_path, omega=cfg.omega)
+        measurement = read_measurement_csv(measurement_path)
         pass_samples(measurement, grid)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -335,16 +335,18 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=f"bfwave {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run(name: str, summary: str):
+    def add_run(name: str, summary: str, seeded: bool = True):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", default=None, help="output directory (default: config's out_dir)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
         return p
 
     add_run("simulate", "synthesize the measurement")
-    p_inv = add_run("invert", "run the estimator on a measurement CSV")
+    # invert draws no random numbers, so it takes no --seed
+    p_inv = add_run("invert", "run the estimator on a measurement CSV", seeded=False)
     p_inv.add_argument("--measurement", required=True, help="measurement CSV path")
     p_ver = sub.add_parser("verify", help="run the built-in diagnostics battery")
     p_ver.add_argument("--out", required=True, help="output directory")
@@ -362,7 +364,7 @@ def main(argv=None) -> int:
     if args.command == "simulate":
         return cmd_simulate(args.config, args.out, args.seed, args.quiet)
     if args.command == "invert":
-        return cmd_invert(args.config, args.measurement, args.out, args.seed, args.quiet)
+        return cmd_invert(args.config, args.measurement, args.out, args.quiet)
     if args.command == "verify":
         sign = -1.0 if args.inject_sign_error else 1.0
         return cmd_verify(args.out, args.jobs, args.quiet, injection_sign=sign, checks=args.checks)

@@ -181,9 +181,8 @@ def _battery_kernel() -> list[CheckResult]:
     for _ in range(g.n_steps_per_pass):
         state = step(state, 0.0, g)
         drift = max(drift, abs(discrete_energy(state, g) - e0) / e0)
-    # forward n steps, turn, backward n steps must reproduce the start
-    fwd, _ = run_homogeneous(q0, g, g.n_steps_per_pass)
-    back = reversed_state(fwd, g)
+    # forward n steps (the drift loop's), turn, backward n steps must reproduce the start
+    back = reversed_state(state, g)
     for _ in range(g.n_steps_per_pass):
         back = step(back, 0.0, g)
     rt = float(np.max(np.abs(back.u_curr - q0)))

@@ -37,7 +37,6 @@ class MeasurementRecord:
     y: np.ndarray
     dt: float
     T: float
-    omega: float | None = None
     noise_level: float = 0.0
     noise_seed: int | None = None
     provenance: str = "clean"
@@ -55,7 +54,7 @@ def simulate_forward(q: np.ndarray, omega: float, grid: Grid1D) -> MeasurementRe
     if q[0] != 0.0 or q[-1] != 0.0:
         raise ValueError("source must vanish at both endpoints")
     _, y = run_homogeneous(np.zeros(grid.nx + 1), grid, grid.n_steps_per_pass, q, omega)
-    return MeasurementRecord(y=y, dt=grid.dt, T=grid.T, omega=omega)
+    return MeasurementRecord(y=y, dt=grid.dt, T=grid.T)
 
 
 def rms(y: np.ndarray, dt: float, T: float) -> float:
@@ -114,7 +113,7 @@ def _read_provenance(line: str) -> dict:
     return fields
 
 
-def read_measurement_csv(path, omega: float | None = None) -> MeasurementRecord:
+def read_measurement_csv(path) -> MeasurementRecord:
     """Read a t,y measurement, and its provenance line if it has one.
 
     Samples are parsed straight into two float arrays. A file without a
@@ -141,4 +140,4 @@ def read_measurement_csv(path, omega: float | None = None) -> MeasurementRecord:
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-12 + 1e-9 * dt):
         raise ValueError("measurement sampling is not uniform")
-    return MeasurementRecord(y=y, dt=float(dt), T=float(t[-1]), omega=omega, **fields)
+    return MeasurementRecord(y=y, dt=float(dt), T=float(t[-1]), **fields)

@@ -1,4 +1,4 @@
-"""Cascade, periodized truth cycle, one observer sweep, the half-pass maps, run_back_and_forth.
+"""Cascade, periodized truth cycle, one observer sweep, the half-pass map, run_back_and_forth.
 
 The unknown source becomes the initial displacement of a source-free
 cascade wave whose left Neumann trace drives a boundary oscillator with
@@ -8,35 +8,38 @@ over the measurement window alternate, and after every backward sweep the
 observer displacement at t = 2kT is the current source estimate.
 
 Every sweep integrates in a local time that increases. Half-pass k runs
-forward for even k and backward (the time-reversed dynamics) for odd k, so
-a direction is never stored: the time sign s = +1 or -1 that the
-oscillator functions take comes from the parity of the half-pass index
-(ObserverState.time_sign). A backward sweep replays the measurement
-reversed and is realized by the same stencil after the two stored wave
-levels are re-seeded at the turn (leapfrog.reversed_state). The
-oscillator is propagated with the exact matrix exponential of its
-homogeneous part plus trapezoidal forcing. The wave trace entering the
-oscillator is held at its left endpoint within each step (explicit
-coupling); the measured output Y enters with both endpoints.
+forward for even k and backward (the time-reversed dynamics) for odd k.
+The time-reversed system is the forward one in the reversed time, so
+every sweep takes the same step, and the state is stored in the local
+time of the sweep it is ready for: the turn re-seeds the two wave levels
+(leapfrog.reversed_state) and negates the oscillator velocity z2. Only
+the replay order of the measurement, reversed on a backward sweep, comes
+from the parity of the half-pass index. The oscillator is propagated with
+the exact matrix exponential of its homogeneous part plus trapezoidal
+forcing. The wave trace entering the oscillator is held at its left
+endpoint within each step (explicit coupling); the measured output Y
+enters with both endpoints.
 
-Each loop is written once. oscillator_drive runs the uncoupled oscillator
-over a given forcing series (the cascade and both halves of the truth
-cycle); the cascade's wave is leapfrog.run_homogeneous. _observer_step is
-the one coupled observer step, and it alone computes the injection value
-that the x=0 node takes; _sweep runs the step over one half-pass and
-records its boundary series.
+Each loop is written once. oscillator_drive runs the uncoupled plant
+oscillator over a trace series (the cascade); the cascade's wave is
+leapfrog.run_homogeneous. The backward half of the truth cycle is the
+forward half time-reversed: its rows in reverse order, z2 negated.
+_observer_step is the one coupled observer step, and it alone computes
+the injection value that the x=0 node takes; _sweep runs the step over
+one half-pass and records its boundary series.
 
 run_back_and_forth takes one route. A half-pass is linear in the observer
 state and affine in the measurement, so after cycle 1, which runs on the
 sweep, every half-pass is the map x <- S^n x + c followed by the turn R,
-with S the one-step matrix of its direction (fixed by grid, gains and
-omega; Ramdani, Tucsnak & Weiss 2010; Ito, Ramdani & Tucsnak 2011) and c
-the measurement's share, summed over the pass's samples. _linear_parts
-builds S, the step's input matrix B and R from the same step and turn
-applied to the columns of the identity. The truth monitor only reads the
-iteration: the series cycle 1 records, and for every later sweep five
-quadratic forms in its start state (_sweep_forms), which give the
-integrals it would have taken from that sweep's series.
+with S the one-step matrix (fixed by grid, gains and omega; Ramdani,
+Tucsnak & Weiss 2010; Ito, Ramdani & Tucsnak 2011) and c the
+measurement's share, summed over the pass's samples in their replay
+order. _linear_parts builds S, the step's input matrix B and R from the
+same step and turn applied to the columns of the identity. The truth
+monitor only reads the iteration: the series cycle 1 records, and for
+every later sweep five quadratic forms in its start state (_sweep_forms),
+which give the integrals it would have taken from that sweep's series;
+their quadratic part is the same for every sweep.
 """
 
 from __future__ import annotations
@@ -94,44 +97,32 @@ ZERO_OSC = OscillatorState(0.0, 0.0, 0.0)
 
 
 @lru_cache(maxsize=64)
-def oscillator_propagator(omega: float, gamma2: float, dt: float, s: float) -> np.ndarray:
+def oscillator_propagator(omega: float, gamma2: float, dt: float) -> np.ndarray:
     """exp(dt*A) for the augmented (z1, z2, z3) system.
 
-    z1' = -gamma2*z1 + s*z2, z2' = -s*omega^2*z1 + trace forcing, with the
-    time sign s = +1 forward and -1 backward; the plant is gamma2 = 0.
-    z3' = z1, so the integral channel is propagated exactly along with the
-    rotation.
+    z1' = -gamma2*z1 + z2, z2' = -omega^2*z1 + trace forcing; the plant is
+    gamma2 = 0. z3' = z1, so the integral channel is propagated exactly
+    along with the rotation.
     """
     A = np.array(
         [
-            [-gamma2, s, 0.0],
-            [-s * omega * omega, 0.0, 0.0],
+            [-gamma2, 1.0, 0.0],
+            [-omega * omega, 0.0, 0.0],
             [1.0, 0.0, 0.0],
         ]
     )
     return expm(dt * A)
 
 
-def oscillator_drive(
-    z0: OscillatorState,
-    trace: np.ndarray,
-    y: np.ndarray | None,
-    omega: float,
-    gamma2: float,
-    dt: float,
-    s: float = 1.0,
-) -> np.ndarray:
-    """Uncoupled oscillator run over given forcing series, one row per node.
+def oscillator_drive(z0: OscillatorState, trace: np.ndarray, omega: float, dt: float) -> np.ndarray:
+    """Uncoupled plant oscillator run over a given trace series, one row per node.
 
-    Exact homogeneous propagation, trapezoidal affine forcing: the forcing
-    enters channel 2 as the wave trace times the time sign s and channel 1 as
-    gamma2 * y (y None is zero, as for the plant). Row 0 of the result is z0.
+    Exact homogeneous propagation, trapezoidal forcing: the trace enters
+    channel 2. Row 0 of the result is z0.
     """
-    E = oscillator_propagator(omega, gamma2, dt, s)
+    E = oscillator_propagator(omega, 0.0, dt)
     b = np.zeros((len(trace), 3))
-    b[:, 1] = s * np.asarray(trace, dtype=float)
-    if y is not None:
-        b[:, 0] = gamma2 * np.asarray(y, dtype=float)
+    b[:, 1] = trace
     forcing = b[:-1] @ E.T
     forcing += b[1:]
     forcing *= 0.5 * dt
@@ -171,7 +162,7 @@ def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> CascadeResult
     if q[0] != 0.0 or q[-1] != 0.0:
         raise ValueError("cascade initial datum must vanish at both endpoints")
     state, tr = run_homogeneous(q, grid, grid.n_steps_per_pass)
-    z = oscillator_drive(ZERO_OSC, tr, None, omega, 0.0, grid.dt)
+    z = oscillator_drive(ZERO_OSC, tr, omega, grid.dt)
     return CascadeResult(trace=tr, z=z, final_wave=state)
 
 
@@ -179,10 +170,11 @@ def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> CascadeResult
 class PlantCycle:
     """One 2T cycle of the periodized truth system.
 
-    The discrete cycle is exactly periodic (the backward sweep is the
-    inverse map of the forward one), so a single integration serves every
-    iteration. z holds (z1, z2, z3) at the 2n+1 cycle nodes; field_T and
-    vel_T are the wave at the turn t = T.
+    The backward half is the forward half time-reversed, so the cycle is
+    exactly periodic and a single integration serves every iteration. z
+    holds (z1, z2, z3) at the n+1 nodes of the forward half; the backward
+    half's (z1, z2), in its own local time, are z's rows in reverse order
+    with z2 negated. field_T and vel_T are the wave at the turn t = T.
     """
 
     z: np.ndarray
@@ -191,21 +183,11 @@ class PlantCycle:
 
 
 def run_plant_cycle(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
-    """Integrate the truth cycle once.
-
-    The forward half is the cascade. The backward half drives the oscillator
-    over the reversed trace with time sign -1; the wave retraces its forward
-    sweep exactly, so no second wave sweep is needed.
-    """
+    """Integrate the truth cycle once: the cascade, and the wave at the turn."""
     cascade = simulate_cascade(q, omega, grid)
-    back = oscillator_drive(cascade.z[-1], cascade.trace[::-1], None, omega, 0.0, grid.dt, -1.0)
     end = cascade.final_wave
     vel_T = (continuation_level(end, grid) - end.u_prev) / (2.0 * grid.dt)
-    return PlantCycle(
-        z=np.concatenate([cascade.z, back[1:]]),
-        field_T=end.u_curr.copy(),
-        vel_T=vel_T,
-    )
+    return PlantCycle(z=cascade.z, field_T=end.u_curr.copy(), vel_T=vel_T)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +212,16 @@ def pass_samples(measurement: MeasurementRecord, grid: Grid1D) -> np.ndarray:
 
 @dataclass
 class ObserverState:
-    """Observer at a half-pass boundary, ready to run pass `half_pass`."""
+    """Observer at a half-pass boundary, ready to run pass `half_pass`.
+
+    wave and osc are in the local time of that pass, so at an odd half_pass
+    (before a backward pass) osc.z2 holds the negated physical velocity.
+    """
 
     wave: LeapfrogState
     osc: OscillatorState
     y_integral: float
     half_pass: int
-
-    @property
-    def time_sign(self) -> float:
-        """Time sign of half-pass `half_pass`: +1 (forward) when it is even, else -1."""
-        return 1.0 if self.half_pass % 2 == 0 else -1.0
 
 
 def initial_observer_state(grid: Grid1D) -> ObserverState:
@@ -291,8 +272,8 @@ class BackAndForthResult:
 # the observer step and the sweep
 
 
-def _observer_step(gains: Gains, omega: float, grid: Grid1D, s: float, injection_sign: float):
-    """One coupled observer step with time sign s, as a function.
+def _observer_step(gains: Gains, omega: float, grid: Grid1D, injection_sign: float):
+    """One coupled observer step, in the sweep's local time, as a function.
 
     step(u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1) returns the left trace
     of u_curr and the advanced (u_prev, u_curr, z1, z2, z3, y_int), where Yn
@@ -303,7 +284,7 @@ def _observer_step(gains: Gains, omega: float, grid: Grid1D, s: float, injection
     scalars, at a fraction of the cost per operation), and the cycle-map
     builder, on (nx+1, m) arrays of levels with rows of oscillator values.
     """
-    E = oscillator_propagator(omega, gains.gamma2, grid.dt, s)
+    E = oscillator_propagator(omega, gains.gamma2, grid.dt)
     (e11, e12, _), (e21, e22, _), (e31, e32, _) = E.tolist()
     hdt = 0.5 * grid.dt
     dx, c2 = grid.dx, grid.cfl * grid.cfl
@@ -313,10 +294,9 @@ def _observer_step(gains: Gains, omega: float, grid: Grid1D, s: float, injection
     def step(u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1):
         trc = neumann_trace(u_curr, dx)
         b1 = g2 * Yn
-        b2 = s * trc
-        z1n = e11 * z1 + e12 * z2 + hdt * (e11 * b1 + e12 * b2 + g2 * Yn1)
-        z2n = e21 * z1 + e22 * z2 + hdt * (e21 * b1 + e22 * b2 + b2)
-        z3n = e31 * z1 + e32 * z2 + z3 + hdt * (e31 * b1 + e32 * b2)
+        z1n = e11 * z1 + e12 * z2 + hdt * (e11 * b1 + e12 * trc + g2 * Yn1)
+        z2n = e21 * z1 + e22 * z2 + hdt * (e21 * b1 + e22 * trc + trc)
+        z3n = e31 * z1 + e32 * z2 + z3 + hdt * (e31 * b1 + e32 * trc)
         y_int = y_int + hdt * (Yn + Yn1)
         un = _leap(u_prev, u_curr, c2)
         un[0] = injection_sign * (g1 * (z1n - Yn1) + g1g2 * (z3n - y_int))
@@ -338,14 +318,14 @@ def _sweep(
     """Advance the coupled wave/oscillator pair over half-pass state.half_pass.
 
     The pass replays the one-pass samples y, reversed on a backward
-    half-pass. Returns the state turned around for the next half-pass and
-    the wave as the sweep left it (before the turn). The rows of rec, shape
-    (4, n+1), receive z1, z2, the x=0 Dirichlet value and the left trace at
-    each node.
+    half-pass. Returns the state turned around for the next half-pass (wave
+    re-seeded, z2 negated) and the wave as the sweep left it (before the
+    turn). The rows of rec, shape (4, n+1), receive z1, z2 (in the sweep's
+    local time), the x=0 Dirichlet value and the left trace at each node.
     """
     half = state.half_pass
     n = grid.n_steps_per_pass
-    step = _observer_step(gains, omega, grid, state.time_sign, injection_sign)
+    step = _observer_step(gains, omega, grid, injection_sign)
     Yp = y if half % 2 == 0 else y[::-1]
     Yn1 = float(Yp[0])
     u_prev, u_curr = state.wave.u_prev, state.wave.u_curr
@@ -366,7 +346,7 @@ def _sweep(
     ended = LeapfrogState(u_prev, u_curr)
     nxt = ObserverState(
         wave=reversed_state(ended, grid),
-        osc=OscillatorState(z1, z2, z3),
+        osc=OscillatorState(z1, -z2, z3),
         y_integral=y_int,
         half_pass=half + 1,
     )
@@ -381,11 +361,12 @@ def observer_half_pass(
     grid: Grid1D,
     injection_sign: float = 1.0,
 ) -> ObserverState:
-    """Run one half-pass over the measurement and turn the wave around for the next one.
+    """Run one half-pass over the measurement and turn the state around for the next one.
 
-    The returned state sits at the next half-pass boundary with the wave
-    already re-seeded, so consecutive calls realize the back-and-forth
-    sweep. The measurement must hold exactly one pass of samples.
+    The returned state sits at the next half-pass boundary, already in the
+    next pass's local time (wave re-seeded, oscillator velocity negated),
+    so consecutive calls realize the back-and-forth sweep. The measurement
+    must hold exactly one pass of samples.
     """
     y = pass_samples(measurement, grid)
     rec = np.empty((4, grid.n_steps_per_pass + 1))
@@ -508,15 +489,17 @@ class _TruthMonitor:
         self.q, self.gains, self.omega, self.grid = q_true, gains, omega, grid
         plant = run_plant_cycle(q_true, omega, grid)
         self.turn_wave = plant.field_T, plant.vel_T
-        n = grid.n_steps_per_pass
-        z = plant.z[:, :2]
-        # truth (z1, z2) at the nodes of a forward and of a backward sweep;
-        # the backward sweep ends on cycle node 2n, read as node 0
-        self.truth_z = (z[: n + 1].T.copy(), np.vstack([z[n : 2 * n], z[:1]]).T)
+        z = plant.z[:, :2].T
+        # truth (z1, z2) at the nodes of a forward and of a backward sweep, each
+        # in its sweep's local time
+        self.truth_z = (z, z[:, ::-1] * np.array([[1.0], [-1.0]]))
         self.int_zt_sq = np.zeros(2)  # running integrals of (z1 - z1_truth)^2, (z2 - z2_truth)^2
         self.cycle_one: list[np.ndarray | None] = [None, None]  # error series, kept by fold
-        self.forms: list[tuple | None] = [None, None]  # per direction, set by linearize
-        self.vel = np.zeros(grid.nx + 1)  # observer velocity at the last boundary
+        self.forms: list[tuple] = []  # per direction, set by linearize
+        self.G = None  # the forms' common quadratic part, set by linearize
+        # observer velocity at the last boundary, in the local time of the sweep
+        # that ended there; it meets a nonzero truth velocity only after forward sweeps
+        self.vel = np.zeros(grid.nx + 1)
         self.samples: list[tuple[float, float, float]] = []
         self.hidden: list[float] = []
         self.initial_bundle = (
@@ -577,14 +560,16 @@ class _TruthMonitor:
             self.cycle_one[half] = e
         self._fold(half, start, ended, nxt, _sweep_integrals(e, self.grid.dt))
 
-    def linearize(self, half: int, S: np.ndarray, x: np.ndarray) -> None:
-        """Quadratic forms of the integrals of every later sweep in direction half (0 or 1).
+    def linearize(self, S: np.ndarray, starts: list[np.ndarray]) -> None:
+        """Quadratic forms of the integrals of every later sweep, per direction.
 
-        S is the direction's one-step matrix and x the velocity-basis start
-        of cycle 1's sweep half, whose error series the forms expand around.
+        S is the one-step matrix and starts the velocity-basis starts of
+        cycle 1's two sweeps, whose error series the forms expand around.
         """
-        e, self.cycle_one[half] = self.cycle_one[half], None
-        self.forms[half] = (x, _sweep_integrals(e, self.grid.dt), *_sweep_forms(S, e, self.grid))
+        series, self.cycle_one = self.cycle_one, [None, None]
+        gs, self.G = _sweep_forms(S, series, self.grid)
+        dt = self.grid.dt
+        self.forms = [(x, _sweep_integrals(e, dt), g) for x, e, g in zip(starts, series, gs)]
 
     def fold_mapped(
         self,
@@ -595,9 +580,9 @@ class _TruthMonitor:
         x: np.ndarray,
     ) -> None:
         """Fold sweep half, which starts at velocity-basis x, from its direction's forms."""
-        x1, h, g, G = self.forms[half % 2]
+        x1, h, g = self.forms[half % 2]
         d = x - x1
-        self._fold(half, start, ended, nxt, h + (2.0 * g + G @ d) @ d)
+        self._fold(half, start, ended, nxt, h + (2.0 * g + self.G @ d) @ d)
 
     def _fold(
         self,
@@ -614,7 +599,7 @@ class _TruthMonitor:
         self.hidden.append(
             _trace_bound_ratio(int_f, int_tr, int_fd, start.wave.u_curr, self.vel, grid.T, grid)
         )
-        self.vel = start.time_sign * (nxt.wave.u_prev - ended.u_prev) / (2.0 * grid.dt)
+        self.vel = (nxt.wave.u_prev - ended.u_prev) / (2.0 * grid.dt)
         self._sample(half + 1, nxt.wave.u_curr, nxt.osc)
 
     def fill(self, rep: IterationReport, q_hat: np.ndarray) -> None:
@@ -642,16 +627,16 @@ class _TruthMonitor:
 #
 # A half-pass is linear in the observer state and affine in the measurement:
 # the sweep leaves S^n x + c from the start x, and the turn R re-seeds it, with
-# S the one-step matrix of the pass's direction over a zero measurement and c
-# = sum_k S^(n-1-k) B (Y_k, Y_k+1). The state vector is (u_curr,
-# (u_curr - u_prev)/dt, z1, z2, z3, y_int). In this velocity basis the map
-# keeps the 50-cycle reference estimates within 6e-12 (relative) of an
-# extended-precision run of the same recurrence (the step path: 1.3e-11); in the
-# two-level basis (u_prev, u_curr), where the cycle map is about 400 in norm,
-# they drift by up to 7.5e-7. Reading c off cycle 1's stepped end instead
-# applies that sweep's rounding again in every cycle (estimates 5e-11 off).
-# One cycle is x <- M x + b with M = R S_b^n R S_f^n (Ramdani, Tucsnak &
-# Weiss 2010).
+# S the one-step matrix over a zero measurement and c = sum_k S^(n-1-k) B
+# (Y_k, Y_k+1) over the pass's samples in replay order. The state vector is
+# (u_curr, (u_curr - u_prev)/dt, z1, z2, z3, y_int). In this velocity basis the
+# map keeps the 50-cycle reference estimates within 8.8e-12 (relative) of an
+# extended-precision run of the same recurrence (the step path: 8.2e-12;
+# scripts/extended_reference.py); in the two-level basis (u_prev, u_curr),
+# where the cycle map is about 400 in norm, they drift by up to 7.5e-7.
+# Reading c off cycle 1's stepped end instead applies that sweep's rounding
+# again in every cycle (estimates 5e-11 off). One cycle is x <- M x + b with
+# M = (R S^n)^2 (Ramdani, Tucsnak & Weiss 2010).
 
 
 def _state_vector(u_prev, u_curr, z1, z2, z3, y_int, dt: float) -> np.ndarray:
@@ -671,7 +656,7 @@ def _observer_vector(wave: LeapfrogState, state: ObserverState, dt: float) -> np
 
 
 def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: float):
-    """The turn R and, per direction, the one-step matrix S and input matrix B.
+    """The turn R, the one-step matrix S and the step's input matrix B.
 
     A step takes the velocity-basis state x to S x + B (Y_k, Y_k+1), the
     measurement at its two ends. Each is the step's or the turn's own
@@ -680,16 +665,17 @@ def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: floa
     """
     nx1, dt = grid.nx + 1, grid.dt
     basis = _state_parts(np.eye(2 * nx1 + 4), nx1, dt)
-    u_prev, u_curr, *osc = basis
+    u_prev, u_curr, z1, z2, z3, y_int = basis
     ghost = continuation_level(LeapfrogState(u_prev, u_curr), grid)
     zero = _state_parts(np.zeros((2 * nx1 + 4, 2)), nx1, dt)
-    parts = []
-    for s in (1.0, -1.0):
-        step = _observer_step(gains, omega, grid, s, injection_sign)
-        _, advanced = step(*basis, 0.0, 0.0)
-        _, driven = step(*zero, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        parts.append((_state_vector(*advanced, dt), _state_vector(*driven, dt)))
-    return _state_vector(ghost, u_curr, *osc, dt), parts
+    step = _observer_step(gains, omega, grid, injection_sign)
+    _, advanced = step(*basis, 0.0, 0.0)
+    _, driven = step(*zero, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    return (
+        _state_vector(ghost, u_curr, z1, -z2, z3, y_int, dt),
+        _state_vector(*advanced, dt),
+        _state_vector(*driven, dt),
+    )
 
 
 _POWER_BLOCK = 128  # steps whose rows _power_sum holds at once
@@ -718,8 +704,8 @@ def _power_sum(S: np.ndarray, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sweep_forms(S: np.ndarray, e: np.ndarray, grid: Grid1D):
-    """Linear and quadratic parts (g, G) of the five sweep integrals in the start offset.
+def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
+    """Linear parts g, one per recorded series, and the quadratic part G of the sweep integrals.
 
     A sweep that starts d away from the sweep that recorded e (the series of
     _sweep_integrals) records e + (D S^k d)_k, D the rows that read z1, z2,
@@ -727,8 +713,8 @@ def _sweep_forms(S: np.ndarray, e: np.ndarray, grid: Grid1D):
     D_f (S - I) S^k d. So each of its integrals is h + 2 g.d + d.G.d, h
     that of e, with g = sum_k a_k D S^k and G = sum_k w_k S^k' D'D S^k over
     the sweep's steps (a_k the weighted series, w_k the weights). g is a
-    _power_sum; G is summed by doubling, W(i + j) = W(i) + S^i' W(j) S^i
-    with W(j) the sum over j steps.
+    _power_sum; G, which does not depend on e, is summed by doubling,
+    W(i + j) = W(i) + S^i' W(j) S^i with W(j) the sum over j steps.
     """
     nx1, dt, n = grid.nx + 1, grid.dt, grid.n_steps_per_pass
     dim = S.shape[0]
@@ -736,16 +722,18 @@ def _sweep_forms(S: np.ndarray, e: np.ndarray, grid: Grid1D):
     D[0, 2 * nx1] = D[1, 2 * nx1 + 1] = D[2, 0] = 1.0
     D[3, :nx1] = neumann_trace(np.eye(nx1), grid.dx)
     D[4] = D[2] @ S - D[2]
-    # trapezoid over k = 0..n for the four series; the slope of f over k = 0..n-1
-    a = np.zeros((5, n + 1))
-    np.multiply(e, dt, out=a[:4])
-    a[:4, [0, n]] *= 0.5
-    a[4, :n] = np.diff(e[2]) / dt
     # The term k = 0 is summed apart: D[4] reads f_1 - f_0, which is not
     # small off the sweep's states, while D[4] S^k, k >= 1, are differences
     # of consecutive f, and carried from D S they keep their own scale.
     DS = D @ S
-    g = a[:, :1] * D + _power_sum(S, DS, a[:, 1:])
+    gs = []
+    for e in series:
+        # trapezoid over k = 0..n for the four series; the slope of f over k = 0..n-1
+        a = np.zeros((5, n + 1))
+        np.multiply(e, dt, out=a[:4])
+        a[:4, [0, n]] *= 0.5
+        a[4, :n] = np.diff(e[2]) / dt
+        gs.append(a[:, :1] * D + _power_sum(S, DS, a[:, 1:]))
     W = DS[:, :, None] * DS[:, None, :]
     P, A, total, bits = S, np.eye(dim), np.zeros_like(W), n - 1
     while True:
@@ -765,7 +753,7 @@ def _sweep_forms(S: np.ndarray, e: np.ndarray, grid: Grid1D):
         first[:, :, None] * first[:, None, :] + last[:, :, None] * last[:, None, :]
     )
     G[4] = (total[4] + np.outer(D[4], D[4])) / dt
-    return g, G
+    return gs, G
 
 
 def _cycle_ends(
@@ -780,12 +768,12 @@ def _cycle_ends(
 ):
     """The observer states at the ends of cycles 1 to n_iterations.
 
-    Cycle 1 runs on the sweep. Every later half-pass comes from its
-    direction's map: the sweep's end is S^n x + c, with the offset c the
-    measurement's share, summed from the input matrix B by _power_sum, and
-    the turn R re-seeds it. The truth monitor only reads: the series cycle 1
-    records, then, for the later sweeps, the quadratic forms it builds
-    around them from S.
+    Cycle 1 runs on the sweep. Every later half-pass comes from the map:
+    the sweep's end is S^n x + c, with the offset c the measurement's
+    share, summed in the pass's replay order from the input matrix B by
+    _power_sum, and the turn R re-seeds it. The truth monitor only reads:
+    the series cycle 1 records, then, for the later sweeps, the quadratic
+    forms it builds around them from S.
     """
     n, nx1, dt = grid.n_steps_per_pass, grid.nx + 1, grid.dt
     rec = np.empty((4, n + 1))
@@ -800,25 +788,25 @@ def _cycle_ends(
     yield state
     if n_iterations == 1:
         return
-    turn, parts = _linear_parts(gains, omega, grid, injection_sign)
-    maps = []
-    for half, (S, B) in enumerate(parts):
-        # c = sum_k S^(n-1-k) B (Y_k, Y_k+1), the step inputs of the pass's samples
-        Yp = y if half == 0 else y[::-1]
-        c = _power_sum(S.T, B.T, np.vstack([Yp[-2::-1], Yp[:0:-1]])).sum(axis=0)
-        maps.append((np.linalg.matrix_power(S, n), c))
-        if monitor is not None:
-            monitor.linearize(half, S, starts[half])
+    turn, S, B = _linear_parts(gains, omega, grid, injection_sign)
+    Sn = np.linalg.matrix_power(S, n)
+    # c = sum_k S^(n-1-k) B (Y_k, Y_k+1), the step inputs of the pass's samples,
+    # which a backward pass replays reversed
+    offsets = [
+        _power_sum(S.T, B.T, np.vstack([Yp[-2::-1], Yp[:0:-1]])).sum(axis=0)
+        for Yp in (y, y[::-1])
+    ]
+    if monitor is not None:
+        monitor.linearize(S, starts)
     x = _observer_vector(state.wave, state, dt)
     for half in range(2, 2 * n_iterations):
-        P, c = maps[half % 2]
         start, x_start = state, x
-        x_end = P @ x + c
+        x_end = Sn @ x + offsets[half % 2]
         x = turn @ x_end
-        u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x_end, nx1, dt)
-        ended = LeapfrogState(u_prev, u_curr)
+        ended = LeapfrogState(*_state_parts(x_end, nx1, dt)[:2])
+        u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x, nx1, dt)
         state = ObserverState(
-            wave=LeapfrogState(*_state_parts(x, nx1, dt)[:2]),
+            wave=LeapfrogState(u_prev, u_curr),
             osc=OscillatorState(float(z1), float(z2), float(z3)),
             y_integral=float(y_int),
             half_pass=half + 1,

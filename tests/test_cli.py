@@ -156,6 +156,16 @@ class TestInvert:
         assert header == ["x", "q_hat", "q_true"]
         assert (out / "diagnostics.csv").exists()
 
+    def test_seed_flag_rejected(self, tmp_path):
+        # invert draws no random numbers, so it takes no --seed
+        p = write_config(tmp_path / "c.json")
+        out = tmp_path / "inv"
+        argv = ["invert", "--config", str(p), "--measurement", str(tmp_path / "m.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out), "--seed", "3"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert not out.exists()
+
     def test_sampling_mismatch_exit_4(self, tmp_path):
         p = write_config(tmp_path / "c.json")
         mpath = tmp_path / "m.csv"

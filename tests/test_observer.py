@@ -79,13 +79,13 @@ class TestOscillatorStep:
     def test_exact_rotation_quarter_turn(self):
         # homogeneous plant dynamics are propagated exactly, z3 included
         z = OscillatorState(1.0, 0.0, 0.0)
-        z = OscillatorState(*oscillator_drive(z, [0.0, 0.0], None, 1.0, 0.0, np.pi / 2.0)[-1])
+        z = OscillatorState(*oscillator_drive(z, [0.0, 0.0], 1.0, np.pi / 2.0)[-1])
         assert z.z1 == pytest.approx(0.0, abs=1e-15)
         assert z.z2 == pytest.approx(-1.0, rel=1e-14)
         assert z.z3 == pytest.approx(1.0, rel=1e-14)
 
     def test_zero_stays_zero(self):
-        zs = oscillator_drive(OscillatorState(0, 0, 0), [0.0, 0.0], [0.0, 0.0], 1.7, 0.4, 0.01)
+        zs = oscillator_drive(OscillatorState(0, 0, 0), [0.0, 0.0], 1.7, 0.01)
         assert OscillatorState(*zs[-1]) == OscillatorState(0.0, 0.0, 0.0)
 
     def test_constant_trace_closed_form(self):
@@ -93,7 +93,7 @@ class TestOscillatorStep:
         dt = 5e-4
         z = OscillatorState(0.0, 0.0, 0.0)
         for _ in range(2000):
-            z = OscillatorState(*oscillator_drive(z, [1.0, 1.0], None, 1.0, 0.0, dt)[-1])
+            z = OscillatorState(*oscillator_drive(z, [1.0, 1.0], 1.0, dt)[-1])
         assert z.z1 == pytest.approx(1.0 - np.cos(1.0), abs=1e-6)
 
     def test_matches_quadrature_oracle(self):
@@ -105,7 +105,7 @@ class TestOscillatorStep:
         z = OscillatorState(0.2, -0.1, 0.05)
         zs = z
         for k in range(n):
-            zs = OscillatorState(*oscillator_drive(zs, g[k : k + 2], None, 2.0, 0.0, dt)[-1])
+            zs = OscillatorState(*oscillator_drive(zs, g[k : k + 2], 2.0, dt)[-1])
         zo = oscillator_closed_form(2.0, g, dt, z, n * dt)
         assert zs.z1 == pytest.approx(zo.z1, abs=1e-6)
         assert zs.z2 == pytest.approx(zo.z2, abs=1e-6)
@@ -119,12 +119,14 @@ class TestOscillatorStep:
     )
     @settings(max_examples=30)
     def test_backward_inverts_forward(self, z1, z2, z3, omega):
-        # the (z1, z2) rotation inverts; z3 keeps integrating either way
+        # the time-reversed oscillator is the forward one with z2 negated at the
+        # turn: the (z1, z2) rotation inverts; z3 keeps integrating either way
         z = OscillatorState(z1, z2, z3)
-        fwd = OscillatorState(*oscillator_drive(z, [0.0, 0.0], None, omega, 0.0, 0.05, 1.0)[-1])
-        back = OscillatorState(*oscillator_drive(fwd, [0.0, 0.0], None, omega, 0.0, 0.05, -1.0)[-1])
+        fwd = OscillatorState(*oscillator_drive(z, [0.0, 0.0], omega, 0.05)[-1])
+        turned = fwd._replace(z2=-fwd.z2)
+        back = OscillatorState(*oscillator_drive(turned, [0.0, 0.0], omega, 0.05)[-1])
         assert back.z1 == pytest.approx(z.z1, abs=1e-12)
-        assert back.z2 == pytest.approx(z.z2, abs=1e-12)
+        assert -back.z2 == pytest.approx(z.z2, abs=1e-12)
 
 
 class TestSimulateCascade:
@@ -166,11 +168,18 @@ class TestSimulateCascade:
 
 class TestPlantCycle:
     def test_exact_periodicity(self, grid):
-        # z1, z2 return to zero at the cycle end; z3 keeps accumulating
+        # the cycle's backward half is its forward half mirrored (rows reversed,
+        # z2 negated). Driving the oscillator over the reversed trace from the
+        # turn state, z2 negated, retraces that mirror and returns z1, z2 to
+        # zero at the cycle end; z3 keeps accumulating
         q = poly_source(grid)
         plant = run_plant_cycle(q, 2.0, grid)
-        assert abs(plant.z[-1, 0]) <= 1e-12
-        assert abs(plant.z[-1, 1]) <= 1e-12
+        trace = simulate_cascade(q, 2.0, grid).trace
+        turn = OscillatorState(*plant.z[-1])
+        back = oscillator_drive(turn._replace(z2=-turn.z2), trace[::-1], 2.0, grid.dt)
+        mirror = plant.z[::-1, :2] * np.array([1.0, -1.0])
+        assert np.max(np.abs(back[:, :2] - mirror)) <= 1e-12 * np.max(np.abs(mirror))
+        assert np.max(np.abs(back[-1, :2])) <= 1e-12
 
     def test_two_cycle_field_return(self, grid):
         # periodized truth returns to (q, 0) at every t = 2kT
@@ -271,33 +280,45 @@ class TestObserverHalfPass:
         assert s.y_integral == fin.y_integral
         assert np.array_equal(extract_estimate(s, grid), res.estimates[1])
 
-    def test_matches_stepwise_reference(self, grid):
+    @pytest.mark.parametrize("start", [pytest.param(2, id="forward"), pytest.param(1, id="backward")])
+    def test_matches_stepwise_reference(self, grid, start):
         # the fused sweep against the same scheme spelled out with the public
-        # kernels, one step at a time; explicit coupling holds the trace at
-        # the left end of each step. Checked on a backward pass from a
-        # nonzero state.
+        # kernels, one step at a time and in physical time, from the nonzero
+        # state before half-pass start. A backward pass runs the time-reversed
+        # oscillator, with its own propagator and trace forcing -tr, on the
+        # physical velocity, which the sweep keeps negated in its local time.
+        # Explicit coupling holds the trace at the left end of each step, in
+        # both forcing terms.
+        from scipy.linalg import expm
+
         from bfwave.leapfrog import neumann_trace, step
-        from bfwave.observer import _sweep
 
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
         gains = Gains(1.0, 0.5)
-        state = observer_half_pass(initial_observer_state(grid), m, gains, 2.0, grid)
+        g1, g2, omega, dt = gains.gamma1, gains.gamma2, 2.0, grid.dt
+        state = initial_observer_state(grid)
+        for _ in range(start):
+            state = observer_half_pass(state, m, gains, omega, grid)
         rec = np.empty((4, grid.n_steps_per_pass + 1))
-        _, ended = _sweep(state, m.y, gains, 2.0, grid, 1.0, rec)
-        y = m.y[::-1]
-        wave, z, y_int = state.wave, state.osc, state.y_integral
-        ref = [(z.z1, z.z2, wave.u_curr[0])]
+        _, ended = _sweep(state, m.y, gains, omega, grid, 1.0, rec)
+        s = 1.0 if start % 2 == 0 else -1.0  # the pass's physical time direction
+        A = np.array([[-g2, s, 0.0], [-s * omega * omega, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        E = expm(dt * A)
+        y = m.y if s > 0 else m.y[::-1]
+        wave, y_int = state.wave, state.y_integral
+        z = np.array([state.osc.z1, s * state.osc.z2, state.osc.z3])
+        ref = [(z[0], s * z[1], wave.u_curr[0])]
         traces = []
         for k in range(grid.n_steps_per_pass):
             tr = neumann_trace(wave.u_curr, grid.dx)
             traces.append(tr)
-            zs = oscillator_drive(z, [tr, tr], y[k : k + 2], 2.0, 0.5, grid.dt, -1.0)
-            z = OscillatorState(*zs[-1])
-            y_int += 0.5 * grid.dt * (y[k] + y[k + 1])
-            bc = gains.gamma1 * (z.z1 - y[k + 1]) + gains.gamma1 * gains.gamma2 * (z.z3 - y_int)
+            b, b_next = np.array([[g2 * y[k], s * tr, 0.0], [g2 * y[k + 1], s * tr, 0.0]])
+            z = E @ z + 0.5 * dt * (E @ b + b_next)
+            y_int += 0.5 * dt * (y[k] + y[k + 1])
+            bc = g1 * (z[0] - y[k + 1]) + g1 * g2 * (z[2] - y_int)
             wave = step(wave, bc, grid)
-            ref.append((z.z1, z.z2, wave.u_curr[0]))
+            ref.append((z[0], s * z[1], wave.u_curr[0]))
         traces.append(neumann_trace(wave.u_curr, grid.dx))
         ref = np.vstack([np.array(ref).T, traces])
         assert np.allclose(rec, ref, rtol=1e-10, atol=1e-12)
@@ -363,7 +384,7 @@ class TestRunBackAndForth:
         # from the zero start, every observer component is linear in y
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
-        scaled = MeasurementRecord(y=c * m.y, dt=m.dt, T=m.T, omega=m.omega)
+        scaled = MeasurementRecord(y=c * m.y, dt=m.dt, T=m.T)
         a = run_back_and_forth(m, Gains(1.0, 0.5), 2.0, grid, 1)
         b = run_back_and_forth(scaled, Gains(1.0, 0.5), 2.0, grid, 1)
         assert np.allclose(b.estimates[1], c * a.estimates[1], atol=1e-12)
@@ -493,7 +514,6 @@ class TestCycleMap:
         # the rebuilt final state keeps the injection invariant at x=0
         s = res.final_state
         assert s.half_pass == 2 * cfg.iterations
-        assert s.time_sign == 1.0
         y0 = float(m.y[0])
         g1, g2 = cfg.gamma1, cfg.gamma2
         bc = g1 * (s.osc.z1 - y0) + g1 * g2 * (s.osc.z3 - s.y_integral)
