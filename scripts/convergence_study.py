@@ -3,11 +3,20 @@
 
 Prints one table row per resolution so second-order convergence can be
 eyeballed (error ratios near 4 per nx doubling).
+
+    python scripts/convergence_study.py
+
+The package is imported from the `src/` directory next to this script.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from bfwave import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bfwave import (  # noqa: E402
     Gains,
     build_grid,
     run_back_and_forth,
@@ -15,7 +24,7 @@ from bfwave import (
     simulate_cascade,
     simulate_forward,
 )
-from bfwave.diagnostics import energy_identity_residual
+from bfwave.diagnostics import energy_identity_residual  # noqa: E402
 
 
 def main() -> None:

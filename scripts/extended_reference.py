@@ -2,23 +2,25 @@
 """How far the reference estimates are from an extended-precision run.
 
 Runs the observer recurrence of the clean 50-cycle reference scenario in
-numpy longdouble: the library's own observer step
+numpy longdouble, one step at a time: the library's own observer step
 (observer._observer_step) and turn (leapfrog.continuation_level, with the
 oscillator velocity z2 negated) applied to (nx+1, 1) long-double columns,
 the measurement replayed reversed on backward passes, as observer._sweep
 does. The coefficients are the library's float64 ones, so the reference
 differs from the float64 runs only in the rounding of the arithmetic. It
-then prints, for two float64 routes,
+then prints, for three float64 routes,
 
 * run_back_and_forth (cycle 1 on the sweep, later cycles through the map),
-* the step path (every half-pass on observer_half_pass),
+* composed observer_half_pass calls (every half-pass on the sweep, which
+  runs the one-step recurrence in blocks),
+* the stepped route: the same loop as the reference on float64 columns,
 
 the largest |estimate - reference| over the 50 cycle ends, divided by the
 largest |reference|. Where longdouble has no more mantissa bits than
 float64, the reference is no better than what it measures, and the script
 says so.
 
-    python scripts/extended_reference.py      # about a minute
+    python scripts/extended_reference.py      # about two minutes
 
 The package is imported from the `src/` directory next to this script.
 """
@@ -43,19 +45,19 @@ from bfwave.observer import (  # noqa: E402
 from bfwave.scenarios import reference_scenario  # noqa: E402
 
 
-def reference_estimates(y, gains, omega, grid, cycles: int) -> np.ndarray:
-    """Estimates after cycles 1..cycles of the long-double recurrence, one row each."""
+def stepped_estimates(y, gains, omega, grid, cycles: int, dtype) -> np.ndarray:
+    """Estimates after cycles 1..cycles of the stepped recurrence in dtype, one row each."""
     step = _observer_step(gains, omega, grid, 1.0)
     n, nx1 = grid.n_steps_per_pass, grid.nx + 1
-    y = np.asarray(y, dtype=np.longdouble)
-    u_prev = np.zeros((nx1, 1), dtype=np.longdouble)
+    y = np.asarray(y, dtype=dtype)
+    u_prev = np.zeros((nx1, 1), dtype=dtype)
     u_curr = u_prev.copy()
-    z1 = z2 = z3 = y_int = np.zeros(1, dtype=np.longdouble)
+    z1 = z2 = z3 = y_int = np.zeros(1, dtype=dtype)
     estimates = []
     for half in range(2 * cycles):
         Yp = y if half % 2 == 0 else y[::-1]
         for k in range(n):
-            _, (u_prev, u_curr, z1, z2, z3, y_int) = step(
+            u_prev, u_curr, z1, z2, z3, y_int = step(
                 u_prev, u_curr, z1, z2, z3, y_int, Yp[k], Yp[k + 1]
             )
         u_prev = continuation_level(LeapfrogState(u_prev, u_curr), grid)
@@ -67,7 +69,7 @@ def reference_estimates(y, gains, omega, grid, cycles: int) -> np.ndarray:
     return np.array(estimates)
 
 
-def step_path_estimates(m, gains, omega, grid, cycles: int) -> np.ndarray:
+def half_pass_estimates(m, gains, omega, grid, cycles: int) -> np.ndarray:
     state = initial_observer_state(grid)
     estimates = []
     for _ in range(cycles):
@@ -85,14 +87,15 @@ def main() -> None:
     if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
         print("longdouble is no wider than float64 here; the reference measures nothing")
     t0 = time.perf_counter()
-    ref = reference_estimates(m.y, gains, cfg.omega, grid, cycles)
+    ref = stepped_estimates(m.y, gains, cfg.omega, grid, cycles, np.longdouble)
     print(f"extended-precision reference: {cycles} cycles in {time.perf_counter() - t0:.1f} s")
     scale = float(np.max(np.abs(ref)))
     routes = {
         "run_back_and_forth": np.array(
             run_back_and_forth(m, gains, cfg.omega, grid, cycles).estimates[1:]
         ),
-        "step path": step_path_estimates(m, gains, cfg.omega, grid, cycles),
+        "observer_half_pass": half_pass_estimates(m, gains, cfg.omega, grid, cycles),
+        "stepped float64": stepped_estimates(m.y, gains, cfg.omega, grid, cycles, np.float64),
     }
     for label, est in routes.items():
         gap = float(np.max(np.abs(est - ref))) / scale

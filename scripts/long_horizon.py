@@ -11,12 +11,18 @@ asserted: whether the error keeps falling and the error energy keeps
 decreasing is the question the numbers answer.
 
     python scripts/long_horizon.py
+
+The package is imported from the `src/` directory next to this script.
 """
 
+import sys
 import time
+from pathlib import Path
 
-from bfwave import l2_norm, run_back_and_forth, simulate_forward
-from bfwave.scenarios import reference_scenario
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bfwave import l2_norm, run_back_and_forth, simulate_forward  # noqa: E402
+from bfwave.scenarios import reference_scenario  # noqa: E402
 
 CHECKPOINTS = (50, 1000, 2000, 5000)
 

@@ -4,14 +4,20 @@
 Equivalent to `bfwave full --config <reference config> --out out/reference`; the
 config JSON is also dropped next to the outputs so the CLI route can be
 replayed directly.
+
+    python scripts/run_reference_scenario.py [out_dir]
+
+The package is imported from the `src/` directory next to this script.
 """
 
 import json
 import sys
 from pathlib import Path
 
-from bfwave.cli import cmd_full, config_to_dict
-from bfwave.scenarios import reference_scenario
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bfwave.cli import cmd_full, config_to_dict  # noqa: E402
+from bfwave.scenarios import reference_scenario  # noqa: E402
 
 
 def main() -> int:

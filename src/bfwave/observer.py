@@ -20,26 +20,32 @@ forcing. The wave trace entering the oscillator is held at its left
 endpoint within each step (explicit coupling); the measured output Y
 enters with both endpoints.
 
-Each loop is written once. oscillator_drive runs the uncoupled plant
-oscillator over a trace series (the cascade); the cascade's wave is
+Each loop is written once, and none in this module advances one time
+node per Python iteration. A sweep and the plant oscillator are each a time-invariant
+linear recurrence x_k+1 = S x_k + B (s_k, s_k+1) over a sample series,
+and _run_recurrence evaluates such a recurrence in blocks of steps.
+oscillator_drive runs the uncoupled plant oscillator (S its propagator)
+over a trace series (the cascade); the cascade's wave is
 leapfrog.run_homogeneous. The backward half of the truth cycle is the
 forward half time-reversed: its rows in reverse order, z2 negated.
 _observer_step is the one coupled observer step, and it alone computes
-the injection value that the x=0 node takes; _sweep runs the step over
-one half-pass and records its boundary series.
+the injection value that the x=0 node takes; _linear_parts applies it to
+the columns of the identity for S and B, and _sweep runs that recurrence
+over one half-pass, reading its boundary series off every state
+(_readout_rows).
 
 run_back_and_forth takes one route. A half-pass is linear in the observer
 state and affine in the measurement, so after cycle 1, which runs on the
 sweep, every half-pass is the map x <- S^n x + c followed by the turn R,
 with S the one-step matrix (fixed by grid, gains and omega; Ramdani,
 Tucsnak & Weiss 2010; Ito, Ramdani & Tucsnak 2011) and c the
-measurement's share, summed over the pass's samples in their replay
-order. _linear_parts builds S, the step's input matrix B and R from the
-same step and turn applied to the columns of the identity. The truth
-monitor only reads the iteration: the series cycle 1 records, and for
-every later sweep five quadratic forms in its start state (_sweep_forms),
-which give the integrals it would have taken from that sweep's series;
-their quadratic part is the same for every sweep.
+measurement's share: the sweep's end from the zero state over the pass's
+samples in their replay order. _linear_parts builds S, B and R once per
+grid, gains and omega. The truth monitor only reads the iteration: the
+series cycle 1 records, and for every later sweep five quadratic forms in
+its start state (_sweep_forms), which give the integrals it would have
+taken from that sweep's series; their quadratic part is the same for every
+sweep.
 """
 
 from __future__ import annotations
@@ -118,19 +124,14 @@ def oscillator_drive(z0: OscillatorState, trace: np.ndarray, omega: float, dt: f
     """Uncoupled plant oscillator run over a given trace series, one row per node.
 
     Exact homogeneous propagation, trapezoidal forcing: the trace enters
-    channel 2. Row 0 of the result is z0.
+    channel 2, so a step is z <- E z + (dt/2) (E e2 trace_k + e2 trace_k+1),
+    E the propagator, run by _run_recurrence. Row 0 of the result is z0.
     """
     E = oscillator_propagator(omega, 0.0, dt)
-    b = np.zeros((len(trace), 3))
-    b[:, 1] = trace
-    forcing = b[:-1] @ E.T
-    forcing += b[1:]
-    forcing *= 0.5 * dt
-    z = b  # the forcing no longer needs b; the states overwrite it
-    z[0] = z0
-    for k in range(len(forcing)):
-        z[k + 1] = E @ z[k] + forcing[k]
-    return z
+    B = 0.5 * dt * np.column_stack([E[:, 1], (0.0, 1.0, 0.0)])
+    z = np.empty((3, len(trace)))
+    _run_recurrence(E, B, np.eye(3), np.asarray(z0, dtype=float), trace, z)
+    return z.T
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +274,16 @@ class BackAndForthResult:
 
 
 def _observer_step(gains: Gains, omega: float, grid: Grid1D, injection_sign: float):
-    """One coupled observer step, in the sweep's local time, as a function.
+    """One coupled observer step, in the sweep's local time, on columns of states.
 
-    step(u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1) returns the left trace
-    of u_curr and the advanced (u_prev, u_curr, z1, z2, z3, y_int), where Yn
-    and Yn1 are the measurement at the two ends of the step. The oscillator
-    holds that trace over the whole step (explicit coupling); the new wave
-    level takes the injection value at x=0. The same arithmetic serves the
-    sweep, on one state in Python floats (the same IEEE arithmetic as numpy
-    scalars, at a fraction of the cost per operation), and the cycle-map
-    builder, on (nx+1, m) arrays of levels with rows of oscillator values.
+    step(u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1) returns the advanced
+    (u_prev, u_curr, z1, z2, z3, y_int) for (nx+1, m) arrays of levels and
+    rows of m oscillator values, where Yn and Yn1 are the measurement at
+    the two ends of the step. The oscillator holds the left trace of u_curr
+    over the whole step (explicit coupling); the new wave level takes the
+    injection value at x=0. _linear_parts applies it to the columns of the
+    identity, so it defines the one-step matrix S and input matrix B that
+    every sweep runs.
     """
     E = oscillator_propagator(omega, gains.gamma2, grid.dt)
     (e11, e12, _), (e21, e22, _), (e31, e32, _) = E.tolist()
@@ -301,7 +302,7 @@ def _observer_step(gains: Gains, omega: float, grid: Grid1D, injection_sign: flo
         un = _leap(u_prev, u_curr, c2)
         un[0] = injection_sign * (g1 * (z1n - Yn1) + g1g2 * (z3n - y_int))
         un[-1] = 0.0
-        return trc, (u_curr, un, z1n, z2n, z3n, y_int)
+        return u_curr, un, z1n, z2n, z3n, y_int
 
     return step
 
@@ -318,36 +319,24 @@ def _sweep(
     """Advance the coupled wave/oscillator pair over half-pass state.half_pass.
 
     The pass replays the one-pass samples y, reversed on a backward
-    half-pass. Returns the state turned around for the next half-pass (wave
-    re-seeded, z2 negated) and the wave as the sweep left it (before the
-    turn). The rows of rec, shape (4, n+1), receive z1, z2 (in the sweep's
-    local time), the x=0 Dirichlet value and the left trace at each node.
+    half-pass, through the one-step recurrence x <- S x + B (Y_k, Y_k+1)
+    of _linear_parts, run by _run_recurrence. Returns the state turned
+    around for the next half-pass (wave re-seeded, z2 negated) and the wave
+    as the sweep left it (before the turn). The rows of rec, shape
+    (4, n+1), receive the read-outs of _readout_rows at each node: z1, z2
+    (in the sweep's local time), the x=0 Dirichlet value and the left trace.
     """
     half = state.half_pass
-    n = grid.n_steps_per_pass
-    step = _observer_step(gains, omega, grid, injection_sign)
+    _, S, B = _linear_parts(gains, omega, grid, injection_sign)
     Yp = y if half % 2 == 0 else y[::-1]
-    Yn1 = float(Yp[0])
-    u_prev, u_curr = state.wave.u_prev, state.wave.u_curr
-    z1, z2, z3 = state.osc
-    y_int = state.y_integral
-    rz1, rz2, rf, rtr = rec
-    rz1[0], rz2[0], rf[0] = z1, z2, u_curr[0]
-    for k in range(n):
-        Yn = Yn1
-        Yn1 = float(Yp[k + 1])
-        rtr[k], (u_prev, u_curr, z1, z2, z3, y_int) = step(
-            u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1
-        )
-        rz1[k + 1] = z1
-        rz2[k + 1] = z2
-        rf[k + 1] = u_curr[0]
-    rtr[n] = neumann_trace(u_curr, grid.dx)
+    x0 = _observer_vector(state.wave, state, grid.dt)
+    x = _run_recurrence(S, B, _readout_rows(grid), x0, Yp, rec)
+    u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x, grid.nx + 1, grid.dt)
     ended = LeapfrogState(u_prev, u_curr)
     nxt = ObserverState(
         wave=reversed_state(ended, grid),
-        osc=OscillatorState(z1, -z2, z3),
-        y_integral=y_int,
+        osc=OscillatorState(float(z1), -float(z2), float(z3)),
+        y_integral=float(y_int),
         half_pass=half + 1,
     )
     return nxt, ended
@@ -631,12 +620,11 @@ class _TruthMonitor:
 # (Y_k, Y_k+1) over the pass's samples in replay order. The state vector is
 # (u_curr, (u_curr - u_prev)/dt, z1, z2, z3, y_int). In this velocity basis the
 # map keeps the 50-cycle reference estimates within 8.8e-12 (relative) of an
-# extended-precision run of the same recurrence (the step path: 8.2e-12;
-# scripts/extended_reference.py); in the two-level basis (u_prev, u_curr),
-# where the cycle map is about 400 in norm, they drift by up to 7.5e-7.
-# Reading c off cycle 1's stepped end instead applies that sweep's rounding
-# again in every cycle (estimates 5e-11 off). One cycle is x <- M x + b with
-# M = (R S^n)^2 (Ramdani, Tucsnak & Weiss 2010).
+# extended-precision run of the same recurrence stepped node by node (a float64
+# stepped run: 8.2e-12; scripts/extended_reference.py); in the two-level basis
+# (u_prev, u_curr), where the cycle map is about 400 in norm, they drift by up
+# to 7.5e-7. One cycle is x <- M x + b with M = (R S^n)^2 (Ramdani, Tucsnak &
+# Weiss 2010).
 
 
 def _state_vector(u_prev, u_curr, z1, z2, z3, y_int, dt: float) -> np.ndarray:
@@ -655,13 +643,15 @@ def _observer_vector(wave: LeapfrogState, state: ObserverState, dt: float) -> np
     return _state_vector(wave.u_prev, wave.u_curr, *state.osc, state.y_integral, dt)
 
 
+@lru_cache(maxsize=8)
 def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: float):
     """The turn R, the one-step matrix S and the step's input matrix B.
 
     A step takes the velocity-basis state x to S x + B (Y_k, Y_k+1), the
     measurement at its two ends. Each is the step's or the turn's own
     arithmetic applied to the columns of the identity, B to the zero state
-    under unit measurement values.
+    under unit measurement values. Built once per grid, gains and omega;
+    the arrays are read-only.
     """
     nx1, dt = grid.nx + 1, grid.dt
     basis = _state_parts(np.eye(2 * nx1 + 4), nx1, dt)
@@ -669,13 +659,73 @@ def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: floa
     ghost = continuation_level(LeapfrogState(u_prev, u_curr), grid)
     zero = _state_parts(np.zeros((2 * nx1 + 4, 2)), nx1, dt)
     step = _observer_step(gains, omega, grid, injection_sign)
-    _, advanced = step(*basis, 0.0, 0.0)
-    _, driven = step(*zero, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    return (
+    parts = (
         _state_vector(ghost, u_curr, z1, -z2, z3, y_int, dt),
-        _state_vector(*advanced, dt),
-        _state_vector(*driven, dt),
+        _state_vector(*step(*basis, 0.0, 0.0), dt),
+        _state_vector(*step(*zero, np.array([1.0, 0.0]), np.array([0.0, 1.0])), dt),
     )
+    for a in parts:
+        a.flags.writeable = False
+    return parts
+
+
+def _readout_rows(grid: Grid1D) -> np.ndarray:
+    """The rows that read z1, z2, the x=0 Dirichlet value f and the left trace off a state."""
+    nx1 = grid.nx + 1
+    D = np.zeros((4, 2 * nx1 + 4))
+    D[0, 2 * nx1] = D[1, 2 * nx1 + 1] = D[2, 0] = 1.0
+    D[3, :nx1] = neumann_trace(np.eye(nx1), grid.dx)
+    return D
+
+
+_RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
+
+
+def _run_recurrence(
+    S: np.ndarray, B: np.ndarray, D: np.ndarray, x0: np.ndarray, s: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Run x_k+1 = S x_k + B (s_k, s_k+1) from x0 over the samples s; return x_n.
+
+    out, shape (len(D), n+1), receives the read-outs D x_k for k = 0..n.
+    The steps go in blocks of b = _RUN_BLOCK. The rows D S^j and the
+    impulse responses D S^j B, j < b, are carried once; the read-outs of
+    every block are then one product of its start state and inputs with
+    those rows stacked over the lower-triangular Toeplitz matrix of the
+    responses, and S^b chains the block starts. The last block, cut at
+    node n, takes the same product over inputs padded with zeros, which no
+    read-out up to node n sees; x_n is S^t applied to its start plus the
+    responses S^(t-1-l) B of its first t inputs.
+    """
+    s = np.asarray(s, dtype=float)
+    n, dim, rows = len(s) - 1, len(S), len(D)
+    b = min(_RUN_BLOCK, n + 1)
+    full, t = divmod(n, b)  # node n is t steps into the block after `full` whole ones
+    P = np.empty((b, rows, dim))  # D S^j
+    G = np.empty((b, dim, 2))  # S^j B
+    P[0], G[0] = D, B
+    for j in range(1, b):
+        P[j] = P[j - 1] @ S
+        G[j] = S @ G[j - 1]
+    # row i: the start x of block i, then its inputs u_k = (s_k, s_k+1), zero past s_n
+    XU = np.zeros((full + 1, dim + 2 * b))
+    X, U = XU[:, :dim], XU[:, dim:]
+    U[:, 0::2].flat[: n + 1] = s
+    U[:, 1::2].flat[:n] = s[1:]
+    # input l of a block reaches the block's end through S^(b-1-l) B
+    F = G[::-1].transpose(0, 2, 1).reshape(2 * b, dim)
+    X[0] = x0
+    if full:
+        np.matmul(U[:-1], F, out=X[1:])
+        SbT = np.linalg.matrix_power(S, b).T
+        for i in range(full):
+            X[i + 1] += X[i] @ SbT
+    # read-out j of a block: D S^j x + sum_(l<j) D S^(j-1-l) B u_l
+    H = np.concatenate([D @ G, np.zeros((1, rows, 2))])  # H[b] = 0 serves l >= j
+    lag = np.arange(b) - np.arange(b)[:, None] - 1  # [l, j] = j - 1 - l
+    T = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2).reshape(2 * b, b * rows)
+    R = XU @ np.vstack([P.transpose(2, 0, 1).reshape(dim, b * rows), T])
+    out[...] = R.reshape(-1, rows)[: n + 1].T
+    return np.linalg.matrix_power(S, t) @ X[-1] + U[-1, : 2 * t] @ F[2 * (b - t) :]
 
 
 _POWER_BLOCK = 128  # steps whose rows _power_sum holds at once
@@ -716,12 +766,9 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     _power_sum; G, which does not depend on e, is summed by doubling,
     W(i + j) = W(i) + S^i' W(j) S^i with W(j) the sum over j steps.
     """
-    nx1, dt, n = grid.nx + 1, grid.dt, grid.n_steps_per_pass
-    dim = S.shape[0]
-    D = np.zeros((5, dim))
-    D[0, 2 * nx1] = D[1, 2 * nx1 + 1] = D[2, 0] = 1.0
-    D[3, :nx1] = neumann_trace(np.eye(nx1), grid.dx)
-    D[4] = D[2] @ S - D[2]
+    dt, n, dim = grid.dt, grid.n_steps_per_pass, len(S)
+    read = _readout_rows(grid)
+    D = np.vstack([read, read[2] @ S - read[2]])
     # The term k = 0 is summed apart: D[4] reads f_1 - f_0, which is not
     # small off the sweep's states, while D[4] S^k, k >= 1, are differences
     # of consecutive f, and carried from D S they keep their own scale.
@@ -770,8 +817,8 @@ def _cycle_ends(
 
     Cycle 1 runs on the sweep. Every later half-pass comes from the map:
     the sweep's end is S^n x + c, with the offset c the measurement's
-    share, summed in the pass's replay order from the input matrix B by
-    _power_sum, and the turn R re-seeds it. The truth monitor only reads:
+    share, the end of a sweep from the zero state over the pass's samples in
+    their replay order, and the turn R re-seeds it. The truth monitor only reads:
     the series cycle 1 records, then, for the later sweeps, the quadratic
     forms it builds around them from S.
     """
@@ -784,18 +831,16 @@ def _cycle_ends(
         if monitor is not None:
             monitor.fold(half, start, ended, state, rec)
         starts.append(_observer_vector(start.wave, start, dt))
-    del rec  # the monitor keeps its own copy of cycle 1's series
     yield state
     if n_iterations == 1:
         return
     turn, S, B = _linear_parts(gains, omega, grid, injection_sign)
     Sn = np.linalg.matrix_power(S, n)
-    # c = sum_k S^(n-1-k) B (Y_k, Y_k+1), the step inputs of the pass's samples,
-    # which a backward pass replays reversed
-    offsets = [
-        _power_sum(S.T, B.T, np.vstack([Yp[-2::-1], Yp[:0:-1]])).sum(axis=0)
-        for Yp in (y, y[::-1])
-    ]
+    # c = sum_k S^(n-1-k) B (Y_k, Y_k+1) over the pass's samples, which a
+    # backward pass replays reversed; the monitor keeps its own copy of rec
+    read, zero = _readout_rows(grid), np.zeros(len(S))
+    offsets = [_run_recurrence(S, B, read, zero, Yp, rec) for Yp in (y, y[::-1])]
+    del rec
     if monitor is not None:
         monitor.linearize(S, starts)
     x = _observer_vector(state.wave, state, dt)

@@ -8,6 +8,8 @@ from bfwave.leapfrog import init_leapfrog
 from bfwave.observer import (
     IterationReport,
     OscillatorState,
+    _RUN_BLOCK,
+    _run_recurrence,
     _sweep,
     _TruthMonitor,
     extract_estimate,
@@ -38,7 +40,7 @@ def zero_measurement(g):
 
 
 def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.0):
-    """The step path of a monitored run: every half-pass on _sweep, its record fed to the monitor.
+    """A monitored run with every half-pass on _sweep, its record fed to the monitor.
 
     Returns (estimates, reports, history) as run_back_and_forth would.
     """
@@ -127,6 +129,59 @@ class TestOscillatorStep:
         back = OscillatorState(*oscillator_drive(turned, [0.0, 0.0], omega, 0.05)[-1])
         assert back.z1 == pytest.approx(z.z1, abs=1e-12)
         assert -back.z2 == pytest.approx(z.z2, abs=1e-12)
+
+
+class TestOscillatorDrive:
+    def test_long_trace_matches_recurrence(self):
+        # a 1,000-node drive against the per-node recurrence written out:
+        # z_k+1 = E z_k + (dt/2) (E e2 g_k + e2 g_k+1), E = exp(dt A)
+        from scipy.linalg import expm
+
+        omega, dt, n = 2.0, 2e-3, 999
+        g = np.sin(3.1 * np.arange(n + 1) * dt) + 0.3 * np.cos(17.0 * np.arange(n + 1) * dt)
+        E = expm(dt * np.array([[0.0, 1.0, 0.0], [-omega * omega, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        e2 = np.array([0.0, 1.0, 0.0])
+        ref = np.empty((n + 1, 3))
+        ref[0] = (0.2, -0.1, 0.05)
+        for k in range(n):
+            ref[k + 1] = E @ ref[k] + 0.5 * dt * (E @ e2 * g[k] + e2 * g[k + 1])
+        z = oscillator_drive(OscillatorState(0.2, -0.1, 0.05), g, omega, dt)
+        assert z.shape == ref.shape
+        assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestRunRecurrence:
+    """The block evaluator against the recurrence x <- S x + B (s_k, s_k+1), one step at a time."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            pytest.param(_RUN_BLOCK // 2, id="n<b"),
+            pytest.param(_RUN_BLOCK - 1, id="one-block"),
+            pytest.param(_RUN_BLOCK, id="n=b"),
+            pytest.param(3 * _RUN_BLOCK, id="n=kb"),
+            pytest.param(3 * _RUN_BLOCK + 7, id="n=kb+tail"),
+        ],
+    )
+    def test_matches_stepped_loop(self, n):
+        rng = np.random.default_rng(5)
+        dim, rows = 9, 3
+        A = rng.standard_normal((dim, dim))
+        S = A / np.max(np.abs(np.linalg.eigvals(A)))  # spectral radius 1
+        B = rng.standard_normal((dim, 2))
+        D = rng.standard_normal((rows, dim))
+        x0 = rng.standard_normal(dim)
+        s = rng.standard_normal(n + 1)
+        x = x0.copy()
+        ref = [D @ x]
+        for k in range(n):
+            x = S @ x + B @ s[k : k + 2]
+            ref.append(D @ x)
+        ref = np.array(ref).T
+        out = np.full((rows, n + 1), np.nan)
+        x_n = _run_recurrence(S, B, D, x0, s, out)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(x_n - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 class TestSimulateCascade:
@@ -282,13 +337,13 @@ class TestObserverHalfPass:
 
     @pytest.mark.parametrize("start", [pytest.param(2, id="forward"), pytest.param(1, id="backward")])
     def test_matches_stepwise_reference(self, grid, start):
-        # the fused sweep against the same scheme spelled out with the public
+        # the blocked sweep against the same scheme spelled out with the public
         # kernels, one step at a time and in physical time, from the nonzero
-        # state before half-pass start. A backward pass runs the time-reversed
-        # oscillator, with its own propagator and trace forcing -tr, on the
-        # physical velocity, which the sweep keeps negated in its local time.
-        # Explicit coupling holds the trace at the left end of each step, in
-        # both forcing terms.
+        # state before half-pass start; n = 1200 ends in a partial block. A
+        # backward pass runs the time-reversed oscillator, with its own
+        # propagator and trace forcing -tr, on the physical velocity, which the
+        # sweep keeps negated in its local time. Explicit coupling holds the
+        # trace at the left end of each step, in both forcing terms.
         from scipy.linalg import expm
 
         from bfwave.leapfrog import neumann_trace, step
@@ -460,7 +515,7 @@ class TestMonitorForms:
         assert np.array_equal(res.estimates[1], mapped.estimates[1])
 
     def test_sign_fault_still_caught(self, reduced):
-        # the flipped injection reaches the forms as it reaches the step path
+        # the flipped injection reaches the forms as it reaches the sweep
         from bfwave.diagnostics import lyapunov_decrease_check
 
         res = run_back_and_forth(*reduced["args"], q_true=reduced["q"], injection_sign=-1.0)
@@ -486,8 +541,8 @@ class TestCycleMap:
     @pytest.mark.slow
     @pytest.mark.parametrize("run", ["reference_run", "reference_run_noisy"])
     def test_matches_step_path(self, run, request):
-        # the fixture's monitored run against the step path over all 50 cycles,
-        # composed here with the same monitor feed
+        # the fixture's monitored run against every half-pass on the sweep over
+        # all 50 cycles, composed here with the same monitor feed
         ref = request.getfixturevalue(run)
         cfg, grid, m = ref["cfg"], ref["grid"], ref["measurement"]
         mapped = ref["result"]
