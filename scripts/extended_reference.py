@@ -10,7 +10,7 @@ does. The coefficients are the library's float64 ones, so the reference
 differs from the float64 runs only in the rounding of the arithmetic. It
 then prints, for three float64 routes,
 
-* run_back_and_forth (cycle 1 on the sweep, later cycles through the map),
+* run_back_and_forth (every half-pass through the map, from the zero state),
 * composed observer_half_pass calls (every half-pass on the sweep, which
   runs the one-step recurrence in blocks),
 * the stepped route: the same loop as the reference on float64 columns,

@@ -2,8 +2,8 @@
 """Long-horizon behaviour of the iteration on the reference scenario.
 
 Runs the public run_back_and_forth on the clean reference measurement for
-5,000 cycles (the first on the observer sweep, the others through the
-half-pass maps), once without and once with truth monitoring, and prints
+5,000 cycles (every half-pass through the half-pass maps), once without
+and once with truth monitoring, and prints
 the wall time of each. After 50, 1,000, 2,000 and 5,000 cycles it prints
 the relative L2 error of the estimate, and from the monitored run the
 energy-identity residual and the Lyapunov value of the error. Nothing is

@@ -16,9 +16,9 @@ the files the run left besides `manifest.json`, k those of them that the
 manifest's `outputs` names (`manifest <run>: none` for `verify`, which
 writes no manifest).
 
-It then runs five commands that must be refused (malformed config JSON, a
-resonant omega, a measurement that does not fill one pass, a non-finite
-sample, an unknown `verify` group) and prints one
+It then runs six commands that must be refused (malformed config JSON, a
+resonant omega, a non-finite gain, a measurement that does not fill one
+pass, a non-finite sample, an unknown `verify` group) and prints one
 `refused <case>: exit <code>, <k> files` line each, k counting every file
 the command left in its output directory.
 
@@ -60,6 +60,8 @@ def _refusals(root: Path, clean_config: str, measurement: Path) -> list[tuple[st
     cfg = json.loads(Path(clean_config).read_text())
     resonant = root / "resonant.json"
     resonant.write_text(json.dumps(dict(cfg, omega=math.pi)))
+    infinite = root / "infinite_gain.json"
+    infinite.write_text(json.dumps(dict(cfg, gamma1=math.inf)))  # JSON's Infinity
     short = root / "short.csv"
     short.write_text("t,y\n0,0\n0.1,0\n0.2,0\n")
     lines = measurement.read_text().splitlines()
@@ -69,6 +71,7 @@ def _refusals(root: Path, clean_config: str, measurement: Path) -> list[tuple[st
     return [
         ("malformed_config", ["full", "--config", str(bad_json)]),
         ("resonant_omega", ["full", "--config", str(resonant)]),
+        ("non_finite_gain", ["full", "--config", str(infinite)]),
         ("sampling_mismatch",
          ["invert", "--config", clean_config, "--measurement", str(short)]),
         ("non_finite_sample",

@@ -56,8 +56,8 @@ def build_grid(nx: int, cfl: float, T: float) -> Grid1D:
         raise ValueError(f"nx must be >= 3, got {nx}")
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    if not T > 0.0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     dx = 1.0 / nx
     n = max(1, int(round(T / (cfl * dx))))
     # rounding down may push dt/dx above 1; one extra step restores stability
@@ -90,14 +90,14 @@ def h1_seminorm(f: np.ndarray, grid: Grid1D) -> float:
 
 @dataclass(frozen=True)
 class Gains:
-    """Observer gains; both must be strictly positive."""
+    """Observer gains; both must be strictly positive and finite."""
 
     gamma1: float
     gamma2: float
 
     def __post_init__(self):
-        if not (self.gamma1 > 0.0 and self.gamma2 > 0.0):
-            raise ValueError(f"gains must be strictly positive, got {self}")
+        if not (0.0 < self.gamma1 < np.inf and 0.0 < self.gamma2 < np.inf):
+            raise ValueError(f"gains must be strictly positive and finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,8 @@ def eval_source_profile(spec: SourceSpec, grid: Grid1D) -> np.ndarray:
     elif spec.profile == "modes":
         if not spec.coeffs:
             raise ValueError("profile 'modes' requires a nonempty coefficient list")
+        if not np.all(np.isfinite(spec.coeffs)):
+            raise ValueError(f"mode coefficients must be finite, got {list(spec.coeffs)}")
         q = np.zeros_like(x)
         for i, c in enumerate(spec.coeffs):
             q += c * np.sin((i + 1) * np.pi * x)
@@ -190,8 +192,8 @@ class ScenarioConfig:
         check_resonance(self.omega)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.noise < 0.0:
-            raise ValueError("noise level must be >= 0")
+        if not 0.0 <= self.noise < np.inf:
+            raise ValueError(f"noise level must be >= 0 and finite, got {self.noise}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         # grid, gains and source must build, so that a command refuses a bad

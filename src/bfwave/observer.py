@@ -35,17 +35,16 @@ over one half-pass, reading its boundary series off every state
 (_readout_rows).
 
 run_back_and_forth takes one route. A half-pass is linear in the observer
-state and affine in the measurement, so after cycle 1, which runs on the
-sweep, every half-pass is the map x <- S^n x + c followed by the turn R,
-with S the one-step matrix (fixed by grid, gains and omega; Ramdani,
-Tucsnak & Weiss 2010; Ito, Ramdani & Tucsnak 2011) and c the
-measurement's share: the sweep's end from the zero state over the pass's
-samples in their replay order. _linear_parts builds S, B and R once per
-grid, gains and omega. The truth monitor only reads the iteration: the
-series cycle 1 records, and for every later sweep five quadratic forms in
-its start state (_sweep_forms), which give the integrals it would have
-taken from that sweep's series; their quadratic part is the same for every
-sweep.
+state and affine in the measurement, so every half-pass, from the zero
+start on, is the map x <- S^n x + c followed by the turn R, with S the
+one-step matrix (fixed by grid, gains and omega; Ramdani, Tucsnak & Weiss
+2010; Ito, Ramdani & Tucsnak 2011) and c the measurement's share: the
+sweep's end from the zero state over the pass's samples in their replay
+order. _linear_parts builds S, B and R once per grid, gains and omega. The
+truth monitor only reads the iteration: five quadratic forms in a sweep's
+start state (_sweep_forms), expanded around the two sweeps from the zero
+state that give c, yield the integrals it would have taken from that
+sweep's series; their quadratic part is the same for every sweep.
 """
 
 from __future__ import annotations
@@ -483,7 +482,6 @@ class _TruthMonitor:
         # in its sweep's local time
         self.truth_z = (z, z[:, ::-1] * np.array([[1.0], [-1.0]]))
         self.int_zt_sq = np.zeros(2)  # running integrals of (z1 - z1_truth)^2, (z2 - z2_truth)^2
-        self.cycle_one: list[np.ndarray | None] = [None, None]  # error series, kept by fold
         self.forms: list[tuple] = []  # per direction, set by linearize
         self.G = None  # the forms' common quadratic part, set by linearize
         # observer velocity at the last boundary, in the local time of the sweep
@@ -531,49 +529,25 @@ class _TruthMonitor:
             )
         )
 
-    def fold(
-        self,
-        half: int,
-        start: ObserverState,
-        ended: LeapfrogState,
-        nxt: ObserverState,
-        rec: np.ndarray,
-    ) -> None:
-        """Fold the series recorded by sweep half into the run integrals, then sample its end.
+    def linearize(self, S: np.ndarray, records: list[np.ndarray]) -> None:
+        """Quadratic forms of the integrals of every sweep, per direction.
 
-        The error series of cycle 1 (half-passes 0 and 1) are kept for linearize.
+        S is the one-step matrix and records the read-outs of the sweeps from
+        the zero state, one per replay order, which the forms expand around;
+        the truth is subtracted from them in place.
         """
-        e = rec.copy()
-        e[:2] -= self.truth_z[half % 2]
-        if half < 2:
-            self.cycle_one[half] = e
-        self._fold(half, start, ended, nxt, _sweep_integrals(e, self.grid.dt))
-
-    def linearize(self, S: np.ndarray, starts: list[np.ndarray]) -> None:
-        """Quadratic forms of the integrals of every later sweep, per direction.
-
-        S is the one-step matrix and starts the velocity-basis starts of
-        cycle 1's two sweeps, whose error series the forms expand around.
-        """
-        series, self.cycle_one = self.cycle_one, [None, None]
-        gs, self.G = _sweep_forms(S, series, self.grid)
+        for e, zt in zip(records, self.truth_z):
+            e[:2] -= zt
+        gs, self.G = _sweep_forms(S, records, self.grid)
         dt = self.grid.dt
-        self.forms = [(x, _sweep_integrals(e, dt), g) for x, e, g in zip(starts, series, gs)]
+        self.forms = [(_sweep_integrals(e, dt), g) for e, g in zip(records, gs)]
 
-    def fold_mapped(
-        self,
-        half: int,
-        start: ObserverState,
-        ended: LeapfrogState,
-        nxt: ObserverState,
-        x: np.ndarray,
-    ) -> None:
-        """Fold sweep half, which starts at velocity-basis x, from its direction's forms."""
-        x1, h, g = self.forms[half % 2]
-        d = x - x1
-        self._fold(half, start, ended, nxt, h + (2.0 * g + self.G @ d) @ d)
+    def integrals(self, half: int, x: np.ndarray) -> np.ndarray:
+        """The five integrals (_sweep_integrals) of sweep half from velocity-basis x."""
+        h, g = self.forms[half % 2]
+        return h + (2.0 * g + self.G @ x) @ x
 
-    def _fold(
+    def fold(
         self,
         half: int,
         start: ObserverState,
@@ -581,7 +555,7 @@ class _TruthMonitor:
         nxt: ObserverState,
         integrals: np.ndarray,
     ) -> None:
-        """Add sweep half's five integrals (_sweep_integrals) to the run, then sample its end."""
+        """Add sweep half's five integrals to the run, then sample its end."""
         grid = self.grid
         self.int_zt_sq = self.int_zt_sq + integrals[:2]
         int_f, int_tr, int_fd = integrals[2:]
@@ -691,10 +665,10 @@ def _run_recurrence(
     impulse responses D S^j B, j < b, are carried once; the read-outs of
     every block are then one product of its start state and inputs with
     those rows stacked over the lower-triangular Toeplitz matrix of the
-    responses, and S^b chains the block starts. The last block, cut at
-    node n, takes the same product over inputs padded with zeros, which no
-    read-out up to node n sees; x_n is S^t applied to its start plus the
-    responses S^(t-1-l) B of its first t inputs.
+    responses, and S^b carries each block's start state to the next. The
+    last block, cut at node n, takes the same product over inputs padded
+    with zeros, which no read-out up to node n sees; x_n is S^t applied to
+    its start plus the responses S^(t-1-l) B of its first t inputs.
     """
     s = np.asarray(s, dtype=float)
     n, dim, rows = len(s) - 1, len(S), len(D)
@@ -757,10 +731,10 @@ def _power_sum(S: np.ndarray, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     """Linear parts g, one per recorded series, and the quadratic part G of the sweep integrals.
 
-    A sweep that starts d away from the sweep that recorded e (the series of
-    _sweep_integrals) records e + (D S^k d)_k, D the rows that read z1, z2,
-    f and the trace off a state, and the differences of its f change by
-    D_f (S - I) S^k d. So each of its integrals is h + 2 g.d + d.G.d, h
+    e is the series (of _sweep_integrals) of a sweep from the zero state. The
+    same sweep from the state x records e + (D S^k x)_k, D the rows that read
+    z1, z2, f and the trace off a state, and the differences of its f change
+    by D_f (S - I) S^k x. So each of its integrals is h + 2 g.x + x.G.x, h
     that of e, with g = sum_k a_k D S^k and G = sum_k w_k S^k' D'D S^k over
     the sweep's steps (a_k the weighted series, w_k the weights). g is a
     _power_sum; G, which does not depend on e, is summed by doubling,
@@ -803,65 +777,6 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     return gs, G
 
 
-def _cycle_ends(
-    state: ObserverState,
-    y: np.ndarray,
-    gains: Gains,
-    omega: float,
-    grid: Grid1D,
-    n_iterations: int,
-    injection_sign: float,
-    monitor: _TruthMonitor | None,
-):
-    """The observer states at the ends of cycles 1 to n_iterations.
-
-    Cycle 1 runs on the sweep. Every later half-pass comes from the map:
-    the sweep's end is S^n x + c, with the offset c the measurement's
-    share, the end of a sweep from the zero state over the pass's samples in
-    their replay order, and the turn R re-seeds it. The truth monitor only reads:
-    the series cycle 1 records, then, for the later sweeps, the quadratic
-    forms it builds around them from S.
-    """
-    n, nx1, dt = grid.n_steps_per_pass, grid.nx + 1, grid.dt
-    rec = np.empty((4, n + 1))
-    starts = []
-    for half in range(2):
-        start = state
-        state, ended = _sweep(start, y, gains, omega, grid, injection_sign, rec)
-        if monitor is not None:
-            monitor.fold(half, start, ended, state, rec)
-        starts.append(_observer_vector(start.wave, start, dt))
-    yield state
-    if n_iterations == 1:
-        return
-    turn, S, B = _linear_parts(gains, omega, grid, injection_sign)
-    Sn = np.linalg.matrix_power(S, n)
-    # c = sum_k S^(n-1-k) B (Y_k, Y_k+1) over the pass's samples, which a
-    # backward pass replays reversed; the monitor keeps its own copy of rec
-    read, zero = _readout_rows(grid), np.zeros(len(S))
-    offsets = [_run_recurrence(S, B, read, zero, Yp, rec) for Yp in (y, y[::-1])]
-    del rec
-    if monitor is not None:
-        monitor.linearize(S, starts)
-    x = _observer_vector(state.wave, state, dt)
-    for half in range(2, 2 * n_iterations):
-        start, x_start = state, x
-        x_end = Sn @ x + offsets[half % 2]
-        x = turn @ x_end
-        ended = LeapfrogState(*_state_parts(x_end, nx1, dt)[:2])
-        u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x, nx1, dt)
-        state = ObserverState(
-            wave=LeapfrogState(u_prev, u_curr),
-            osc=OscillatorState(float(z1), float(z2), float(z3)),
-            y_integral=float(y_int),
-            half_pass=half + 1,
-        )
-        if monitor is not None:
-            monitor.fold_mapped(half, start, ended, state, x_start)
-        if half % 2 == 1:
-            yield state
-
-
 # ---------------------------------------------------------------------------
 # iteration driver
 
@@ -883,8 +798,8 @@ def run_back_and_forth(
     reports carry per-iteration errors when q_true is given. With q_true
     the exact periodized truth cycle is integrated once and error fields
     observer-minus-truth are sampled at every half-pass boundary; the
-    iteration is the same with or without it, cycles after the first going
-    through the half-pass maps.
+    iteration is the same with or without it, every half-pass going through
+    the half-pass map x <- R (S^n x + c) from the zero state.
 
     injection_sign is a fault-injection hook for the diagnostics battery
     (a wrong sign must break the Lyapunov decrease); leave at 1.0.
@@ -908,17 +823,42 @@ def run_back_and_forth(
     if monitor is not None:
         monitor.fill(reports[0], estimates[0])
     t_iter_start = time.perf_counter()
-    for state in _cycle_ends(
-        state, y, gains, omega, grid, n_iterations, injection_sign, monitor
-    ):
-        estimates.append(extract_estimate(state, grid))
-        rep = IterationReport(
-            iteration=state.half_pass // 2, seconds=time.perf_counter() - t_iter_start
+    n, nx1, dt = grid.n_steps_per_pass, grid.nx + 1, grid.dt
+    turn, S, B = _linear_parts(gains, omega, grid, injection_sign)
+    Sn = np.linalg.matrix_power(S, n)
+    # c = sum_k S^(n-1-k) B (Y_k, Y_k+1) over the pass's samples, which a
+    # backward pass replays reversed: the sweep's end from the zero state, whose
+    # read-outs the monitor expands its forms around
+    x = np.zeros(len(S))  # the velocity-basis vector of state
+    rec = np.empty((4, n + 1))
+    records = [rec, rec if monitor is None else np.empty_like(rec)]
+    read = _readout_rows(grid)
+    offsets = [_run_recurrence(S, B, read, x, Yp, r) for Yp, r in zip((y, y[::-1]), records)]
+    if monitor is not None:
+        monitor.linearize(S, records)
+    for half in range(2 * n_iterations):
+        start, x_start = state, x
+        x_end = Sn @ x + offsets[half % 2]
+        x = turn @ x_end
+        u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x, nx1, dt)
+        state = ObserverState(
+            wave=LeapfrogState(u_prev, u_curr),
+            osc=OscillatorState(float(z1), float(z2), float(z3)),
+            y_integral=float(y_int),
+            half_pass=half + 1,
         )
         if monitor is not None:
-            monitor.fill(rep, estimates[-1])
-        reports.append(rep)
-        t_iter_start = time.perf_counter()
+            ended = LeapfrogState(*_state_parts(x_end, nx1, dt)[:2])
+            monitor.fold(half, start, ended, state, monitor.integrals(half, x_start))
+        if half % 2 == 1:
+            estimates.append(extract_estimate(state, grid))
+            rep = IterationReport(
+                iteration=state.half_pass // 2, seconds=time.perf_counter() - t_iter_start
+            )
+            if monitor is not None:
+                monitor.fill(rep, estimates[-1])
+            reports.append(rep)
+            t_iter_start = time.perf_counter()
 
     return BackAndForthResult(
         estimates=estimates,

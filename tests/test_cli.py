@@ -332,6 +332,25 @@ class TestExitCodes:
         assert cmd_full(p, out, quiet=True) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"T": float("inf")},
+            {"gamma1": float("inf")},
+            {"noise": float("inf")},
+            {"source": {"profile": "modes", "coeffs": [1.0, float("inf")]}},
+        ],
+        ids=["T", "gamma1", "noise", "coeffs"],
+    )
+    def test_non_finite_value_exit_2(self, tmp_path, bad):
+        # JSON's Infinity reaches the validators; none may overflow or run to NaN
+        p = write_config(tmp_path / "c.json", **bad)
+        assert "Infinity" in p.read_text()
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not any(out.iterdir())
+
 
 def assert_manifest_lists_directory(out):
     """The manifest names each file in out besides itself once, and was written after them."""
