@@ -1,8 +1,16 @@
 #!/usr/bin/env python3
-"""How far the reference estimates are from an extended-precision run.
+"""How far the reference measurement and estimates are from extended-precision runs.
 
-Runs the observer recurrence of the clean 50-cycle reference scenario in
-numpy longdouble, one step at a time: the library's own observer step
+First the measurement: the forced wave recurrence of forward synthesis,
+run from rest as a loop of leapfrog._leap steps on long-double levels (the
+forcing q cos(omega k dt) and the pinned walls as in run_homogeneous, the
+coefficients the library's float64 ones). It prints the largest
+|trace - reference| over the largest |reference| for simulate_forward's
+trace (the blocked run) and for the same loop stepped in float64.
+
+Then the estimates. It runs the observer recurrence of the clean 50-cycle
+reference scenario in numpy longdouble, one step at a time: the library's
+own observer step
 (observer._observer_step) and turn (leapfrog.continuation_level, with the
 oscillator velocity z2 negated) applied to (nx+1, 1) long-double columns,
 the measurement replayed reversed on backward passes, as observer._sweep
@@ -34,7 +42,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bfwave.forward import simulate_forward  # noqa: E402
-from bfwave.leapfrog import LeapfrogState, continuation_level  # noqa: E402
+from bfwave.leapfrog import (  # noqa: E402
+    LeapfrogState,
+    _leap,
+    continuation_level,
+    init_leapfrog,
+    neumann_trace,
+)
 from bfwave.observer import (  # noqa: E402
     _observer_step,
     extract_estimate,
@@ -43,6 +57,21 @@ from bfwave.observer import (  # noqa: E402
     run_back_and_forth,
 )
 from bfwave.scenarios import reference_scenario  # noqa: E402
+
+
+def stepped_measurement(q, omega, grid, dtype) -> np.ndarray:
+    """Left trace of the forced wave from rest, stepped node by node in dtype."""
+    start = init_leapfrog(np.zeros(grid.nx + 1), q, grid)
+    u_prev, u_curr = start.u_prev.astype(dtype), start.u_curr.astype(dtype)
+    c2, dt = dtype(grid.cfl) * dtype(grid.cfl), dtype(grid.dt)
+    dt2q = dt * dt * np.asarray(q, dtype=dtype)
+    traces = [neumann_trace(u_curr, dtype(grid.dx))]
+    for k in range(grid.n_steps_per_pass):
+        un = _leap(u_prev, u_curr, c2, dt2q * np.cos(dtype(omega) * k * dt))
+        un[0] = un[-1] = 0.0
+        u_prev, u_curr = u_curr, un
+        traces.append(neumann_trace(u_curr, dtype(grid.dx)))
+    return np.array(traces)
 
 
 def stepped_estimates(y, gains, omega, grid, cycles: int, dtype) -> np.ndarray:
@@ -83,9 +112,19 @@ def main() -> None:
     cfg = reference_scenario(noise=0.0)
     grid = cfg.grid()
     gains, cycles = cfg.gains(), cfg.iterations
-    m = simulate_forward(cfg.q_true(grid), cfg.omega, grid)
+    q = cfg.q_true(grid)
+    m = simulate_forward(q, cfg.omega, grid)
     if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
         print("longdouble is no wider than float64 here; the reference measures nothing")
+    ref_y = stepped_measurement(q, cfg.omega, grid, np.longdouble)
+    traces = {
+        "simulate_forward": m.y,
+        "stepped float64": stepped_measurement(q, cfg.omega, grid, np.float64),
+    }
+    print(f"extended-precision measurement: {len(ref_y)} samples")
+    for label, y in traces.items():
+        gap = float(np.max(np.abs(y - ref_y)) / np.max(np.abs(ref_y)))
+        print(f"  {label}: largest |trace - reference| / max|reference| = {gap:.2e}")
     t0 = time.perf_counter()
     ref = stepped_estimates(m.y, gains, cfg.omega, grid, cycles, np.longdouble)
     print(f"extended-precision reference: {cycles} cycles in {time.perf_counter() - t0:.1f} s")

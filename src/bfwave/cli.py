@@ -219,6 +219,8 @@ def _setup(config_path, out_dir, seed: int | None = None, needs_source: str | No
         if not cfg.out_dir:
             raise ConfigError("no output directory: pass --out or set out_dir in the config")
         out_dir = cfg.out_dir
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return cfg, Path(out_dir), cfg.seed if seed is None else seed
 
 

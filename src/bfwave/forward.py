@@ -67,9 +67,10 @@ def add_noise(record: MeasurementRecord, level: float, seed: int) -> Measurement
     """Additive white Gaussian noise with sigma = level * RMS(clean signal).
 
     Level 0 returns the record unchanged, so a clean record keeps noise_seed None.
+    A negative, infinite or NaN level raises ValueError.
     """
-    if level < 0.0:
-        raise ValueError(f"noise level must be >= 0, got {level}")
+    if not 0.0 <= level < np.inf:
+        raise ValueError(f"noise level must be >= 0 and finite, got {level}")
     if level == 0.0:
         return record
     sigma = level * rms(record.y, record.dt, record.T)

@@ -7,6 +7,7 @@ Fields live on the nx+1 nodes x_j = j*dx of [0, 1] and are plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -50,10 +51,17 @@ class Grid1D:
         return np.arange(self.n_steps_per_pass + 1) * self.dt
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """Refuse a non-integer (a bool, a float, JSON's Infinity) or a value below least."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def build_grid(nx: int, cfl: float, T: float) -> Grid1D:
     """Build a grid with dx = 1/nx and dt snapped to divide T exactly."""
-    if nx < 3:
-        raise ValueError(f"nx must be >= 3, got {nx}")
+    _check_integer("nx", nx, 3)
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     if not 0.0 < T < np.inf:
@@ -112,6 +120,9 @@ class SourceSpec:
     k: int = 1
     coeffs: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        _check_integer("source mode index k", self.k, 1)
+
 
 def eval_source_profile(spec: SourceSpec, grid: Grid1D) -> np.ndarray:
     """Sample a source profile at the grid nodes, endpoints pinned to 0."""
@@ -119,8 +130,6 @@ def eval_source_profile(spec: SourceSpec, grid: Grid1D) -> np.ndarray:
     if spec.profile == "poly_paper":
         q = x - x * x
     elif spec.profile == "sine_k":
-        if spec.k < 1:
-            raise ValueError(f"mode index must be >= 1, got {spec.k}")
         q = np.sin(spec.k * np.pi * x)
     elif spec.profile == "modes":
         if not spec.coeffs:
@@ -190,12 +199,11 @@ class ScenarioConfig:
         if not np.isfinite(self.omega):
             raise ValueError("omega must be finite")
         check_resonance(self.omega)
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        _check_integer("iterations", self.iterations, 1)
+        _check_integer("seed", self.seed, 0)
+        _check_integer("snapshot_stride", self.snapshot_stride, 1)
         if not 0.0 <= self.noise < np.inf:
             raise ValueError(f"noise level must be >= 0 and finite, got {self.noise}")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
         # grid, gains and source must build, so that a command refuses a bad
         # value before it writes anything
         grid = self.grid()
@@ -223,6 +231,6 @@ def source_spec_from_dict(d: dict) -> SourceSpec:
     coeffs = d.get("coeffs")
     return SourceSpec(
         profile=d.get("profile", "poly_paper"),
-        k=int(d.get("k", 1)),
+        k=d.get("k", 1),
         coeffs=tuple(float(c) for c in coeffs) if coeffs is not None else None,
     )

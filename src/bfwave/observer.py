@@ -20,14 +20,16 @@ forcing. The wave trace entering the oscillator is held at its left
 endpoint within each step (explicit coupling); the measured output Y
 enters with both endpoints.
 
-Each loop is written once, and none in this module advances one time
-node per Python iteration. A sweep and the plant oscillator are each a time-invariant
-linear recurrence x_k+1 = S x_k + B (s_k, s_k+1) over a sample series,
-and _run_recurrence evaluates such a recurrence in blocks of steps.
-oscillator_drive runs the uncoupled plant oscillator (S its propagator)
-over a trace series (the cascade); the cascade's wave is
-leapfrog.run_homogeneous. The backward half of the truth cycle is the
-forward half time-reversed: its rows in reverse order, z2 negated.
+Each loop is written once, and none in this module or in the wave runs it
+calls advances one time node per Python iteration. A sweep, the plant
+oscillator and the cascade's wave are each a time-invariant linear
+recurrence x_k+1 = S x_k + B (s_k, s_k+1) over a sample series, and
+leapfrog._run_recurrence, the one evaluator of such recurrences, runs them
+in blocks of steps. oscillator_drive runs the uncoupled plant oscillator
+(S its propagator) over a trace series (the cascade); the cascade's wave is
+leapfrog.run_homogeneous, which runs the same evaluator. The backward half
+of the truth cycle is the forward half time-reversed: its rows in reverse
+order, z2 negated.
 _observer_step is the one coupled observer step, and it alone computes
 the injection value that the x=0 node takes; _linear_parts applies it to
 the columns of the identity for S and B, and _sweep runs that recurrence
@@ -63,6 +65,7 @@ from .grid import Gains, Grid1D, h1_seminorm, l2_norm
 from .leapfrog import (
     LeapfrogState,
     _leap,
+    _run_recurrence,
     continuation_level,
     init_leapfrog,
     neumann_trace,
@@ -650,56 +653,6 @@ def _readout_rows(grid: Grid1D) -> np.ndarray:
     D[0, 2 * nx1] = D[1, 2 * nx1 + 1] = D[2, 0] = 1.0
     D[3, :nx1] = neumann_trace(np.eye(nx1), grid.dx)
     return D
-
-
-_RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
-
-
-def _run_recurrence(
-    S: np.ndarray, B: np.ndarray, D: np.ndarray, x0: np.ndarray, s: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Run x_k+1 = S x_k + B (s_k, s_k+1) from x0 over the samples s; return x_n.
-
-    out, shape (len(D), n+1), receives the read-outs D x_k for k = 0..n.
-    The steps go in blocks of b = _RUN_BLOCK. The rows D S^j and the
-    impulse responses D S^j B, j < b, are carried once; the read-outs of
-    every block are then one product of its start state and inputs with
-    those rows stacked over the lower-triangular Toeplitz matrix of the
-    responses, and S^b carries each block's start state to the next. The
-    last block, cut at node n, takes the same product over inputs padded
-    with zeros, which no read-out up to node n sees; x_n is S^t applied to
-    its start plus the responses S^(t-1-l) B of its first t inputs.
-    """
-    s = np.asarray(s, dtype=float)
-    n, dim, rows = len(s) - 1, len(S), len(D)
-    b = min(_RUN_BLOCK, n + 1)
-    full, t = divmod(n, b)  # node n is t steps into the block after `full` whole ones
-    P = np.empty((b, rows, dim))  # D S^j
-    G = np.empty((b, dim, 2))  # S^j B
-    P[0], G[0] = D, B
-    for j in range(1, b):
-        P[j] = P[j - 1] @ S
-        G[j] = S @ G[j - 1]
-    # row i: the start x of block i, then its inputs u_k = (s_k, s_k+1), zero past s_n
-    XU = np.zeros((full + 1, dim + 2 * b))
-    X, U = XU[:, :dim], XU[:, dim:]
-    U[:, 0::2].flat[: n + 1] = s
-    U[:, 1::2].flat[:n] = s[1:]
-    # input l of a block reaches the block's end through S^(b-1-l) B
-    F = G[::-1].transpose(0, 2, 1).reshape(2 * b, dim)
-    X[0] = x0
-    if full:
-        np.matmul(U[:-1], F, out=X[1:])
-        SbT = np.linalg.matrix_power(S, b).T
-        for i in range(full):
-            X[i + 1] += X[i] @ SbT
-    # read-out j of a block: D S^j x + sum_(l<j) D S^(j-1-l) B u_l
-    H = np.concatenate([D @ G, np.zeros((1, rows, 2))])  # H[b] = 0 serves l >= j
-    lag = np.arange(b) - np.arange(b)[:, None] - 1  # [l, j] = j - 1 - l
-    T = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2).reshape(2 * b, b * rows)
-    R = XU @ np.vstack([P.transpose(2, 0, 1).reshape(dim, b * rows), T])
-    out[...] = R.reshape(-1, rows)[: n + 1].T
-    return np.linalg.matrix_power(S, t) @ X[-1] + U[-1, : 2 * t] @ F[2 * (b - t) :]
 
 
 _POWER_BLOCK = 128  # steps whose rows _power_sum holds at once

@@ -339,8 +339,13 @@ class TestExitCodes:
             {"gamma1": float("inf")},
             {"noise": float("inf")},
             {"source": {"profile": "modes", "coeffs": [1.0, float("inf")]}},
+            {"nx": float("inf")},
+            {"iterations": float("inf")},
+            {"snapshot_stride": float("inf")},
+            {"seed": float("inf")},
+            {"source": {"profile": "sine_k", "k": float("inf")}},
         ],
-        ids=["T", "gamma1", "noise", "coeffs"],
+        ids=["T", "gamma1", "noise", "coeffs", "nx", "iterations", "snapshot_stride", "seed", "k"],
     )
     def test_non_finite_value_exit_2(self, tmp_path, bad):
         # JSON's Infinity reaches the validators; none may overflow or run to NaN
@@ -349,6 +354,34 @@ class TestExitCodes:
         out = tmp_path / "out"
         out.mkdir()
         assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"nx": 20.5},
+            {"iterations": 2.5},
+            {"snapshot_stride": True},
+            {"seed": 4.2},
+            {"seed": -1},
+            {"source": {"profile": "sine_k", "k": 1.5}},
+        ],
+        ids=["nx", "iterations", "snapshot_stride", "seed", "negative_seed", "k"],
+    )
+    def test_non_integer_count_exit_2(self, tmp_path, bad):
+        # an integer field is refused, not truncated or passed on to fail later
+        p = write_config(tmp_path / "c.json", noise=0.1, **bad)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not any(out.iterdir())
+
+    def test_negative_seed_option_exit_2(self, tmp_path):
+        p = write_config(tmp_path / "c.json", noise=0.1)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["full", "--config", str(p), "--out", str(out), "--seed", "-1", "--quiet"]
+        assert main(argv) == EXIT_CONFIG
         assert not any(out.iterdir())
 
 

@@ -96,6 +96,13 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(m, -0.1, 1)
 
+    @pytest.mark.parametrize("level", [float("inf"), float("nan")])
+    def test_non_finite_level_rejected(self, grid, level):
+        # such a level would turn every sample into inf or nan
+        m = simulate_forward(sine_mode(grid), 1.0, grid)
+        with pytest.raises(ValueError):
+            add_noise(m, level, 1)
+
     @given(level=st.floats(0.01, 1.0), seed=st.integers(0, 2**31))
     @settings(max_examples=15)
     def test_noise_is_additive_gaussian(self, level, seed):

@@ -189,6 +189,16 @@ class TestEnergy:
             4.0 * discrete_energy(s, grid20), rel=1e-12
         )
 
+    def test_stacked_levels(self, grid20):
+        # one energy per column pair, as the per-level calls give it
+        rng = np.random.default_rng(11)
+        prev, curr = rng.standard_normal((2, 21, 7))
+        stacked = discrete_energy(LeapfrogState(prev, curr), grid20)
+        single = [discrete_energy(LeapfrogState(prev[:, j], curr[:, j]), grid20) for j in range(7)]
+        assert stacked.shape == (7,)
+        assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-15
+        assert isinstance(single[0], float)
+
     def test_conservation_10k_steps(self):
         g = build_grid(20, 0.005, 2.5)
         s = init_leapfrog(mode(g), None, g)
@@ -200,7 +210,59 @@ class TestEnergy:
         assert drift <= 1e-10
 
 
+def stepped_run(q0, g, n, q=None, omega=0.0):
+    """run_homogeneous as a loop of _leap steps on long-double levels, one per Python iteration.
+
+    Returns the final state, the traces and the largest |level| over the run.
+    """
+    ld = np.longdouble
+    start = init_leapfrog(q0, q, g)
+    u_prev, u_curr = start.u_prev.astype(ld), start.u_curr.astype(ld)
+    c2, dt, dx = ld(g.cfl) * ld(g.cfl), ld(g.dt), ld(g.dx)
+    dt2q = None if q is None else dt * dt * np.asarray(q, dtype=ld)
+    traces = [neumann_trace(u_curr, dx)]
+    peak = np.max(np.abs(u_curr))
+    for k in range(n):
+        un = _leap(u_prev, u_curr, c2, None if q is None else dt2q * np.cos(ld(omega) * k * dt))
+        un[0] = un[-1] = 0.0
+        u_prev, u_curr = u_curr, un
+        traces.append(neumann_trace(u_curr, dx))
+        peak = max(peak, np.max(np.abs(u_curr)))
+    return LeapfrogState(u_prev, u_curr), np.array(traces), peak
+
+
 class TestRunHomogeneous:
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("n", [20, 77, 10_000], ids=["n<32", "n=77", "n=1e4"])
+    @pytest.mark.parametrize("cfl", [0.005, 0.9])
+    def test_blocked_run_matches_stepped_loop(self, cfl, n, forced):
+        # the stepped reference runs in long double, so what is compared is the
+        # blocked run's own rounding, not that of a float64 loop over 1e4 steps
+        if n >= 10_000 and np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+            pytest.skip("a float64 stepped loop drifts by 1e-12 over 1e4 steps")
+        g = build_grid(20, cfl, 1.0)
+        x = g.nodes
+        if forced:
+            q0, args = np.zeros(21), (x - x * x, 2.0)
+        else:
+            q0, args = mode(g) + 0.3 * mode(g, 3), ()
+        fin, tr = run_homogeneous(q0, g, n, *args)
+        ref, ref_tr, peak = stepped_run(q0, g, n, *args)
+        assert tr.shape == (n + 1,)
+        assert np.max(np.abs(tr - ref_tr)) <= 1e-12 * np.max(np.abs(ref_tr))
+        assert np.max(np.abs(fin.u_curr - ref.u_curr)) <= 1e-12 * peak
+        assert np.max(np.abs(fin.u_prev - ref.u_prev)) <= 1e-12 * peak
+
+    def test_pinned_walls_are_exactly_zero(self):
+        # sin(pi x) at x = 1 rounds to about 1e-16; the stepped update sets the
+        # wall to 0, and so must the blocked run
+        g = build_grid(20, 0.005, 1.0)
+        q0 = np.sin(np.pi * g.nodes)
+        assert 0.0 < abs(q0[-1]) < 1e-15
+        fin, _ = run_homogeneous(q0, g, 77)
+        assert fin.u_curr[-1] == 0.0 and fin.u_curr[0] == 0.0
+        assert fin.u_prev[-1] == 0.0 and fin.u_prev[0] == 0.0
+
     def test_zero_run(self, grid20):
         fin, tr = run_homogeneous(np.zeros(21), grid20, 40)
         assert not fin.u_curr.any()

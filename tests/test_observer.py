@@ -4,15 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from bfwave.forward import MeasurementRecord, simulate_forward
 from bfwave.grid import Gains, ScenarioConfig, build_grid
-from bfwave.leapfrog import LeapfrogState, init_leapfrog
+from bfwave.leapfrog import _RUN_BLOCK, LeapfrogState, _run_recurrence, init_leapfrog
 from bfwave.observer import (
     IterationReport,
     ObserverState,
     OscillatorState,
-    _RUN_BLOCK,
     _linear_parts,
     _observer_vector,
-    _run_recurrence,
     _state_parts,
     _sweep,
     _sweep_integrals,
