@@ -81,14 +81,12 @@ def stepped_estimates(y, gains, omega, grid, cycles: int, dtype) -> np.ndarray:
     y = np.asarray(y, dtype=dtype)
     u_prev = np.zeros((nx1, 1), dtype=dtype)
     u_curr = u_prev.copy()
-    z1 = z2 = z3 = y_int = np.zeros(1, dtype=dtype)
+    z1 = z2 = w = np.zeros(1, dtype=dtype)
     estimates = []
     for half in range(2 * cycles):
         Yp = y if half % 2 == 0 else y[::-1]
         for k in range(n):
-            u_prev, u_curr, z1, z2, z3, y_int = step(
-                u_prev, u_curr, z1, z2, z3, y_int, Yp[k], Yp[k + 1]
-            )
+            u_prev, u_curr, z1, z2, w = step(u_prev, u_curr, z1, z2, w, Yp[k], Yp[k + 1])
         u_prev = continuation_level(LeapfrogState(u_prev, u_curr), grid)
         z2 = -z2
         if half % 2 == 1:

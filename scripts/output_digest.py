@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """sha256 of every file the CLI writes on four fixed runs.
 
-Runs, in a temporary directory and in this process:
+Runs, in this process and in a temporary directory (or in the directory
+given as the one argument, which must be new or empty and keeps the runs'
+files):
 
 * `bfwave full` on the clean reference scenario (50 monitored cycles);
 * `bfwave full` on the reference scenario with 10 % noise;
@@ -26,6 +28,9 @@ Two checkouts that print the same lines write the same files byte for byte
 and refuse the same inputs the same way:
 
     python scripts/output_digest.py > digests.txt
+    python scripts/output_digest.py runs/ > digests.txt   # keep the files
+
+`scripts/output_gap.py` compares the CSVs of two such kept directories.
 
 The package is imported from the `src/` directory next to this script, so
 the script measures the checkout it sits in, installed or not.
@@ -36,6 +41,7 @@ import json
 import math
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -90,8 +96,16 @@ def _manifest_line(run: Path) -> str:
     return f"manifest {run.name}: lists {len(files & listed)} of {len(files)} files"
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print("usage: output_digest.py [out_dir]", file=sys.stderr)
+        return 2
+    if argv:
+        Path(argv[0]).mkdir(parents=True, exist_ok=True)
+        if any(Path(argv[0]).iterdir()):
+            print(f"{argv[0]} is not empty", file=sys.stderr)
+            return 2
+    with nullcontext(argv[0]) if argv else tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         clean = _config(root / "clean.json", 0.0)
         noisy = _config(root / "noisy.json", 0.1)
@@ -129,4 +143,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -18,7 +18,8 @@ from the parity of the half-pass index. The oscillator is propagated with
 the exact matrix exponential of its homogeneous part plus trapezoidal
 forcing. The wave trace entering the oscillator is held at its left
 endpoint within each step (explicit coupling); the measured output Y
-enters with both endpoints.
+enters with both endpoints. The observer state is (u, v, z1, z2, w), with
+one integral channel, w = integral of z1 - Y.
 
 Each loop is written once, and none in this module or in the wave runs it
 calls advances one time node per Python iteration. A sweep, the plant
@@ -94,23 +95,22 @@ __all__ = [
 
 
 class OscillatorState(NamedTuple):
-    """Boundary oscillator triple: position, velocity, running integral of z1."""
+    """Boundary oscillator pair: position and velocity."""
 
     z1: float
     z2: float
-    z3: float
 
 
-ZERO_OSC = OscillatorState(0.0, 0.0, 0.0)
+ZERO_OSC = OscillatorState(0.0, 0.0)
 
 
 @lru_cache(maxsize=64)
 def oscillator_propagator(omega: float, gamma2: float, dt: float) -> np.ndarray:
-    """exp(dt*A) for the augmented (z1, z2, z3) system.
+    """exp(dt*A) for the augmented (z1, z2, w) system; the array is read-only.
 
     z1' = -gamma2*z1 + z2, z2' = -omega^2*z1 + trace forcing; the plant is
-    gamma2 = 0. z3' = z1, so the integral channel is propagated exactly
-    along with the rotation.
+    gamma2 = 0 and runs the (z1, z2) block. w' = z1 gives the observer's
+    integral channel the share of z1 that the rotation propagates exactly.
     """
     A = np.array(
         [
@@ -119,7 +119,9 @@ def oscillator_propagator(omega: float, gamma2: float, dt: float) -> np.ndarray:
             [1.0, 0.0, 0.0],
         ]
     )
-    return expm(dt * A)
+    E = expm(dt * A)
+    E.flags.writeable = False
+    return E
 
 
 def oscillator_drive(z0: OscillatorState, trace: np.ndarray, omega: float, dt: float) -> np.ndarray:
@@ -127,12 +129,12 @@ def oscillator_drive(z0: OscillatorState, trace: np.ndarray, omega: float, dt: f
 
     Exact homogeneous propagation, trapezoidal forcing: the trace enters
     channel 2, so a step is z <- E z + (dt/2) (E e2 trace_k + e2 trace_k+1),
-    E the propagator, run by _run_recurrence. Row 0 of the result is z0.
+    E the propagator's (z1, z2) block, run by _run_recurrence. Row 0 is z0.
     """
-    E = oscillator_propagator(omega, 0.0, dt)
-    B = 0.5 * dt * np.column_stack([E[:, 1], (0.0, 1.0, 0.0)])
-    z = np.empty((3, len(trace)))
-    _run_recurrence(E, B, np.eye(3), np.asarray(z0, dtype=float), trace, z)
+    E = oscillator_propagator(omega, 0.0, dt)[:2, :2]
+    B = 0.5 * dt * np.column_stack([E[:, 1], (0.0, 1.0)])
+    z = np.empty((2, len(trace)))
+    _run_recurrence(E, B, np.eye(2), np.asarray(z0, dtype=float), trace, z)
     return z.T
 
 
@@ -142,7 +144,7 @@ def oscillator_drive(z0: OscillatorState, trace: np.ndarray, omega: float, dt: f
 
 @dataclass
 class CascadeResult:
-    """One pass of the cascade: driving trace and oscillator (z1, z2, z3) at every node."""
+    """One pass of the cascade: driving trace and oscillator (z1, z2) at every node."""
 
     trace: np.ndarray
     z: np.ndarray
@@ -175,7 +177,7 @@ class PlantCycle:
 
     The backward half is the forward half time-reversed, so the cycle is
     exactly periodic and a single integration serves every iteration. z
-    holds (z1, z2, z3) at the n+1 nodes of the forward half; the backward
+    holds (z1, z2) at the n+1 nodes of the forward half; the backward
     half's (z1, z2), in its own local time, are z's rows in reverse order
     with z2 negated. field_T and vel_T are the wave at the turn t = T.
     """
@@ -219,17 +221,18 @@ class ObserverState:
 
     wave and osc are in the local time of that pass, so at an odd half_pass
     (before a backward pass) osc.z2 holds the negated physical velocity.
+    mismatch_integral is w, the integral of z1 - Y, each pass in its local time.
     """
 
     wave: LeapfrogState
     osc: OscillatorState
-    y_integral: float
+    mismatch_integral: float
     half_pass: int
 
 
 def initial_observer_state(grid: Grid1D) -> ObserverState:
     wave = init_leapfrog(np.zeros(grid.nx + 1), None, grid)
-    return ObserverState(wave=wave, osc=ZERO_OSC, y_integral=0.0, half_pass=0)
+    return ObserverState(wave=wave, osc=ZERO_OSC, mismatch_integral=0.0, half_pass=0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +281,15 @@ class BackAndForthResult:
 def _observer_step(gains: Gains, omega: float, grid: Grid1D, injection_sign: float):
     """One coupled observer step, in the sweep's local time, on columns of states.
 
-    step(u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1) returns the advanced
-    (u_prev, u_curr, z1, z2, z3, y_int) for (nx+1, m) arrays of levels and
-    rows of m oscillator values, where Yn and Yn1 are the measurement at
+    step(u_prev, u_curr, z1, z2, w, Yn, Yn1) returns the advanced
+    (u_prev, u_curr, z1, z2, w) for (nx+1, m) arrays of levels and rows of m
+    oscillator and integral values, where Yn and Yn1 are the measurement at
     the two ends of the step. The oscillator holds the left trace of u_curr
-    over the whole step (explicit coupling); the new wave level takes the
-    injection value at x=0. _linear_parts applies it to the columns of the
-    identity, so it defines the one-step matrix S and input matrix B that
-    every sweep runs.
+    over the whole step (explicit coupling). w, the integral of z1 - Y, takes
+    the z1 share of the propagator's third row and the trapezoid of Y; the
+    new wave level takes the injection value g1 (z1 - Y) + g1 g2 w at x=0.
+    _linear_parts applies it to the columns of the identity, so it defines
+    the one-step matrix S and input matrix B that every sweep runs.
     """
     E = oscillator_propagator(omega, gains.gamma2, grid.dt)
     (e11, e12, _), (e21, e22, _), (e31, e32, _) = E.tolist()
@@ -294,17 +298,16 @@ def _observer_step(gains: Gains, omega: float, grid: Grid1D, injection_sign: flo
     g1, g2 = gains.gamma1, gains.gamma2
     g1g2 = g1 * g2
 
-    def step(u_prev, u_curr, z1, z2, z3, y_int, Yn, Yn1):
+    def step(u_prev, u_curr, z1, z2, w, Yn, Yn1):
         trc = neumann_trace(u_curr, dx)
         b1 = g2 * Yn
         z1n = e11 * z1 + e12 * z2 + hdt * (e11 * b1 + e12 * trc + g2 * Yn1)
         z2n = e21 * z1 + e22 * z2 + hdt * (e21 * b1 + e22 * trc + trc)
-        z3n = e31 * z1 + e32 * z2 + z3 + hdt * (e31 * b1 + e32 * trc)
-        y_int = y_int + hdt * (Yn + Yn1)
+        wn = w + e31 * z1 + e32 * z2 + hdt * (e31 * b1 + e32 * trc - (Yn + Yn1))
         un = _leap(u_prev, u_curr, c2)
-        un[0] = injection_sign * (g1 * (z1n - Yn1) + g1g2 * (z3n - y_int))
+        un[0] = injection_sign * (g1 * (z1n - Yn1) + g1g2 * wn)
         un[-1] = 0.0
-        return u_curr, un, z1n, z2n, z3n, y_int
+        return u_curr, un, z1n, z2n, wn
 
     return step
 
@@ -333,12 +336,12 @@ def _sweep(
     Yp = y if half % 2 == 0 else y[::-1]
     x0 = _observer_vector(state.wave, state, grid.dt)
     x = _run_recurrence(S, B, _readout_rows(grid), x0, Yp, rec)
-    u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x, grid.nx + 1, grid.dt)
+    u_prev, u_curr, z1, z2, w = _state_parts(x, grid.nx + 1, grid.dt)
     ended = LeapfrogState(u_prev, u_curr)
     nxt = ObserverState(
         wave=reversed_state(ended, grid),
-        osc=OscillatorState(float(z1), -float(z2), float(z3)),
-        y_integral=float(y_int),
+        osc=OscillatorState(float(z1), -float(z2)),
+        mismatch_integral=float(w),
         half_pass=half + 1,
     )
     return nxt, ended
@@ -480,7 +483,7 @@ class _TruthMonitor:
         self.q, self.gains, self.omega, self.grid = q_true, gains, omega, grid
         plant = run_plant_cycle(q_true, omega, grid)
         self.turn_wave = plant.field_T, plant.vel_T
-        z = plant.z[:, :2].T
+        z = plant.z.T
         # truth (z1, z2) at the nodes of a forward and of a backward sweep, each
         # in its sweep's local time
         self.truth_z = (z, z[:, ::-1] * np.array([[1.0], [-1.0]]))
@@ -516,7 +519,7 @@ class _TruthMonitor:
         b = l2_norm(w2, grid) ** 2
         w2t = l2_norm(_second_x_derivative(w1, grid.dx), grid)
         tr_err = neumann_trace(w1, grid.dx)
-        V = lyapunov_value(w1, w2, OscillatorState(zt1, zt2, 0.0), self.gains, self.omega, grid)
+        V = lyapunov_value(w1, w2, OscillatorState(zt1, zt2), self.gains, self.omega, grid)
         self.samples.append(
             (
                 V,
@@ -595,29 +598,29 @@ class _TruthMonitor:
 # the sweep leaves S^n x + c from the start x, and the turn R re-seeds it, with
 # S the one-step matrix over a zero measurement and c = sum_k S^(n-1-k) B
 # (Y_k, Y_k+1) over the pass's samples in replay order. The state vector is
-# (u_curr, (u_curr - u_prev)/dt, z1, z2, z3, y_int). In this velocity basis the
-# map keeps the 50-cycle reference estimates within 8.8e-12 (relative) of an
+# (u_curr, (u_curr - u_prev)/dt, z1, z2, w). In this velocity basis the
+# map keeps the 50-cycle reference estimates within 8.9e-12 (relative) of an
 # extended-precision run of the same recurrence stepped node by node (a float64
-# stepped run: 8.2e-12; scripts/extended_reference.py); in the two-level basis
+# stepped run: 8.0e-12; scripts/extended_reference.py); in the two-level basis
 # (u_prev, u_curr), where the cycle map is about 400 in norm, they drift by up
 # to 7.5e-7. One cycle is x <- M x + b with M = (R S^n)^2 (Ramdani, Tucsnak &
 # Weiss 2010).
 
 
-def _state_vector(u_prev, u_curr, z1, z2, z3, y_int, dt: float) -> np.ndarray:
+def _state_vector(u_prev, u_curr, z1, z2, w, dt: float) -> np.ndarray:
     """Velocity-basis vector of a state, or matrix of one state per column."""
-    return np.concatenate([u_curr, (u_curr - u_prev) / dt, np.array([z1, z2, z3, y_int])])
+    return np.concatenate([u_curr, (u_curr - u_prev) / dt, np.array([z1, z2, w])])
 
 
 def _state_parts(x: np.ndarray, nx1: int, dt: float) -> tuple:
-    """(u_prev, u_curr, z1, z2, z3, y_int) of a velocity-basis vector or matrix."""
-    u, v, (z1, z2, z3, y_int) = x[:nx1], x[nx1 : 2 * nx1], x[2 * nx1 :]
-    return u - dt * v, u, z1, z2, z3, y_int
+    """(u_prev, u_curr, z1, z2, w) of a velocity-basis vector or matrix."""
+    u, v, (z1, z2, w) = x[:nx1], x[nx1 : 2 * nx1], x[2 * nx1 :]
+    return u - dt * v, u, z1, z2, w
 
 
 def _observer_vector(wave: LeapfrogState, state: ObserverState, dt: float) -> np.ndarray:
-    """Velocity-basis vector of wave with the oscillator and y integral of state."""
-    return _state_vector(wave.u_prev, wave.u_curr, *state.osc, state.y_integral, dt)
+    """Velocity-basis vector of wave with the oscillator and mismatch integral of state."""
+    return _state_vector(wave.u_prev, wave.u_curr, *state.osc, state.mismatch_integral, dt)
 
 
 @lru_cache(maxsize=8)
@@ -631,13 +634,13 @@ def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: floa
     the arrays are read-only.
     """
     nx1, dt = grid.nx + 1, grid.dt
-    basis = _state_parts(np.eye(2 * nx1 + 4), nx1, dt)
-    u_prev, u_curr, z1, z2, z3, y_int = basis
+    basis = _state_parts(np.eye(2 * nx1 + 3), nx1, dt)
+    u_prev, u_curr, z1, z2, w = basis
     ghost = continuation_level(LeapfrogState(u_prev, u_curr), grid)
-    zero = _state_parts(np.zeros((2 * nx1 + 4, 2)), nx1, dt)
+    zero = _state_parts(np.zeros((2 * nx1 + 3, 2)), nx1, dt)
     step = _observer_step(gains, omega, grid, injection_sign)
     parts = (
-        _state_vector(ghost, u_curr, z1, -z2, z3, y_int, dt),
+        _state_vector(ghost, u_curr, z1, -z2, w, dt),
         _state_vector(*step(*basis, 0.0, 0.0), dt),
         _state_vector(*step(*zero, np.array([1.0, 0.0]), np.array([0.0, 1.0])), dt),
     )
@@ -649,7 +652,7 @@ def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: floa
 def _readout_rows(grid: Grid1D) -> np.ndarray:
     """The rows that read z1, z2, the x=0 Dirichlet value f and the left trace off a state."""
     nx1 = grid.nx + 1
-    D = np.zeros((4, 2 * nx1 + 4))
+    D = np.zeros((4, 2 * nx1 + 3))
     D[0, 2 * nx1] = D[1, 2 * nx1 + 1] = D[2, 0] = 1.0
     D[3, :nx1] = neumann_trace(np.eye(nx1), grid.dx)
     return D
@@ -793,11 +796,11 @@ def run_back_and_forth(
         start, x_start = state, x
         x_end = Sn @ x + offsets[half % 2]
         x = turn @ x_end
-        u_prev, u_curr, z1, z2, z3, y_int = _state_parts(x, nx1, dt)
+        u_prev, u_curr, z1, z2, w = _state_parts(x, nx1, dt)
         state = ObserverState(
             wave=LeapfrogState(u_prev, u_curr),
-            osc=OscillatorState(float(z1), float(z2), float(z3)),
-            y_integral=float(y_int),
+            osc=OscillatorState(float(z1), float(z2)),
+            mismatch_integral=float(w),
             half_pass=half + 1,
         )
         if monitor is not None:

@@ -125,28 +125,23 @@ def oscillator_closed_form(
 ) -> OscillatorState:
     """Variation-of-constants solution of the driven oscillator.
 
-    z12(t) = R(t) z12(0) + integral_0^t R(t-s) (0, g(s)) ds, with R the
-    rotation-type propagator for frequency omega; the convolution and the
-    z3 = integral of z1 channel are evaluated by cumulative Simpson over
-    the forcing samples (spacing dt). t must be a sample time.
+    z(t) = R(t) z(0) + integral_0^t R(t-s) (0, g(s)) ds, z = (z1, z2), with R
+    the rotation-type propagator for frequency omega; the convolution is
+    evaluated by cumulative Simpson over the forcing samples (spacing dt).
+    t must be a sample time.
     """
     g = np.asarray(forcing, dtype=float)
     m = int(round(t / dt))
     if not np.isclose(m * dt, t, rtol=0, atol=1e-12 + 1e-9 * dt) or m >= len(g):
         raise ValueError("t must be a forcing sample time within range")
     s = np.arange(m + 1) * dt
-    # R(t - s)(0, g) = (r12(t-s) g, r22(t-s) g); factoring R(t)R(-s) keeps prefix sums
+    # R(t - s)(0, g) = R(t) (r12(-s) g, r22(-s) g): one quadrature per channel
     _, r12m, _, r22m = _rotation(omega, -s)
-    h1 = r12m * g[: m + 1]
-    h2 = r22m * g[: m + 1]
-    if m == 0:
-        j1 = np.zeros(1)
-        j2 = np.zeros(1)
-    else:
-        j1 = cumulative_simpson(h1, dx=dt, initial=0.0)
-        j2 = cumulative_simpson(h2, dx=dt, initial=0.0)
-    c11s, c12s, c21s, c22s = _rotation(omega, s)
-    z1_path = c11s * (z0.z1 + j1) + c12s * (z0.z2 + j2)
-    z2_path = c21s * (z0.z1 + j1) + c22s * (z0.z2 + j2)
-    z3 = z0.z3 if m == 0 else z0.z3 + float(cumulative_simpson(z1_path, dx=dt, initial=0.0)[-1])
-    return OscillatorState(z1=float(z1_path[-1]), z2=float(z2_path[-1]), z3=z3)
+    j1 = j2 = 0.0
+    if m > 0:
+        j1, j2 = cumulative_simpson(np.array([r12m, r22m]) * g[: m + 1], dx=dt)[:, -1]
+    c11, c12, c21, c22 = _rotation(omega, s[-1])
+    return OscillatorState(
+        z1=float(c11 * (z0.z1 + j1) + c12 * (z0.z2 + j2)),
+        z2=float(c21 * (z0.z1 + j1) + c22 * (z0.z2 + j2)),
+    )

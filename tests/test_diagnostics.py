@@ -28,14 +28,14 @@ def grid():
 class TestLyapunovValue:
     def test_zero_error(self, grid):
         v = lyapunov_value(
-            np.zeros(21), np.zeros(21), OscillatorState(0, 0, 0), Gains(1, 0.5), 1.0, grid
+            np.zeros(21), np.zeros(21), OscillatorState(0, 0), Gains(1, 0.5), 1.0, grid
         )
         assert v == 0.0
 
     def test_direct_substitution(self, grid):
-        # w1 = 0, w2 = 1, z = (1, 1, *): V = (0 + 1 + 1 + 1)/2
+        # w1 = 0, w2 = 1, z = (1, 1): V = (0 + 1 + 1 + 1)/2
         v = lyapunov_value(
-            np.zeros(21), np.ones(21), OscillatorState(1.0, 1.0, 9.9), Gains(1.0, 0.5), 1.0, grid
+            np.zeros(21), np.ones(21), OscillatorState(1.0, 1.0), Gains(1.0, 0.5), 1.0, grid
         )
         assert v == pytest.approx(1.5, abs=1e-14)
 
@@ -47,7 +47,7 @@ class TestLyapunovValue:
     @settings(max_examples=30)
     def test_positive_definite(self, a, z1, z2, grid):
         w1 = a * np.sin(np.pi * grid.nodes)
-        v = lyapunov_value(w1, np.zeros(21), OscillatorState(z1, z2, 0.0), Gains(2.0, 0.5), 1.3, grid)
+        v = lyapunov_value(w1, np.zeros(21), OscillatorState(z1, z2), Gains(2.0, 0.5), 1.3, grid)
         assert v >= 0.0
         if abs(a) > 1e-12 or abs(z1) > 1e-12 or abs(z2) > 1e-12:
             assert v > 0.0

@@ -19,6 +19,7 @@ from bfwave.observer import (
     initial_observer_state,
     observer_half_pass,
     oscillator_drive,
+    oscillator_propagator,
     run_back_and_forth,
     run_plant_cycle,
     simulate_cascade,
@@ -90,21 +91,20 @@ class TestOscillatorStep:
     """One step of the uncoupled oscillator: oscillator_drive over two-sample series."""
 
     def test_exact_rotation_quarter_turn(self):
-        # homogeneous plant dynamics are propagated exactly, z3 included
-        z = OscillatorState(1.0, 0.0, 0.0)
+        # homogeneous plant dynamics are propagated exactly
+        z = OscillatorState(1.0, 0.0)
         z = OscillatorState(*oscillator_drive(z, [0.0, 0.0], 1.0, np.pi / 2.0)[-1])
         assert z.z1 == pytest.approx(0.0, abs=1e-15)
         assert z.z2 == pytest.approx(-1.0, rel=1e-14)
-        assert z.z3 == pytest.approx(1.0, rel=1e-14)
 
     def test_zero_stays_zero(self):
-        zs = oscillator_drive(OscillatorState(0, 0, 0), [0.0, 0.0], 1.7, 0.01)
-        assert OscillatorState(*zs[-1]) == OscillatorState(0.0, 0.0, 0.0)
+        zs = oscillator_drive(OscillatorState(0, 0), [0.0, 0.0], 1.7, 0.01)
+        assert OscillatorState(*zs[-1]) == OscillatorState(0.0, 0.0)
 
     def test_constant_trace_closed_form(self):
         # z1(t) = 1 - cos t for plant, omega = 1, unit trace forcing
         dt = 5e-4
-        z = OscillatorState(0.0, 0.0, 0.0)
+        z = OscillatorState(0.0, 0.0)
         for _ in range(2000):
             z = OscillatorState(*oscillator_drive(z, [1.0, 1.0], 1.0, dt)[-1])
         assert z.z1 == pytest.approx(1.0 - np.cos(1.0), abs=1e-6)
@@ -115,26 +115,24 @@ class TestOscillatorStep:
         n = 1500
         s = np.arange(n + 1) * dt
         g = np.sin(1.3 * s)
-        z = OscillatorState(0.2, -0.1, 0.05)
+        z = OscillatorState(0.2, -0.1)
         zs = z
         for k in range(n):
             zs = OscillatorState(*oscillator_drive(zs, g[k : k + 2], 2.0, dt)[-1])
         zo = oscillator_closed_form(2.0, g, dt, z, n * dt)
         assert zs.z1 == pytest.approx(zo.z1, abs=1e-6)
         assert zs.z2 == pytest.approx(zo.z2, abs=1e-6)
-        assert zs.z3 == pytest.approx(zo.z3, abs=1e-6)
 
     @given(
         z1=st.floats(-2, 2),
         z2=st.floats(-2, 2),
-        z3=st.floats(-2, 2),
         omega=st.floats(0.3, 3.0),
     )
     @settings(max_examples=30)
-    def test_backward_inverts_forward(self, z1, z2, z3, omega):
+    def test_backward_inverts_forward(self, z1, z2, omega):
         # the time-reversed oscillator is the forward one with z2 negated at the
-        # turn: the (z1, z2) rotation inverts; z3 keeps integrating either way
-        z = OscillatorState(z1, z2, z3)
+        # turn: the (z1, z2) rotation inverts
+        z = OscillatorState(z1, z2)
         fwd = OscillatorState(*oscillator_drive(z, [0.0, 0.0], omega, 0.05)[-1])
         turned = fwd._replace(z2=-fwd.z2)
         back = OscillatorState(*oscillator_drive(turned, [0.0, 0.0], omega, 0.05)[-1])
@@ -150,15 +148,23 @@ class TestOscillatorDrive:
 
         omega, dt, n = 2.0, 2e-3, 999
         g = np.sin(3.1 * np.arange(n + 1) * dt) + 0.3 * np.cos(17.0 * np.arange(n + 1) * dt)
-        E = expm(dt * np.array([[0.0, 1.0, 0.0], [-omega * omega, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        e2 = np.array([0.0, 1.0, 0.0])
-        ref = np.empty((n + 1, 3))
-        ref[0] = (0.2, -0.1, 0.05)
+        E = expm(dt * np.array([[0.0, 1.0], [-omega * omega, 0.0]]))
+        e2 = np.array([0.0, 1.0])
+        ref = np.empty((n + 1, 2))
+        ref[0] = (0.2, -0.1)
         for k in range(n):
             ref[k + 1] = E @ ref[k] + 0.5 * dt * (E @ e2 * g[k] + e2 * g[k + 1])
-        z = oscillator_drive(OscillatorState(0.2, -0.1, 0.05), g, omega, dt)
+        z = oscillator_drive(OscillatorState(0.2, -0.1), g, omega, dt)
         assert z.shape == ref.shape
         assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_propagator_is_read_only(self):
+        # the cached propagator is shared by every later drive and observer step
+        E = oscillator_propagator(2.0, 0.0, 1e-3)
+        with pytest.raises(ValueError):
+            E[0, 0] = 5.0
+        z = oscillator_drive(OscillatorState(1.0, 0.0), np.zeros(5), 2.0, 1e-3)
+        assert z[-1, 0] == pytest.approx(np.cos(2.0 * 4e-3), rel=1e-14)
 
 
 class TestRunRecurrence:
@@ -228,7 +234,7 @@ class TestSimulateCascade:
         e3 = np.max(np.abs(out.Y[2 * n // 3 :]))
         assert e1 < e2 < e3
         # and it matches the quadrature oracle driven by the same trace
-        zo = oscillator_closed_form(np.pi, out.trace, g.dt, OscillatorState(0, 0, 0), g.T)
+        zo = oscillator_closed_form(np.pi, out.trace, g.dt, OscillatorState(0, 0), g.T)
         assert out.Y[-1] == pytest.approx(zo.z1, abs=1e-4)
 
 
@@ -237,15 +243,15 @@ class TestPlantCycle:
         # the cycle's backward half is its forward half mirrored (rows reversed,
         # z2 negated). Driving the oscillator over the reversed trace from the
         # turn state, z2 negated, retraces that mirror and returns z1, z2 to
-        # zero at the cycle end; z3 keeps accumulating
+        # zero at the cycle end
         q = poly_source(grid)
         plant = run_plant_cycle(q, 2.0, grid)
         trace = simulate_cascade(q, 2.0, grid).trace
         turn = OscillatorState(*plant.z[-1])
         back = oscillator_drive(turn._replace(z2=-turn.z2), trace[::-1], 2.0, grid.dt)
-        mirror = plant.z[::-1, :2] * np.array([1.0, -1.0])
-        assert np.max(np.abs(back[:, :2] - mirror)) <= 1e-12 * np.max(np.abs(mirror))
-        assert np.max(np.abs(back[-1, :2])) <= 1e-12
+        mirror = plant.z[::-1] * np.array([1.0, -1.0])
+        assert np.max(np.abs(back - mirror)) <= 1e-12 * np.max(np.abs(mirror))
+        assert np.max(np.abs(back[-1])) <= 1e-12
 
     def test_two_cycle_field_return(self, grid):
         # periodized truth returns to (q, 0) at every t = 2kT
@@ -274,17 +280,20 @@ class TestExtendedMeasurement:
         for half, last in enumerate([n, 0, n]):
             s = observer_half_pass(s, m, Gains(g1, g2), 2.0, grid)
             assert s.half_pass == half + 1
-            bc = g1 * (s.osc.z1 - last) + g1 * g2 * (s.osc.z3 - s.y_integral)
+            bc = g1 * (s.osc.z1 - last) + g1 * g2 * s.mismatch_integral
             assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12 * n)
 
     def test_reversal_is_permutation(self, grid):
-        # a backward pass integrates the same samples as the forward one
+        # a backward pass integrates the same samples as the forward one: with
+        # negligible gains z1 stays near zero, and each pass adds -int Y to w
         n = grid.n_steps_per_pass
         m = MeasurementRecord(y=np.sin(np.arange(n + 1.0)), dt=grid.dt, T=grid.T)
-        s = observer_half_pass(initial_observer_state(grid), m, Gains(1.0, 0.5), 2.0, grid)
-        once = s.y_integral
-        s = observer_half_pass(s, m, Gains(1.0, 0.5), 2.0, grid)
-        assert s.y_integral == pytest.approx(2.0 * once, rel=1e-12)
+        tiny = Gains(1e-12, 1e-12)
+        s = observer_half_pass(initial_observer_state(grid), m, tiny, 2.0, grid)
+        once = s.mismatch_integral
+        assert once == pytest.approx(-np.trapezoid(m.y, dx=grid.dt), rel=1e-12)
+        s = observer_half_pass(s, m, tiny, 2.0, grid)
+        assert s.mismatch_integral == pytest.approx(2.0 * once, rel=1e-12)
 
     def test_range_check(self, grid):
         # a pass replays exactly n + 1 samples; one more is refused
@@ -305,7 +314,8 @@ class TestObserverHalfPass:
         for _ in range(4):
             s = observer_half_pass(s, m, Gains(1.0, 0.5), 2.0, grid)
             assert not s.wave.u_curr.any()
-            assert s.osc == OscillatorState(0.0, 0.0, 0.0)
+            assert s.osc == OscillatorState(0.0, 0.0)
+            assert s.mismatch_integral == 0.0
 
     def test_finite_propagation_cone(self):
         # the injected boundary signal crosses at most one node per step
@@ -344,7 +354,7 @@ class TestObserverHalfPass:
         assert rel_gap(s.wave.u_curr, fin.wave.u_curr) <= 1e-12
         assert rel_gap(s.wave.u_prev, fin.wave.u_prev) <= 1e-12
         assert rel_gap(s.osc, fin.osc) <= 1e-12
-        assert rel_gap(s.y_integral, fin.y_integral) <= 1e-12
+        assert rel_gap(s.mismatch_integral, fin.mismatch_integral) <= 1e-12
         assert rel_gap(extract_estimate(s, grid), res.estimates[1]) <= 1e-12
 
     @pytest.mark.parametrize("start", [pytest.param(2, id="forward"), pytest.param(1, id="backward")])
@@ -355,7 +365,10 @@ class TestObserverHalfPass:
         # backward pass runs the time-reversed oscillator, with its own
         # propagator and trace forcing -tr, on the physical velocity, which the
         # sweep keeps negated in its local time. Explicit coupling holds the
-        # trace at the left end of each step, in both forcing terms.
+        # trace at the left end of each step, in both forcing terms. The
+        # reference keeps the paper's two integral channels, z3 = int z1
+        # (started at the state's w) and int Y (from zero), and injects their
+        # difference, which the sweep carries as the one channel w.
         from scipy.linalg import expm
 
         from bfwave.leapfrog import neumann_trace, step
@@ -373,8 +386,8 @@ class TestObserverHalfPass:
         A = np.array([[-g2, s, 0.0], [-s * omega * omega, 0.0, 0.0], [1.0, 0.0, 0.0]])
         E = expm(dt * A)
         y = m.y if s > 0 else m.y[::-1]
-        wave, y_int = state.wave, state.y_integral
-        z = np.array([state.osc.z1, s * state.osc.z2, state.osc.z3])
+        wave, y_int = state.wave, 0.0
+        z = np.array([state.osc.z1, s * state.osc.z2, state.mismatch_integral])
         ref = [(z[0], s * z[1], wave.u_curr[0])]
         traces = []
         for k in range(grid.n_steps_per_pass):
@@ -419,7 +432,7 @@ class TestRunBackAndForth:
         m = reduced_run["measurement"]
         s = res.final_state
         g1, g2 = 1.0, 0.5  # the reduced run's gains
-        bc = g1 * (s.osc.z1 - float(m.y[0])) + g1 * g2 * (s.osc.z3 - s.y_integral)
+        bc = g1 * (s.osc.z1 - float(m.y[0])) + g1 * g2 * s.mismatch_integral
         assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-13)
 
     def test_error_decreases(self, reduced_run):
@@ -522,11 +535,11 @@ class TestMonitorForms:
             zero.half_pass = h
             _sweep(zero, m.y, gains, omega, g, 1.0, rec)
         monitor.linearize(_linear_parts(gains, omega, g, 1.0)[1], records)
-        u_prev, u_curr, z1, z2, z3, y_int = _state_parts(
-            np.random.default_rng(5).standard_normal(2 * nx1 + 4), nx1, g.dt
+        u_prev, u_curr, z1, z2, w = _state_parts(
+            np.random.default_rng(5).standard_normal(2 * nx1 + 3), nx1, g.dt
         )
-        osc = OscillatorState(float(z1), float(z2), float(z3))
-        start = ObserverState(LeapfrogState(u_prev, u_curr), osc, float(y_int), half)
+        osc = OscillatorState(float(z1), float(z2))
+        start = ObserverState(LeapfrogState(u_prev, u_curr), osc, float(w), half)
         rec = np.empty((4, n + 1))
         _sweep(start, m.y, gains, omega, g, 1.0, rec)
         rec[:2] -= monitor.truth_z[half]
@@ -599,7 +612,7 @@ class TestCycleMap:
         assert s.half_pass == 2 * cfg.iterations
         y0 = float(m.y[0])
         g1, g2 = cfg.gamma1, cfg.gamma2
-        bc = g1 * (s.osc.z1 - y0) + g1 * g2 * (s.osc.z3 - s.y_integral)
+        bc = g1 * (s.osc.z1 - y0) + g1 * g2 * s.mismatch_integral
         assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12)
         assert [r.iteration for r in res.reports] == list(range(cfg.iterations + 1))
 

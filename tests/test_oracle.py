@@ -142,16 +142,15 @@ class TestOscillatorClosedForm:
         n = 1000
         dt = (np.pi / 2.0) / n
         g = np.zeros(n + 1)
-        z = oscillator_closed_form(1.0, g, dt, OscillatorState(1.0, 0.0, 0.0), np.pi / 2.0)
+        z = oscillator_closed_form(1.0, g, dt, OscillatorState(1.0, 0.0), np.pi / 2.0)
         assert z.z1 == pytest.approx(0.0, abs=1e-12)
         assert z.z2 == pytest.approx(-1.0, rel=1e-12)
-        assert z.z3 == pytest.approx(1.0, rel=1e-9)
 
     def test_constant_forcing(self):
         n = 2000
         dt = 1.0 / n
         g = np.ones(n + 1)
-        z = oscillator_closed_form(1.0, g, dt, OscillatorState(0.0, 0.0, 0.0), 1.0)
+        z = oscillator_closed_form(1.0, g, dt, OscillatorState(0.0, 0.0), 1.0)
         assert z.z1 == pytest.approx(1.0 - np.cos(1.0), abs=1e-6)
 
     def test_double_integration(self):
@@ -160,9 +159,9 @@ class TestOscillatorClosedForm:
         dt = 1.0 / n
         s = np.arange(n + 1) * dt
         g = np.pi * np.cos(np.pi * s)
-        z = oscillator_closed_form(0.0, g, dt, OscillatorState(0.0, 0.0, 0.0), 1.0)
+        z = oscillator_closed_form(0.0, g, dt, OscillatorState(0.0, 0.0), 1.0)
         assert z.z1 == pytest.approx(2.0 / np.pi, abs=1e-8)
 
     def test_requires_sample_time(self):
         with pytest.raises(ValueError):
-            oscillator_closed_form(1.0, np.zeros(11), 0.1, OscillatorState(0, 0, 0), 0.55)
+            oscillator_closed_form(1.0, np.zeros(11), 0.1, OscillatorState(0, 0), 0.55)
