@@ -8,6 +8,14 @@ coefficients the library's float64 ones). It prints the largest
 |trace - reference| over the largest |reference| for simulate_forward's
 trace (the blocked run) and for the same loop stepped in float64.
 
+Then the verify battery's kernel check: the free 10,000-step forward leg
+of its energy drift and round trip (nx 20, cfl 0.005, from sin(pi x)), as a
+long-double loop of _leap steps. It prints how far two float64 routes are
+from it, at the end state the round trip turns and over every level the
+drift reads: the blocked recurrence the check runs (leapfrog._run_recurrence
+on _wave_parts' S, read out as the levels) and the same loop stepped in
+float64, as leapfrog.step runs it.
+
 Then the estimates. It runs the observer recurrence of the clean 50-cycle
 reference scenario in numpy longdouble, one step at a time: the library's
 own observer step
@@ -42,9 +50,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bfwave.forward import simulate_forward  # noqa: E402
+from bfwave.grid import build_grid  # noqa: E402
 from bfwave.leapfrog import (  # noqa: E402
     LeapfrogState,
     _leap,
+    _run_recurrence,
+    _to_velocity_basis,
+    _wave_parts,
     continuation_level,
     init_leapfrog,
     neumann_trace,
@@ -72,6 +84,30 @@ def stepped_measurement(q, omega, grid, dtype) -> np.ndarray:
         u_prev, u_curr = u_curr, un
         traces.append(neumann_trace(u_curr, dtype(grid.dx)))
     return np.array(traces)
+
+
+def stepped_free_levels(q0, grid, n: int, dtype) -> np.ndarray:
+    """Levels 0..n, one per column, of the free wave from init_leapfrog(q0), stepped in dtype."""
+    start = init_leapfrog(q0, None, grid)
+    u_prev, u_curr = start.u_prev.astype(dtype), start.u_curr.astype(dtype)
+    c2 = dtype(grid.cfl) * dtype(grid.cfl)
+    levels = [u_curr]
+    for _ in range(n):
+        un = _leap(u_prev, u_curr, c2)
+        un[0] = un[-1] = 0.0
+        u_prev, u_curr = u_curr, un
+        levels.append(u_curr)
+    return np.array(levels).T
+
+
+def blocked_free_levels(q0, grid, n: int) -> np.ndarray:
+    """The same levels from the blocked recurrence, read out as the u block of the state."""
+    S, _ = _wave_parts(grid)
+    nx1 = grid.nx + 1
+    levels = np.empty((nx1, n + 1))
+    x0 = _to_velocity_basis(init_leapfrog(q0, None, grid), grid)
+    _run_recurrence(S, np.zeros((2 * nx1, 2)), np.eye(nx1, 2 * nx1), x0, np.zeros(n + 1), levels)
+    return levels
 
 
 def stepped_estimates(y, gains, omega, grid, cycles: int, dtype) -> np.ndarray:
@@ -123,6 +159,22 @@ def main() -> None:
     for label, y in traces.items():
         gap = float(np.max(np.abs(y - ref_y)) / np.max(np.abs(ref_y)))
         print(f"  {label}: largest |trace - reference| / max|reference| = {gap:.2e}")
+    kg = build_grid(20, 0.005, 2.5)
+    q0, n = np.sin(np.pi * kg.nodes), kg.n_steps_per_pass
+    ref_levels = stepped_free_levels(q0, kg, n, np.longdouble)
+    kernel = {
+        "blocked (kernel check)": blocked_free_levels(q0, kg, n),
+        "stepped float64": stepped_free_levels(q0, kg, n, np.float64),
+    }
+    scale = float(np.max(np.abs(ref_levels)))
+    print(f"extended-precision kernel-check forward leg: {n} free steps")
+    for label, levels in kernel.items():
+        end = float(np.max(np.abs(levels[:, -1] - ref_levels[:, -1]))) / scale
+        every = float(np.max(np.abs(levels - ref_levels))) / scale
+        print(
+            f"  {label}: largest |level - reference| / max|reference| = {end:.2e} at the end, "
+            f"{every:.2e} over every level"
+        )
     t0 = time.perf_counter()
     ref = stepped_estimates(m.y, gains, cfg.omega, grid, cycles, np.longdouble)
     print(f"extended-precision reference: {cycles} cycles in {time.perf_counter() - t0:.1f} s")

@@ -19,10 +19,14 @@ on the velocity-basis state (u, (u - u_prev)/dt), S assembled from the
 update's formulas with the walls pinned (_wave_parts), evaluated in blocks
 by _run_recurrence. That is the package's one linear-recurrence evaluator;
 the observer's sweeps and oscillator drive run it too. The truth cascade
-and the kernel checks run the wave free, forward synthesis forced. _leap,
-neumann_trace, discrete_energy and continuation_level also take (nx+1, m)
-arrays, one level per column, which is how the observer's half-pass maps
-are built and how the kernel check takes its energies.
+and the kernel checks run the wave free, forward synthesis forced. The
+verify battery's energy drift and round trip run the same recurrence
+through _run_recurrence, read out as the levels, with the turned state as
+the start of the backward leg; step is the stepped reference the tests'
+round trips run backward. _leap, neumann_trace, discrete_energy and
+continuation_level also take (nx+1, m) arrays, one level per column, which
+is how the observer's half-pass maps are built and how the kernel check
+takes its energies.
 """
 
 from __future__ import annotations
@@ -243,6 +247,17 @@ def _wave_parts(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return S, D
 
 
+def _to_velocity_basis(state: LeapfrogState, grid: Grid1D) -> np.ndarray:
+    """The state x = (u, v), v = (u - u_prev)/dt, that _wave_parts' S acts on."""
+    return np.concatenate([state.u_curr, (state.u_curr - state.u_prev) / grid.dt])
+
+
+def _from_velocity_basis(x: np.ndarray, grid: Grid1D) -> LeapfrogState:
+    """The two levels of the velocity-basis state x: u, and u - dt v before it."""
+    u = x[: grid.nx + 1]
+    return LeapfrogState(u_prev=u - grid.dt * x[grid.nx + 1 :], u_curr=u)
+
+
 def run_homogeneous(
     q0: np.ndarray, grid: Grid1D, n_steps: int, q: np.ndarray | None = None, omega: float = 0.0
 ) -> tuple[LeapfrogState, np.ndarray]:
@@ -256,7 +271,6 @@ def run_homogeneous(
     the forcing enters as s_k = cos(omega k dt) through the input column
     (dt^2 q, dt q) on interior nodes.
     """
-    state = init_leapfrog(q0, q, grid)
     S, D = _wave_parts(grid)
     nx1, dt = grid.nx + 1, grid.dt
     B = np.zeros((2 * nx1, 2))
@@ -265,8 +279,7 @@ def run_homogeneous(
         B[1 : nx1 - 1, 0] = dt * dt * q[1:-1]
         B[nx1 + 1 : -1, 0] = dt * q[1:-1]
         s = np.cos(omega * np.arange(n_steps + 1) * dt)
-    x0 = np.concatenate([state.u_curr, (state.u_curr - state.u_prev) / dt])
+    x0 = _to_velocity_basis(init_leapfrog(q0, q, grid), grid)
     traces = np.empty((1, n_steps + 1))
     x = _run_recurrence(S, B, D, x0, s, traces)
-    u = x[:nx1]
-    return LeapfrogState(u_prev=u - dt * x[nx1:], u_curr=u), traces[0]
+    return _from_velocity_basis(x, grid), traces[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bfwave import diagnostics
+from bfwave import diagnostics, leapfrog
 from bfwave.diagnostics import (
     SECOND_ENERGY_CAP,
     energy_identity_check,
@@ -175,6 +175,50 @@ class TestWorkerCount:
             diagnostics._worker_count(jobs, 5)
         with pytest.raises(ValueError, match="jobs"):
             run_verify_battery(jobs=jobs, groups=[])
+
+
+class TestKernelCheck:
+    def test_chunked_drift_is_the_whole_run_drift(self, monkeypatch):
+        # n = 1e4 is no multiple of the chunk, so the last chunk is partial
+        g = build_grid(20, 0.005, 2.5)
+        n = g.n_steps_per_pass
+        assert n % diagnostics._ENERGY_CHUNK != 0
+        state = leapfrog.init_leapfrog(np.sin(np.pi * g.nodes), None, g)
+        e0 = leapfrog.discrete_energy(state, g)
+        S, _ = leapfrog._wave_parts(g)
+        nx1 = g.nx + 1
+        levels = np.empty((nx1, n + 1))
+        x0 = leapfrog._to_velocity_basis(state, g)
+        leapfrog._run_recurrence(
+            S, np.zeros((2 * nx1, 2)), np.eye(nx1, 2 * nx1), x0, np.zeros(n + 1), levels
+        )
+        e = leapfrog.discrete_energy(leapfrog.LeapfrogState(levels[:, :-1], levels[:, 1:]), g)
+        whole = float(np.max(np.abs(e - e0))) / e0
+        taken = []
+
+        def counted(*args):
+            out = leapfrog.discrete_energy(*args)
+            taken.append(np.size(out) if np.ndim(out) else 0)
+            return out
+
+        monkeypatch.setattr(diagnostics, "discrete_energy", counted)
+        rows = {r.name: r for r in diagnostics._battery_kernel()}
+        assert sum(taken) == n
+        drift = rows["kernel_energy_conservation"].value
+        assert abs(drift - whole) <= 1e-15 * whole
+
+    def test_no_per_step_loop(self, monkeypatch):
+        calls = []
+        leap = leapfrog._leap
+
+        def counted(*args):
+            calls.append(1)
+            return leap(*args)
+
+        monkeypatch.setattr(leapfrog, "_leap", counted)
+        rows = diagnostics._battery_kernel()
+        assert len(calls) <= 8
+        assert all(r.passed for r in rows)
 
 
 @pytest.mark.slow

@@ -5,7 +5,11 @@ from hypothesis import given, settings, strategies as st
 from bfwave.grid import build_grid
 from bfwave.leapfrog import (
     LeapfrogState,
+    _from_velocity_basis,
     _leap,
+    _run_recurrence,
+    _to_velocity_basis,
+    _wave_parts,
     continuation_level,
     discrete_energy,
     init_leapfrog,
@@ -295,6 +299,36 @@ class TestRunHomogeneous:
         back = reversed_state(fwd, g)
         for _ in range(n):
             back = step(back, 0.0, g)
+        assert np.max(np.abs(back.u_curr - q0)) <= 1e-12
+
+
+def blocked_free_run(state, g, n):
+    """n free steps from state through the blocked recurrence of run_homogeneous."""
+    S, D = _wave_parts(g)
+    x0 = _to_velocity_basis(state, g)
+    x = _run_recurrence(S, np.zeros((len(S), 2)), D, x0, np.zeros(n + 1), np.empty((1, n + 1)))
+    return _from_velocity_basis(x, g)
+
+
+class TestBlockedRoundTrip:
+    """Blocked both ways, as the verify battery's kernel check runs it."""
+
+    def test_round_trip(self):
+        g = build_grid(20, 0.005, 2.5)
+        q0 = mode(g)
+        fwd, _ = run_homogeneous(q0, g, g.n_steps_per_pass)
+        back = blocked_free_run(reversed_state(fwd, g), g, g.n_steps_per_pass)
+        assert np.max(np.abs(back.u_curr - q0)) <= 1e-12
+        start = init_leapfrog(q0, None, g)
+        assert np.max(np.abs(back.u_prev - start.u_prev)) <= 1e-12
+
+    @given(k=st.integers(1, 4), n=st.integers(1, 60))
+    @settings(max_examples=20)
+    def test_reversibility_property(self, k, n):
+        g = build_grid(12, 0.9, 1.0)
+        q0 = mode(g, k)
+        fwd, _ = run_homogeneous(q0, g, n)
+        back = blocked_free_run(reversed_state(fwd, g), g, n)
         assert np.max(np.abs(back.u_curr - q0)) <= 1e-12
 
 
