@@ -299,15 +299,11 @@ def cmd_invert(config_path, measurement_path, out_dir=None, quiet: bool = False)
 
 @_exit_codes
 def cmd_verify(
-    out_dir,
-    jobs: int = 1,
-    quiet: bool = False,
-    injection_sign: float = 1.0,
-    checks: str | None = None,
+    out_dir, quiet: bool = False, injection_sign: float = 1.0, checks: str | None = None
 ) -> int:
     groups = None if checks is None else [c for c in checks.split(",") if c]
-    with _refused_as(ConfigError):  # unknown group, jobs < 1
-        report = run_verify_battery(jobs=jobs, injection_sign=injection_sign, groups=groups)
+    with _refused_as(ConfigError):  # unknown group
+        report = run_verify_battery(injection_sign=injection_sign, groups=groups)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_checks_csv(out / "verify.csv", report)
@@ -353,7 +349,6 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run the built-in diagnostics battery")
     p_ver.add_argument("--out", required=True, help="output directory")
     p_ver.add_argument("--quiet", action="store_true")
-    p_ver.add_argument("--jobs", type=int, default=1, help="parallel battery groups (>= 1)")
     p_ver.add_argument(
         "--checks",
         default=None,
@@ -369,7 +364,7 @@ def main(argv=None) -> int:
         return cmd_invert(args.config, args.measurement, args.out, args.quiet)
     if args.command == "verify":
         sign = -1.0 if args.inject_sign_error else 1.0
-        return cmd_verify(args.out, args.jobs, args.quiet, injection_sign=sign, checks=args.checks)
+        return cmd_verify(args.out, args.quiet, injection_sign=sign, checks=args.checks)
     return cmd_full(args.config, args.out, args.seed, args.quiet)
 
 

@@ -6,9 +6,6 @@ built-in scenarios so a single command can vouch for a build.
 
 from __future__ import annotations
 
-import functools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,12 +121,12 @@ def energy_identity_residual(history: RunHistory) -> float:
     return float(np.max(np.abs(history.energy_lhs - rhs) / rhs))
 
 
-def energy_identity_check(history: RunHistory, tolerance: float = 1e-2) -> CheckResult:
+def energy_identity_check(history: RunHistory) -> CheckResult:
     note = "relative defect of the error-energy balance, max over boundaries"
-    return _at_most("energy_identity", energy_identity_residual(history), tolerance, note)
+    return _at_most("energy_identity", energy_identity_residual(history), 1e-2, note)
 
 
-def second_energy_boundedness(history: RunHistory, cap: float = SECOND_ENERGY_CAP) -> CheckResult:
+def second_energy_boundedness(history: RunHistory) -> CheckResult:
     """Higher-order error bundle stays bounded by its initial data.
 
     Reports max over sampled times of LHS / initial bundle; only
@@ -139,7 +136,7 @@ def second_energy_boundedness(history: RunHistory, cap: float = SECOND_ENERGY_CA
     worst = float(np.max(history.second_energy_lhs))
     ratio = worst / bundle if bundle > 0 else worst
     note = "max higher-order error bundle over its initial-data bundle"
-    return _at_most("second_energy_bound", ratio, cap, note)
+    return _at_most("second_energy_bound", ratio, SECOND_ENERGY_CAP, note)
 
 
 def run_level_checks(history: RunHistory) -> list[CheckResult]:
@@ -148,13 +145,13 @@ def run_level_checks(history: RunHistory) -> list[CheckResult]:
     note = "worst trace-bound ratio over all observer sweeps"
     return [
         lyapunov_decrease_check(history.lyapunov, 1e-3 * history.lyapunov[0]),
-        energy_identity_check(history, 1e-2),
+        energy_identity_check(history),
         second_energy_boundedness(history),
         _at_most("hidden_regularity_run", worst_hidden, 1.0, note),
     ]
 
 
-def equivalence_report(y: np.ndarray, Y: np.ndarray, tolerance: float = 1e-2) -> CheckResult:
+def equivalence_report(y: np.ndarray, Y: np.ndarray) -> CheckResult:
     """Relative max-norm gap between the two output routes."""
     y = np.asarray(y, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -163,7 +160,7 @@ def equivalence_report(y: np.ndarray, Y: np.ndarray, tolerance: float = 1e-2) ->
     scale = float(np.max(np.abs(y)))
     gap = float(np.max(np.abs(y - Y)))
     note = "relative max-norm gap between direct and cascade outputs"
-    return _at_most("output_equivalence", gap / scale if scale > 0 else gap, tolerance, note)
+    return _at_most("output_equivalence", gap / scale if scale > 0 else gap, 1e-2, note)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +237,7 @@ def _battery_equivalence() -> list[CheckResult]:
         q[0] = q[-1] = 0.0
         y = simulate_forward(q, omega, g).y
         Y = simulate_cascade(q, omega, g).Y
-        entry = equivalence_report(y, Y, tolerance=1e-2)
+        entry = equivalence_report(y, Y)
         if omega == 1.0:
             gaps_w1.append(entry.value)
         if nx == 20:
@@ -295,39 +292,21 @@ _BATTERY_GROUPS = {
 }
 
 
-def _worker_count(jobs: int, n_groups: int) -> int:
-    """Processes for a parallel battery: never more than groups or CPUs."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return max(1, min(jobs, n_groups, os.cpu_count() or 1))
-
-
 def run_verify_battery(
-    jobs: int = 1,
-    injection_sign: float = 1.0,
-    groups: list[str] | None = None,
+    injection_sign: float = 1.0, groups: list[str] | None = None
 ) -> DiagnosticsReport:
-    """Run the built-in checks, all groups by default.
+    """Run the built-in checks in this process, all groups by default.
 
     groups selects a subset by name (grid, kernel, equivalence, hidden,
-    observer); an empty selection yields an empty, vacuously passing
-    report. jobs must be >= 1; at most one process per selected group and
-    CPU is started. injection_sign != 1 is the fault-injection hook.
+    observer), run in the order given; an empty selection yields an empty,
+    vacuously passing report. injection_sign != 1 is the fault-injection hook.
     """
     names = list(_BATTERY_GROUPS) if groups is None else groups
     unknown = set(names) - set(_BATTERY_GROUPS)
     if unknown:
         raise ValueError(f"unknown battery groups: {sorted(unknown)}")
-    calls = [
-        functools.partial(_BATTERY_GROUPS[name], injection_sign)
-        if name == "observer"
-        else _BATTERY_GROUPS[name]
-        for name in names
-    ]
-    workers = _worker_count(jobs, len(calls))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = [fut.result() for fut in [ex.submit(call) for call in calls]]
-    else:
-        rows = [call() for call in calls]
-    return DiagnosticsReport([row for group_rows in rows for row in group_rows])
+    rows = []
+    for name in names:
+        run = _BATTERY_GROUPS[name]
+        rows += run(injection_sign) if name == "observer" else run()
+    return DiagnosticsReport(rows)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid1D
+from .grid import Grid1D, _trapezoid_sq
 from .leapfrog import run_homogeneous
 
 __all__ = [
@@ -41,10 +41,6 @@ class MeasurementRecord:
     noise_seed: int | None = None
     provenance: str = "clean"
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.y)) * self.dt
-
 
 def simulate_forward(q: np.ndarray, omega: float, grid: Grid1D) -> MeasurementRecord:
     """Leapfrog run of the forced plant from rest, recording the left trace."""
@@ -59,8 +55,7 @@ def simulate_forward(q: np.ndarray, omega: float, grid: Grid1D) -> MeasurementRe
 
 def rms(y: np.ndarray, dt: float, T: float) -> float:
     """(integral of y^2 / T)^(1/2) with trapezoid quadrature."""
-    s = np.sum(y * y) - 0.5 * (y[0] * y[0] + y[-1] * y[-1])
-    return float(np.sqrt(dt * s / T))
+    return float(np.sqrt(_trapezoid_sq(y, dt) / T))
 
 
 def add_noise(record: MeasurementRecord, level: float, seed: int) -> MeasurementRecord:

@@ -46,10 +46,6 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.nx + 1)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps_per_pass + 1) * self.dt
-
 
 def _check_integer(name: str, value, least: int) -> None:
     """Refuse a non-integer (a bool, a float, JSON's Infinity) or a value below least."""
@@ -82,11 +78,15 @@ def _check_field(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     return f
 
 
+def _trapezoid_sq(series: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid-rule integral of series^2 at spacing h, per row of a 2-D array."""
+    sq = series * series
+    return h * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1]))
+
+
 def l2_norm(f: np.ndarray, grid: Grid1D) -> float:
     """Composite-trapezoid approximation of the L2(0,1) norm of a nodal field."""
-    f = _check_field(f, grid)
-    s = np.sum(f * f) - 0.5 * (f[0] * f[0] + f[-1] * f[-1])
-    return float(np.sqrt(grid.dx * s))
+    return float(np.sqrt(_trapezoid_sq(_check_field(f, grid), grid.dx)))
 
 
 def h1_seminorm(f: np.ndarray, grid: Grid1D) -> float:

@@ -62,11 +62,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .forward import MeasurementRecord
-from .grid import Gains, Grid1D, h1_seminorm, l2_norm
+from .grid import Gains, Grid1D, _trapezoid_sq, h1_seminorm, l2_norm
 from .leapfrog import (
     LeapfrogState,
+    _from_velocity_basis,
     _leap,
     _run_recurrence,
+    _to_velocity_basis,
+    _wave_parts,
     continuation_level,
     init_leapfrog,
     neumann_trace,
@@ -334,9 +337,9 @@ def _sweep(
     half = state.half_pass
     _, S, B = _linear_parts(gains, omega, grid, injection_sign)
     Yp = y if half % 2 == 0 else y[::-1]
-    x0 = _observer_vector(state.wave, state, grid.dt)
+    x0 = _observer_vector(state.wave, state, grid)
     x = _run_recurrence(S, B, _readout_rows(grid), x0, Yp, rec)
-    u_prev, u_curr, z1, z2, w = _state_parts(x, grid.nx + 1, grid.dt)
+    u_prev, u_curr, z1, z2, w = _state_parts(x, grid)
     ended = LeapfrogState(u_prev, u_curr)
     nxt = ObserverState(
         wave=reversed_state(ended, grid),
@@ -391,12 +394,6 @@ def _second_x_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     d[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (dx * dx)
     d[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (dx * dx)
     return d
-
-
-def _trapezoid_sq(series: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid-rule integral of series^2 at spacing dt, per row of a 2-D array."""
-    sq = series * series
-    return dt * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1]))
 
 
 def _slope_sq(f: np.ndarray, dt: float) -> float:
@@ -607,20 +604,22 @@ class _TruthMonitor:
 # Weiss 2010).
 
 
-def _state_vector(u_prev, u_curr, z1, z2, w, dt: float) -> np.ndarray:
+def _state_vector(u_prev, u_curr, z1, z2, w, grid: Grid1D) -> np.ndarray:
     """Velocity-basis vector of a state, or matrix of one state per column."""
-    return np.concatenate([u_curr, (u_curr - u_prev) / dt, np.array([z1, z2, w])])
+    wave = _to_velocity_basis(LeapfrogState(u_prev, u_curr), grid)
+    return np.concatenate([wave, np.array([z1, z2, w])])
 
 
-def _state_parts(x: np.ndarray, nx1: int, dt: float) -> tuple:
+def _state_parts(x: np.ndarray, grid: Grid1D) -> tuple:
     """(u_prev, u_curr, z1, z2, w) of a velocity-basis vector or matrix."""
-    u, v, (z1, z2, w) = x[:nx1], x[nx1 : 2 * nx1], x[2 * nx1 :]
-    return u - dt * v, u, z1, z2, w
+    nx1 = grid.nx + 1
+    wave = _from_velocity_basis(x[: 2 * nx1], grid)
+    return wave.u_prev, wave.u_curr, *x[2 * nx1 :]
 
 
-def _observer_vector(wave: LeapfrogState, state: ObserverState, dt: float) -> np.ndarray:
+def _observer_vector(wave: LeapfrogState, state: ObserverState, grid: Grid1D) -> np.ndarray:
     """Velocity-basis vector of wave with the oscillator and mismatch integral of state."""
-    return _state_vector(wave.u_prev, wave.u_curr, *state.osc, state.mismatch_integral, dt)
+    return _state_vector(wave.u_prev, wave.u_curr, *state.osc, state.mismatch_integral, grid)
 
 
 @lru_cache(maxsize=8)
@@ -633,16 +632,16 @@ def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: floa
     under unit measurement values. Built once per grid, gains and omega;
     the arrays are read-only.
     """
-    nx1, dt = grid.nx + 1, grid.dt
-    basis = _state_parts(np.eye(2 * nx1 + 3), nx1, dt)
+    nx1 = grid.nx + 1
+    basis = _state_parts(np.eye(2 * nx1 + 3), grid)
     u_prev, u_curr, z1, z2, w = basis
     ghost = continuation_level(LeapfrogState(u_prev, u_curr), grid)
-    zero = _state_parts(np.zeros((2 * nx1 + 3, 2)), nx1, dt)
+    zero = _state_parts(np.zeros((2 * nx1 + 3, 2)), grid)
     step = _observer_step(gains, omega, grid, injection_sign)
     parts = (
-        _state_vector(ghost, u_curr, z1, -z2, w, dt),
-        _state_vector(*step(*basis, 0.0, 0.0), dt),
-        _state_vector(*step(*zero, np.array([1.0, 0.0]), np.array([0.0, 1.0])), dt),
+        _state_vector(ghost, u_curr, z1, -z2, w, grid),
+        _state_vector(*step(*basis, 0.0, 0.0), grid),
+        _state_vector(*step(*zero, np.array([1.0, 0.0]), np.array([0.0, 1.0])), grid),
     )
     for a in parts:
         a.flags.writeable = False
@@ -654,7 +653,7 @@ def _readout_rows(grid: Grid1D) -> np.ndarray:
     nx1 = grid.nx + 1
     D = np.zeros((4, 2 * nx1 + 3))
     D[0, 2 * nx1] = D[1, 2 * nx1 + 1] = D[2, 0] = 1.0
-    D[3, :nx1] = neumann_trace(np.eye(nx1), grid.dx)
+    D[3, : 2 * nx1] = _wave_parts(grid)[1]
     return D
 
 
@@ -779,7 +778,7 @@ def run_back_and_forth(
     if monitor is not None:
         monitor.fill(reports[0], estimates[0])
     t_iter_start = time.perf_counter()
-    n, nx1, dt = grid.n_steps_per_pass, grid.nx + 1, grid.dt
+    n, nx1 = grid.n_steps_per_pass, grid.nx + 1
     turn, S, B = _linear_parts(gains, omega, grid, injection_sign)
     Sn = np.linalg.matrix_power(S, n)
     # c = sum_k S^(n-1-k) B (Y_k, Y_k+1) over the pass's samples, which a
@@ -796,7 +795,7 @@ def run_back_and_forth(
         start, x_start = state, x
         x_end = Sn @ x + offsets[half % 2]
         x = turn @ x_end
-        u_prev, u_curr, z1, z2, w = _state_parts(x, nx1, dt)
+        u_prev, u_curr, z1, z2, w = _state_parts(x, grid)
         state = ObserverState(
             wave=LeapfrogState(u_prev, u_curr),
             osc=OscillatorState(float(z1), float(z2)),
@@ -804,7 +803,7 @@ def run_back_and_forth(
             half_pass=half + 1,
         )
         if monitor is not None:
-            ended = LeapfrogState(*_state_parts(x_end, nx1, dt)[:2])
+            ended = _from_velocity_basis(x_end[: 2 * nx1], grid)
             monitor.fold(half, start, ended, state, monitor.integrals(half, x_start))
         if half % 2 == 1:
             estimates.append(extract_estimate(state, grid))

@@ -10,12 +10,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .grid import RESONANCE_TOL, Grid1D, ResonanceError, check_resonance
+from .grid import Grid1D, check_resonance
 from .observer import OscillatorState
 
 __all__ = [
-    "RESONANCE_TOL",
-    "ResonanceError",
     "sine_coefficients",
     "synthesize_modes",
     "free_modal_solution",
@@ -25,9 +23,6 @@ __all__ = [
     "oscillator_closed_form",
     "poly_paper_coefficients",
 ]
-
-# RESONANCE_TOL and ResonanceError live in grid, whose check_resonance also
-# guards ScenarioConfig; they stay importable from here.
 
 
 def _mode_freqs(n_modes: int) -> np.ndarray:

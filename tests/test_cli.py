@@ -226,13 +226,6 @@ class TestVerify:
     def test_unknown_group_exit_2(self, tmp_path):
         assert cmd_verify(tmp_path / "v", quiet=True, checks="nope") == EXIT_CONFIG
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
-        out = tmp_path / "v"
-        assert main(["verify", "--out", str(out), "--jobs", jobs, "--quiet"]) == EXIT_CONFIG
-        assert "jobs must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_seed_flag_rejected(self, tmp_path):
         # verify runs no seeded scenario, so it takes no --seed
         out = tmp_path / "v"
@@ -241,13 +234,13 @@ class TestVerify:
         assert exc.value.code == 2  # argparse's usage error
         assert not out.exists()
 
-    @pytest.mark.slow
-    def test_parallel_jobs(self, tmp_path):
+    def test_jobs_flag_rejected(self, tmp_path):
+        # the battery runs in one process, so verify takes no --jobs
         out = tmp_path / "v"
-        assert cmd_verify(out, jobs=2, quiet=True, checks="grid,hidden") == EXIT_OK
-        _, rows = read_csv(out / "verify.csv")
-        assert len(rows) == 3  # deterministic order preserved across workers
-        assert rows[0][0] == "grid_l2_convergence"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--out", str(out), "--jobs", "2"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert not out.exists()
 
     @pytest.mark.slow
     def test_verify_fault_injection_fails(self, tmp_path):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from bfwave import diagnostics, leapfrog
 from bfwave.diagnostics import (
-    SECOND_ENERGY_CAP,
     energy_identity_check,
     energy_identity_residual,
     equivalence_report,
@@ -72,7 +71,7 @@ class TestRunLevelChecks:
     def test_monitored_run_passes(self, reduced_run):
         h = reduced_run["result"].history
         assert lyapunov_decrease_check(h.lyapunov, 1e-3 * h.lyapunov[0]).passed
-        assert energy_identity_check(h, 1e-2).passed
+        assert energy_identity_check(h).passed
         assert second_energy_boundedness(h).passed
         assert np.max(h.hidden_ratios) <= 1.0
 
@@ -96,9 +95,10 @@ class TestRunLevelChecks:
         ]
         assert all(r.passed for r in rows)
 
-    def test_second_energy_zero_cap_fails(self, reduced_run):
+    def test_second_energy_zero_cap_fails(self, reduced_run, monkeypatch):
+        monkeypatch.setattr(diagnostics, "SECOND_ENERGY_CAP", 0.0)
         h = reduced_run["result"].history
-        assert not second_energy_boundedness(h, cap=0.0).passed
+        assert not second_energy_boundedness(h).passed
 
     def test_sign_fault_breaks_lyapunov_decrease(self):
         # a flipped injection must be caught by the decrease check
@@ -149,32 +149,13 @@ class TestEquivalenceReport:
         y = np.full(10, 2.0)
         Y = y.copy()
         Y[3] = 2.1
-        e = equivalence_report(y, Y, tolerance=1e-2)
+        e = equivalence_report(y, Y)
         assert e.value == pytest.approx(0.05)
         assert not e.passed
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             equivalence_report(np.ones(5), np.ones(6))
-
-
-class TestWorkerCount:
-    # computed only: no pool is started
-    def test_clamped_to_groups_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 2)
-        assert diagnostics._worker_count(1000, 5) == 2
-        assert diagnostics._worker_count(1000, 1) == 1
-        assert diagnostics._worker_count(1, 5) == 1
-        assert diagnostics._worker_count(4, 0) == 1
-        monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: None)
-        assert diagnostics._worker_count(8, 5) == 1
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_rejects_jobs_below_one(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            diagnostics._worker_count(jobs, 5)
-        with pytest.raises(ValueError, match="jobs"):
-            run_verify_battery(jobs=jobs, groups=[])
 
 
 class TestKernelCheck:
@@ -219,6 +200,15 @@ class TestKernelCheck:
         rows = diagnostics._battery_kernel()
         assert len(calls) <= 8
         assert all(r.passed for r in rows)
+
+
+def test_battery_groups_run_in_given_order():
+    report = run_verify_battery(groups=["hidden", "grid"])
+    assert [e.name for e in report.entries] == [
+        "hidden_regularity_analytic",
+        "grid_l2_convergence",
+        "grid_h1_convergence",
+    ]
 
 
 @pytest.mark.slow

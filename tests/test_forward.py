@@ -34,7 +34,7 @@ class TestSimulateForward:
     def test_sine_mode_static_forcing(self, grid):
         # omega = 0: y(t) = (1 - cos(pi t)) / pi for q = sin(pi x)
         m = simulate_forward(sine_mode(grid), 0.0, grid)
-        t = m.times
+        t = np.arange(grid.n_steps_per_pass + 1) * grid.dt
         exact = (1.0 - np.cos(np.pi * t)) / np.pi
         assert np.max(np.abs(m.y - exact)) <= 1e-2
         i1 = int(round(1.0 / grid.dt))

@@ -210,7 +210,7 @@ class TestSimulateCascade:
         q = np.sin(np.pi * grid.nodes)
         q[0] = q[-1] = 0.0
         out = simulate_cascade(q, 0.0, grid)
-        t = grid.times
+        t = np.arange(grid.n_steps_per_pass + 1) * grid.dt
         exact = (1.0 - np.cos(np.pi * t)) / np.pi
         assert np.max(np.abs(out.Y - exact)) <= 1e-2
 
@@ -535,16 +535,15 @@ class TestMonitorForms:
             zero.half_pass = h
             _sweep(zero, m.y, gains, omega, g, 1.0, rec)
         monitor.linearize(_linear_parts(gains, omega, g, 1.0)[1], records)
-        u_prev, u_curr, z1, z2, w = _state_parts(
-            np.random.default_rng(5).standard_normal(2 * nx1 + 3), nx1, g.dt
-        )
+        x = np.random.default_rng(5).standard_normal(2 * nx1 + 3)
+        u_prev, u_curr, z1, z2, w = _state_parts(x, g)
         osc = OscillatorState(float(z1), float(z2))
         start = ObserverState(LeapfrogState(u_prev, u_curr), osc, float(w), half)
         rec = np.empty((4, n + 1))
         _sweep(start, m.y, gains, omega, g, 1.0, rec)
         rec[:2] -= monitor.truth_z[half]
         want = _sweep_integrals(rec, g.dt)
-        got = monitor.integrals(half, _observer_vector(start.wave, start, g.dt))
+        got = monitor.integrals(half, _observer_vector(start.wave, start, g))
         assert np.max(np.abs(got - want) / want) <= 1e-12, (got - want) / want
 
     def test_one_cycle_run(self, reduced):
