@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -464,3 +467,15 @@ class TestNoisyProvenance:
         out = tmp_path / "inv"
         assert cmd_invert(p, out_sim / "measurement.csv", out, quiet=True) == EXIT_OK
         assert "informational" not in (out / "diagnostics.txt").read_text()
+
+
+def test_cli_import_loads_no_scipy():
+    # loading scipy.linalg about doubles a fresh `bfwave` command's start-up;
+    # only bfwave.oracle and the tests may use scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, bfwave.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"

@@ -167,6 +167,33 @@ class TestOscillatorDrive:
         assert z[-1, 0] == pytest.approx(np.cos(2.0 * 4e-3), rel=1e-14)
 
 
+class TestOscillatorPropagator:
+    # omega 0 is the free particle, gamma2 5 is overdamped at omega 2, and dt 0.5
+    # at omega 20 puts the 1-norm far above 1/2, so the series is squared back
+    @pytest.mark.parametrize("omega", [0.0, 2.0, 20.0])
+    @pytest.mark.parametrize("gamma2", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize("dt", [2.5e-4, 0.045, 0.5])
+    def test_matches_scipy_expm(self, omega, gamma2, dt):
+        from scipy.linalg import expm
+
+        A = np.array([[-gamma2, 1.0, 0.0], [-omega * omega, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        E, ref = oscillator_propagator(omega, gamma2, dt), expm(dt * A)
+        assert E.dtype == np.float64
+        assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("omega", [0.0, 2.0, 20.0])
+    @pytest.mark.parametrize("dt", [2.5e-4, 0.045, 0.5])
+    def test_undamped_block_is_rotation(self, omega, dt):
+        # gamma2 = 0: the (z1, z2) block is the harmonic rotation, [[1, dt], [0, 1]] at omega 0
+        if omega == 0.0:
+            rot = np.array([[1.0, dt], [0.0, 1.0]])
+        else:
+            c, s = np.cos(omega * dt), np.sin(omega * dt)
+            rot = np.array([[c, s / omega], [-omega * s, c]])
+        E = oscillator_propagator(omega, 0.0, dt)[:2, :2]
+        assert np.max(np.abs(E - rot)) <= 4 * np.spacing(np.max(np.abs(rot)))
+
+
 class TestRunRecurrence:
     """The block evaluator against the recurrence x <- S x + B (s_k, s_k+1), one step at a time."""
 
