@@ -4,8 +4,10 @@ Commands: simulate (measurement synthesis), invert (estimator run on an
 existing measurement), verify (built-in diagnostics battery), full
 (simulate + invert + diagnostics in one go).
 
-Exit codes: 0 success, 1 failed check, 2 config error, 3 I/O error,
-4 unreadable measurement, sampling mismatch or non-finite samples. A
+Exit codes: 0 success, 1 failed check (a verify row, or a non-finite
+estimate or iteration report from invert or full, whose files are still
+written), 2 config error, 3 I/O error, 4 unreadable measurement, sampling
+mismatch or non-finite samples. A
 command checks its config, output directory and measurement (against
 observer.pass_samples) before it writes, so exit 2 or 4 leaves no files;
 _exit_codes is the one place where refusals become exit codes. The
@@ -126,12 +128,15 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _report_values(r) -> tuple:
+    """The values of an iteration report that iterations.csv writes, None where not computed."""
+    return r.l2_err, r.h1_err, r.lyapunov, r.energy_residual
+
+
 def write_iterations_csv(path: Path, result: BackAndForthResult) -> Path:
     # seconds stays empty so reruns are byte-identical; timings live in memory
     rows = [
-        [r.iteration]
-        + ["" if v is None else _fmt(v) for v in (r.l2_err, r.h1_err, r.lyapunov, r.energy_residual)]
-        + [""]
+        [r.iteration] + ["" if v is None else _fmt(v) for v in _report_values(r)] + [""]
         for r in result.reports
     ]
     _write_rows(path, ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual", "seconds"], rows)
@@ -196,6 +201,19 @@ def _exit_codes(command):
             return EXIT_IO
 
     return run
+
+
+def _result_exit(result: BackAndForthResult) -> int:
+    """EXIT_OK, or EXIT_CHECK_FAILED when the run's result is not finite.
+
+    Checked: the final estimate and every value iterations.csv writes. The
+    files are written either way; a failure prints one stderr line.
+    """
+    values = [v for r in result.reports for v in _report_values(r) if v is not None]
+    if np.isfinite(result.estimates[-1]).all() and np.isfinite(values).all():
+        return EXIT_OK
+    print("check failed: non-finite estimate or iteration report", file=sys.stderr)
+    return EXIT_CHECK_FAILED
 
 
 @contextlib.contextmanager
@@ -292,9 +310,9 @@ def cmd_invert(config_path, measurement_path, out_dir=None, quiet: bool = False)
         pass_samples(measurement, grid)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    _invert_impl(cfg, grid, measurement, out, quiet, written)
+    result = _invert_impl(cfg, grid, measurement, out, quiet, written)
     write_manifest(out, cfg, "invert", [config_path, measurement_path], written, seed_used)
-    return EXIT_OK
+    return _result_exit(result)
 
 
 @_exit_codes
@@ -325,7 +343,7 @@ def cmd_full(config_path, out_dir=None, seed: int | None = None, quiet: bool = F
     write_manifest(out, cfg, "full", [config_path], written, seed_used)
     if not quiet:
         print(f"full run finished in {time.perf_counter() - t0:.1f}s, outputs in {out}")
-    return EXIT_OK
+    return _result_exit(result)
 
 
 def main(argv=None) -> int:

@@ -79,18 +79,19 @@ def write_measurement_csv(record: MeasurementRecord, path):
 
     The line reads "# provenance=noisy noise_level=<level> noise_seed=<seed>"
     (the seed left out when unknown); clean records have no such line.
-    Returns path.
+    Every line ends in CRLF, as csv.writer ends its rows. Returns path.
     """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
         if record.provenance == "noisy":
             meta = f"provenance=noisy noise_level={record.noise_level:.17g}"
             if record.noise_seed is not None:
                 meta += f" noise_seed={record.noise_seed}"
-            fh.write(f"# {meta}{w.dialect.lineterminator}")
-        w.writerow(["t", "y"])
-        for n, v in enumerate(record.y):
-            w.writerow([format(n * record.dt, ".17g"), format(v, ".17g")])
+            fh.write(f"# {meta}\r\n")
+        fh.write("t,y\r\n")
+        # the bytes csv.writer writes (no field needs quoting), a row at a
+        # time: one joined string would hold the whole file at once
+        t = np.arange(len(record.y)) * record.dt
+        fh.writelines(map("%.17g,%.17g\r\n".__mod__, zip(t, record.y)))
     return path
 
 

@@ -18,9 +18,12 @@ free or forced, is not stepped: it is the linear recurrence x <- S x + B s_k
 on the velocity-basis state (u, (u - u_prev)/dt), S assembled from the
 update's formulas with the walls pinned (_wave_parts), evaluated in blocks
 by _run_recurrence. That is the package's one linear-recurrence evaluator;
-the observer's sweeps and oscillator drive run it too. The truth cascade
-and the kernel checks run the wave free, forward synthesis forced. The
-verify battery's energy drift and round trip run the same recurrence
+the observer's sweeps and oscillator drive run it too. It keeps its
+set-up by the content of its matrices (the powers S^t and S^b of the last
+few S, and the block plan of the last (S, B, D)), so a call on matrices
+seen before pays only for its own steps, with the bits of a first call.
+The truth cascade and the kernel checks run the wave free, forward
+synthesis forced. The verify battery's energy drift and round trip run the same recurrence
 through _run_recurrence, read out as the levels, with the turned state as
 the start of the backward leg; step is the stepped reference the tests'
 round trips run backward. _leap, neumann_trace, discrete_energy and
@@ -161,6 +164,73 @@ def reversed_state(state: LeapfrogState, grid: Grid1D) -> LeapfrogState:
 
 
 _RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
+# _run_recurrence's set-up, kept by matrix content: the powers of the last
+# _POWERS_HELD matrices S, the key and two dim^2 arrays each, and the block
+# plan of the last (S, B, D) only. A plan holds (dim + 2b) b rows values,
+# 577 KB for the kernel check's 21 read-out rows, so keeping more would
+# raise peak memory; the calls that share one come in a row (the kernel
+# check's chunks, a run's two offset sweeps).
+_POWERS_HELD = 8
+_powers: dict = {}  # (shape, bytes of S) -> {e: S^e}, oldest first
+_plan: dict = {}  # (b, S's key, shape of D, bytes of B, D) -> (F, W); one entry
+
+
+def _left_power(S: np.ndarray, content: tuple, e: int) -> np.ndarray:
+    """S^e as the left product S (S (... S I)), kept under content, S's shape and bytes.
+
+    Read-only. Every power lies on the one chain from the identity, so one
+    carried on from a kept lower power has the bits of one computed from
+    scratch. Repeated squaring would be cheaper but less accurate: its error
+    grows coherently over hundreds of blocks (1.5e-12 against 2.3e-13 for a
+    wave run of 1e4 steps at cfl 0.9, relative to a long-double one).
+    """
+    held = _powers.get(content)
+    if held is None:  # the first key object is kept, so no call leaves a new one behind
+        if len(_powers) >= _POWERS_HELD:
+            del _powers[next(iter(_powers))]
+        held = _powers[content] = {}
+    if e in held:
+        return held[e]
+    j = max((k for k in held if k < e), default=0)
+    Sj = held[j] if j else np.eye(len(S))
+    for _ in range(j, e):
+        Sj = S @ Sj
+    if e:  # the identity is cheaper made than kept
+        Sj.flags.writeable = False
+        held[e] = Sj
+    return Sj
+
+
+def _block_plan(
+    S: np.ndarray, B: np.ndarray, D: np.ndarray, content: tuple, b: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices F and W of _run_recurrence's blocks of b steps; read-only.
+
+    Row 2l + c of F is column c of S^(b-1-l) B, which carries input l of a
+    block to its end. W stacks the rows D S^j, j < b, over the
+    lower-triangular Toeplitz matrix of the responses D S^(j-1-l) B, so
+    that the read-outs of a block are its start state and inputs times W.
+    """
+    key = (b, content, D.shape, B.tobytes(), D.tobytes())
+    if key not in _plan:
+        _plan.clear()
+        rows, dim = D.shape
+        P = np.empty((b, rows, dim))  # D S^j
+        G = np.empty((b, dim, 2))  # S^j B
+        P[0], G[0] = D, B
+        for j in range(1, b):
+            P[j] = P[j - 1] @ S
+            G[j] = S @ G[j - 1]
+        F = G[::-1].transpose(0, 2, 1).reshape(2 * b, dim)
+        # read-out j of a block: D S^j x + sum_(l<j) D S^(j-1-l) B u_l
+        H = np.concatenate([D @ G, np.zeros((1, rows, 2))])  # H[b] = 0 serves l >= j
+        lag = np.arange(b) - np.arange(b)[:, None] - 1  # [l, j] = j - 1 - l
+        T = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2).reshape(2 * b, b * rows)
+        W = np.vstack([P.transpose(2, 0, 1).reshape(dim, b * rows), T])
+        for a in (F, W):
+            a.flags.writeable = False
+        _plan[key] = F, W
+    return _plan[key]
 
 
 def _run_recurrence(
@@ -170,51 +240,42 @@ def _run_recurrence(
 
     out, shape (len(D), n+1), receives the read-outs D x_k for k = 0..n.
     The steps go in blocks of b = _RUN_BLOCK. The rows D S^j and the
-    impulse responses D S^j B, j < b, are carried once; the read-outs of
-    every block are then one product of its start state and inputs with
-    those rows stacked over the lower-triangular Toeplitz matrix of the
-    responses, and S^b carries each block's start state to the next. The
-    last block, cut at node n, takes the same product over inputs padded
-    with zeros, which no read-out up to node n sees; x_n is S^t applied to
-    its start plus the responses S^(t-1-l) B of its first t inputs.
+    impulse responses D S^j B, j < b, are formed once (_block_plan); the
+    read-outs of every block are then one product of its start state and
+    inputs with those rows stacked over the lower-triangular Toeplitz
+    matrix of the responses, and S^b carries each block's start state to
+    the next. The last block, cut at node n, takes the same product over
+    inputs padded with zeros, which no read-out up to node n sees; x_n is
+    S^t applied to its start plus the responses S^(t-1-l) B of its first t
+    inputs. The powers and the plan are kept by the content of S, B and D
+    (_left_power, _block_plan), so a call on a matrix seen before pays
+    only for its own steps, with the same bits as a first call.
     """
+    S, B, D = (np.asarray(a, dtype=float) for a in (S, B, D))
     s = np.asarray(s, dtype=float)
-    n, dim, rows = len(s) - 1, len(S), len(D)
+    n, dim = len(s) - 1, len(S)
     b = min(_RUN_BLOCK, n + 1)
     full, t = divmod(n, b)  # node n is t steps into the block after `full` whole ones
-    P = np.empty((b, rows, dim))  # D S^j
-    G = np.empty((b, dim, 2))  # S^j B
-    P[0], G[0] = D, B
-    for j in range(1, b):
-        P[j] = P[j - 1] @ S
-        G[j] = S @ G[j - 1]
-    # S^t and S^b as S (S (... S)): the error of a power by repeated squaring
-    # grows coherently over hundreds of blocks (1.5e-12 against 2.3e-13 for a
-    # wave run of 1e4 steps at cfl 0.9, relative to a long-double one)
-    Sj = np.eye(dim)
-    for j in range(b):
-        if j == t:
-            St = Sj
-        Sj = S @ Sj
+    content = (S.shape, S.tobytes())  # S's key in both caches
+    F, W = _block_plan(S, B, D, content, b)
+    St, Sb = _left_power(S, content, t), _left_power(S, content, b)
     # row i: the start x of block i, then its inputs u_k = (s_k, s_k+1), zero past s_n
-    XU = np.zeros((full + 1, dim + 2 * b))
+    XU = np.empty((full + 1, dim + 2 * b))
     X, U = XU[:, :dim], XU[:, dim:]
-    U[:, 0::2].flat[: n + 1] = s
-    U[:, 1::2].flat[:n] = s[1:]
-    # input l of a block reaches the block's end through S^(b-1-l) B
-    F = G[::-1].transpose(0, 2, 1).reshape(2 * b, dim)
+    head = full * b
+    U[:-1, 0::2] = s[:head].reshape(full, b)
+    U[:-1, 1::2] = s[1 : head + 1].reshape(full, b)
+    last = np.zeros(b + 1)
+    last[: t + 1] = s[head:]
+    U[-1, 0::2], U[-1, 1::2] = last[:-1], last[1:]
     X[0] = x0
     if full:
         np.matmul(U[:-1], F, out=X[1:])
-        SbT = Sj.T
-        for i in range(full):
-            X[i + 1] += X[i] @ SbT
-    # read-out j of a block: D S^j x + sum_(l<j) D S^(j-1-l) B u_l
-    H = np.concatenate([D @ G, np.zeros((1, rows, 2))])  # H[b] = 0 serves l >= j
-    lag = np.arange(b) - np.arange(b)[:, None] - 1  # [l, j] = j - 1 - l
-    T = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2).reshape(2 * b, b * rows)
-    R = XU @ np.vstack([P.transpose(2, 0, 1).reshape(dim, b * rows), T])
-    out[...] = R.reshape(-1, rows)[: n + 1].T
+        SbT, carry = Sb.T, np.empty(dim)
+        for x, nxt in zip(X, X[1:]):  # views made as needed: a list of them raised peak RSS
+            x.dot(SbT, out=carry)  # the bits of x @ SbT, with less call overhead
+            nxt += carry
+    out[...] = (XU @ W).reshape(-1, len(D))[: n + 1].T
     return St @ X[-1] + U[-1, : 2 * t] @ F[2 * (b - t) :]
 
 

@@ -372,6 +372,42 @@ class TestExitCodes:
         assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert not any(out.iterdir())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows
+    def test_non_finite_full_exit_1(self, tmp_path, capsys):
+        # cfl 0.9 blows the monitored run up to inf/nan reports; the files
+        # and the manifest are still written
+        p = write_config(tmp_path / "c.json", cfl=0.9, iterations=2000, snapshot_stride=10**6)
+        out = tmp_path / "out"
+        assert cmd_full(p, out, quiet=True) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["check failed: non-finite estimate or iteration report"]
+        assert_manifest_lists_directory(out)
+        _, rows = read_csv(out / "iterations.csv")
+        assert rows[-1][1] == "inf"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows
+    def test_non_finite_blind_invert_exit_1(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.json", cfl=0.9, snapshot_stride=10**6)
+        assert cmd_simulate(p, tmp_path / "sim", quiet=True) == EXIT_OK
+        blind = write_config(
+            tmp_path / "b.json", cfl=0.9, iterations=4000, snapshot_stride=10**6, source=None
+        )
+        out = tmp_path / "out"
+        m = tmp_path / "sim" / "measurement.csv"
+        assert cmd_invert(blind, m, out, quiet=True) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.count("\n") == 1
+        assert_manifest_lists_directory(out)
+        _, rows = read_csv(out / "estimate_final.csv")
+        assert "nan" in {q for _, q in rows}
+
+    def test_finite_runs_exit_0(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.json", snapshot_stride=10**6)
+        assert cmd_full(p, tmp_path / "full", quiet=True) == EXIT_OK
+        blind = write_config(tmp_path / "b.json", source=None)
+        m = tmp_path / "full" / "measurement.csv"
+        assert cmd_invert(blind, m, tmp_path / "inv", quiet=True) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_negative_seed_option_exit_2(self, tmp_path):
         p = write_config(tmp_path / "c.json", noise=0.1)
         out = tmp_path / "out"
@@ -471,9 +507,13 @@ class TestNoisyProvenance:
 
 def test_cli_import_loads_no_scipy():
     # loading scipy.linalg about doubles a fresh `bfwave` command's start-up;
-    # only bfwave.oracle and the tests may use scipy
+    # only bfwave.oracle and the tests may use scipy. hashlib stays out too:
+    # importing it and a first blake2b call add 3.5 MB of peak memory
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, bfwave.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = (
+        "import sys, bfwave.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')))"
+    )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60

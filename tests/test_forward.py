@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,6 +176,25 @@ class TestMeasurementCsv:
         assert lines[2].decode() == f"{grid.dt:.17g},{m.y[1]:.17g}"
         back = read_measurement_csv(path)
         assert (back.provenance, back.noise_level, back.noise_seed) == ("clean", 0.0, None)
+
+    @pytest.mark.parametrize("seed", [None, 7, "clean"])
+    def test_bytes_equal_csv_writer(self, grid, tmp_path, seed):
+        # the streamed rows are the bytes a csv.writer row loop writes
+        m = simulate_forward(sine_mode(grid), 1.0, grid)
+        if seed != "clean":
+            m = add_noise(m, 0.1, 3)
+            m = replace(m, noise_seed=seed)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            if seed != "clean":
+                tail = "" if seed is None else f" noise_seed={seed}"
+                fh.write(f"# provenance=noisy noise_level={m.noise_level:.17g}{tail}\r\n")
+            w.writerow(["t", "y"])
+            for n, v in enumerate(m.y):
+                w.writerow([format(n * m.dt, ".17g"), format(v, ".17g")])
+        path = write_measurement_csv(m, tmp_path / "m.csv")
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_rejects_unknown_provenance(self, tmp_path):
         path = tmp_path / "bad.csv"

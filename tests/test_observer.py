@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bfwave.forward import MeasurementRecord, simulate_forward
 from bfwave.grid import Gains, ScenarioConfig, build_grid
+from bfwave import leapfrog
 from bfwave.leapfrog import _RUN_BLOCK, LeapfrogState, _run_recurrence, init_leapfrog
 from bfwave.observer import (
     IterationReport,
@@ -194,6 +195,23 @@ class TestOscillatorPropagator:
         assert np.max(np.abs(E - rot)) <= 4 * np.spacing(np.max(np.abs(rot)))
 
 
+def _random_system(seed: int, dim: int = 9, rows: int = 3):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((dim, dim))
+    S = A / np.max(np.abs(np.linalg.eigvals(A)))  # spectral radius 1
+    return S, rng.standard_normal((dim, 2)), rng.standard_normal((rows, dim)), rng.standard_normal(dim)
+
+
+def _run(S, B, D, x0, s):
+    out = np.full((len(D), len(s)), np.nan)
+    return out, _run_recurrence(S, B, D, x0, s, out)
+
+
+def _forget_set_up():
+    leapfrog._powers.clear()
+    leapfrog._plan.clear()
+
+
 class TestRunRecurrence:
     """The block evaluator against the recurrence x <- S x + B (s_k, s_k+1), one step at a time."""
 
@@ -226,6 +244,50 @@ class TestRunRecurrence:
         x_n = _run_recurrence(S, B, D, x0, s, out)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(x_n - x)) <= 1e-12 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            pytest.param(_RUN_BLOCK // 2, id="n<b"),
+            pytest.param(3 * _RUN_BLOCK, id="n=kb"),
+            pytest.param(3 * _RUN_BLOCK + 7, id="n=kb+tail"),
+        ],
+    )
+    def test_cold_and_warm_calls_agree_bitwise(self, n):
+        S, B, D, x0 = _random_system(11)
+        s = np.random.default_rng(12).standard_normal(n + 1)
+        _forget_set_up()
+        cold_out, cold_x = _run(S, B, D, x0, s)
+        _forget_set_up()
+        _run(S, B, D, x0, s[: n - 4])  # S kept, with powers of another t
+        reversed_view = s[::-1].copy()[::-1]  # the same samples, as a backward sweep passes them
+        for samples in (s, s, reversed_view):
+            out, x = _run(S, B, D, x0, samples)
+            assert np.array_equal(out, cold_out)
+            assert np.array_equal(x, cold_x)
+
+    def test_same_shape_other_content_shares_nothing(self):
+        S, B, D, x0 = _random_system(13)
+        S2 = S.copy()
+        S2[4, 2] = np.nextafter(S2[4, 2], np.inf)
+        s = np.random.default_rng(14).standard_normal(3 * _RUN_BLOCK + 7)
+        _forget_set_up()
+        cold_out, cold_x = _run(S2, B, D, x0, s)
+        _forget_set_up()
+        first_out, first_x = _run(S, B, D, x0, s)
+        out, x = _run(S2, B, D, x0, s)
+        assert np.array_equal(out, cold_out) and np.array_equal(x, cold_x)
+        assert not np.array_equal(x, first_x)
+        assert not np.array_equal(out, first_out)
+
+    def test_kept_set_up_is_bounded(self):
+        _forget_set_up()
+        s = np.ones(_RUN_BLOCK + 5)
+        for seed in range(leapfrog._POWERS_HELD + 3):
+            _run(*_random_system(seed), s)
+        assert len(leapfrog._powers) == leapfrog._POWERS_HELD
+        assert len(leapfrog._plan) == 1
+        assert all(len(powers) <= 2 for powers in leapfrog._powers.values())  # S^t and S^b
 
 
 class TestSimulateCascade:
