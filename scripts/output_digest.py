@@ -18,9 +18,10 @@ the files the run left besides `manifest.json`, k those of them that the
 manifest's `outputs` names (`manifest <run>: none` for `verify`, which
 writes no manifest).
 
-It then runs six commands that must be refused (malformed config JSON, a
+It then runs eight commands that must be refused (malformed config JSON, a
 resonant omega, a non-finite gain, a measurement that does not fill one
-pass, a non-finite sample, an unknown `verify` group) and prints one
+pass, a non-finite sample, a measurement row of three fields, a blank
+measurement row, an unknown `verify` group) and prints one
 `refused <case>: exit <code>, <k> files` line each, k counting every file
 the command left in its output directory.
 
@@ -71,9 +72,16 @@ def _refusals(root: Path, clean_config: str, measurement: Path) -> list[tuple[st
     short = root / "short.csv"
     short.write_text("t,y\n0,0\n0.1,0\n0.2,0\n")
     lines = measurement.read_text().splitlines()
-    lines[5] = lines[5].split(",")[0] + ",nan"
-    nan = root / "nan.csv"
-    nan.write_text("\n".join(lines) + "\n")
+
+    def with_row_5(name: str, *rows: str) -> Path:
+        """The measurement with its row 5 replaced by rows."""
+        path = root / name
+        path.write_text("\n".join(lines[:5] + list(rows) + lines[6:]) + "\n")
+        return path
+
+    nan = with_row_5("nan.csv", lines[5].split(",")[0] + ",nan")
+    three = with_row_5("three_fields.csv", lines[5] + ",0")
+    blank = with_row_5("blank_row.csv", "", lines[5])
     return [
         ("malformed_config", ["full", "--config", str(bad_json)]),
         ("resonant_omega", ["full", "--config", str(resonant)]),
@@ -82,6 +90,10 @@ def _refusals(root: Path, clean_config: str, measurement: Path) -> list[tuple[st
          ["invert", "--config", clean_config, "--measurement", str(short)]),
         ("non_finite_sample",
          ["invert", "--config", clean_config, "--measurement", str(nan)]),
+        ("three_field_row",
+         ["invert", "--config", clean_config, "--measurement", str(three)]),
+        ("blank_row",
+         ["invert", "--config", clean_config, "--measurement", str(blank)]),
         ("unknown_verify_group", ["verify", "--checks", "nope"]),
     ]
 

@@ -143,12 +143,13 @@ def run_level_checks(history: RunHistory) -> list[CheckResult]:
     """The checks every monitored observer run reports, in their fixed order."""
     worst_hidden = float(np.max(history.hidden_ratios))
     note = "worst trace-bound ratio over all observer sweeps"
-    return [
-        lyapunov_decrease_check(history.lyapunov, 1e-3 * history.lyapunov[0]),
-        energy_identity_check(history),
-        second_energy_boundedness(history),
-        _at_most("hidden_regularity_run", worst_hidden, 1.0, note),
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # a blown-up run's inf - inf fails its rows
+        return [
+            lyapunov_decrease_check(history.lyapunov, 1e-3 * history.lyapunov[0]),
+            energy_identity_check(history),
+            second_energy_boundedness(history),
+            _at_most("hidden_regularity_run", worst_hidden, 1.0, note),
+        ]
 
 
 def equivalence_report(y: np.ndarray, Y: np.ndarray) -> CheckResult:

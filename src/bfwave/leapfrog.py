@@ -238,7 +238,8 @@ def _run_recurrence(
 ) -> np.ndarray:
     """Run x_k+1 = S x_k + B (s_k, s_k+1) from x0 over the samples s; return x_n.
 
-    out, shape (len(D), n+1), receives the read-outs D x_k for k = 0..n.
+    out, shape (len(D), n+1), receives the read-outs D x_k for k = 0..n;
+    a D of no rows reads nothing out, and x_n does not depend on D.
     The steps go in blocks of b = _RUN_BLOCK. The rows D S^j and the
     impulse responses D S^j B, j < b, are formed once (_block_plan); the
     read-outs of every block are then one product of its start state and
@@ -275,7 +276,8 @@ def _run_recurrence(
         for x, nxt in zip(X, X[1:]):  # views made as needed: a list of them raised peak RSS
             x.dot(SbT, out=carry)  # the bits of x @ SbT, with less call overhead
             nxt += carry
-    out[...] = (XU @ W).reshape(-1, len(D))[: n + 1].T
+    if len(D):
+        out[...] = (XU @ W).reshape(-1, len(D))[: n + 1].T
     return St @ X[-1] + U[-1, : 2 * t] @ F[2 * (b - t) :]
 
 

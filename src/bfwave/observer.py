@@ -812,35 +812,38 @@ def run_back_and_forth(
     # backward pass replays reversed: the sweep's end from the zero state, whose
     # read-outs the monitor expands its forms around
     x = np.zeros(len(S))  # the velocity-basis vector of state
-    rec = np.empty((4, n + 1))
-    records = [rec, rec if monitor is None else np.empty_like(rec)]
-    read = _readout_rows(grid)
-    offsets = [_run_recurrence(S, B, read, x, Yp, r) for Yp, r in zip((y, y[::-1]), records)]
-    if monitor is not None:
-        monitor.linearize(S, records)
-    for half in range(2 * n_iterations):
-        start, x_start = state, x
-        x_end = Sn @ x + offsets[half % 2]
-        x = turn @ x_end
-        u_prev, u_curr, z1, z2, w = _state_parts(x, grid)
-        state = ObserverState(
-            wave=LeapfrogState(u_prev, u_curr),
-            osc=OscillatorState(float(z1), float(z2)),
-            mismatch_integral=float(w),
-            half_pass=half + 1,
-        )
+    # the offsets' read-outs feed only the monitor: without one, read none
+    read = _readout_rows(grid) if monitor is not None else np.empty((0, len(S)))
+    records = [np.empty((len(read), n + 1)) for _ in range(2)]
+    # a run that blows up (an unstable cfl) goes on to its end, where its
+    # non-finite result is reported once, not as a warning per overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = [_run_recurrence(S, B, read, x, Yp, r) for Yp, r in zip((y, y[::-1]), records)]
         if monitor is not None:
-            ended = _from_velocity_basis(x_end[: 2 * nx1], grid)
-            monitor.fold(half, start, ended, state, monitor.integrals(half, x_start))
-        if half % 2 == 1:
-            estimates.append(extract_estimate(state, grid))
-            rep = IterationReport(
-                iteration=state.half_pass // 2, seconds=time.perf_counter() - t_iter_start
+            monitor.linearize(S, records)
+        for half in range(2 * n_iterations):
+            start, x_start = state, x
+            x_end = Sn @ x + offsets[half % 2]
+            x = turn @ x_end
+            u_prev, u_curr, z1, z2, w = _state_parts(x, grid)
+            state = ObserverState(
+                wave=LeapfrogState(u_prev, u_curr),
+                osc=OscillatorState(float(z1), float(z2)),
+                mismatch_integral=float(w),
+                half_pass=half + 1,
             )
             if monitor is not None:
-                monitor.fill(rep, estimates[-1])
-            reports.append(rep)
-            t_iter_start = time.perf_counter()
+                ended = _from_velocity_basis(x_end[: 2 * nx1], grid)
+                monitor.fold(half, start, ended, state, monitor.integrals(half, x_start))
+            if half % 2 == 1:
+                estimates.append(extract_estimate(state, grid))
+                rep = IterationReport(
+                    iteration=state.half_pass // 2, seconds=time.perf_counter() - t_iter_start
+                )
+                if monitor is not None:
+                    monitor.fill(rep, estimates[-1])
+                reports.append(rep)
+                t_iter_start = time.perf_counter()
 
     return BackAndForthResult(
         estimates=estimates,

@@ -20,8 +20,15 @@ from bfwave.cli import (
     cmd_verify,
     load_config,
     main,
+    write_checks_csv,
+    write_estimate_csv,
+    write_iterations_csv,
+    write_lyapunov_csv,
 )
-from bfwave.grid import SourceSpec
+from bfwave.diagnostics import run_verify_battery
+from bfwave.forward import simulate_forward
+from bfwave.grid import ScenarioConfig, SourceSpec
+from bfwave.observer import run_back_and_forth
 
 
 def write_config(path, **overrides):
@@ -372,7 +379,17 @@ class TestExitCodes:
         assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert not any(out.iterdir())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows
+    @pytest.mark.filterwarnings("error")  # the run overflows without a RuntimeWarning
+    def test_blown_up_run_prints_one_line(self, tmp_path, capsys):
+        # the same run writing snapshots: its stderr is the one check line
+        p = write_config(tmp_path / "c.json", cfl=0.9, iterations=2000, snapshot_stride=500)
+        out = tmp_path / "out"
+        assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == "check failed: non-finite estimate or iteration report\n"
+        assert_manifest_lists_directory(out)
+        assert len(list(out.glob("estimate_iter_*.csv"))) == 5
+
+    @pytest.mark.filterwarnings("error")  # the run overflows without a RuntimeWarning
     def test_non_finite_full_exit_1(self, tmp_path, capsys):
         # cfl 0.9 blows the monitored run up to inf/nan reports; the files
         # and the manifest are still written
@@ -385,7 +402,7 @@ class TestExitCodes:
         _, rows = read_csv(out / "iterations.csv")
         assert rows[-1][1] == "inf"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows
+    @pytest.mark.filterwarnings("error")  # the run overflows without a RuntimeWarning
     def test_non_finite_blind_invert_exit_1(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.json", cfl=0.9, snapshot_stride=10**6)
         assert cmd_simulate(p, tmp_path / "sim", quiet=True) == EXIT_OK
@@ -453,13 +470,86 @@ class TestManifest:
         assert_manifest_lists_directory(out)
 
 
+def csv_writer_bytes(path, header, rows) -> bytes:
+    """The bytes a csv.writer row loop writes for header and rows."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+    return path.read_bytes()
+
+
+def g17(v) -> str:
+    return format(float(v), ".17g")
+
+
+@pytest.fixture(scope="module")
+def short_runs():
+    """A monitored and a blind 3-cycle run of one coarse measurement."""
+    cfg = ScenarioConfig(cfl=0.05, iterations=3)
+    grid = cfg.grid()
+    q = cfg.q_true(grid)
+    m = simulate_forward(q, cfg.omega, grid)
+    runs = {
+        name: run_back_and_forth(m, cfg.gains(), cfg.omega, grid, cfg.iterations, q_true=qt)
+        for name, qt in (("monitored", q), ("blind", None))
+    }
+    return grid, q, runs
+
+
 class TestCsvFormatting:
+    """Each file formatted as one string holds the bytes of a csv.writer row loop."""
+
     def test_fmt_round_trips_doubles(self):
         from bfwave.cli import _fmt
 
         rng = np.random.default_rng(0)
         for x in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200):
             assert float(_fmt(x)) == x
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_estimate_bytes(self, tmp_path, with_truth):
+        rng = np.random.default_rng(1)
+        x = np.linspace(0.0, 1.0, 21)
+        q_hat = rng.standard_normal(21) * 10.0 ** rng.integers(-300, 300, 21)
+        q_hat[:5] = [0.0, -0.0, np.nan, np.inf, 5e-324]
+        q_true = x - x * x if with_truth else None
+        path = write_estimate_csv(tmp_path / "e.csv", x, q_hat, q_true)
+        cols = [x, q_hat] if q_true is None else [x, q_hat, q_true]
+        header = ["x", "q_hat", "q_true"][: len(cols)]
+        rows = [list(map(g17, r)) for r in zip(*cols)]
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+
+    @pytest.mark.parametrize("run", ["monitored", "blind"])
+    def test_iterations_bytes(self, tmp_path, short_runs, run):
+        # the blind run's error cells are empty; seconds is empty in every row
+        result = short_runs[2][run]
+        path = write_iterations_csv(tmp_path / "i.csv", result)
+        values = [(r.l2_err, r.h1_err, r.lyapunov, r.energy_residual) for r in result.reports]
+        rows = [
+            [r.iteration] + ["" if v is None else g17(v) for v in vals] + [""]
+            for r, vals in zip(result.reports, values)
+        ]
+        header = ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual", "seconds"]
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+
+    def test_lyapunov_bytes(self, tmp_path, short_runs):
+        result = short_runs[2]["monitored"]
+        path = write_lyapunov_csv(tmp_path / "l.csv", result)
+        rows = [[g17(k / 2.0), g17(v)] for k, v in enumerate(result.history.lyapunov)]
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", ["iter", "V"], rows)
+
+    @pytest.mark.parametrize("groups", [["grid"], []])
+    def test_verify_bytes(self, tmp_path, groups):
+        # verify.csv, and diagnostics.csv through the same writer
+        report = run_verify_battery(groups=groups)
+        path, _ = write_checks_csv(tmp_path / "verify.csv", report)
+        rows = [
+            [e.name, g17(e.value), g17(e.threshold), str(e.passed).lower()] for e in report.entries
+        ]
+        header = ["check", "value", "threshold", "pass"]
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header, rows)
 
 
 class TestResonance:

@@ -1,11 +1,15 @@
 import csv
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfwave.forward import (
+    _CSV_BLOCK,
+    MeasurementRecord,
     add_noise,
     read_measurement_csv,
     rms,
@@ -18,6 +22,19 @@ from bfwave.grid import build_grid
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(20, 0.05, 3.0)
+
+
+def csv_writer_bytes(m, path) -> bytes:
+    """The bytes a csv.writer row loop writes for the measurement m."""
+    with open(path, "w", newline="") as fh:
+        if m.provenance == "noisy":
+            tail = "" if m.noise_seed is None else f" noise_seed={m.noise_seed}"
+            fh.write(f"# provenance=noisy noise_level={m.noise_level:.17g}{tail}\r\n")
+        w = csv.writer(fh)
+        w.writerow(["t", "y"])
+        for n, v in enumerate(m.y):
+            w.writerow([format(n * m.dt, ".17g"), format(v, ".17g")])
+    return path.read_bytes()
 
 
 def sine_mode(g, k=1):
@@ -179,22 +196,24 @@ class TestMeasurementCsv:
 
     @pytest.mark.parametrize("seed", [None, 7, "clean"])
     def test_bytes_equal_csv_writer(self, grid, tmp_path, seed):
-        # the streamed rows are the bytes a csv.writer row loop writes
+        # the block-formatted rows are the bytes a csv.writer row loop writes
         m = simulate_forward(sine_mode(grid), 1.0, grid)
         if seed != "clean":
             m = add_noise(m, 0.1, 3)
             m = replace(m, noise_seed=seed)
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            w = csv.writer(fh)
-            if seed != "clean":
-                tail = "" if seed is None else f" noise_seed={seed}"
-                fh.write(f"# provenance=noisy noise_level={m.noise_level:.17g}{tail}\r\n")
-            w.writerow(["t", "y"])
-            for n, v in enumerate(m.y):
-                w.writerow([format(n * m.dt, ".17g"), format(v, ".17g")])
         path = write_measurement_csv(m, tmp_path / "m.csv")
-        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes() == csv_writer_bytes(m, tmp_path / "ref.csv")
+
+    @pytest.mark.parametrize("n", [2 * _CSV_BLOCK - 1, 2 * _CSV_BLOCK, 2 * _CSV_BLOCK + 1])
+    def test_bytes_equal_csv_writer_at_block_ends(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        y[:4] = [0.0, -0.0, 5e-324, -np.finfo(float).max]
+        m = MeasurementRecord(
+            y=y, dt=1.0 / 3.0, T=(n - 1) / 3.0, noise_level=0.1, noise_seed=1, provenance="noisy"
+        )
+        path = write_measurement_csv(m, tmp_path / "m.csv")
+        assert path.read_bytes() == csv_writer_bytes(m, tmp_path / "ref.csv")
 
     def test_rejects_unknown_provenance(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -208,3 +227,67 @@ class TestMeasurementCsv:
         path.write_text(text)
         with pytest.raises(ValueError):
             read_measurement_csv(path)
+
+
+# What read_measurement_csv accepts and refuses, one file each. Every
+# accepted file holds t = 0, 0.5, 1 and y = 0, 1, 2.
+ACCEPTED = {
+    "lf": "t,y\n0,0\n0.5,1\n1,2\n",
+    "crlf": "t,y\r\n0,0\r\n0.5,1\r\n1,2\r\n",
+    "quoted": 't,y\n"0","0"\n"0.5","1"\n"1","2"\n',
+    "padded": "t,y\n 0 , 0\n0.5,\t1 \n1 ,2\n",
+    "signed_exponent": "t,y\n+0E+00,0\n5E-01,+1E+00\n1,2\n",
+    "no_final_newline": "t,y\n0,0\n0.5,1\n1,2",
+    "extra_header_column": "t,y,z\n0,0\n0.5,1\n1,2\n",
+}
+REFUSED = {
+    "three_fields": ("t,y\n0,0,0\n0.5,1,1\n1,2,2\n", "fields"),
+    "one_field": ("t,y\n0\n0.5\n1\n", "fields"),
+    "ragged": ("t,y\n0,0\n0.5,1,1\n1,2\n", "columns"),
+    "empty_field": ("t,y\n0,0\n0.5,\n1,2\n", "convert"),
+    "hash_row": ("t,y\n0,0\n# note\n0.5,1\n1,2\n", "columns"),
+    "hex_float": ("t,y\n0,0\n0.5,0x1p-3\n1,2\n", "convert"),
+    "infinity": ("t,y\n0,0\n0.5,Infinity\n1,2\n", "non-finite"),
+    "header_only": ("t,y\n", "at least two samples"),
+    "one_row": ("t,y\n0,0\n", "at least two samples"),
+    # csv.reader gave these no fields and the old parse refused them; np.loadtxt
+    # skips blank lines, so the reader counts them
+    "blank_row": ("t,y\n0,0\n\n0.5,1\n1,2\n", "blank row"),
+    "blank_first_row": ("t,y\r\n\r\n0,0\r\n0.5,1\r\n1,2\r\n", "blank row"),
+    "blank_last_row": ("t,y\n0,0\n0.5,1\n1,2\n\n", "blank row"),
+    # Python's float read this as 10.0; np.loadtxt does not take digit separators
+    "digit_separator": ("t,y\n0,0\n0.5,1_0\n1,2\n", "convert"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # numpy's "input contained no data" included
+class TestReaderContract:
+    @pytest.mark.parametrize("name", ACCEPTED)
+    def test_accepted(self, tmp_path, name):
+        path = tmp_path / "m.csv"
+        path.write_bytes(ACCEPTED[name].encode())
+        m = read_measurement_csv(path)
+        assert m.y.tolist() == [0.0, 1.0, 2.0]
+        assert (m.dt, m.T, m.provenance) == (0.5, 1.0, "clean")
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_refused(self, tmp_path, name):
+        text, match = REFUSED[name]
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=match):
+            read_measurement_csv(path)
+
+    @given(
+        y=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=2, max_size=40
+        )
+    )
+    @settings(max_examples=60)
+    def test_17_digit_text_reads_back_bitwise(self, y):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            text = "".join(f"{n * 0.5:.17g},{v:.17g}\r\n" for n, v in enumerate(y))
+            path.write_text("t,y\r\n" + text, newline="")
+            back = read_measurement_csv(path)
+        assert back.y.tobytes() == np.array(y).tobytes()

@@ -12,6 +12,7 @@ from bfwave.observer import (
     OscillatorState,
     _linear_parts,
     _observer_vector,
+    _readout_rows,
     _state_parts,
     _sweep,
     _sweep_integrals,
@@ -279,6 +280,18 @@ class TestRunRecurrence:
         assert np.array_equal(out, cold_out) and np.array_equal(x, cold_x)
         assert not np.array_equal(x, first_x)
         assert not np.array_equal(out, first_out)
+
+    def test_no_read_out_rows(self, grid):
+        # the observer's system read out by its four rows and by none: x_n has
+        # the same bits, and the (0, n+1) out is never written
+        S, B = _linear_parts(Gains(1.0, 0.5), 2.0, grid, 1.0)[1:]
+        D = _readout_rows(grid)
+        rng = np.random.default_rng(16)
+        s, x0 = rng.standard_normal(grid.n_steps_per_pass + 1), rng.standard_normal(len(S))
+        _, x_read = _run(S, B, D, x0, s)
+        none = np.empty((0, len(s)))
+        none.flags.writeable = False
+        assert _run_recurrence(S, B, D[:0], x0, s, none).tobytes() == x_read.tobytes()
 
     def test_kept_set_up_is_bounded(self):
         _forget_set_up()
@@ -557,6 +570,25 @@ class TestRunBackAndForth:
         a = run_back_and_forth(m, Gains(1.0, 0.5), 2.0, grid, 1)
         b = run_back_and_forth(scaled, Gains(1.0, 0.5), 2.0, grid, 1)
         assert np.allclose(b.estimates[1], c * a.estimates[1], atol=1e-12)
+
+    def test_blind_run_keeps_the_read_out_route(self, grid):
+        # a blind run reads nothing off its offset sweeps; its estimates keep
+        # the bits of the maps whose offsets came with all four read-outs
+        m = simulate_forward(poly_source(grid), 2.0, grid)
+        gains = Gains(1.0, 0.5)
+        res = run_back_and_forth(m, gains, 2.0, grid, 3)
+        turn, S, B = _linear_parts(gains, 2.0, grid, 1.0)
+        n, nx1 = grid.n_steps_per_pass, grid.nx + 1
+        Sn = np.linalg.matrix_power(S, n)
+        x, rec = np.zeros(len(S)), np.empty((4, n + 1))
+        D = _readout_rows(grid)
+        offsets = [_run_recurrence(S, B, D, x, Yp, rec) for Yp in (m.y, m.y[::-1])]
+        for half in range(6):
+            x = turn @ (Sn @ x + offsets[half % 2])
+            if half % 2:
+                q_hat = x[:nx1].copy()
+                q_hat[[0, -1]] = 0.0
+                assert q_hat.tobytes() == res.estimates[half // 2 + 1].tobytes()
 
     def test_monitoring_leaves_the_sweep_unchanged(self, grid):
         # monitored and unmonitored runs take one route: monitoring reads the
