@@ -137,14 +137,13 @@ def _report_values(r) -> tuple:
 
 
 def write_iterations_csv(path: Path, result: BackAndForthResult) -> Path:
-    # seconds stays empty so reruns are byte-identical; timings live in memory
     cells = [
         c
         for r in result.reports
-        for c in (r.iteration, *("" if v is None else _fmt(v) for v in _report_values(r)), "")
+        for c in (r.iteration, *("" if v is None else _fmt(v) for v in _report_values(r)))
     ]
-    header = ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual", "seconds"]
-    _write_rows(path, header, "%d,%s,%s,%s,%s,%s", cells)
+    header = ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual"]
+    _write_rows(path, header, "%d,%s,%s,%s,%s", cells)
     return path
 
 

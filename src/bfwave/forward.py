@@ -116,18 +116,34 @@ def _read_provenance(line: str) -> dict:
     return fields
 
 
+def _row_refusal(lines, first: int) -> str:
+    """Why body lines, the first of them file line first, are not rows t,y: the first bad line."""
+    for k, line in enumerate(lines, start=first):
+        if not line.strip():
+            return f"measurement has a blank row at line {k}"
+        try:
+            fields = np.loadtxt([line], delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except ValueError:
+            fields = ()
+        if len(fields) != 2:
+            return f"measurement line {k} does not hold 2 numeric fields (t,y)"
+    return "measurement rows do not hold 2 numeric fields each (t,y)"
+
+
 def read_measurement_csv(path) -> MeasurementRecord:
     """Read a t,y measurement, and its provenance line if it has one.
 
     The rows are parsed by np.loadtxt into one float array: two fields
-    each, quoted or not, lines ending in LF or CRLF. A blank row is
-    refused. A file without a provenance line reads as clean.
+    each, quoted or not, lines ending in LF or CRLF. A file without a
+    provenance line reads as clean. A blank row, or a row that is not two
+    numbers, is refused by its file line, found by a second pass over the
+    body that runs only when the first parse fails.
     """
     with open(path, newline="") as fh:
         line = fh.readline()
-        fields = {}
+        fields, first = {}, 2  # first: the file line of the first body row
         if line.startswith("#"):
-            fields = _read_provenance(line)
+            fields, first = _read_provenance(line), 3
             line = fh.readline()
         header = next(csv.reader([line]))
         if header[:2] != ["t", "y"]:
@@ -137,13 +153,16 @@ def read_measurement_csv(path) -> MeasurementRecord:
         with warnings.catch_warnings():  # an empty body is refused below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             body = map(itemgetter(1), zip(lines, fh))
-            ty = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
-    if next(lines) - 1 != len(ty):  # zip draws from lines once more before fh runs out
-        raise ValueError("measurement has a blank row")
+            try:
+                ty = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            except ValueError:
+                ty = None
+        # zip draws from lines once more before fh runs out
+        if ty is None or (len(ty) and ty.shape[1] != 2) or next(lines) - 1 != len(ty):
+            fh.seek(0)
+            raise ValueError(_row_refusal(itertools.islice(fh, first - 1, None), first))
     if len(ty) < 2:
         raise ValueError("measurement needs at least two samples")
-    if ty.shape[1] != 2:
-        raise ValueError(f"measurement rows need 2 fields (t,y), got {ty.shape[1]}")
     t, y = ty[:, 0], ty[:, 1].copy()  # the record keeps y alone, not all of ty
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise ValueError("measurement has non-finite samples")

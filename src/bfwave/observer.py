@@ -45,15 +45,18 @@ one-step matrix (fixed by grid, gains and omega; Ramdani, Tucsnak & Weiss
 2010; Ito, Ramdani & Tucsnak 2011) and c the measurement's share: the
 sweep's end from the zero state over the pass's samples in their replay
 order. _linear_parts builds S, B and R once per grid, gains and omega. The
-truth monitor only reads the iteration: five quadratic forms in a sweep's
-start state (_sweep_forms), expanded around the two sweeps from the zero
-state that give c, yield the integrals it would have taken from that
-sweep's series; their quadratic part is the same for every sweep.
+run keeps its states as two arrays of velocity-basis rows, the start of
+every half-pass and the end of every sweep, and calls nothing else inside
+the loop. The truth monitor is a function of those arrays run after it
+(_truth_history): five quadratic forms in a sweep's start state
+(_sweep_forms, evaluated by _start_integrals), expanded around the two
+sweeps from the zero state that give c, yield the integrals it would have
+taken from that sweep's series; their quadratic part is the same for every
+sweep.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -216,6 +219,12 @@ class PlantCycle:
     field_T: np.ndarray
     vel_T: np.ndarray
 
+    @property
+    def sweep_z(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (z1, z2) at the nodes of a forward and of a backward sweep, each in its local time."""
+        z = self.z.T
+        return z, z[:, ::-1] * np.array([[1.0], [-1.0]])
+
 
 def run_plant_cycle(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
     """Integrate the truth cycle once: the cascade, and the wave at the turn."""
@@ -276,7 +285,6 @@ class IterationReport:
     h1_err: float | None = None
     lyapunov: float | None = None
     energy_residual: float | None = None
-    seconds: float | None = None
 
 
 @dataclass
@@ -294,6 +302,17 @@ class RunHistory:
     second_energy_lhs: np.ndarray
     initial_bundle: float
     hidden_ratios: np.ndarray
+
+    @property
+    def energy_residuals(self) -> np.ndarray:
+        """Defect of the energy balance at every boundary, relative to its t=0 value.
+
+        |energy_lhs - energy_lhs[0]| over energy_lhs[0]; absolute when that
+        value is zero (a zero truth), where no relative defect exists.
+        """
+        rhs = self.energy_lhs[0]
+        gap = np.abs(self.energy_lhs - rhs)
+        return gap / rhs if rhs > 0.0 else gap
 
 
 @dataclass
@@ -405,9 +424,13 @@ def extract_estimate(state: ObserverState, grid: Grid1D) -> np.ndarray:
     """
     if state.half_pass % 2 != 0:
         raise ValueError("estimates exist at cycle boundaries (after a backward half-pass)")
-    q_hat = state.wave.u_curr.copy()
-    q_hat[0] = 0.0
-    q_hat[-1] = 0.0
+    return _pinned(state.wave.u_curr)
+
+
+def _pinned(u: np.ndarray) -> np.ndarray:
+    """A copy of the displacement u with both walls set to zero."""
+    q_hat = u.copy()
+    q_hat[[0, -1]] = 0.0
     return q_hat
 
 
@@ -500,119 +523,81 @@ def lyapunov_value(
     )
 
 
-class _TruthMonitor:
-    """Observer-minus-truth samples against the exactly periodic truth cycle."""
+def _truth_history(
+    q, plant: PlantCycle, starts, ends, integrals, gains: Gains, omega: float, grid: Grid1D
+) -> RunHistory:
+    """Observer-minus-truth samples of a run, against the exactly periodic truth cycle.
 
-    def __init__(self, q_true: np.ndarray, gains: Gains, omega: float, grid: Grid1D):
-        self.q, self.gains, self.omega, self.grid = q_true, gains, omega, grid
-        plant = run_plant_cycle(q_true, omega, grid)
-        self.turn_wave = plant.field_T, plant.vel_T
-        z = plant.z.T
-        # truth (z1, z2) at the nodes of a forward and of a backward sweep, each
-        # in its sweep's local time
-        self.truth_z = (z, z[:, ::-1] * np.array([[1.0], [-1.0]]))
-        self.int_zt_sq = np.zeros(2)  # running integrals of (z1 - z1_truth)^2, (z2 - z2_truth)^2
-        self.forms: list[tuple] = []  # per direction, set by linearize
-        self.G = None  # the forms' common quadratic part, set by linearize
-        # observer velocity at the last boundary, in the local time of the sweep
-        # that ended there; it meets a nonzero truth velocity only after forward sweeps
-        self.vel = np.zeros(grid.nx + 1)
-        self.samples: list[tuple[float, float, float]] = []
-        self.hidden: list[float] = []
-        self.initial_bundle = (
-            l2_norm(q_true, grid) ** 2
-            + h1_seminorm(q_true, grid) ** 2
-            + l2_norm(_second_x_derivative(q_true, grid.dx), grid) ** 2
-        )
-        self._sample(0, np.zeros(grid.nx + 1), ZERO_OSC)
-
-    def _sample(self, half: int, u: np.ndarray, osc: OscillatorState) -> None:
-        """Lyapunov value and energy bundles at the boundary before half-pass half."""
-        grid, g1 = self.grid, self.gains.gamma1
-        g1g2 = g1 * self.gains.gamma2
-        om2 = self.omega * self.omega
+    starts[h] is the velocity-basis state before half-pass h (its last row
+    the final state), ends[h] the state that sweep h leaves before the turn,
+    and integrals[h] the five integrals (_sweep_integrals) of sweep h's
+    read-outs minus the truth. Every boundary gets the Lyapunov value and the
+    two energy bundles, every sweep its trace-bound ratio.
+    """
+    nx1, dt = grid.nx + 1, grid.dt
+    g1, om2 = gains.gamma1, omega * omega
+    g1g2 = g1 * gains.gamma2
+    # the velocity at a boundary, in the local time of the sweep that ended
+    # there (zero at the start): from the level before it, on both sides of the turn
+    before = [_state_parts(x.T, grid)[0].T for x in (starts[1:], ends)]
+    vel = np.vstack([np.zeros(nx1), (before[0] - before[1]) / (2.0 * dt)])
+    # integrals of (z1 - z1_truth)^2 and (z2 - z2_truth)^2 up to each boundary
+    int_zt_sq = np.cumsum(np.vstack([np.zeros(2), integrals[:, :2]]), axis=0)
+    truth_z = plant.sweep_z
+    samples = []
+    for h, x in enumerate(starts):
         # the truth at a boundary: (q, 0) at t = 0, the turn state at t = T,
         # and the oscillator at the first node of the coming sweep
-        pf, pv = (self.q, 0.0) if half % 2 == 0 else self.turn_wave
-        zt = self.truth_z[half % 2][:, 0]
-        w1 = u - pf
-        w2 = self.vel - pv
-        zt1 = osc.z1 - zt[0]
-        zt2 = osc.z2 - zt[1]
-        a = h1_seminorm(w1, grid) ** 2
-        b = l2_norm(w2, grid) ** 2
+        pf, pv = (q, 0.0) if h % 2 == 0 else (plant.field_T, plant.vel_T)
+        zt = truth_z[h % 2][:, 0]
+        w1 = x[:nx1] - pf
+        w2 = vel[h] - pv
+        zt1 = x[2 * nx1] - zt[0]
+        zt2 = x[2 * nx1 + 1] - zt[1]
+        ab = h1_seminorm(w1, grid) ** 2 + l2_norm(w2, grid) ** 2
         w2t = l2_norm(_second_x_derivative(w1, grid.dx), grid)
         tr_err = neumann_trace(w1, grid.dx)
-        V = lyapunov_value(w1, w2, OscillatorState(zt1, zt2), self.gains, self.omega, grid)
-        self.samples.append(
+        samples.append(
             (
-                V,
-                a
-                + b
-                + g1 * zt2 * zt2
-                + g1 * om2 * zt1 * zt1
-                + 2.0 * g1g2 * om2 * self.int_zt_sq[0],
+                lyapunov_value(w1, w2, OscillatorState(zt1, zt2), gains, omega, grid),
+                ab + g1 * zt2 * zt2 + g1 * om2 * zt1 * zt1 + 2.0 * g1g2 * om2 * int_zt_sq[h, 0],
                 0.5 * (w2t * w2t + h1_seminorm(w2, grid) ** 2 + g1 * om2 * om2 * zt1 * zt1)
                 + 0.25 * g1 * tr_err * tr_err
-                + 0.5 * g1g2 * om2 * self.int_zt_sq[1]
+                + 0.5 * g1g2 * om2 * int_zt_sq[h, 1]
                 + g1 * om2 * zt2 * zt2,
             )
         )
+    V, lhs, lhs_b = (np.array(c) for c in zip(*samples))
+    hidden = [
+        _trace_bound_ratio(*i[2:], x[:nx1], v, grid.T, grid)
+        for i, x, v in zip(integrals, starts, vel)
+    ]
+    return RunHistory(
+        lyapunov=V,
+        energy_lhs=lhs,
+        second_energy_lhs=lhs_b,
+        initial_bundle=l2_norm(q, grid) ** 2
+        + h1_seminorm(q, grid) ** 2
+        + l2_norm(_second_x_derivative(q, grid.dx), grid) ** 2,
+        hidden_ratios=np.array(hidden),
+    )
 
-    def linearize(self, S: np.ndarray, records: list[np.ndarray]) -> None:
-        """Quadratic forms of the integrals of every sweep, per direction.
 
-        S is the one-step matrix and records the read-outs of the sweeps from
-        the zero state, one per replay order, which the forms expand around;
-        the truth is subtracted from them in place.
-        """
-        for e, zt in zip(records, self.truth_z):
-            e[:2] -= zt
-        gs, self.G = _sweep_forms(S, records, self.grid)
-        dt = self.grid.dt
-        self.forms = [(_sweep_integrals(e, dt), g) for e, g in zip(records, gs)]
-
-    def integrals(self, half: int, x: np.ndarray) -> np.ndarray:
-        """The five integrals (_sweep_integrals) of sweep half from velocity-basis x."""
-        h, g = self.forms[half % 2]
-        return h + (2.0 * g + self.G @ x) @ x
-
-    def fold(
-        self,
-        half: int,
-        start: ObserverState,
-        ended: LeapfrogState,
-        nxt: ObserverState,
-        integrals: np.ndarray,
-    ) -> None:
-        """Add sweep half's five integrals to the run, then sample its end."""
-        grid = self.grid
-        self.int_zt_sq = self.int_zt_sq + integrals[:2]
-        int_f, int_tr, int_fd = integrals[2:]
-        self.hidden.append(
-            _trace_bound_ratio(int_f, int_tr, int_fd, start.wave.u_curr, self.vel, grid.T, grid)
+def _reports(estimates, q, history: RunHistory | None, grid: Grid1D) -> list[IterationReport]:
+    """One report per estimate; with the truth q, its errors and its cycle boundary's samples."""
+    if history is None:
+        return [IterationReport(iteration=k) for k in range(len(estimates))]
+    residuals = history.energy_residuals
+    return [
+        IterationReport(
+            iteration=k,
+            l2_err=l2_norm(q_hat - q, grid),
+            h1_err=h1_seminorm(q_hat - q, grid),
+            lyapunov=float(history.lyapunov[2 * k]),
+            energy_residual=float(residuals[2 * k]),
         )
-        self.vel = (nxt.wave.u_prev - ended.u_prev) / (2.0 * grid.dt)
-        self._sample(half + 1, nxt.wave.u_curr, nxt.osc)
-
-    def fill(self, rep: IterationReport, q_hat: np.ndarray) -> None:
-        """Errors and the latest boundary sample for the report of estimate q_hat."""
-        V, lhs, _ = self.samples[-1]
-        rhs = self.samples[0][1]
-        rep.l2_err = l2_norm(q_hat - self.q, self.grid)
-        rep.h1_err = h1_seminorm(q_hat - self.q, self.grid)
-        rep.lyapunov = V
-        rep.energy_residual = abs(lhs - rhs) / max(rhs, 1e-300)
-
-    def history(self) -> RunHistory:
-        V, lhs, lhs_b = (np.array(c) for c in zip(*self.samples))
-        return RunHistory(
-            lyapunov=V,
-            energy_lhs=lhs,
-            second_energy_lhs=lhs_b,
-            initial_bundle=self.initial_bundle,
-            hidden_ratios=np.array(self.hidden),
-        )
+        for k, q_hat in enumerate(estimates)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +744,18 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     return gs, G
 
 
+def _start_integrals(S: np.ndarray, records: list[np.ndarray], starts: np.ndarray, grid: Grid1D):
+    """The five integrals (_sweep_integrals) of sweep h from its velocity-basis start starts[h].
+
+    records holds the series of the sweeps from the zero state, forward then
+    backward, and sweep h replays in the order of h's parity. Each integral
+    is h + (2 g + G x).x, the forms of _sweep_forms expanded around them.
+    """
+    gs, G = _sweep_forms(S, records, grid)
+    hs = [_sweep_integrals(e, grid.dt) for e in records]
+    return np.array([hs[h % 2] + (2.0 * gs[h % 2] + G @ x) @ x for h, x in enumerate(starts)])
+
+
 # ---------------------------------------------------------------------------
 # iteration driver
 
@@ -777,11 +774,11 @@ def run_back_and_forth(
 
     Starts from the zero observer state. estimates[k] is the source
     estimate after k full cycles (estimates[0] is the zero initial guess);
-    reports carry per-iteration errors when q_true is given. With q_true
-    the exact periodized truth cycle is integrated once and error fields
-    observer-minus-truth are sampled at every half-pass boundary; the
-    iteration is the same with or without it, every half-pass going through
-    the half-pass map x <- R (S^n x + c) from the zero state.
+    reports carry per-iteration errors when q_true is given. Every half-pass
+    is the map x <- R (S^n x + c), from the zero state on, with or without
+    q_true. With q_true the exact periodized truth cycle is integrated once,
+    and after the iteration the error fields observer-minus-truth are
+    sampled at every half-pass boundary from the run's kept states.
 
     injection_sign is a fault-injection hook for the diagnostics battery
     (a wrong sign must break the Lyapunov decrease); leave at 1.0.
@@ -795,59 +792,38 @@ def run_back_and_forth(
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
     y = pass_samples(measurement, grid)
-    monitor = None
-    if q_true is not None:
-        monitor = _TruthMonitor(np.asarray(q_true, dtype=float), gains, omega, grid)
-
-    state = initial_observer_state(grid)
-    estimates = [extract_estimate(state, grid)]
-    reports = [IterationReport(iteration=0)]
-    if monitor is not None:
-        monitor.fill(reports[0], estimates[0])
-    t_iter_start = time.perf_counter()
-    n, nx1 = grid.n_steps_per_pass, grid.nx + 1
+    n, nx1, halves = grid.n_steps_per_pass, grid.nx + 1, 2 * n_iterations
     turn, S, B = _linear_parts(gains, omega, grid, injection_sign)
     Sn = np.linalg.matrix_power(S, n)
+    # velocity-basis states: starts[h] before half-pass h (the last row is the
+    # final state), ends[h] as sweep h leaves it, before the turn
+    starts = np.zeros((halves + 1, len(S)))
+    ends = np.empty((halves, len(S)))
     # c = sum_k S^(n-1-k) B (Y_k, Y_k+1) over the pass's samples, which a
     # backward pass replays reversed: the sweep's end from the zero state, whose
-    # read-outs the monitor expands its forms around
-    x = np.zeros(len(S))  # the velocity-basis vector of state
-    # the offsets' read-outs feed only the monitor: without one, read none
-    read = _readout_rows(grid) if monitor is not None else np.empty((0, len(S)))
+    # read-outs the truth monitor expands its forms around; without a truth, read none
+    read = _readout_rows(grid) if q_true is not None else np.empty((0, len(S)))
     records = [np.empty((len(read), n + 1)) for _ in range(2)]
+    history = q = None
     # a run that blows up (an unstable cfl) goes on to its end, where its
     # non-finite result is reported once, not as a warning per overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        offsets = [_run_recurrence(S, B, read, x, Yp, r) for Yp, r in zip((y, y[::-1]), records)]
-        if monitor is not None:
-            monitor.linearize(S, records)
-        for half in range(2 * n_iterations):
-            start, x_start = state, x
-            x_end = Sn @ x + offsets[half % 2]
-            x = turn @ x_end
-            u_prev, u_curr, z1, z2, w = _state_parts(x, grid)
-            state = ObserverState(
-                wave=LeapfrogState(u_prev, u_curr),
-                osc=OscillatorState(float(z1), float(z2)),
-                mismatch_integral=float(w),
-                half_pass=half + 1,
-            )
-            if monitor is not None:
-                ended = _from_velocity_basis(x_end[: 2 * nx1], grid)
-                monitor.fold(half, start, ended, state, monitor.integrals(half, x_start))
-            if half % 2 == 1:
-                estimates.append(extract_estimate(state, grid))
-                rep = IterationReport(
-                    iteration=state.half_pass // 2, seconds=time.perf_counter() - t_iter_start
-                )
-                if monitor is not None:
-                    monitor.fill(rep, estimates[-1])
-                reports.append(rep)
-                t_iter_start = time.perf_counter()
-
-    return BackAndForthResult(
-        estimates=estimates,
-        reports=reports,
-        history=None if monitor is None else monitor.history(),
-        final_state=state,
-    )
+        offsets = [
+            _run_recurrence(S, B, read, starts[0], Yp, r) for Yp, r in zip((y, y[::-1]), records)
+        ]
+        for h in range(halves):
+            ends[h] = Sn @ starts[h] + offsets[h % 2]
+            starts[h + 1] = turn @ ends[h]
+        if q_true is not None:
+            q = np.asarray(q_true, dtype=float)
+            plant = run_plant_cycle(q, omega, grid)
+            for e, zt in zip(records, plant.sweep_z):
+                e[:2] -= zt
+            integrals = _start_integrals(S, records, starts[:-1], grid)
+            history = _truth_history(q, plant, starts, ends, integrals, gains, omega, grid)
+        estimates = [_pinned(x[:nx1]) for x in starts[::2]]
+        reports = _reports(estimates, q, history, grid)
+        u_prev, u_curr, z1, z2, w = _state_parts(starts[-1], grid)
+    osc = OscillatorState(float(z1), float(z2))
+    final = ObserverState(LeapfrogState(u_prev, u_curr), osc, float(w), halves)
+    return BackAndForthResult(estimates, reports, history, final)

@@ -197,6 +197,22 @@ class TestInvert:
         assert cmd_invert(p, mpath, out, quiet=True) == EXIT_MISMATCH
         assert not (out / "estimate_final.csv").exists()
 
+    def test_three_field_row_exit_4(self, tmp_path, capsys):
+        # the refusal is the reader's own line, naming the row by its file line
+        p = write_config(tmp_path / "c.json", iterations=1)
+        assert cmd_simulate(p, tmp_path / "sim", quiet=True) == EXIT_OK
+        lines = (tmp_path / "sim" / "measurement.csv").read_text().splitlines()
+        lines[5] += ",0"
+        mpath = tmp_path / "m.csv"
+        mpath.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "inv"
+        argv = ["invert", "--config", str(p), "--measurement", str(mpath), "--out", str(out)]
+        assert main(argv) == EXIT_MISMATCH
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["measurement error: measurement line 6 does not hold 2 numeric fields (t,y)"]
+        assert "usecols" not in err[0]
+        assert not out.exists()
+
     def test_final_error_column(self, tmp_path):
         p = write_config(tmp_path / "c.json", iterations=4)
         out_sim = tmp_path / "sim"
@@ -204,10 +220,10 @@ class TestInvert:
         out = tmp_path / "inv"
         assert cmd_invert(p, out_sim / "measurement.csv", out, quiet=True) == EXIT_OK
         header, rows = read_csv(out / "iterations.csv")
-        assert header == ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual", "seconds"]
+        assert header == ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual"]
         errs = [float(r[1]) for r in rows]
         assert errs[-1] < errs[0]
-        assert all(r[5] == "" for r in rows)  # timing column stays empty
+        assert all(len(r) == 5 for r in rows)  # no timing column
 
 
 class TestVerify:
@@ -523,15 +539,15 @@ class TestCsvFormatting:
 
     @pytest.mark.parametrize("run", ["monitored", "blind"])
     def test_iterations_bytes(self, tmp_path, short_runs, run):
-        # the blind run's error cells are empty; seconds is empty in every row
+        # the blind run's error cells are empty
         result = short_runs[2][run]
         path = write_iterations_csv(tmp_path / "i.csv", result)
         values = [(r.l2_err, r.h1_err, r.lyapunov, r.energy_residual) for r in result.reports]
         rows = [
-            [r.iteration] + ["" if v is None else g17(v) for v in vals] + [""]
+            [r.iteration] + ["" if v is None else g17(v) for v in vals]
             for r, vals in zip(result.reports, values)
         ]
-        header = ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual", "seconds"]
+        header = ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual"]
         assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header, rows)
 
     def test_lyapunov_bytes(self, tmp_path, short_runs):

@@ -85,6 +85,22 @@ class TestRunLevelChecks:
         assert energy_identity_residual(h) == 0.0
         assert second_energy_boundedness(h).value == 0.0
 
+    def test_zero_truth_nonzero_measurement(self):
+        # a zero truth has no t=0 energy, so the defect is absolute; the reports
+        # sample the same series the check takes the max of (a floored
+        # denominator once read them as 1e299)
+        cfg = ScenarioConfig(cfl=0.02, iterations=3)
+        g = cfg.grid()
+        m = simulate_forward(cfg.q_true(g), cfg.omega, g)
+        res = run_back_and_forth(m, cfg.gains(), cfg.omega, g, 3, q_true=np.zeros(g.nx + 1))
+        h = res.history
+        assert h.energy_lhs[0] == 0.0
+        assert np.array_equal(h.energy_residuals, np.abs(h.energy_lhs))
+        reported = np.array([r.energy_residual for r in res.reports])
+        assert reported.tobytes() == h.energy_residuals[::2].tobytes()
+        assert energy_identity_residual(h) == np.max(h.energy_residuals)
+        assert 0.0 < np.max(reported) <= energy_identity_residual(h) < 10.0
+
     def test_one_list_in_fixed_order(self, reduced_run):
         rows = run_level_checks(reduced_run["result"].history)
         assert [r.name for r in rows] == [

@@ -243,10 +243,11 @@ ACCEPTED = {
 REFUSED = {
     "three_fields": ("t,y\n0,0,0\n0.5,1,1\n1,2,2\n", "fields"),
     "one_field": ("t,y\n0\n0.5\n1\n", "fields"),
-    "ragged": ("t,y\n0,0\n0.5,1,1\n1,2\n", "columns"),
-    "empty_field": ("t,y\n0,0\n0.5,\n1,2\n", "convert"),
-    "hash_row": ("t,y\n0,0\n# note\n0.5,1\n1,2\n", "columns"),
-    "hex_float": ("t,y\n0,0\n0.5,0x1p-3\n1,2\n", "convert"),
+    # a row that is not two numbers is refused by its file line
+    "ragged": ("t,y\n0,0\n0.5,1,1\n1,2\n", "line 3 does not hold 2 numeric fields"),
+    "empty_field": ("t,y\n0,0\n0.5,\n1,2\n", "line 3 does not hold 2 numeric fields"),
+    "hash_row": ("t,y\n0,0\n# note\n0.5,1\n1,2\n", "line 3 does not hold 2 numeric fields"),
+    "hex_float": ("t,y\n0,0\n0.5,0x1p-3\n1,2\n", "line 3 does not hold 2 numeric fields"),
     "infinity": ("t,y\n0,0\n0.5,Infinity\n1,2\n", "non-finite"),
     "header_only": ("t,y\n", "at least two samples"),
     "one_row": ("t,y\n0,0\n", "at least two samples"),
@@ -256,7 +257,7 @@ REFUSED = {
     "blank_first_row": ("t,y\r\n\r\n0,0\r\n0.5,1\r\n1,2\r\n", "blank row"),
     "blank_last_row": ("t,y\n0,0\n0.5,1\n1,2\n\n", "blank row"),
     # Python's float read this as 10.0; np.loadtxt does not take digit separators
-    "digit_separator": ("t,y\n0,0\n0.5,1_0\n1,2\n", "convert"),
+    "digit_separator": ("t,y\n0,0\n0.5,1_0\n1,2\n", "line 3 does not hold 2 numeric fields"),
 }
 
 

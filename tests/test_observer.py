@@ -7,16 +7,17 @@ from bfwave.grid import Gains, ScenarioConfig, build_grid
 from bfwave import leapfrog
 from bfwave.leapfrog import _RUN_BLOCK, LeapfrogState, _run_recurrence, init_leapfrog
 from bfwave.observer import (
-    IterationReport,
     ObserverState,
     OscillatorState,
     _linear_parts,
     _observer_vector,
     _readout_rows,
+    _reports,
+    _start_integrals,
     _state_parts,
     _sweep,
     _sweep_integrals,
-    _TruthMonitor,
+    _truth_history,
     extract_estimate,
     initial_observer_state,
     observer_half_pass,
@@ -52,27 +53,27 @@ def rel_gap(a, b):
 
 
 def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.0):
-    """A monitored run with every half-pass on _sweep, its record's integrals fed to the monitor.
+    """A monitored run with every half-pass on _sweep, its records' integrals fed to the monitor.
 
     Returns (estimates, reports, history) as run_back_and_forth would.
     """
-    monitor = _TruthMonitor(q, gains, omega, g)
+    plant = run_plant_cycle(q, omega, g)
     state = initial_observer_state(g)
     estimates = [extract_estimate(state, g)]
-    reports = [IterationReport(iteration=0)]
-    monitor.fill(reports[0], estimates[0])
+    starts, ends, integrals = [], [], []
     rec = np.empty((4, g.n_steps_per_pass + 1))
     for half in range(2 * n_iterations):
-        start = state
-        state, ended = _sweep(start, m.y, gains, omega, g, injection_sign, rec)
-        e = rec.copy()
-        e[:2] -= monitor.truth_z[half % 2]
-        monitor.fold(half, start, ended, state, _sweep_integrals(e, g.dt))
+        starts.append(_observer_vector(state.wave, state, g))
+        state, ended = _sweep(state, m.y, gains, omega, g, injection_sign, rec)
+        ends.append(_observer_vector(ended, state, g))
+        rec[:2] -= plant.sweep_z[half % 2]
+        integrals.append(_sweep_integrals(rec, g.dt))
         if half % 2 == 1:
             estimates.append(extract_estimate(state, g))
-            reports.append(IterationReport(iteration=state.half_pass // 2))
-            monitor.fill(reports[-1], estimates[-1])
-    return estimates, reports, monitor.history()
+    starts.append(_observer_vector(state.wave, state, g))
+    runs = (np.array(a) for a in (starts, ends, integrals))
+    history = _truth_history(q, plant, *runs, gains, omega, g)
+    return estimates, _reports(estimates, q, history, g), history
 
 
 HISTORY_SERIES = ("lyapunov", "energy_lhs", "second_energy_lhs", "hidden_ratios")
@@ -547,7 +548,7 @@ class TestRunBackAndForth:
         res = run_back_and_forth(m, Gains(1.0, 0.5), 2.0, grid, 1)
         assert res.history is None
         assert res.reports[-1].l2_err is None
-        assert res.reports[-1].seconds is not None and res.reports[-1].seconds > 0
+        assert [r.iteration for r in res.reports] == [0, 1]
 
     def test_short_horizon_warns(self):
         g = build_grid(10, 0.1, 1.5)
@@ -649,30 +650,42 @@ class TestMonitorForms:
         # from that state minus the truth
         m, gains, omega, g, _ = reduced["args"]
         nx1, n = g.nx + 1, g.n_steps_per_pass
-        monitor = _TruthMonitor(reduced["q"], gains, omega, g)
+        truth_z = run_plant_cycle(reduced["q"], omega, g).sweep_z
         records = [np.empty((4, n + 1)) for _ in range(2)]
         for h, rec in enumerate(records):
             zero = initial_observer_state(g)
             zero.half_pass = h
             _sweep(zero, m.y, gains, omega, g, 1.0, rec)
-        monitor.linearize(_linear_parts(gains, omega, g, 1.0)[1], records)
+            rec[:2] -= truth_z[h]
         x = np.random.default_rng(5).standard_normal(2 * nx1 + 3)
         u_prev, u_curr, z1, z2, w = _state_parts(x, g)
         osc = OscillatorState(float(z1), float(z2))
         start = ObserverState(LeapfrogState(u_prev, u_curr), osc, float(w), half)
         rec = np.empty((4, n + 1))
         _sweep(start, m.y, gains, omega, g, 1.0, rec)
-        rec[:2] -= monitor.truth_z[half]
+        rec[:2] -= truth_z[half]
         want = _sweep_integrals(rec, g.dt)
-        got = monitor.integrals(half, _observer_vector(start.wave, start, g))
+        # row h of the run's evaluation takes the forms of h's replay order
+        S = _linear_parts(gains, omega, g, 1.0)[1]
+        x = _observer_vector(start.wave, start, g)
+        got = _start_integrals(S, records, np.array([x, x]), g)[half]
         assert np.max(np.abs(got - want) / want) <= 1e-12, (got - want) / want
 
     def test_one_cycle_run(self, reduced):
-        # a one-cycle run takes the route of a longer one, up to its first estimate
+        # a one-cycle run takes the route of a longer one, up to its first
+        # estimate: every history series and report is the longer run's prefix, bit for bit
         res = run_back_and_forth(*reduced["args"][:-1], 1, q_true=reduced["q"])
         mapped = reduced["mapped"]
         assert len(res.history.lyapunov) == 3 and len(res.history.hidden_ratios) == 2
-        assert np.array_equal(res.history.energy_lhs, mapped.history.energy_lhs[:3])
+        for k in HISTORY_SERIES:
+            a, b = getattr(res.history, k), getattr(mapped.history, k)
+            assert a.tobytes() == b[: len(a)].tobytes(), k
+        assert res.history.initial_bundle == mapped.history.initial_bundle
+        assert len(res.reports) == 2
+        for a, b in zip(res.reports, mapped.reports):
+            assert a.iteration == b.iteration
+            got, want = (np.array([getattr(r, k) for k in REPORT_SERIES]) for r in (a, b))
+            assert got.tobytes() == want.tobytes()
         assert np.array_equal(res.estimates[1], mapped.estimates[1])
 
     def test_sign_fault_still_caught(self, reduced):
