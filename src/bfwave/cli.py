@@ -147,10 +147,25 @@ def write_iterations_csv(path: Path, result: BackAndForthResult) -> Path:
     return path
 
 
-def write_estimate_csv(path: Path, x: np.ndarray, q_hat: np.ndarray, q_true=None) -> Path:
-    cols = [x, q_hat] if q_true is None else [x, q_hat, q_true]
-    cells = np.column_stack(cols).ravel().tolist()
-    _write_rows(path, ["x", "q_hat", "q_true"][: len(cols)], ",".join(["%.17g"] * len(cols)), cells)
+def write_estimate_csv(
+    path: Path, x: np.ndarray, q_hat: np.ndarray, q_true=None, iters=None
+) -> Path:
+    """Rows x,q_hat[,q_true], one per node.
+
+    With iters, q_hat stacks one estimate per entry of iters, and each row
+    leads with its estimate's iteration: iter,x,q_hat[,q_true], the nodes of
+    each estimate in order. Every x, q_hat and q_true cell is the text the
+    file of that estimate alone holds.
+    """
+    q_hat = np.atleast_2d(q_hat)
+    cols = [np.tile(x, len(q_hat)), q_hat.ravel()]
+    if q_true is not None:
+        cols.append(np.tile(q_true, len(q_hat)))
+    header, row = ["x", "q_hat", "q_true"][: len(cols)], ",".join(["%.17g"] * len(cols))
+    if iters is not None:
+        cols.insert(0, np.repeat(iters, len(x)))
+        header, row = ["iter", *header], "%d," + row
+    _write_rows(path, header, row, np.column_stack(cols).ravel().tolist())
     return path
 
 
@@ -280,8 +295,12 @@ def _invert_impl(
     x, est = grid.nodes, result.estimates
     written.append(write_iterations_csv(out / "iterations.csv", result))
     last = len(est) - 1
-    for k in [*range(0, last, cfg.snapshot_stride), last]:
-        written.append(write_estimate_csv(out / f"estimate_iter_{k}.csv", x, est[k], q_true))
+    snapshots = [*range(0, last, cfg.snapshot_stride), last]
+    written.append(
+        write_estimate_csv(
+            out / "estimates.csv", x, [est[k] for k in snapshots], q_true, iters=snapshots
+        )
+    )
     written.append(write_estimate_csv(out / "estimate_final.csv", x, est[-1], q_true))
     if result.history is not None:
         noisy = measurement.provenance == "noisy"

@@ -72,8 +72,9 @@ def build_grid(nx: int, cfl: float, T: float) -> Grid1D:
 
 
 def _check_field(f: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """f as floats, refused unless it is one nodal field or a stack of them, one per row."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (grid.nx + 1,):
+    if f.shape[-1:] != (grid.nx + 1,) or f.ndim > 2:
         raise ValueError(f"field has shape {f.shape}, grid expects ({grid.nx + 1},)")
     return f
 
@@ -84,16 +85,32 @@ def _trapezoid_sq(series: np.ndarray, h: float) -> np.ndarray:
     return h * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1]))
 
 
-def l2_norm(f: np.ndarray, grid: Grid1D) -> float:
-    """Composite-trapezoid approximation of the L2(0,1) norm of a nodal field."""
-    return float(np.sqrt(_trapezoid_sq(_check_field(f, grid), grid.dx)))
+def _slope_sq(series: np.ndarray, h: float) -> np.ndarray:
+    """Midpoint-rule integral of the squared difference quotient at spacing h, per row.
+
+    h * sum(((series[k+1] - series[k]) / h)^2): the squared H1 seminorm of a
+    nodal field, and the slope term of a series' H1(0, T) norm.
+    """
+    d = np.diff(series, axis=-1) / h
+    return h * np.sum(d * d, axis=-1)
 
 
-def h1_seminorm(f: np.ndarray, grid: Grid1D) -> float:
-    """L2 norm of the forward-difference derivative (midpoint rule on cells)."""
-    f = _check_field(f, grid)
-    d = np.diff(f) / grid.dx
-    return float(np.sqrt(grid.dx * np.sum(d * d)))
+def l2_norm(f: np.ndarray, grid: Grid1D) -> float | np.ndarray:
+    """Composite-trapezoid approximation of the L2(0,1) norm of a nodal field.
+
+    A float for one field; for a stack of fields, the array of their norms.
+    """
+    n = np.sqrt(_trapezoid_sq(_check_field(f, grid), grid.dx))
+    return float(n) if n.ndim == 0 else n
+
+
+def h1_seminorm(f: np.ndarray, grid: Grid1D) -> float | np.ndarray:
+    """L2 norm of the forward-difference derivative (midpoint rule on cells).
+
+    A float for one field; for a stack of fields, the array of their seminorms.
+    """
+    n = np.sqrt(_slope_sq(_check_field(f, grid), grid.dx))
+    return float(n) if n.ndim == 0 else n
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,11 @@ the loop. The truth monitor is a function of those arrays run after it
 (_sweep_forms, evaluated by _start_integrals), expanded around the two
 sweeps from the zero state that give c, yield the integrals it would have
 taken from that sweep's series; their quadratic part is the same for every
-sweep.
+sweep. It takes the arrays whole: the error fields of all boundaries are
+one stack of rows, and the norms (grid.l2_norm, grid.h1_seminorm),
+lyapunov_value and the trace-bound ratio each take a stack of rows and
+return one value per row, so no Python loop runs per boundary. Each
+formula is written once, and for one field they return a float.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forward import MeasurementRecord
-from .grid import Gains, Grid1D, _trapezoid_sq, h1_seminorm, l2_norm
+from .grid import Gains, Grid1D, _slope_sq, _trapezoid_sq, h1_seminorm, l2_norm
 from .leapfrog import (
     LeapfrogState,
     _from_velocity_basis,
@@ -439,17 +443,12 @@ def _pinned(u: np.ndarray) -> np.ndarray:
 
 
 def _second_x_derivative(f: np.ndarray, dx: float) -> np.ndarray:
+    """Second x-derivative of a field, or of every row of a stack; one-sided at the walls."""
     d = np.empty_like(f)
-    d[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dx * dx)
-    d[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (dx * dx)
-    d[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (dx * dx)
+    d[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / (dx * dx)
+    d[..., 0] = (2.0 * f[..., 0] - 5.0 * f[..., 1] + 4.0 * f[..., 2] - f[..., 3]) / (dx * dx)
+    d[..., -1] = (2.0 * f[..., -1] - 5.0 * f[..., -2] + 4.0 * f[..., -3] - f[..., -4]) / (dx * dx)
     return d
-
-
-def _slope_sq(f: np.ndarray, dt: float) -> float:
-    """Integral of the squared difference quotient of f, sum((f[k+1] - f[k])^2) / dt."""
-    df = np.diff(f) / dt
-    return dt * np.sum(df * df)
 
 
 def _sweep_integrals(e: np.ndarray, dt: float) -> np.ndarray:
@@ -462,16 +461,21 @@ def _sweep_integrals(e: np.ndarray, dt: float) -> np.ndarray:
     return np.append(_trapezoid_sq(e, dt), _slope_sq(e[2], dt))
 
 
-def _trace_bound_ratio(int_f, int_tr, int_fd, q0, q1, T: float, grid: Grid1D) -> float:
-    """hidden_regularity_ratio from the integrals of f^2, trace^2 and the slope of f."""
+def _trace_bound_ratio(int_f, int_tr, int_fd, q0, q1, T: float, grid: Grid1D):
+    """hidden_regularity_ratio from the integrals of f^2, trace^2 and the slope of f.
+
+    Per row when the integrals are arrays and q0, q1 stacks of fields. A row
+    whose bound's data vanish reads 0 when its trace energy is at most
+    1e-300 (nothing moved, the bound holds trivially) and is refused
+    otherwise.
+    """
     den = 2.0 * (4.0 * T * T + 3.0) * (int_f + int_fd) + 2.0 * (2.0 + T) * (
         h1_seminorm(q0, grid) ** 2 + l2_norm(q1, grid) ** 2
     )
-    if den <= 0.0:
-        if int_tr <= 1e-300:
-            return 0.0  # vacuous case: nothing moved, bound holds trivially
+    vacuous = den <= 0.0
+    if np.any(vacuous & np.logical_not(int_tr <= 1e-300)):
         raise ValueError("trace energy is nonzero but the bound's data vanish")
-    return float(int_tr / den)
+    return np.where(vacuous, 0.0, int_tr / np.where(vacuous, 1.0, den))
 
 
 def hidden_regularity_ratio(
@@ -495,8 +499,10 @@ def hidden_regularity_ratio(
     if f.shape != trace.shape:
         raise ValueError("boundary data and trace series must share sampling")
     dt = T / (len(f) - 1)
-    return _trace_bound_ratio(
-        _trapezoid_sq(f, dt), _trapezoid_sq(trace, dt), _slope_sq(f, dt), q0, q1, T, grid
+    return float(
+        _trace_bound_ratio(
+            _trapezoid_sq(f, dt), _trapezoid_sq(trace, dt), _slope_sq(f, dt), q0, q1, T, grid
+        )
     )
 
 
@@ -507,12 +513,13 @@ def lyapunov_value(
     gains: Gains,
     omega: float,
     grid: Grid1D,
-) -> float:
+) -> float | np.ndarray:
     """Energy functional of the error state.
 
     V = (1/2)(|w1_x|^2 + |w2|^2 + gamma1*omega^2*z1^2 + gamma1*z2^2);
     positive definite in (w1_x, w2, z1, z2) and non-increasing along the
-    monitored error dynamics.
+    monitored error dynamics. A float for one error state; for stacks of
+    fields w1_err, w2_err and arrays z_err.z1, z_err.z2, one value per row.
     """
     g1, om2 = gains.gamma1, omega * omega
     return 0.5 * (
@@ -532,7 +539,8 @@ def _truth_history(
     the final state), ends[h] the state that sweep h leaves before the turn,
     and integrals[h] the five integrals (_sweep_integrals) of sweep h's
     read-outs minus the truth. Every boundary gets the Lyapunov value and the
-    two energy bundles, every sweep its trace-bound ratio.
+    two energy bundles, every sweep its trace-bound ratio, each series as
+    one expression over the rows.
     """
     nx1, dt = grid.nx + 1, grid.dt
     g1, om2 = gains.gamma1, omega * omega
@@ -543,43 +551,35 @@ def _truth_history(
     vel = np.vstack([np.zeros(nx1), (before[0] - before[1]) / (2.0 * dt)])
     # integrals of (z1 - z1_truth)^2 and (z2 - z2_truth)^2 up to each boundary
     int_zt_sq = np.cumsum(np.vstack([np.zeros(2), integrals[:, :2]]), axis=0)
-    truth_z = plant.sweep_z
-    samples = []
-    for h, x in enumerate(starts):
-        # the truth at a boundary: (q, 0) at t = 0, the turn state at t = T,
-        # and the oscillator at the first node of the coming sweep
-        pf, pv = (q, 0.0) if h % 2 == 0 else (plant.field_T, plant.vel_T)
-        zt = truth_z[h % 2][:, 0]
-        w1 = x[:nx1] - pf
-        w2 = vel[h] - pv
-        zt1 = x[2 * nx1] - zt[0]
-        zt2 = x[2 * nx1 + 1] - zt[1]
-        ab = h1_seminorm(w1, grid) ** 2 + l2_norm(w2, grid) ** 2
-        w2t = l2_norm(_second_x_derivative(w1, grid.dx), grid)
-        tr_err = neumann_trace(w1, grid.dx)
-        samples.append(
-            (
-                lyapunov_value(w1, w2, OscillatorState(zt1, zt2), gains, omega, grid),
-                ab + g1 * zt2 * zt2 + g1 * om2 * zt1 * zt1 + 2.0 * g1g2 * om2 * int_zt_sq[h, 0],
-                0.5 * (w2t * w2t + h1_seminorm(w2, grid) ** 2 + g1 * om2 * om2 * zt1 * zt1)
-                + 0.25 * g1 * tr_err * tr_err
-                + 0.5 * g1g2 * om2 * int_zt_sq[h, 1]
-                + g1 * om2 * zt2 * zt2,
-            )
-        )
-    V, lhs, lhs_b = (np.array(c) for c in zip(*samples))
-    hidden = [
-        _trace_bound_ratio(*i[2:], x[:nx1], v, grid.T, grid)
-        for i, x, v in zip(integrals, starts, vel)
-    ]
+    # the truth at boundary h, by its parity: the field and velocity (q, 0) at
+    # t = 0 and the turn state at t = T, and the oscillator at the first node
+    # of the coming sweep
+    parity = np.arange(len(starts)) % 2
+    w1 = starts[:, :nx1] - np.stack([q, plant.field_T])[parity]
+    w2 = vel - np.stack([np.zeros(nx1), plant.vel_T])[parity]
+    z_truth = np.stack([z[:, 0] for z in plant.sweep_z])[parity]
+    zt1, zt2 = (starts[:, 2 * nx1 : 2 * nx1 + 2] - z_truth).T
+    w2t = l2_norm(_second_x_derivative(w1, grid.dx), grid)
+    tr_err = neumann_trace(w1.T, grid.dx)
+    sweeps = len(integrals)
     return RunHistory(
-        lyapunov=V,
-        energy_lhs=lhs,
-        second_energy_lhs=lhs_b,
+        lyapunov=lyapunov_value(w1, w2, OscillatorState(zt1, zt2), gains, omega, grid),
+        energy_lhs=h1_seminorm(w1, grid) ** 2
+        + l2_norm(w2, grid) ** 2
+        + g1 * zt2 * zt2
+        + g1 * om2 * zt1 * zt1
+        + 2.0 * g1g2 * om2 * int_zt_sq[:, 0],
+        second_energy_lhs=0.5
+        * (w2t * w2t + h1_seminorm(w2, grid) ** 2 + g1 * om2 * om2 * zt1 * zt1)
+        + 0.25 * g1 * tr_err * tr_err
+        + 0.5 * g1g2 * om2 * int_zt_sq[:, 1]
+        + g1 * om2 * zt2 * zt2,
         initial_bundle=l2_norm(q, grid) ** 2
         + h1_seminorm(q, grid) ** 2
         + l2_norm(_second_x_derivative(q, grid.dx), grid) ** 2,
-        hidden_ratios=np.array(hidden),
+        hidden_ratios=_trace_bound_ratio(
+            *integrals[:, 2:].T, starts[:sweeps, :nx1], vel[:sweeps], grid.T, grid
+        ),
     )
 
 
@@ -587,17 +587,15 @@ def _reports(estimates, q, history: RunHistory | None, grid: Grid1D) -> list[Ite
     """One report per estimate; with the truth q, its errors and its cycle boundary's samples."""
     if history is None:
         return [IterationReport(iteration=k) for k in range(len(estimates))]
-    residuals = history.energy_residuals
-    return [
-        IterationReport(
-            iteration=k,
-            l2_err=l2_norm(q_hat - q, grid),
-            h1_err=h1_seminorm(q_hat - q, grid),
-            lyapunov=float(history.lyapunov[2 * k]),
-            energy_residual=float(residuals[2 * k]),
-        )
-        for k, q_hat in enumerate(estimates)
-    ]
+    err = np.array(estimates) - q
+    columns = (
+        l2_norm(err, grid),
+        h1_seminorm(err, grid),
+        history.lyapunov[::2],
+        history.energy_residuals[::2],
+    )
+    rows = zip(*(c.tolist() for c in columns))
+    return [IterationReport(k, *values) for k, values in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -669,23 +667,31 @@ def _readout_rows(grid: Grid1D) -> np.ndarray:
     return D
 
 
-_POWER_BLOCK = 128  # steps whose rows _power_sum holds at once
+_POWER_BLOCK = 128  # steps whose rows _power_rows holds at once
 
 
-def _power_sum(S: np.ndarray, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_k a[:, k] * (rows S^k), one result row per row of rows.
+def _power_rows(S: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows S^j, j < b, stacked along a first axis, and S^b; b = _POWER_BLOCK.
 
-    The rows S^j, j < b, are carried one step at a time; each block of b
-    terms is then one matrix product with them, and the blocks are joined
-    by Horner's rule in S^b, b = _POWER_BLOCK. That is about b + K/b small
-    products for K terms, each sum as accurate as the rows.
+    The rows are carried one step at a time.
     """
     b = _POWER_BLOCK
     block = np.empty((b, *rows.shape))
     block[0] = rows
     for j in range(1, b):
         block[j] = block[j - 1] @ S
-    Sb = np.linalg.matrix_power(S, b)
+    return block, np.linalg.matrix_power(S, b)
+
+
+def _power_sum(powers: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
+    """sum_k a[:, k] * (rows S^k), one result row per row of rows; powers = _power_rows(S, rows).
+
+    Each block of b terms is one matrix product with the rows S^j, j < b,
+    and the blocks are joined by Horner's rule in S^b. That is about
+    b + K/b small products for K terms, each sum as accurate as the rows.
+    """
+    block, Sb = powers
+    b = len(block)
     full = a.shape[1] // b
     tail = a[:, full * b :]
     total = np.einsum("ck,kcd->cd", tail, block[: tail.shape[1]])
@@ -714,14 +720,19 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     # small off the sweep's states, while D[4] S^k, k >= 1, are differences
     # of consecutive f, and carried from D S they keep their own scale.
     DS = D @ S
+    powers = _power_rows(S, DS)
+    # the weighted series a of one direction at a time, refilled in place
+    a = np.empty((5, n + 1))
+    a[4, n] = 0.0
     gs = []
     for e in series:
         # trapezoid over k = 0..n for the four series; the slope of f over k = 0..n-1
-        a = np.zeros((5, n + 1))
         np.multiply(e, dt, out=a[:4])
         a[:4, [0, n]] *= 0.5
         a[4, :n] = np.diff(e[2]) / dt
-        gs.append(a[:, :1] * D + _power_sum(S, DS, a[:, 1:]))
+        gs.append(a[:, :1] * D + _power_sum(powers, a[:, 1:]))
+    # a monitored run's memory peaks in the doubling below; free these first
+    del powers, a
     W = DS[:, :, None] * DS[:, None, :]
     P, A, total, bits = S, np.eye(dim), np.zeros_like(W), n - 1
     while True:

@@ -18,6 +18,7 @@ from bfwave.cli import (
     cmd_invert,
     cmd_simulate,
     cmd_verify,
+    config_to_dict,
     load_config,
     main,
     write_checks_csv,
@@ -26,7 +27,7 @@ from bfwave.cli import (
     write_lyapunov_csv,
 )
 from bfwave.diagnostics import run_verify_battery
-from bfwave.forward import simulate_forward
+from bfwave.forward import read_measurement_csv, simulate_forward
 from bfwave.grid import ScenarioConfig, SourceSpec
 from bfwave.observer import run_back_and_forth
 
@@ -56,6 +57,11 @@ def read_csv(path):
         r = csv.reader(fh)
         header = next(r)
         return header, list(r)
+
+
+def snapshot_iterations(rows) -> list[int]:
+    """The iterations of estimates.csv's rows, each once, in file order."""
+    return list(dict.fromkeys(int(r[0]) for r in rows))
 
 
 class TestConfig:
@@ -160,10 +166,9 @@ class TestInvert:
         assert cmd_simulate(p, out_sim, quiet=True) == EXIT_OK
         out = tmp_path / "inv"
         assert cmd_invert(p, out_sim / "measurement.csv", out, quiet=True) == EXIT_OK
-        snaps = sorted(out.glob("estimate_iter_*.csv"))
-        assert [s.name for s in snaps] == ["estimate_iter_0.csv", "estimate_iter_1.csv"]
-        header, _ = read_csv(out / "estimate_iter_1.csv")
-        assert header == ["x", "q_hat", "q_true"]
+        header, rows = read_csv(out / "estimates.csv")
+        assert header == ["iter", "x", "q_hat", "q_true"]
+        assert snapshot_iterations(rows) == [0, 1]
         assert (out / "diagnostics.csv").exists()
 
     def test_seed_flag_rejected(self, tmp_path):
@@ -403,7 +408,8 @@ class TestExitCodes:
         assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CHECK_FAILED
         assert capsys.readouterr().err == "check failed: non-finite estimate or iteration report\n"
         assert_manifest_lists_directory(out)
-        assert len(list(out.glob("estimate_iter_*.csv"))) == 5
+        _, rows = read_csv(out / "estimates.csv")
+        assert snapshot_iterations(rows) == [0, 500, 1000, 1500, 2000]
 
     @pytest.mark.filterwarnings("error")  # the run overflows without a RuntimeWarning
     def test_non_finite_full_exit_1(self, tmp_path, capsys):
@@ -484,6 +490,54 @@ class TestManifest:
         out = tmp_path / "full"
         assert cmd_full(p, out, quiet=True) == EXIT_OK
         assert_manifest_lists_directory(out)
+
+
+class TestEstimatesCsv:
+    """estimates.csv: a run's snapshots in one file, each cell the text of its own estimate file."""
+
+    @pytest.mark.parametrize("blind", [False, True], ids=["monitored", "blind"])
+    @pytest.mark.parametrize(
+        "iterations, stride, snapshots",
+        [(2, 1, [0, 1, 2]), (4, 3, [0, 3, 4])],
+        ids=["stride1", "stride3_last_off_stride"],
+    )
+    def test_rows_are_the_snapshot_files(self, tmp_path, blind, iterations, stride, snapshots):
+        p = write_config(tmp_path / "c.json", iterations=iterations, snapshot_stride=stride)
+        assert cmd_simulate(p, tmp_path / "sim", quiet=True) == EXIT_OK
+        m = tmp_path / "sim" / "measurement.csv"
+        if blind:
+            p = write_config(
+                tmp_path / "b.json", iterations=iterations, snapshot_stride=stride, source=None
+            )
+        out = tmp_path / "out"
+        assert cmd_invert(p, m, out, quiet=True) == EXIT_OK
+        cfg = load_config(p)
+        grid = cfg.grid()
+        q_true = None if blind else cfg.q_true(grid)
+        measurement = read_measurement_csv(m)
+        result = run_back_and_forth(measurement, cfg.gains(), cfg.omega, grid, iterations)
+        want = b"iter,x,q_hat" + (b"" if blind else b",q_true") + b"\r\n"
+        for k in snapshots:
+            one = write_estimate_csv(tmp_path / "e.csv", grid.nodes, result.estimates[k], q_true)
+            for line in one.read_bytes().split(b"\r\n")[1:-1]:
+                want += b"%d," % k + line + b"\r\n"
+        assert (out / "estimates.csv").read_bytes() == want
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert str(out / "estimates.csv") in outputs
+
+    def test_file_counts(self, tmp_path):
+        # one file for all snapshots: the clean reference full writes 8 files
+        # and a blind invert of its measurement 4, whatever the iteration count
+        cfg = config_to_dict(ScenarioConfig())
+        p = tmp_path / "ref.json"
+        p.write_text(json.dumps(cfg))
+        blind = tmp_path / "blind.json"
+        blind.write_text(json.dumps(dict(cfg, source=None, iterations=10)))
+        full, inv = tmp_path / "full", tmp_path / "inv"
+        assert cmd_full(p, full, quiet=True) == EXIT_OK
+        assert cmd_invert(blind, full / "measurement.csv", inv, quiet=True) == EXIT_OK
+        assert len(list(full.iterdir())) == 8
+        assert len(list(inv.iterdir())) == 4
 
 
 def csv_writer_bytes(path, header, rows) -> bytes:

@@ -86,6 +86,18 @@ class TestNorms:
         with pytest.raises(ValueError):
             h1_seminorm(np.zeros(22), g)
 
+    def test_stack_of_fields(self):
+        # a stack gives each row's value, bit for bit the value of that field alone
+        g = build_grid(20, 0.5, 1.0)
+        f = np.random.default_rng(3).standard_normal((7, 21)) * 10.0 ** np.arange(-3, 4)[:, None]
+        for norm in (l2_norm, h1_seminorm):
+            assert isinstance(norm(f[0], g), float)
+            assert norm(f, g).tolist() == [norm(row, g) for row in f]
+            with pytest.raises(ValueError):
+                norm(np.zeros((2, 2, 21)), g)
+            with pytest.raises(ValueError):
+                norm(np.zeros((2, 20)), g)
+
     @given(k=st.integers(-20, 20), data=st.lists(st.floats(-5, 5), min_size=21, max_size=21))
     def test_homogeneity_exact_for_power_of_two(self, k, data):
         g = build_grid(20, 0.5, 1.0)

@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfwave.forward import MeasurementRecord, simulate_forward
-from bfwave.grid import Gains, ScenarioConfig, build_grid
-from bfwave import leapfrog
-from bfwave.leapfrog import _RUN_BLOCK, LeapfrogState, _run_recurrence, init_leapfrog
+from bfwave.grid import Gains, ScenarioConfig, build_grid, h1_seminorm, l2_norm
+from bfwave import leapfrog, observer
+from bfwave.leapfrog import (
+    _RUN_BLOCK,
+    LeapfrogState,
+    _run_recurrence,
+    init_leapfrog,
+    neumann_trace,
+)
 from bfwave.observer import (
     ObserverState,
     OscillatorState,
@@ -13,13 +19,17 @@ from bfwave.observer import (
     _observer_vector,
     _readout_rows,
     _reports,
+    _second_x_derivative,
     _start_integrals,
     _state_parts,
     _sweep,
     _sweep_integrals,
+    _trace_bound_ratio,
     _truth_history,
     extract_estimate,
+    hidden_regularity_ratio,
     initial_observer_state,
+    lyapunov_value,
     observer_half_pass,
     oscillator_drive,
     oscillator_propagator,
@@ -52,10 +62,13 @@ def rel_gap(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(a))
 
 
-def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.0):
+def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.0, hidden=None):
     """A monitored run with every half-pass on _sweep, its records' integrals fed to the monitor.
 
-    Returns (estimates, reports, history) as run_back_and_forth would.
+    Returns (estimates, reports, history) as run_back_and_forth would. A
+    list hidden receives every sweep's hidden_regularity_ratio of its record,
+    the boundary data q0, q1 the monitor's: the start's displacement and
+    the velocity at the boundary.
     """
     plant = run_plant_cycle(q, omega, g)
     state = initial_observer_state(g)
@@ -65,6 +78,10 @@ def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.
     for half in range(2 * n_iterations):
         starts.append(_observer_vector(state.wave, state, g))
         state, ended = _sweep(state, m.y, gains, omega, g, injection_sign, rec)
+        if hidden is not None:
+            vel = boundary_velocity(starts, ends, g)
+            q0 = _state_parts(starts[-1], g)[1]
+            hidden.append(hidden_regularity_ratio(rec[2], q0, vel, rec[3], g.T, g))
         ends.append(_observer_vector(ended, state, g))
         rec[:2] -= plant.sweep_z[half % 2]
         integrals.append(_sweep_integrals(rec, g.dt))
@@ -74,6 +91,18 @@ def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.
     runs = (np.array(a) for a in (starts, ends, integrals))
     history = _truth_history(q, plant, *runs, gains, omega, g)
     return estimates, _reports(estimates, q, history, g), history
+
+
+def boundary_velocity(starts, ends, g):
+    """The velocity at the boundary before half-pass len(ends), as the monitor reads it.
+
+    Zero at the start; else from the level before the boundary on both
+    sides of the turn.
+    """
+    if len(ends) == 0:
+        return np.zeros(g.nx + 1)
+    before = [_state_parts(x, g)[0] for x in (starts[len(ends)], ends[-1])]
+    return (before[0] - before[1]) / (2.0 * g.dt)
 
 
 HISTORY_SERIES = ("lyapunov", "energy_lhs", "second_energy_lhs", "hidden_ratios")
@@ -707,6 +736,81 @@ class TestMonitorForms:
         res = run_back_and_forth(m, Gains(1, 0.5), 2.0, grid, 3, q_true=np.zeros(21))
         assert not res.history.energy_lhs.any()
         assert not res.history.hidden_ratios.any()
+
+
+class TestWholeArrayMonitor:
+    """The monitor's series, taken over all boundaries at once, against the one-field functions."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("run", ["reference_run", "reference_run_noisy"])
+    def test_pinned_to_scalar_functions(self, run, request, monkeypatch):
+        # V and the energy bundles of the fixture's run, boundary by boundary
+        # from the arrays the run hands its monitor; the trace-bound ratios of
+        # the stepped run, sweep by sweep from its records
+        ref = request.getfixturevalue(run)
+        cfg, g, q, m = ref["cfg"], ref["grid"], ref["q"], ref["measurement"]
+        gains, omega = cfg.gains(), cfg.omega
+        fed = []
+
+        def monitor(*args):
+            fed.append(args)
+            return _truth_history(*args)
+
+        monkeypatch.setattr(observer, "_truth_history", monitor)
+        res = run_back_and_forth(m, gains, omega, g, cfg.iterations, q_true=q)
+        assert res.history.lyapunov.tobytes() == ref["result"].history.lyapunov.tobytes()
+        _, plant, starts, ends, integrals = fed[0][:5]
+        hidden = []
+        _, _, stepped = stepped_monitored_run(m, gains, omega, g, cfg.iterations, q, hidden=hidden)
+        nx1, om2, g1 = g.nx + 1, omega * omega, gains.gamma1
+        g1g2 = g1 * gains.gamma2
+        int_zt_sq = np.cumsum(np.vstack([np.zeros(2), integrals[:, :2]]), axis=0)
+        V, lhs, lhs_b = [], [], []
+        for h, x in enumerate(starts):
+            pf, pv = (q, 0.0) if h % 2 == 0 else (plant.field_T, plant.vel_T)
+            zt = plant.sweep_z[h % 2][:, 0]
+            w1 = _state_parts(x, g)[1] - pf
+            w2 = boundary_velocity(starts, ends[:h], g) - pv
+            z1, z2 = x[2 * nx1] - zt[0], x[2 * nx1 + 1] - zt[1]
+            V.append(lyapunov_value(w1, w2, OscillatorState(z1, z2), gains, omega, g))
+            w2t = l2_norm(_second_x_derivative(w1, g.dx), g)
+            tr = neumann_trace(w1, g.dx)
+            lhs.append(
+                h1_seminorm(w1, g) ** 2
+                + l2_norm(w2, g) ** 2
+                + g1 * z2 * z2
+                + g1 * om2 * z1 * z1
+                + 2.0 * g1g2 * om2 * int_zt_sq[h, 0]
+            )
+            lhs_b.append(
+                0.5 * (w2t * w2t + h1_seminorm(w2, g) ** 2 + g1 * om2 * om2 * z1 * z1)
+                + 0.25 * g1 * tr * tr
+                + 0.5 * g1g2 * om2 * int_zt_sq[h, 1]
+                + g1 * om2 * z2 * z2
+            )
+        pairs = {
+            "lyapunov": (V, res.history.lyapunov),
+            "energy_lhs": (lhs, res.history.energy_lhs),
+            "second_energy_lhs": (lhs_b, res.history.second_energy_lhs),
+            "hidden_ratios": (hidden, stepped.hidden_ratios),
+        }
+        for name, (want, got) in pairs.items():
+            want = np.array(want)
+            assert len(got) == len(want) == 2 * cfg.iterations + (name != "hidden_ratios")
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), name
+
+
+    def test_vacuous_rows(self, grid):
+        # per row: vanishing bound data read 0 with no trace energy, and are
+        # refused with some; the other rows are the one-row ratio
+        q0 = np.vstack([np.zeros(21), poly_source(grid)])
+        q1 = np.zeros((2, 21))
+        int_f, int_fd = np.array([0.0, 1.0]), np.array([0.0, 0.5])
+        ratios = _trace_bound_ratio(int_f, np.array([0.0, 2.0]), int_fd, q0, q1, grid.T, grid)
+        assert ratios[0] == 0.0
+        assert ratios[1] == _trace_bound_ratio(1.0, 2.0, 0.5, q0[1], q1[1], grid.T, grid)
+        with pytest.raises(ValueError, match="bound's data vanish"):
+            _trace_bound_ratio(int_f, np.array([1e-200, 2.0]), int_fd, q0, q1, grid.T, grid)
 
 
 class TestCycleMap:
