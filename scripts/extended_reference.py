@@ -50,7 +50,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bfwave.forward import simulate_forward  # noqa: E402
-from bfwave.grid import build_grid  # noqa: E402
+from bfwave.grid import ScenarioConfig, build_grid  # noqa: E402
 from bfwave.leapfrog import (  # noqa: E402
     LeapfrogState,
     _leap,
@@ -68,7 +68,6 @@ from bfwave.observer import (  # noqa: E402
     observer_half_pass,
     run_back_and_forth,
 )
-from bfwave.scenarios import reference_scenario  # noqa: E402
 
 
 def stepped_measurement(q, omega, grid, dtype) -> np.ndarray:
@@ -143,7 +142,7 @@ def half_pass_estimates(m, gains, omega, grid, cycles: int) -> np.ndarray:
 
 
 def main() -> None:
-    cfg = reference_scenario(noise=0.0)
+    cfg = ScenarioConfig()
     grid = cfg.grid()
     gains, cycles = cfg.gains(), cfg.iterations
     q = cfg.q_true(grid)

@@ -21,14 +21,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bfwave import l2_norm, run_back_and_forth, simulate_forward  # noqa: E402
-from bfwave.scenarios import reference_scenario  # noqa: E402
+from bfwave import ScenarioConfig, l2_norm, run_back_and_forth, simulate_forward  # noqa: E402
 
 CHECKPOINTS = (50, 1000, 2000, 5000)
 
 
 def main() -> None:
-    cfg = reference_scenario(noise=0.0)
+    cfg = ScenarioConfig()
     grid = cfg.grid()
     q = cfg.q_true(grid)
     m = simulate_forward(q, cfg.omega, grid)
@@ -43,10 +42,10 @@ def main() -> None:
     print("reference scenario, clean measurement")
     for k in CHECKPOINTS:
         err = l2_norm(runs["unmonitored"].estimates[k] - q, grid) / qn
-        rep = runs["monitored"].reports[k]
+        res, lyap = (runs["monitored"].per_cycle[c][k] for c in ("energy_residual", "lyapunov"))
         print(
             f"  after {k:5d} cycles: relative L2 error {100.0 * err:.2f} %, "
-            f"energy residual {100.0 * rep.energy_residual:.2f} %, Lyapunov {rep.lyapunov:.3e}"
+            f"energy residual {100.0 * res:.2f} %, Lyapunov {lyap:.3e}"
         )
 
 

@@ -48,11 +48,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bfwave.cli import config_to_dict, main as cli_main  # noqa: E402
-from bfwave.scenarios import reference_scenario  # noqa: E402
+from bfwave.grid import ScenarioConfig  # noqa: E402
 
 
 def _config(path: Path, noise: float, blind: bool = False) -> str:
-    cfg = config_to_dict(reference_scenario(noise=noise))
+    cfg = config_to_dict(ScenarioConfig(noise=noise))
     if blind:
         cfg["source"] = None
     path.write_text(json.dumps(cfg, indent=2) + "\n")

@@ -35,7 +35,7 @@ from .observer import (
     run_back_and_forth,
     simulate_cascade,
 )
-from .scenarios import minimal_horizon_scenario, reference_scenario
+from .scenarios import minimal_horizon_scenario
 
 __all__ = [
     "__version__",
@@ -63,5 +63,4 @@ __all__ = [
     "run_back_and_forth",
     "simulate_cascade",
     "minimal_horizon_scenario",
-    "reference_scenario",
 ]

@@ -39,7 +39,7 @@ from .forward import (
     write_measurement_csv,
 )
 from .grid import Grid1D, ScenarioConfig, source_spec_from_dict
-from .observer import BackAndForthResult, pass_samples, run_back_and_forth
+from .observer import CYCLE_COLUMNS, BackAndForthResult, pass_samples, run_back_and_forth
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -56,10 +56,6 @@ class ConfigError(ValueError):
 
 class MeasurementError(ValueError):
     """An unreadable measurement file, or one that does not fill one pass of the grid."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -121,29 +117,24 @@ def write_manifest(out_dir: Path, cfg: ScenarioConfig, command: str, inputs: lis
 
 
 def _write_rows(path: Path, header: list[str], row: str, cells: list) -> None:
-    """The header, then the cells, len(header) to a row, each row through the format row.
+    """The header, then the cells, one per % of the format row, each row through it.
 
     The file is formatted as one string and written at once. It holds the
     bytes a csv.writer row loop writes: no field needs quoting.
     """
-    rows = (row + "\r\n") * (len(cells) // len(header))
+    rows = (row + "\r\n") * (len(cells) // row.count("%"))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + rows % tuple(cells))
 
 
-def _report_values(r) -> tuple:
-    """The values of an iteration report that iterations.csv writes, None where not computed."""
-    return r.l2_err, r.h1_err, r.lyapunov, r.energy_residual
-
-
 def write_iterations_csv(path: Path, result: BackAndForthResult) -> Path:
-    cells = [
-        c
-        for r in result.reports
-        for c in (r.iteration, *("" if v is None else _fmt(v) for v in _report_values(r)))
-    ]
-    header = ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual"]
-    _write_rows(path, header, "%d,%s,%s,%s,%s", cells)
+    """One row per cycle: its index and per_cycle's values, empty cells for a blind run."""
+    header, cycles = ["iter", *CYCLE_COLUMNS], np.arange(len(result.estimates))
+    if result.per_cycle is None:
+        _write_rows(path, header, "%d" + "," * len(CYCLE_COLUMNS), cycles.tolist())
+    else:
+        cells = np.column_stack([cycles, *result.per_cycle.values()]).ravel().tolist()
+        _write_rows(path, header, "%d" + ",%.17g" * len(CYCLE_COLUMNS), cells)
     return path
 
 
@@ -230,7 +221,7 @@ def _result_exit(result: BackAndForthResult) -> int:
     Checked: the final estimate and every value iterations.csv writes. The
     files are written either way; a failure prints one stderr line.
     """
-    values = [v for r in result.reports for v in _report_values(r) if v is not None]
+    values = list((result.per_cycle or {}).values())
     if np.isfinite(result.estimates[-1]).all() and np.isfinite(values).all():
         return EXIT_OK
     print("check failed: non-finite estimate or iteration report", file=sys.stderr)
@@ -306,10 +297,9 @@ def _invert_impl(
         noisy = measurement.provenance == "noisy"
         written.extend(write_checks_csv(out / "diagnostics.csv", _run_diagnostics(result, noisy)))
     if not quiet:
-        tail = result.reports[-1]
         msg = f"{cfg.iterations} iterations done"
-        if tail.l2_err is not None:
-            msg += f", final L2 error {tail.l2_err:.4g}"
+        if result.per_cycle is not None:
+            msg += f", final L2 error {result.per_cycle['l2_err'][-1]:.4g}"
         print(msg)
     return result
 

@@ -277,7 +277,7 @@ def _battery_observer_run(injection_sign: float = 1.0) -> list[CheckResult]:
     res = run_back_and_forth(
         y, cfg.gains(), cfg.omega, g, cfg.iterations, q_true=q, injection_sign=injection_sign
     )
-    rel = res.reports[-1].l2_err / l2_norm(q, g)
+    rel = res.per_cycle["l2_err"][-1] / l2_norm(q, g)
     note = f"relative L2 estimate error after {cfg.iterations} reduced-scenario iterations"
     return [*run_level_checks(res.history), _at_most("reconstruction_smoke", rel, 0.40, note)]
 

@@ -137,7 +137,8 @@ def read_measurement_csv(path) -> MeasurementRecord:
     each, quoted or not, lines ending in LF or CRLF. A file without a
     provenance line reads as clean. A blank row, or a row that is not two
     numbers, is refused by its file line, found by a second pass over the
-    body that runs only when the first parse fails.
+    body that runs only when the first parse fails. The times must be
+    uniform and start at 0, both to within 1e-12 + 1e-9 dt.
     """
     with open(path, newline="") as fh:
         line = fh.readline()
@@ -169,4 +170,6 @@ def read_measurement_csv(path) -> MeasurementRecord:
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-12 + 1e-9 * dt):
         raise ValueError("measurement sampling is not uniform")
+    if abs(t[0]) > 1e-12 + 1e-9 * dt:
+        raise ValueError(f"measurement time starts at {t[0]:.17g}, not at 0")
     return MeasurementRecord(y=y, dt=float(dt), T=float(t[-1]), **fields)

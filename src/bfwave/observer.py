@@ -11,7 +11,7 @@ Every sweep integrates in a local time that increases. Half-pass k runs
 forward for even k and backward (the time-reversed dynamics) for odd k.
 The time-reversed system is the forward one in the reversed time, so
 every sweep takes the same step, and the state is stored in the local
-time of the sweep it is ready for: the turn re-seeds the two wave levels
+time of the sweep it is ready for: the turn (_turned) re-seeds the wave
 (leapfrog.reversed_state) and negates the oscillator velocity z2. Only
 the replay order of the measurement, reversed on a backward sweep, comes
 from the parity of the half-pass index. The oscillator is propagated with
@@ -19,8 +19,9 @@ the matrix exponential of its homogeneous part, a scaled and squared
 Taylor series summed in long double (_expm), plus trapezoidal forcing.
 The wave trace entering the oscillator is held at its left endpoint
 within each step (explicit coupling); the measured output Y
-enters with both endpoints. The observer state is (u, v, z1, z2, w), with
-one integral channel, w = integral of z1 - Y.
+enters with both endpoints. The observer state is one velocity-basis
+vector (u, v, z1, z2, w), v = (u - u_prev)/dt, with one integral channel,
+w = integral of z1 - Y; the step, the sweep, the map and the turn act on it.
 
 Each loop is written once, and none in this module or in the wave runs it
 calls advances one time node per Python iteration. A sweep, the plant
@@ -56,7 +57,9 @@ sweep. It takes the arrays whole: the error fields of all boundaries are
 one stack of rows, and the norms (grid.l2_norm, grid.h1_seminorm),
 lyapunov_value and the trace-bound ratio each take a stack of rows and
 return one value per row, so no Python loop runs per boundary. Each
-formula is written once, and for one field they return a float.
+formula is written once, and for one field they return a float. The result
+keeps the estimates as one array of rows and the per-cycle results as one
+array per iterations.csv column (CYCLE_COLUMNS).
 """
 
 from __future__ import annotations
@@ -78,16 +81,14 @@ from .leapfrog import (
     _to_velocity_basis,
     _wave_parts,
     continuation_level,
-    init_leapfrog,
     neumann_trace,
-    reversed_state,
     run_homogeneous,
 )
 
 __all__ = [
     "OscillatorState",
     "ObserverState",
-    "IterationReport",
+    "CYCLE_COLUMNS",
     "RunHistory",
     "BackAndForthResult",
     "oscillator_drive",
@@ -262,33 +263,25 @@ def pass_samples(measurement: MeasurementRecord, grid: Grid1D) -> np.ndarray:
 class ObserverState:
     """Observer at a half-pass boundary, ready to run pass `half_pass`.
 
-    wave and osc are in the local time of that pass, so at an odd half_pass
-    (before a backward pass) osc.z2 holds the negated physical velocity.
-    mismatch_integral is w, the integral of z1 - Y, each pass in its local time.
+    x is the velocity-basis vector (u, v, z1, z2, w), v = (u - u_prev)/dt,
+    that the one-step matrix S acts on. It is in the local time of that pass,
+    so at an odd half_pass (before a backward pass) z2 holds the negated
+    physical velocity. w is the integral of z1 - Y, each pass in its local time.
     """
 
-    wave: LeapfrogState
-    osc: OscillatorState
-    mismatch_integral: float
+    x: np.ndarray
     half_pass: int
 
 
 def initial_observer_state(grid: Grid1D) -> ObserverState:
-    wave = init_leapfrog(np.zeros(grid.nx + 1), None, grid)
-    return ObserverState(wave=wave, osc=ZERO_OSC, mismatch_integral=0.0, half_pass=0)
+    return ObserverState(np.zeros(2 * grid.nx + 5), 0)
 
 
 # ---------------------------------------------------------------------------
 # reporting containers
 
-
-@dataclass
-class IterationReport:
-    iteration: int
-    l2_err: float | None = None
-    h1_err: float | None = None
-    lyapunov: float | None = None
-    energy_residual: float | None = None
+# the per-cycle results, in the order of their iterations.csv columns
+CYCLE_COLUMNS = ("l2_err", "h1_err", "lyapunov", "energy_residual")
 
 
 @dataclass
@@ -321,8 +314,17 @@ class RunHistory:
 
 @dataclass
 class BackAndForthResult:
-    estimates: list[np.ndarray]
-    reports: list[IterationReport]
+    """A run's estimates, its per-cycle results and, with a truth, its monitor history.
+
+    estimates has one row per cycle k = 0..n_iterations, the source estimate
+    after k cycles (row 0 the zero initial guess). per_cycle maps each name
+    of CYCLE_COLUMNS to one value per cycle: the estimate's L2 and H1 errors,
+    the Lyapunov value and the energy residual at its cycle boundary; None
+    without a truth. final_state is the state after the last half-pass.
+    """
+
+    estimates: np.ndarray
+    per_cycle: dict[str, np.ndarray] | None
     history: RunHistory | None
     final_state: ObserverState
 
@@ -373,31 +375,22 @@ def _sweep(
     grid: Grid1D,
     injection_sign: float,
     rec: np.ndarray,
-) -> tuple[ObserverState, LeapfrogState]:
+) -> tuple[ObserverState, np.ndarray]:
     """Advance the coupled wave/oscillator pair over half-pass state.half_pass.
 
     The pass replays the one-pass samples y, reversed on a backward
     half-pass, through the one-step recurrence x <- S x + B (Y_k, Y_k+1)
     of _linear_parts, run by _run_recurrence. Returns the state turned
-    around for the next half-pass (wave re-seeded, z2 negated) and the wave
-    as the sweep left it (before the turn). The rows of rec, shape
-    (4, n+1), receive the read-outs of _readout_rows at each node: z1, z2
-    (in the sweep's local time), the x=0 Dirichlet value and the left trace.
+    around for the next half-pass (_turned) and the velocity-basis state as
+    the sweep left it (before the turn). The rows of rec, shape (4, n+1),
+    receive the read-outs of _readout_rows at each node: z1, z2 (in the
+    sweep's local time), the x=0 Dirichlet value and the left trace.
     """
     half = state.half_pass
     _, S, B = _linear_parts(gains, omega, grid, injection_sign)
     Yp = y if half % 2 == 0 else y[::-1]
-    x0 = _observer_vector(state.wave, state, grid)
-    x = _run_recurrence(S, B, _readout_rows(grid), x0, Yp, rec)
-    u_prev, u_curr, z1, z2, w = _state_parts(x, grid)
-    ended = LeapfrogState(u_prev, u_curr)
-    nxt = ObserverState(
-        wave=reversed_state(ended, grid),
-        osc=OscillatorState(float(z1), -float(z2)),
-        mismatch_integral=float(w),
-        half_pass=half + 1,
-    )
-    return nxt, ended
+    x = _run_recurrence(S, B, _readout_rows(grid), state.x, Yp, rec)
+    return ObserverState(_turned(x, grid), half + 1), x
 
 
 def observer_half_pass(
@@ -428,13 +421,13 @@ def extract_estimate(state: ObserverState, grid: Grid1D) -> np.ndarray:
     """
     if state.half_pass % 2 != 0:
         raise ValueError("estimates exist at cycle boundaries (after a backward half-pass)")
-    return _pinned(state.wave.u_curr)
+    return _pinned(state.x[: grid.nx + 1])
 
 
 def _pinned(u: np.ndarray) -> np.ndarray:
-    """A copy of the displacement u with both walls set to zero."""
+    """A copy of the displacement u, or of every row of a stack, with both walls set to zero."""
     q_hat = u.copy()
-    q_hat[[0, -1]] = 0.0
+    q_hat[..., [0, -1]] = 0.0
     return q_hat
 
 
@@ -583,21 +576,6 @@ def _truth_history(
     )
 
 
-def _reports(estimates, q, history: RunHistory | None, grid: Grid1D) -> list[IterationReport]:
-    """One report per estimate; with the truth q, its errors and its cycle boundary's samples."""
-    if history is None:
-        return [IterationReport(iteration=k) for k in range(len(estimates))]
-    err = np.array(estimates) - q
-    columns = (
-        l2_norm(err, grid),
-        h1_seminorm(err, grid),
-        history.lyapunov[::2],
-        history.energy_residuals[::2],
-    )
-    rows = zip(*(c.tolist() for c in columns))
-    return [IterationReport(k, *values) for k, values in enumerate(rows)]
-
-
 # ---------------------------------------------------------------------------
 # the half-pass maps
 #
@@ -627,9 +605,16 @@ def _state_parts(x: np.ndarray, grid: Grid1D) -> tuple:
     return wave.u_prev, wave.u_curr, *x[2 * nx1 :]
 
 
-def _observer_vector(wave: LeapfrogState, state: ObserverState, grid: Grid1D) -> np.ndarray:
-    """Velocity-basis vector of wave with the oscillator and mismatch integral of state."""
-    return _state_vector(wave.u_prev, wave.u_curr, *state.osc, state.mismatch_integral, grid)
+def _turned(x: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """The turn of a velocity-basis vector, or of a matrix of one state per column.
+
+    The wave is re-seeded, its level before u the continuation level
+    (leapfrog.reversed_state), and z2 is negated. The turn matrix R is this
+    arithmetic on the columns of the identity.
+    """
+    u_prev, u_curr, z1, z2, w = _state_parts(x, grid)
+    ghost = continuation_level(LeapfrogState(u_prev, u_curr), grid)
+    return _state_vector(ghost, u_curr, z1, -z2, w, grid)
 
 
 @lru_cache(maxsize=8)
@@ -642,14 +627,12 @@ def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: floa
     under unit measurement values. Built once per grid, gains and omega;
     the arrays are read-only.
     """
-    nx1 = grid.nx + 1
-    basis = _state_parts(np.eye(2 * nx1 + 3), grid)
-    u_prev, u_curr, z1, z2, w = basis
-    ghost = continuation_level(LeapfrogState(u_prev, u_curr), grid)
-    zero = _state_parts(np.zeros((2 * nx1 + 3, 2)), grid)
+    eye = np.eye(2 * grid.nx + 5)
+    basis = _state_parts(eye, grid)
+    zero = _state_parts(np.zeros((len(eye), 2)), grid)
     step = _observer_step(gains, omega, grid, injection_sign)
     parts = (
-        _state_vector(ghost, u_curr, z1, -z2, w, grid),
+        _turned(eye, grid),
         _state_vector(*step(*basis, 0.0, 0.0), grid),
         _state_vector(*step(*zero, np.array([1.0, 0.0]), np.array([0.0, 1.0])), grid),
     )
@@ -785,7 +768,7 @@ def run_back_and_forth(
 
     Starts from the zero observer state. estimates[k] is the source
     estimate after k full cycles (estimates[0] is the zero initial guess);
-    reports carry per-iteration errors when q_true is given. Every half-pass
+    per_cycle holds each cycle's errors when q_true is given. Every half-pass
     is the map x <- R (S^n x + c), from the zero state on, with or without
     q_true. With q_true the exact periodized truth cycle is integrated once,
     and after the iteration the error fields observer-minus-truth are
@@ -815,7 +798,7 @@ def run_back_and_forth(
     # read-outs the truth monitor expands its forms around; without a truth, read none
     read = _readout_rows(grid) if q_true is not None else np.empty((0, len(S)))
     records = [np.empty((len(read), n + 1)) for _ in range(2)]
-    history = q = None
+    history = per_cycle = None
     # a run that blows up (an unstable cfl) goes on to its end, where its
     # non-finite result is reported once, not as a warning per overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -825,6 +808,7 @@ def run_back_and_forth(
         for h in range(halves):
             ends[h] = Sn @ starts[h] + offsets[h % 2]
             starts[h + 1] = turn @ ends[h]
+        estimates = _pinned(starts[::2, :nx1])
         if q_true is not None:
             q = np.asarray(q_true, dtype=float)
             plant = run_plant_cycle(q, omega, grid)
@@ -832,9 +816,9 @@ def run_back_and_forth(
                 e[:2] -= zt
             integrals = _start_integrals(S, records, starts[:-1], grid)
             history = _truth_history(q, plant, starts, ends, integrals, gains, omega, grid)
-        estimates = [_pinned(x[:nx1]) for x in starts[::2]]
-        reports = _reports(estimates, q, history, grid)
-        u_prev, u_curr, z1, z2, w = _state_parts(starts[-1], grid)
-    osc = OscillatorState(float(z1), float(z2))
-    final = ObserverState(LeapfrogState(u_prev, u_curr), osc, float(w), halves)
-    return BackAndForthResult(estimates, reports, history, final)
+            err = estimates - q
+            cycle = (l2_norm(err, grid), h1_seminorm(err, grid))
+            cycle += (history.lyapunov[::2], history.energy_residuals[::2])
+            per_cycle = dict(zip(CYCLE_COLUMNS, cycle))
+    final = ObserverState(starts[-1].copy(), halves)
+    return BackAndForthResult(estimates, per_cycle, history, final)

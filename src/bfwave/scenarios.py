@@ -1,17 +1,10 @@
-"""Bundled reference scenarios used by the acceptance suite and scripts."""
+"""Bundled scenarios besides the reference one, which is ScenarioConfig's defaults."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .grid import ScenarioConfig
 
-__all__ = ["reference_scenario", "minimal_horizon_scenario"]
-
-
-def reference_scenario(noise: float = 0.1) -> ScenarioConfig:
-    """The reference experiment (ScenarioConfig's defaults) with noise, 10 % RMS by default."""
-    return ScenarioConfig(noise=noise)
+__all__ = ["minimal_horizon_scenario"]
 
 
 def minimal_horizon_scenario(T: float = 2.0) -> ScenarioConfig:
@@ -22,4 +15,4 @@ def minimal_horizon_scenario(T: float = 2.0) -> ScenarioConfig:
     reference experiment; below T = 2 the sweep is not expected to
     converge at all.
     """
-    return replace(reference_scenario(noise=0.0), T=T, gamma1=4.0, gamma2=2.0)
+    return ScenarioConfig(T=T, gamma1=4.0, gamma2=2.0)

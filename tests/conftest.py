@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from bfwave import ScenarioConfig, add_noise, l2_norm, run_back_and_forth, simulate_forward
-from bfwave.scenarios import minimal_horizon_scenario, reference_scenario
+from bfwave.scenarios import minimal_horizon_scenario
 
 settings.register_profile(
     "numeric", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -14,7 +14,7 @@ settings.load_profile("numeric")
 
 @pytest.fixture(scope="session")
 def reference_cfg():
-    return reference_scenario(noise=0.0)
+    return ScenarioConfig()
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +34,7 @@ def reference_run(reference_cfg):
 
 @pytest.fixture(scope="session")
 def reference_run_noisy():
-    cfg = reference_scenario(noise=0.1)
+    cfg = ScenarioConfig(noise=0.1)
     grid = cfg.grid()
     q = cfg.q_true(grid)
     m = add_noise(simulate_forward(q, cfg.omega, grid), cfg.noise, cfg.seed)

@@ -36,7 +36,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def rel_errors(run) -> np.ndarray:
-    return np.array([r.l2_err for r in run["result"].reports]) / run["qn"]
+    return run["result"].per_cycle["l2_err"] / run["qn"]
 
 
 @pytest.mark.slow

@@ -218,6 +218,35 @@ class TestInvert:
         assert "usecols" not in err[0]
         assert not out.exists()
 
+    def test_time_offset_exit_4(self, tmp_path, capsys):
+        # a copy of the measurement with every t shifted by +7 is refused:
+        # its samples would invert as if taken from t = 0
+        p = write_config(tmp_path / "c.json", iterations=1)
+        assert cmd_simulate(p, tmp_path / "sim", quiet=True) == EXIT_OK
+        header, *rows = (tmp_path / "sim" / "measurement.csv").read_text().splitlines()
+        shifted = [f"{float(t) + 7.0!r},{y}" for t, y in (r.split(",") for r in rows)]
+        mpath = tmp_path / "m.csv"
+        mpath.write_text("\n".join([header, *shifted]) + "\n")
+        out = tmp_path / "inv"
+        assert cmd_invert(p, mpath, out, quiet=True) == EXIT_MISMATCH
+        assert capsys.readouterr().err == "measurement error: measurement time starts at 7, not at 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["monitored", "blind"])
+    def test_invert_message(self, tmp_path, capsys, source):
+        # a monitored run ends its line with the last l2_err of iterations.csv
+        p = write_config(tmp_path / "c.json", iterations=3)
+        assert cmd_simulate(p, tmp_path / "sim", quiet=True) == EXIT_OK
+        if source == "blind":
+            p = write_config(tmp_path / "c.json", iterations=3, source=None)
+        out = tmp_path / "inv"
+        assert cmd_invert(p, tmp_path / "sim" / "measurement.csv", out) == EXIT_OK
+        _, rows = read_csv(out / "iterations.csv")
+        want = "3 iterations done"
+        if source == "monitored":
+            want += f", final L2 error {float(rows[-1][1]):.4g}"
+        assert capsys.readouterr().out == want + "\n"
+
     def test_final_error_column(self, tmp_path):
         p = write_config(tmp_path / "c.json", iterations=4)
         out_sim = tmp_path / "sim"
@@ -572,11 +601,10 @@ class TestCsvFormatting:
     """Each file formatted as one string holds the bytes of a csv.writer row loop."""
 
     def test_fmt_round_trips_doubles(self):
-        from bfwave.cli import _fmt
-
+        # every writer formats a float cell as %.17g
         rng = np.random.default_rng(0)
         for x in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200):
-            assert float(_fmt(x)) == x
+            assert float("%.17g" % x) == x
 
     @pytest.mark.parametrize("with_truth", [False, True])
     def test_estimate_bytes(self, tmp_path, with_truth):
@@ -596,12 +624,12 @@ class TestCsvFormatting:
         # the blind run's error cells are empty
         result = short_runs[2][run]
         path = write_iterations_csv(tmp_path / "i.csv", result)
-        values = [(r.l2_err, r.h1_err, r.lyapunov, r.energy_residual) for r in result.reports]
-        rows = [
-            [r.iteration] + ["" if v is None else g17(v) for v in vals]
-            for r, vals in zip(result.reports, values)
-        ]
         header = ["iter", "l2_err", "h1_err", "lyapunov", "energy_residual"]
+        cycle = result.per_cycle
+        rows = [
+            [k] + ["" if cycle is None else g17(cycle[c][k]) for c in header[1:]]
+            for k in range(len(result.estimates))
+        ]
         assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header, rows)
 
     def test_lyapunov_bytes(self, tmp_path, short_runs):

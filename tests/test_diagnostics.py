@@ -96,7 +96,7 @@ class TestRunLevelChecks:
         h = res.history
         assert h.energy_lhs[0] == 0.0
         assert np.array_equal(h.energy_residuals, np.abs(h.energy_lhs))
-        reported = np.array([r.energy_residual for r in res.reports])
+        reported = res.per_cycle["energy_residual"]
         assert reported.tobytes() == h.energy_residuals[::2].tobytes()
         assert energy_identity_residual(h) == np.max(h.energy_residuals)
         assert 0.0 < np.max(reported) <= energy_identity_residual(h) < 10.0

@@ -258,6 +258,8 @@ REFUSED = {
     "blank_last_row": ("t,y\n0,0\n0.5,1\n1,2\n\n", "blank row"),
     # Python's float read this as 10.0; np.loadtxt does not take digit separators
     "digit_separator": ("t,y\n0,0\n0.5,1_0\n1,2\n", "line 3 does not hold 2 numeric fields"),
+    # uniform, but not from t = 0: the window is the pass [0, T]
+    "time_offset": ("t,y\n7,0\n7.5,1\n8,2\n", "time starts at 7, not at 0"),
 }
 
 

@@ -13,12 +13,11 @@ from bfwave.leapfrog import (
     neumann_trace,
 )
 from bfwave.observer import (
+    CYCLE_COLUMNS,
     ObserverState,
     OscillatorState,
     _linear_parts,
-    _observer_vector,
     _readout_rows,
-    _reports,
     _second_x_derivative,
     _start_integrals,
     _state_parts,
@@ -65,7 +64,7 @@ def rel_gap(a, b):
 def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.0, hidden=None):
     """A monitored run with every half-pass on _sweep, its records' integrals fed to the monitor.
 
-    Returns (estimates, reports, history) as run_back_and_forth would. A
+    Returns (estimates, per_cycle, history) as run_back_and_forth would. A
     list hidden receives every sweep's hidden_regularity_ratio of its record,
     the boundary data q0, q1 the monitor's: the start's displacement and
     the velocity at the boundary.
@@ -76,21 +75,24 @@ def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.
     starts, ends, integrals = [], [], []
     rec = np.empty((4, g.n_steps_per_pass + 1))
     for half in range(2 * n_iterations):
-        starts.append(_observer_vector(state.wave, state, g))
+        starts.append(state.x)
         state, ended = _sweep(state, m.y, gains, omega, g, injection_sign, rec)
         if hidden is not None:
             vel = boundary_velocity(starts, ends, g)
             q0 = _state_parts(starts[-1], g)[1]
             hidden.append(hidden_regularity_ratio(rec[2], q0, vel, rec[3], g.T, g))
-        ends.append(_observer_vector(ended, state, g))
+        ends.append(ended)
         rec[:2] -= plant.sweep_z[half % 2]
         integrals.append(_sweep_integrals(rec, g.dt))
         if half % 2 == 1:
             estimates.append(extract_estimate(state, g))
-    starts.append(_observer_vector(state.wave, state, g))
+    starts.append(state.x)
     runs = (np.array(a) for a in (starts, ends, integrals))
     history = _truth_history(q, plant, *runs, gains, omega, g)
-    return estimates, _reports(estimates, q, history, g), history
+    err = np.array(estimates) - q
+    cycle = (l2_norm(err, g), h1_seminorm(err, g))
+    cycle += (history.lyapunov[::2], history.energy_residuals[::2])
+    return estimates, dict(zip(CYCLE_COLUMNS, cycle)), history
 
 
 def boundary_velocity(starts, ends, g):
@@ -106,16 +108,13 @@ def boundary_velocity(starts, ends, g):
 
 
 HISTORY_SERIES = ("lyapunov", "energy_lhs", "second_energy_lhs", "hidden_ratios")
-REPORT_SERIES = ("l2_err", "h1_err", "lyapunov", "energy_residual")
 
 
-def series_gaps(a_history, a_reports, b_history, b_reports):
-    """Largest gap of each history and report series, over that series' max |value|."""
+def series_gaps(a_history, a_cycle, b_history, b_cycle):
+    """Largest gap of each history and per-cycle series, over that series' max |value|."""
     pairs = {k: (getattr(a_history, k), getattr(b_history, k)) for k in HISTORY_SERIES}
-    for k in REPORT_SERIES:
-        pairs["report." + k] = tuple(
-            np.array([getattr(r, k) for r in reps]) for reps in (a_reports, b_reports)
-        )
+    for k in CYCLE_COLUMNS:
+        pairs["cycle." + k] = (a_cycle[k], b_cycle[k])
     return {k: np.max(np.abs(a - b)) / np.max(np.abs(a)) for k, (a, b) in pairs.items()}
 
 
@@ -412,8 +411,9 @@ class TestExtendedMeasurement:
         for half, last in enumerate([n, 0, n]):
             s = observer_half_pass(s, m, Gains(g1, g2), 2.0, grid)
             assert s.half_pass == half + 1
-            bc = g1 * (s.osc.z1 - last) + g1 * g2 * s.mismatch_integral
-            assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12 * n)
+            _, u, z1, _, w = _state_parts(s.x, grid)
+            bc = g1 * (z1 - last) + g1 * g2 * w
+            assert u[0] == pytest.approx(bc, abs=1e-12 * n)
 
     def test_reversal_is_permutation(self, grid):
         # a backward pass integrates the same samples as the forward one: with
@@ -422,10 +422,10 @@ class TestExtendedMeasurement:
         m = MeasurementRecord(y=np.sin(np.arange(n + 1.0)), dt=grid.dt, T=grid.T)
         tiny = Gains(1e-12, 1e-12)
         s = observer_half_pass(initial_observer_state(grid), m, tiny, 2.0, grid)
-        once = s.mismatch_integral
+        once = s.x[-1]  # w
         assert once == pytest.approx(-np.trapezoid(m.y, dx=grid.dt), rel=1e-12)
         s = observer_half_pass(s, m, tiny, 2.0, grid)
-        assert s.mismatch_integral == pytest.approx(2.0 * once, rel=1e-12)
+        assert s.x[-1] == pytest.approx(2.0 * once, rel=1e-12)
 
     def test_range_check(self, grid):
         # a pass replays exactly n + 1 samples; one more is refused
@@ -445,9 +445,7 @@ class TestObserverHalfPass:
         s = initial_observer_state(grid)
         for _ in range(4):
             s = observer_half_pass(s, m, Gains(1.0, 0.5), 2.0, grid)
-            assert not s.wave.u_curr.any()
-            assert s.osc == OscillatorState(0.0, 0.0)
-            assert s.mismatch_integral == 0.0
+            assert not s.x.any()
 
     def test_finite_propagation_cone(self):
         # the injected boundary signal crosses at most one node per step
@@ -458,7 +456,7 @@ class TestObserverHalfPass:
         y[0] = 0.0
         m = MeasurementRecord(y=y, dt=g.dt, T=g.T)
         s = observer_half_pass(initial_observer_state(g), m, Gains(1.0, 0.5), 2.0, g)
-        u = s.wave.u_curr
+        u = s.x[: g.nx + 1]
         assert np.max(np.abs(u[n:])) == 0.0
         assert np.max(np.abs(u[:n])) > 0.0
 
@@ -470,7 +468,7 @@ class TestObserverHalfPass:
         tiny = Gains(1e-12, 1e-12)
         s = observer_half_pass(s, m, tiny, 2.0, grid)
         s = observer_half_pass(s, m, tiny, 2.0, grid)
-        assert np.max(np.abs(s.wave.u_curr)) <= 1e-9
+        assert np.max(np.abs(s.x[: grid.nx + 1])) <= 1e-9
 
     def test_matches_driver(self, grid):
         # composing the public half-pass (the sweep) reproduces the driver's
@@ -482,11 +480,13 @@ class TestObserverHalfPass:
         s = observer_half_pass(s, m, gains, 2.0, grid)
         s = observer_half_pass(s, m, gains, 2.0, grid)
         res = run_back_and_forth(m, gains, 2.0, grid, 1)
-        fin = res.final_state
-        assert rel_gap(s.wave.u_curr, fin.wave.u_curr) <= 1e-12
-        assert rel_gap(s.wave.u_prev, fin.wave.u_prev) <= 1e-12
-        assert rel_gap(s.osc, fin.osc) <= 1e-12
-        assert rel_gap(s.mismatch_integral, fin.mismatch_integral) <= 1e-12
+        (up, u, *z, w), (fin_up, fin_u, *fin_z, fin_w) = (
+            _state_parts(st.x, grid) for st in (s, res.final_state)
+        )
+        assert rel_gap(u, fin_u) <= 1e-12
+        assert rel_gap(up, fin_up) <= 1e-12
+        assert rel_gap(z, fin_z) <= 1e-12
+        assert rel_gap(w, fin_w) <= 1e-12
         assert rel_gap(extract_estimate(s, grid), res.estimates[1]) <= 1e-12
 
     @pytest.mark.parametrize("start", [pytest.param(2, id="forward"), pytest.param(1, id="backward")])
@@ -513,13 +513,14 @@ class TestObserverHalfPass:
         for _ in range(start):
             state = observer_half_pass(state, m, gains, omega, grid)
         rec = np.empty((4, grid.n_steps_per_pass + 1))
-        _, ended = _sweep(state, m.y, gains, omega, grid, 1.0, rec)
+        ended = _state_parts(_sweep(state, m.y, gains, omega, grid, 1.0, rec)[1], grid)
         s = 1.0 if start % 2 == 0 else -1.0  # the pass's physical time direction
         A = np.array([[-g2, s, 0.0], [-s * omega * omega, 0.0, 0.0], [1.0, 0.0, 0.0]])
         E = expm(dt * A)
         y = m.y if s > 0 else m.y[::-1]
-        wave, y_int = state.wave, 0.0
-        z = np.array([state.osc.z1, s * state.osc.z2, state.mismatch_integral])
+        u_prev, u_curr, z1, z2, w = _state_parts(state.x, grid)
+        wave, y_int = LeapfrogState(u_prev, u_curr), 0.0
+        z = np.array([z1, s * z2, w])
         ref = [(z[0], s * z[1], wave.u_curr[0])]
         traces = []
         for k in range(grid.n_steps_per_pass):
@@ -534,8 +535,8 @@ class TestObserverHalfPass:
         traces.append(neumann_trace(wave.u_curr, grid.dx))
         ref = np.vstack([np.array(ref).T, traces])
         assert np.allclose(rec, ref, rtol=1e-10, atol=1e-12)
-        assert np.allclose(ended.u_curr, wave.u_curr, rtol=1e-10, atol=1e-12)
-        assert np.allclose(ended.u_prev, wave.u_prev, rtol=1e-10, atol=1e-12)
+        assert np.allclose(ended[1], wave.u_curr, rtol=1e-10, atol=1e-12)
+        assert np.allclose(ended[0], wave.u_prev, rtol=1e-10, atol=1e-12)
 
 
 class TestRunBackAndForth:
@@ -562,22 +563,22 @@ class TestRunBackAndForth:
         # x=0 node of the observer wave equals the injection formula
         res = reduced_run["result"]
         m = reduced_run["measurement"]
-        s = res.final_state
+        _, u, z1, _, w = _state_parts(res.final_state.x, reduced_run["grid"])
         g1, g2 = 1.0, 0.5  # the reduced run's gains
-        bc = g1 * (s.osc.z1 - float(m.y[0])) + g1 * g2 * s.mismatch_integral
-        assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-13)
+        bc = g1 * (z1 - float(m.y[0])) + g1 * g2 * w
+        assert u[0] == pytest.approx(bc, abs=1e-13)
 
     def test_error_decreases(self, reduced_run):
-        reports = reduced_run["result"].reports
-        assert reports[-1].l2_err < 0.5 * reports[0].l2_err
+        l2_err = reduced_run["result"].per_cycle["l2_err"]
+        assert l2_err[-1] < 0.5 * l2_err[0]
 
     def test_reports_without_truth(self, grid):
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
         res = run_back_and_forth(m, Gains(1.0, 0.5), 2.0, grid, 1)
         assert res.history is None
-        assert res.reports[-1].l2_err is None
-        assert [r.iteration for r in res.reports] == [0, 1]
+        assert res.per_cycle is None
+        assert res.estimates.shape == (2, grid.nx + 1)
 
     def test_short_horizon_warns(self):
         g = build_grid(10, 0.1, 1.5)
@@ -632,9 +633,7 @@ class TestRunBackAndForth:
         assert len(a.estimates) == len(b.estimates) == 3
         for qa, qb in zip(a.estimates, b.estimates):
             assert np.array_equal(qa, qb)
-        assert np.array_equal(a.final_state.wave.u_prev, b.final_state.wave.u_prev)
-        assert np.array_equal(a.final_state.wave.u_curr, b.final_state.wave.u_curr)
-        assert a.final_state.osc == b.final_state.osc
+        assert np.array_equal(a.final_state.x, b.final_state.x)
         s = initial_observer_state(grid)
         composed = [extract_estimate(s, grid)]
         for _ in range(4):
@@ -643,7 +642,8 @@ class TestRunBackAndForth:
                 composed.append(extract_estimate(s, grid))
         assert rel_gap(composed[1], b.estimates[1]) <= 1e-12
         assert np.max(np.abs(composed[2] - b.estimates[2])) <= 1e-9
-        assert np.max(np.abs(s.wave.u_prev - b.final_state.wave.u_prev)) <= 1e-9
+        u_prev = [_state_parts(st.x, grid)[0] for st in (s, b.final_state)]
+        assert np.max(np.abs(u_prev[0] - u_prev[1])) <= 1e-9
 
 
 class TestMonitorForms:
@@ -665,8 +665,8 @@ class TestMonitorForms:
 
     def test_matches_step_path(self, reduced):
         res = reduced["mapped"]
-        estimates, reports, history = reduced["stepped"]
-        gaps = series_gaps(history, reports, res.history, res.reports)
+        estimates, cycle, history = reduced["stepped"]
+        gaps = series_gaps(history, cycle, res.history, res.per_cycle)
         assert max(gaps.values()) <= 1e-9, gaps
         gap = max(np.max(np.abs(a - b)) for a, b in zip(estimates, res.estimates))
         assert gap <= 1e-9
@@ -687,22 +687,19 @@ class TestMonitorForms:
             _sweep(zero, m.y, gains, omega, g, 1.0, rec)
             rec[:2] -= truth_z[h]
         x = np.random.default_rng(5).standard_normal(2 * nx1 + 3)
-        u_prev, u_curr, z1, z2, w = _state_parts(x, g)
-        osc = OscillatorState(float(z1), float(z2))
-        start = ObserverState(LeapfrogState(u_prev, u_curr), osc, float(w), half)
+        start = ObserverState(x, half)
         rec = np.empty((4, n + 1))
         _sweep(start, m.y, gains, omega, g, 1.0, rec)
         rec[:2] -= truth_z[half]
         want = _sweep_integrals(rec, g.dt)
         # row h of the run's evaluation takes the forms of h's replay order
         S = _linear_parts(gains, omega, g, 1.0)[1]
-        x = _observer_vector(start.wave, start, g)
         got = _start_integrals(S, records, np.array([x, x]), g)[half]
         assert np.max(np.abs(got - want) / want) <= 1e-12, (got - want) / want
 
     def test_one_cycle_run(self, reduced):
         # a one-cycle run takes the route of a longer one, up to its first
-        # estimate: every history series and report is the longer run's prefix, bit for bit
+        # estimate: every history and per-cycle series is the longer run's prefix, bit for bit
         res = run_back_and_forth(*reduced["args"][:-1], 1, q_true=reduced["q"])
         mapped = reduced["mapped"]
         assert len(res.history.lyapunov) == 3 and len(res.history.hidden_ratios) == 2
@@ -710,11 +707,9 @@ class TestMonitorForms:
             a, b = getattr(res.history, k), getattr(mapped.history, k)
             assert a.tobytes() == b[: len(a)].tobytes(), k
         assert res.history.initial_bundle == mapped.history.initial_bundle
-        assert len(res.reports) == 2
-        for a, b in zip(res.reports, mapped.reports):
-            assert a.iteration == b.iteration
-            got, want = (np.array([getattr(r, k) for k in REPORT_SERIES]) for r in (a, b))
-            assert got.tobytes() == want.tobytes()
+        for k in CYCLE_COLUMNS:
+            a, b = res.per_cycle[k], mapped.per_cycle[k]
+            assert len(a) == 2 and a.tobytes() == b[:2].tobytes(), k
         assert np.array_equal(res.estimates[1], mapped.estimates[1])
 
     def test_sign_fault_still_caught(self, reduced):
@@ -724,10 +719,10 @@ class TestMonitorForms:
         res = run_back_and_forth(*reduced["args"], q_true=reduced["q"], injection_sign=-1.0)
         h = res.history
         assert not lyapunov_decrease_check(h.lyapunov, 1e-3 * h.lyapunov[0]).passed
-        _, reports, history = stepped_monitored_run(
+        _, cycle, history = stepped_monitored_run(
             *reduced["args"], reduced["q"], injection_sign=-1.0
         )
-        gaps = series_gaps(history, reports, h, res.reports)
+        gaps = series_gaps(history, cycle, h, res.per_cycle)
         assert max(gaps.values()) <= 1e-9, gaps
 
     def test_zero_truth_zero_measurement(self, grid):
@@ -824,20 +819,20 @@ class TestCycleMap:
         ref = request.getfixturevalue(run)
         cfg, grid, m = ref["cfg"], ref["grid"], ref["measurement"]
         mapped = ref["result"]
-        estimates, reports, history = stepped_monitored_run(
+        estimates, cycle, history = stepped_monitored_run(
             m, cfg.gains(), cfg.omega, grid, cfg.iterations, ref["q"]
         )
         assert len(mapped.estimates) == len(estimates) == cfg.iterations + 1
         assert rel_gap(estimates[1], mapped.estimates[1]) <= 1e-12
         gap = max(np.max(np.abs(a - b)) for a, b in zip(mapped.estimates, estimates))
         assert gap <= 1e-9
-        gaps = series_gaps(history, reports, mapped.history, mapped.reports)
+        gaps = series_gaps(history, cycle, mapped.history, mapped.per_cycle)
         assert max(gaps[k] for k in HISTORY_SERIES) <= 1e-9, gaps
-        assert max(gaps["report." + k] for k in REPORT_SERIES[:3]) <= 1e-9, gaps
+        assert max(gaps["cycle." + k] for k in CYCLE_COLUMNS[:3]) <= 1e-9, gaps
         # the residual |lhs - rhs| / rhs, lhs within 1 % of rhs, carries the
         # bundle's gap over rhs: the energy_lhs bound above, in its own units
         lhs = history.energy_lhs
-        res_gap = gaps["report.energy_residual"] * max(r.energy_residual for r in reports)
+        res_gap = gaps["cycle.energy_residual"] * max(cycle["energy_residual"])
         assert res_gap <= 1e-9 * np.max(lhs) / lhs[0], gaps
         # the unmonitored run is the same iteration
         res = run_back_and_forth(m, cfg.gains(), cfg.omega, grid, cfg.iterations)
@@ -845,13 +840,13 @@ class TestCycleMap:
         for a, b in zip(res.estimates, mapped.estimates):
             assert np.array_equal(a, b)
         # the rebuilt final state keeps the injection invariant at x=0
-        s = res.final_state
-        assert s.half_pass == 2 * cfg.iterations
+        assert res.final_state.half_pass == 2 * cfg.iterations
+        _, u, z1, _, w = _state_parts(res.final_state.x, grid)
         y0 = float(m.y[0])
         g1, g2 = cfg.gamma1, cfg.gamma2
-        bc = g1 * (s.osc.z1 - y0) + g1 * g2 * s.mismatch_integral
-        assert s.wave.u_curr[0] == pytest.approx(bc, abs=1e-12)
-        assert [r.iteration for r in res.reports] == list(range(cfg.iterations + 1))
+        bc = g1 * (z1 - y0) + g1 * g2 * w
+        assert u[0] == pytest.approx(bc, abs=1e-12)
+        assert res.estimates.shape == (cfg.iterations + 1, grid.nx + 1)
 
     def test_injection_sign_carried(self, grid):
         # the fault-injection hook reaches the map as it reaches the sweep

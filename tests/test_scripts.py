@@ -1,0 +1,41 @@
+"""The scripts under scripts/: each imports against the library, and the reference run writes its files."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.fixture
+def own_path(monkeypatch):
+    # each script puts its checkout's src/ first on sys.path; undo that afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_imports(script, own_path):
+    # a library name that a script imports and that is gone fails here
+    assert "main" in runpy.run_path(str(script), run_name="script_import")
+
+
+def test_reference_scenario_file_set(tmp_path, own_path, monkeypatch):
+    # the clean reference (ScenarioConfig's defaults): the full run's files and
+    # the config it ran, no noisy measurement
+    script = SCRIPTS[[p.name for p in SCRIPTS].index("run_reference_scenario.py")]
+    main = runpy.run_path(str(script), run_name="script_import")["main"]
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path)])
+    assert main() == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json",
+        "diagnostics.csv",
+        "diagnostics.txt",
+        "estimate_final.csv",
+        "estimates.csv",
+        "iterations.csv",
+        "lyapunov.csv",
+        "manifest.json",
+        "measurement.csv",
+    ]
