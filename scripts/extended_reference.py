@@ -105,7 +105,7 @@ def blocked_free_levels(q0, grid, n: int) -> np.ndarray:
     nx1 = grid.nx + 1
     levels = np.empty((nx1, n + 1))
     x0 = _to_velocity_basis(init_leapfrog(q0, None, grid), grid)
-    _run_recurrence(S, np.zeros((2 * nx1, 2)), np.eye(nx1, 2 * nx1), x0, np.zeros(n + 1), levels)
+    _run_recurrence(S, np.zeros((2 * nx1, 0)), np.eye(nx1, 2 * nx1), x0, np.zeros(n + 1), levels)
     return levels
 
 

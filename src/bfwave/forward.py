@@ -137,8 +137,9 @@ def read_measurement_csv(path) -> MeasurementRecord:
     each, quoted or not, lines ending in LF or CRLF. A file without a
     provenance line reads as clean. A blank row, or a row that is not two
     numbers, is refused by its file line, found by a second pass over the
-    body that runs only when the first parse fails. The times must be
-    uniform and start at 0, both to within 1e-12 + 1e-9 dt.
+    body that runs only when the first parse fails. The times must
+    increase, be uniform and start at 0, the last two to within
+    1e-12 + 1e-9 dt.
     """
     with open(path, newline="") as fh:
         line = fh.readline()
@@ -168,6 +169,8 @@ def read_measurement_csv(path) -> MeasurementRecord:
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise ValueError("measurement has non-finite samples")
     dt = t[1] - t[0]
+    if not dt > 0:  # the tolerances below assume a positive step
+        raise ValueError("measurement time does not increase")
     if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-12 + 1e-9 * dt):
         raise ValueError("measurement sampling is not uniform")
     if abs(t[0]) > 1e-12 + 1e-9 * dt:

@@ -23,13 +23,14 @@ set-up by the content of its matrices (the powers S^t and S^b of the last
 few S, and the block plan of the last (S, B, D)), so a call on matrices
 seen before pays only for its own steps, with the bits of a first call.
 The truth cascade and the kernel checks run the wave free, forward
-synthesis forced. The verify battery's energy drift and round trip run the same recurrence
-through _run_recurrence, read out as the levels, with the turned state as
-the start of the backward leg; step is the stepped reference the tests'
-round trips run backward. _leap, neumann_trace, discrete_energy and
-continuation_level also take (nx+1, m) arrays, one level per column, which
-is how the observer's half-pass maps are built and how the kernel check
-takes its energies.
+synthesis forced. A free run passes B with no columns, so it packs and
+carries no inputs. The verify battery's energy drift and round trip run
+the same free recurrence through _run_recurrence, the drift read out as
+the levels, the backward leg from the turned state with no read-out at
+all; step is the stepped reference the tests' round trips run backward.
+_leap, neumann_trace, discrete_energy and continuation_level also take
+(nx+1, m) arrays, one level per column, which is how the observer's
+half-pass maps are built and how the kernel check takes its energies.
 """
 
 from __future__ import annotations
@@ -166,10 +167,11 @@ def reversed_state(state: LeapfrogState, grid: Grid1D) -> LeapfrogState:
 _RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
 # _run_recurrence's set-up, kept by matrix content: the powers of the last
 # _POWERS_HELD matrices S, the key and two dim^2 arrays each, and the block
-# plan of the last (S, B, D) only. A plan holds (dim + 2b) b rows values,
-# 577 KB for the kernel check's 21 read-out rows, so keeping more would
-# raise peak memory; the calls that share one come in a row (the kernel
-# check's chunks, a run's two offset sweeps).
+# plan of the last (S, B, D) only. A plan holds (dim + w b) b rows values
+# for w inputs per step (2, or 0 for a free run), 220 KB for the kernel
+# check's 21 free read-out rows, so keeping more would raise peak memory;
+# the calls that share one come in a row (the kernel check's chunks, a
+# run's two offset sweeps).
 _POWERS_HELD = 8
 _powers: dict = {}  # (shape, bytes of S) -> {e: S^e}, oldest first
 _plan: dict = {}  # (b, S's key, shape of D, bytes of B, D) -> (F, W); one entry
@@ -206,26 +208,28 @@ def _block_plan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The matrices F and W of _run_recurrence's blocks of b steps; read-only.
 
-    Row 2l + c of F is column c of S^(b-1-l) B, which carries input l of a
-    block to its end. W stacks the rows D S^j, j < b, over the
-    lower-triangular Toeplitz matrix of the responses D S^(j-1-l) B, so
-    that the read-outs of a block are its start state and inputs times W.
+    With w = B.shape[1] inputs per step, row w l + c of F is column c of
+    S^(b-1-l) B, which carries input l of a block to its end. W stacks the
+    rows D S^j, j < b, over the lower-triangular Toeplitz matrix of the
+    responses D S^(j-1-l) B, so that the read-outs of a block are its start
+    state and inputs times W. A free run (w = 0) has no F rows and no
+    Toeplitz rows: W is the rows D S^j alone.
     """
-    key = (b, content, D.shape, B.tobytes(), D.tobytes())
+    key = (b, content, D.shape, B.tobytes(), D.tobytes())  # a free B's bytes are empty
     if key not in _plan:
         _plan.clear()
-        rows, dim = D.shape
+        (rows, dim), w = D.shape, B.shape[1]
         P = np.empty((b, rows, dim))  # D S^j
-        G = np.empty((b, dim, 2))  # S^j B
+        G = np.empty((b, dim, w))  # S^j B
         P[0], G[0] = D, B
         for j in range(1, b):
             P[j] = P[j - 1] @ S
             G[j] = S @ G[j - 1]
-        F = G[::-1].transpose(0, 2, 1).reshape(2 * b, dim)
+        F = G[::-1].transpose(0, 2, 1).reshape(w * b, dim)
         # read-out j of a block: D S^j x + sum_(l<j) D S^(j-1-l) B u_l
-        H = np.concatenate([D @ G, np.zeros((1, rows, 2))])  # H[b] = 0 serves l >= j
+        H = np.concatenate([D @ G, np.zeros((1, rows, w))])  # H[b] = 0 serves l >= j
         lag = np.arange(b) - np.arange(b)[:, None] - 1  # [l, j] = j - 1 - l
-        T = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2).reshape(2 * b, b * rows)
+        T = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2).reshape(w * b, b * rows)
         W = np.vstack([P.transpose(2, 0, 1).reshape(dim, b * rows), T])
         for a in (F, W):
             a.flags.writeable = False
@@ -236,8 +240,10 @@ def _block_plan(
 def _run_recurrence(
     S: np.ndarray, B: np.ndarray, D: np.ndarray, x0: np.ndarray, s: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Run x_k+1 = S x_k + B (s_k, s_k+1) from x0 over the samples s; return x_n.
+    """Run x_k+1 = S x_k + B u_k from x0 over the samples s; return x_n.
 
+    The input u_k is (s_k, s_k+1) for a B of two columns; a B of no
+    columns makes the run free, x_k+1 = S x_k, and s sets only its length.
     out, shape (len(D), n+1), receives the read-outs D x_k for k = 0..n;
     a D of no rows reads nothing out, and x_n does not depend on D.
     The steps go in blocks of b = _RUN_BLOCK. The rows D S^j and the
@@ -248,37 +254,45 @@ def _run_recurrence(
     the next. The last block, cut at node n, takes the same product over
     inputs padded with zeros, which no read-out up to node n sees; x_n is
     S^t applied to its start plus the responses S^(t-1-l) B of its first t
-    inputs. The powers and the plan are kept by the content of S, B and D
+    inputs. A free run packs no inputs: it reads out through the rows
+    D S^j alone and carries each block start straight into the next. The
+    powers and the plan are kept by the content of S, B and D
     (_left_power, _block_plan), so a call on a matrix seen before pays
     only for its own steps, with the same bits as a first call.
     """
     S, B, D = (np.asarray(a, dtype=float) for a in (S, B, D))
     s = np.asarray(s, dtype=float)
-    n, dim = len(s) - 1, len(S)
+    n, dim, w = len(s) - 1, len(S), B.shape[1]  # w: 2 inputs per step, or 0 for a free run
     b = min(_RUN_BLOCK, n + 1)
     full, t = divmod(n, b)  # node n is t steps into the block after `full` whole ones
     content = (S.shape, S.tobytes())  # S's key in both caches
     F, W = _block_plan(S, B, D, content, b)
     St, Sb = _left_power(S, content, t), _left_power(S, content, b)
     # row i: the start x of block i, then its inputs u_k = (s_k, s_k+1), zero past s_n
-    XU = np.empty((full + 1, dim + 2 * b))
+    XU = np.empty((full + 1, dim + w * b))
     X, U = XU[:, :dim], XU[:, dim:]
-    head = full * b
-    U[:-1, 0::2] = s[:head].reshape(full, b)
-    U[:-1, 1::2] = s[1 : head + 1].reshape(full, b)
-    last = np.zeros(b + 1)
-    last[: t + 1] = s[head:]
-    U[-1, 0::2], U[-1, 1::2] = last[:-1], last[1:]
     X[0] = x0
+    if w:
+        head = full * b
+        U[:-1, 0::2] = s[:head].reshape(full, b)
+        U[:-1, 1::2] = s[1 : head + 1].reshape(full, b)
+        last = np.zeros(b + 1)
+        last[: t + 1] = s[head:]
+        U[-1, 0::2], U[-1, 1::2] = last[:-1], last[1:]
     if full:
-        np.matmul(U[:-1], F, out=X[1:])
-        SbT, carry = Sb.T, np.empty(dim)
-        for x, nxt in zip(X, X[1:]):  # views made as needed: a list of them raised peak RSS
-            x.dot(SbT, out=carry)  # the bits of x @ SbT, with less call overhead
-            nxt += carry
+        SbT = Sb.T
+        if w:
+            np.matmul(U[:-1], F, out=X[1:])
+            carry = np.empty(dim)
+            for x, nxt in zip(X, X[1:]):  # views made as needed: a list of them raised peak RSS
+                x.dot(SbT, out=carry)  # the bits of x @ SbT, with less call overhead
+                nxt += carry
+        else:
+            for x, nxt in zip(X, X[1:]):
+                x.dot(SbT, out=nxt)
     if len(D):
         out[...] = (XU @ W).reshape(-1, len(D))[: n + 1].T
-    return St @ X[-1] + U[-1, : 2 * t] @ F[2 * (b - t) :]
+    return St @ X[-1] + U[-1, : w * t] @ F[w * (b - t) :]
 
 
 @lru_cache(maxsize=8)
@@ -332,11 +346,12 @@ def run_homogeneous(
     recurrence x <- S x + B (s_k, s_k+1) of _wave_parts from the
     velocity-basis start of init_leapfrog, evaluated by _run_recurrence:
     the forcing enters as s_k = cos(omega k dt) through the input column
-    (dt^2 q, dt q) on interior nodes.
+    (dt^2 q, dt q) on interior nodes. A free run passes B with no columns,
+    so it carries no inputs at all.
     """
     S, D = _wave_parts(grid)
     nx1, dt = grid.nx + 1, grid.dt
-    B = np.zeros((2 * nx1, 2))
+    B = np.zeros((2 * nx1, 0 if q is None else 2))
     s = np.zeros(n_steps + 1)
     if q is not None:
         B[1 : nx1 - 1, 0] = dt * dt * q[1:-1]

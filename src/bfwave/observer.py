@@ -787,21 +787,22 @@ def run_back_and_forth(
         raise ValueError("n_iterations must be >= 1")
     y = pass_samples(measurement, grid)
     n, nx1, halves = grid.n_steps_per_pass, grid.nx + 1, 2 * n_iterations
-    turn, S, B = _linear_parts(gains, omega, grid, injection_sign)
-    Sn = np.linalg.matrix_power(S, n)
-    # velocity-basis states: starts[h] before half-pass h (the last row is the
-    # final state), ends[h] as sweep h leaves it, before the turn
-    starts = np.zeros((halves + 1, len(S)))
-    ends = np.empty((halves, len(S)))
-    # c = sum_k S^(n-1-k) B (Y_k, Y_k+1) over the pass's samples, which a
-    # backward pass replays reversed: the sweep's end from the zero state, whose
-    # read-outs the truth monitor expands its forms around; without a truth, read none
-    read = _readout_rows(grid) if q_true is not None else np.empty((0, len(S)))
-    records = [np.empty((len(read), n + 1)) for _ in range(2)]
     history = per_cycle = None
-    # a run that blows up (an unstable cfl) goes on to its end, where its
-    # non-finite result is reported once, not as a warning per overflow
+    # a run that blows up (an unstable cfl, or gains so large that the step's
+    # own matrices overflow) goes on to its end, where its non-finite result
+    # is reported once, not as a warning per overflow
     with np.errstate(over="ignore", invalid="ignore"):
+        turn, S, B = _linear_parts(gains, omega, grid, injection_sign)
+        Sn = np.linalg.matrix_power(S, n)
+        # velocity-basis states: starts[h] before half-pass h (the last row is
+        # the final state), ends[h] as sweep h leaves it, before the turn
+        starts = np.zeros((halves + 1, len(S)))
+        ends = np.empty((halves, len(S)))
+        # c = sum_k S^(n-1-k) B (Y_k, Y_k+1) over the pass's samples, which a
+        # backward pass replays reversed: the sweep's end from the zero state, whose
+        # read-outs the truth monitor expands its forms around; without a truth, read none
+        read = _readout_rows(grid) if q_true is not None else np.empty((0, len(S)))
+        records = [np.empty((len(read), n + 1)) for _ in range(2)]
         offsets = [
             _run_recurrence(S, B, read, starts[0], Yp, r) for Yp, r in zip((y, y[::-1]), records)
         ]

@@ -431,14 +431,26 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")  # the run overflows without a RuntimeWarning
     def test_blown_up_run_prints_one_line(self, tmp_path, capsys):
-        # the same run writing snapshots: its stderr is the one check line
-        p = write_config(tmp_path / "c.json", cfl=0.9, iterations=2000, snapshot_stride=500)
-        out = tmp_path / "out"
-        assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CHECK_FAILED
-        assert capsys.readouterr().err == "check failed: non-finite estimate or iteration report\n"
-        assert_manifest_lists_directory(out)
-        _, rows = read_csv(out / "estimates.csv")
-        assert snapshot_iterations(rows) == [0, 500, 1000, 1500, 2000]
+        # a blown-up run writing snapshots: its stderr is the one check line
+        cases = {
+            # the unstable cfl 0.9 run
+            "unstable_cfl": (
+                dict(cfl=0.9, iterations=2000, snapshot_stride=500),
+                [0, 500, 1000, 1500, 2000],
+            ),
+            # a finite gain so large that the step's own matrices overflow
+            "huge_gain": (dict(gamma1=1e308), [0, 1, 2]),
+        }
+        for name, (overrides, snapshots) in cases.items():
+            p = write_config(tmp_path / f"{name}.json", **overrides)
+            out = tmp_path / name
+            argv = ["full", "--config", str(p), "--out", str(out), "--quiet"]
+            assert main(argv) == EXIT_CHECK_FAILED, name
+            err = capsys.readouterr().err
+            assert err == "check failed: non-finite estimate or iteration report\n", name
+            assert_manifest_lists_directory(out)
+            _, rows = read_csv(out / "estimates.csv")
+            assert snapshot_iterations(rows) == snapshots, name
 
     @pytest.mark.filterwarnings("error")  # the run overflows without a RuntimeWarning
     def test_non_finite_full_exit_1(self, tmp_path, capsys):

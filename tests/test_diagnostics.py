@@ -187,7 +187,7 @@ class TestKernelCheck:
         levels = np.empty((nx1, n + 1))
         x0 = leapfrog._to_velocity_basis(state, g)
         leapfrog._run_recurrence(
-            S, np.zeros((2 * nx1, 2)), np.eye(nx1, 2 * nx1), x0, np.zeros(n + 1), levels
+            S, np.zeros((2 * nx1, 0)), np.eye(nx1, 2 * nx1), x0, np.zeros(n + 1), levels
         )
         e = leapfrog.discrete_energy(leapfrog.LeapfrogState(levels[:, :-1], levels[:, 1:]), g)
         whole = float(np.max(np.abs(e - e0))) / e0

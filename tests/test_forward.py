@@ -260,6 +260,9 @@ REFUSED = {
     "digit_separator": ("t,y\n0,0\n0.5,1_0\n1,2\n", "line 3 does not hold 2 numeric fields"),
     # uniform, but not from t = 0: the window is the pass [0, T]
     "time_offset": ("t,y\n7,0\n7.5,1\n8,2\n", "time starts at 7, not at 0"),
+    # a step of dt <= 0 makes the tolerance 1e-12 + 1e-9 dt meaningless: refused first
+    "decreasing_time": ("t,y\n0,0\n-0.5,1\n-1,2\n", "time does not increase"),
+    "constant_time": ("t,y\n0,0\n0,1\n0,2\n", "time does not increase"),
 }
 
 

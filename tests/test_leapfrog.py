@@ -306,7 +306,7 @@ def blocked_free_run(state, g, n):
     """n free steps from state through the blocked recurrence of run_homogeneous."""
     S, D = _wave_parts(g)
     x0 = _to_velocity_basis(state, g)
-    x = _run_recurrence(S, np.zeros((len(S), 2)), D, x0, np.zeros(n + 1), np.empty((1, n + 1)))
+    x = _run_recurrence(S, np.zeros((len(S), 0)), D, x0, np.zeros(n + 1), np.empty((1, n + 1)))
     return _from_velocity_basis(x, g)
 
 

@@ -260,20 +260,21 @@ class TestRunRecurrence:
         dim, rows = 9, 3
         A = rng.standard_normal((dim, dim))
         S = A / np.max(np.abs(np.linalg.eigvals(A)))  # spectral radius 1
-        B = rng.standard_normal((dim, 2))
+        forced = rng.standard_normal((dim, 2))
         D = rng.standard_normal((rows, dim))
         x0 = rng.standard_normal(dim)
         s = rng.standard_normal(n + 1)
-        x = x0.copy()
-        ref = [D @ x]
-        for k in range(n):
-            x = S @ x + B @ s[k : k + 2]
-            ref.append(D @ x)
-        ref = np.array(ref).T
-        out = np.full((rows, n + 1), np.nan)
-        x_n = _run_recurrence(S, B, D, x0, s, out)
-        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.max(np.abs(x_n - x)) <= 1e-12 * np.max(np.abs(x))
+        for B in (forced, np.zeros((dim, 0))):  # a B of no columns: the free run x <- S x
+            x = x0.copy()
+            ref = [D @ x]
+            for k in range(n):
+                x = S @ x + B @ s[k : k + B.shape[1]]
+                ref.append(D @ x)
+            ref = np.array(ref).T
+            out = np.full((rows, n + 1), np.nan)
+            x_n = _run_recurrence(S, B, D, x0, s, out)
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(x_n - x)) <= 1e-12 * np.max(np.abs(x))
 
     @pytest.mark.parametrize(
         "n",
@@ -284,17 +285,18 @@ class TestRunRecurrence:
         ],
     )
     def test_cold_and_warm_calls_agree_bitwise(self, n):
-        S, B, D, x0 = _random_system(11)
+        S, forced, D, x0 = _random_system(11)
         s = np.random.default_rng(12).standard_normal(n + 1)
-        _forget_set_up()
-        cold_out, cold_x = _run(S, B, D, x0, s)
-        _forget_set_up()
-        _run(S, B, D, x0, s[: n - 4])  # S kept, with powers of another t
-        reversed_view = s[::-1].copy()[::-1]  # the same samples, as a backward sweep passes them
-        for samples in (s, s, reversed_view):
-            out, x = _run(S, B, D, x0, samples)
-            assert np.array_equal(out, cold_out)
-            assert np.array_equal(x, cold_x)
+        for B in (forced, forced[:, :0]):  # forced, and free
+            _forget_set_up()
+            cold_out, cold_x = _run(S, B, D, x0, s)
+            _forget_set_up()
+            _run(S, B, D, x0, s[: n - 4])  # S kept, with powers of another t
+            reversed_view = s[::-1].copy()[::-1]  # the samples as a backward sweep passes them
+            for samples in (s, s, reversed_view):
+                out, x = _run(S, B, D, x0, samples)
+                assert np.array_equal(out, cold_out)
+                assert np.array_equal(x, cold_x)
 
     def test_same_shape_other_content_shares_nothing(self):
         S, B, D, x0 = _random_system(13)
@@ -309,6 +311,37 @@ class TestRunRecurrence:
         assert np.array_equal(out, cold_out) and np.array_equal(x, cold_x)
         assert not np.array_equal(x, first_x)
         assert not np.array_equal(out, first_out)
+
+    @pytest.mark.parametrize("n", [_RUN_BLOCK // 2, 3 * _RUN_BLOCK, 3 * _RUN_BLOCK + 7])
+    def test_free_run_is_the_run_with_zero_input(self, n):
+        # packing no inputs changes no bits against inputs that are all zero
+        S, B, D, x0 = _random_system(17)
+        s = np.random.default_rng(18).standard_normal(n + 1)
+        zero_out, zero_x = _run(S, np.zeros_like(B), D, x0, s)
+        free_out, free_x = _run(S, B[:, :0], D, x0, s)
+        assert np.array_equal(free_out, zero_out)
+        assert np.array_equal(free_x, zero_x)
+
+    def test_free_and_forced_plans_are_kept_apart(self):
+        # the same S and D with a B of no columns, a zero B of two and a B of
+        # two: each call keys its own plan and has the bits of a cold call
+        S, B, D, x0 = _random_system(19)
+        s = np.random.default_rng(20).standard_normal(3 * _RUN_BLOCK + 7)
+        systems = {"free": B[:, :0], "zero": np.zeros_like(B), "forced": B}
+        cold = {}
+        for name, inputs in systems.items():
+            _forget_set_up()
+            cold[name] = _run(S, inputs, D, x0, s)
+        keys = set()
+        for name in ("free", "zero", "free", "forced", "free"):
+            out, x = _run(S, systems[name], D, x0, s)
+            assert np.array_equal(out, cold[name][0]) and np.array_equal(x, cold[name][1])
+            ((key, (F, W)),) = leapfrog._plan.items()
+            # a free plan has no input rows
+            assert len(F) == (0 if name == "free" else 2 * _RUN_BLOCK)
+            assert len(W) == len(S) + len(F)
+            keys.add(key)
+        assert len(keys) == 3
 
     def test_no_read_out_rows(self, grid):
         # the observer's system read out by its four rows and by none: x_n has
