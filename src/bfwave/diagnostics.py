@@ -298,13 +298,17 @@ def run_verify_battery(
     """Run the built-in checks in this process, all groups by default.
 
     groups selects a subset by name (grid, kernel, equivalence, hidden,
-    observer), run in the order given; an empty selection yields an empty,
+    observer), run in the order given, each named once, since the check
+    names key the report's rows; an empty selection yields an empty,
     vacuously passing report. injection_sign != 1 is the fault-injection hook.
     """
     names = list(_BATTERY_GROUPS) if groups is None else groups
     unknown = set(names) - set(_BATTERY_GROUPS)
     if unknown:
         raise ValueError(f"unknown battery groups: {sorted(unknown)}")
+    repeated = {name for name in names if names.count(name) > 1}
+    if repeated:
+        raise ValueError(f"repeated battery groups: {sorted(repeated)}")
     rows = []
     for name in names:
         run = _BATTERY_GROUPS[name]

@@ -7,7 +7,7 @@ Fields live on the nx+1 nodes x_j = j*dx of [0, 1] and are plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -55,9 +55,17 @@ def _check_integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_real(name: str, value) -> None:
+    """Refuse a bool, which would pass as 0 or 1, or any other value that is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def build_grid(nx: int, cfl: float, T: float) -> Grid1D:
     """Build a grid with dx = 1/nx and dt snapped to divide T exactly."""
     _check_integer("nx", nx, 3)
+    _check_real("cfl", cfl)
+    _check_real("T", T)
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     if not 0.0 < T < np.inf:
@@ -121,6 +129,8 @@ class Gains:
     gamma2: float
 
     def __post_init__(self):
+        _check_real("gamma1", self.gamma1)
+        _check_real("gamma2", self.gamma2)
         if not (0.0 < self.gamma1 < np.inf and 0.0 < self.gamma2 < np.inf):
             raise ValueError(f"gains must be strictly positive and finite, got {self}")
 
@@ -213,6 +223,8 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        _check_real("omega", self.omega)
+        _check_real("noise", self.noise)
         if not np.isfinite(self.omega):
             raise ValueError("omega must be finite")
         check_resonance(self.omega)
@@ -246,6 +258,8 @@ def source_spec_from_dict(d: dict) -> SourceSpec:
     if unknown:
         raise ValueError(f"unknown source keys: {sorted(unknown)}")
     coeffs = d.get("coeffs")
+    for c in coeffs or ():
+        _check_real("mode coefficient", c)
     return SourceSpec(
         profile=d.get("profile", "poly_paper"),
         k=d.get("k", 1),

@@ -18,10 +18,12 @@ free or forced, is not stepped: it is the linear recurrence x <- S x + B s_k
 on the velocity-basis state (u, (u - u_prev)/dt), S assembled from the
 update's formulas with the walls pinned (_wave_parts), evaluated in blocks
 by _run_recurrence. That is the package's one linear-recurrence evaluator;
-the observer's sweeps and oscillator drive run it too. It keeps its
-set-up by the content of its matrices (the powers S^t and S^b of the last
-few S, and the block plan of the last (S, B, D)), so a call on matrices
-seen before pays only for its own steps, with the bits of a first call.
+the observer's sweeps and oscillator drive run it too. Its set-up (the
+powers S^t and S^b of each S, and one block plan per (S, B, D)) is kept
+for the process by the content of its matrices in one store (_kept),
+which the observer's monitor shares, so a call on matrices seen before
+pays only for its own steps, with the bits of a first call. The store is
+bounded by the bytes it holds, _KEPT_BYTES, the oldest items going first.
 The truth cascade and the kernel checks run the wave free, forward
 synthesis forced. A free run passes B with no columns, so it packs and
 carries no inputs. The verify battery's energy drift and round trip run
@@ -165,20 +167,52 @@ def reversed_state(state: LeapfrogState, grid: Grid1D) -> LeapfrogState:
 
 
 _RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
-# _run_recurrence's set-up, kept by matrix content: the powers of the last
-# _POWERS_HELD matrices S, the key and two dim^2 arrays each, and the block
-# plan of the last (S, B, D) only. A plan holds (dim + w b) b rows values
-# for w inputs per step (2, or 0 for a free run), 220 KB for the kernel
-# check's 21 free read-out rows, so keeping more would raise peak memory;
-# the calls that share one come in a row (the kernel check's chunks, a
-# run's two offset sweeps).
-_POWERS_HELD = 8
-_powers: dict = {}  # (shape, bytes of S) -> {e: S^e}, oldest first
-_plan: dict = {}  # (b, S's key, shape of D, bytes of B, D) -> (F, W); one entry
+# Set-up kept for the process by content (_kept): _run_recurrence's powers
+# S^t, S^b and block plans, and the observer monitor's quadratic part. The
+# verify battery's 13 plans, the powers of its 8 matrices and its one
+# quadratic part count 1.33 MB (0.94 MB of arrays, the rest key bytes); a
+# stream of new systems grows the store to _KEPT_BYTES and no further, the
+# oldest items going first.
+_KEPT_BYTES = 2 << 20
+_store: dict = {}  # key -> read-only array, or tuple of them; oldest first
+
+
+def _nbytes(obj) -> int:
+    """The bytes of the arrays and bytes objects in obj, tuples walked."""
+    if isinstance(obj, tuple):
+        return sum(map(_nbytes, obj))
+    return obj.nbytes if isinstance(obj, np.ndarray) else len(obj) if isinstance(obj, bytes) else 0
+
+
+def _held_bytes() -> int:
+    """What the store counts against _KEPT_BYTES: the bytes of its items and keys.
+
+    A bytes object that several keys share is counted in each.
+    """
+    return sum(_nbytes(key) + _nbytes(item) for key, item in _store.items())
+
+
+def _kept(key: tuple, build, *args):
+    """build(*args), made read-only and kept under key for the process.
+
+    key holds the content (shape and bytes) of every matrix the result
+    depends on, so a call on matrices seen before has the bits of a first
+    call without redoing it. After a build, the oldest items leave until
+    _held_bytes is at most _KEPT_BYTES; the newest stays, even alone above it.
+    """
+    item = _store.get(key)
+    if item is None:
+        item = build(*args)
+        for a in item if isinstance(item, tuple) else (item,):
+            a.flags.writeable = False
+        _store[key] = item  # the first key object is kept, so no call leaves a new one behind
+        while len(_store) > 1 and _held_bytes() > _KEPT_BYTES:
+            del _store[next(iter(_store))]
+    return item
 
 
 def _left_power(S: np.ndarray, content: tuple, e: int) -> np.ndarray:
-    """S^e as the left product S (S (... S I)), kept under content, S's shape and bytes.
+    """S^e as the left product S (S (... S I)), kept under S's content (_kept).
 
     Read-only. Every power lies on the one chain from the identity, so one
     carried on from a kept lower power has the bits of one computed from
@@ -186,55 +220,48 @@ def _left_power(S: np.ndarray, content: tuple, e: int) -> np.ndarray:
     grows coherently over hundreds of blocks (1.5e-12 against 2.3e-13 for a
     wave run of 1e4 steps at cfl 0.9, relative to a long-double one).
     """
-    held = _powers.get(content)
-    if held is None:  # the first key object is kept, so no call leaves a new one behind
-        if len(_powers) >= _POWERS_HELD:
-            del _powers[next(iter(_powers))]
-        held = _powers[content] = {}
-    if e in held:
-        return held[e]
-    j = max((k for k in held if k < e), default=0)
-    Sj = held[j] if j else np.eye(len(S))
+    if not e:
+        return np.eye(len(S))  # the identity is cheaper made than kept
+    return _kept(("power", content, e), _carried_power, S, content, e)
+
+
+def _carried_power(S: np.ndarray, content: tuple, e: int) -> np.ndarray:
+    """S^e carried on by left products from the highest kept power below it."""
+    j = max((k[2] for k in _store if k[:2] == ("power", content) and k[2] < e), default=0)
+    Sj = _store[("power", content, j)] if j else np.eye(len(S))
     for _ in range(j, e):
         Sj = S @ Sj
-    if e:  # the identity is cheaper made than kept
-        Sj.flags.writeable = False
-        held[e] = Sj
     return Sj
 
 
 def _block_plan(
-    S: np.ndarray, B: np.ndarray, D: np.ndarray, content: tuple, b: int
+    S: np.ndarray, B: np.ndarray, D: np.ndarray, b: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices F and W of _run_recurrence's blocks of b steps; read-only.
+    """The matrices F and W of _run_recurrence's blocks of b steps.
 
     With w = B.shape[1] inputs per step, row w l + c of F is column c of
     S^(b-1-l) B, which carries input l of a block to its end. W stacks the
     rows D S^j, j < b, over the lower-triangular Toeplitz matrix of the
     responses D S^(j-1-l) B, so that the read-outs of a block are its start
     state and inputs times W. A free run (w = 0) has no F rows and no
-    Toeplitz rows: W is the rows D S^j alone.
+    Toeplitz rows: W is the rows D S^j alone. A plan holds (dim + w b) b rows
+    values, 220 KB for the kernel check's 21 free read-out rows;
+    _run_recurrence keeps one per (b, S, B, D).
     """
-    key = (b, content, D.shape, B.tobytes(), D.tobytes())  # a free B's bytes are empty
-    if key not in _plan:
-        _plan.clear()
-        (rows, dim), w = D.shape, B.shape[1]
-        P = np.empty((b, rows, dim))  # D S^j
-        G = np.empty((b, dim, w))  # S^j B
-        P[0], G[0] = D, B
-        for j in range(1, b):
-            P[j] = P[j - 1] @ S
-            G[j] = S @ G[j - 1]
-        F = G[::-1].transpose(0, 2, 1).reshape(w * b, dim)
-        # read-out j of a block: D S^j x + sum_(l<j) D S^(j-1-l) B u_l
-        H = np.concatenate([D @ G, np.zeros((1, rows, w))])  # H[b] = 0 serves l >= j
-        lag = np.arange(b) - np.arange(b)[:, None] - 1  # [l, j] = j - 1 - l
-        T = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2).reshape(w * b, b * rows)
-        W = np.vstack([P.transpose(2, 0, 1).reshape(dim, b * rows), T])
-        for a in (F, W):
-            a.flags.writeable = False
-        _plan[key] = F, W
-    return _plan[key]
+    (rows, dim), w = D.shape, B.shape[1]
+    P = np.empty((b, rows, dim))  # D S^j
+    G = np.empty((b, dim, w))  # S^j B
+    P[0], G[0] = D, B
+    for j in range(1, b):
+        P[j] = P[j - 1] @ S
+        G[j] = S @ G[j - 1]
+    F = G[::-1].transpose(0, 2, 1).reshape(w * b, dim)
+    # read-out j of a block: D S^j x + sum_(l<j) D S^(j-1-l) B u_l
+    H = np.concatenate([D @ G, np.zeros((1, rows, w))])  # H[b] = 0 serves l >= j
+    lag = np.arange(b) - np.arange(b)[:, None] - 1  # [l, j] = j - 1 - l
+    T = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2).reshape(w * b, b * rows)
+    W = np.vstack([P.transpose(2, 0, 1).reshape(dim, b * rows), T])
+    return F, W
 
 
 def _run_recurrence(
@@ -256,17 +283,19 @@ def _run_recurrence(
     S^t applied to its start plus the responses S^(t-1-l) B of its first t
     inputs. A free run packs no inputs: it reads out through the rows
     D S^j alone and carries each block start straight into the next. The
-    powers and the plan are kept by the content of S, B and D
-    (_left_power, _block_plan), so a call on a matrix seen before pays
-    only for its own steps, with the same bits as a first call.
+    powers (_left_power) and the plan (_block_plan) are kept for the
+    process by the content of S, B and D (_kept), so a call on matrices
+    seen before pays only for its own steps, with the same bits as a first
+    call.
     """
     S, B, D = (np.asarray(a, dtype=float) for a in (S, B, D))
     s = np.asarray(s, dtype=float)
     n, dim, w = len(s) - 1, len(S), B.shape[1]  # w: 2 inputs per step, or 0 for a free run
     b = min(_RUN_BLOCK, n + 1)
     full, t = divmod(n, b)  # node n is t steps into the block after `full` whole ones
-    content = (S.shape, S.tobytes())  # S's key in both caches
-    F, W = _block_plan(S, B, D, content, b)
+    content = (S.shape, S.tobytes())  # S's part of every key
+    plan = ("plan", content, b, D.shape, B.tobytes(), D.tobytes())  # a free B's bytes are empty
+    F, W = _kept(plan, _block_plan, S, B, D, b)
     St, Sb = _left_power(S, content, t), _left_power(S, content, b)
     # row i: the start x of block i, then its inputs u_k = (s_k, s_k+1), zero past s_n
     XU = np.empty((full + 1, dim + w * b))

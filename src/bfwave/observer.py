@@ -53,7 +53,9 @@ the loop. The truth monitor is a function of those arrays run after it
 (_sweep_forms, evaluated by _start_integrals), expanded around the two
 sweeps from the zero state that give c, yield the integrals it would have
 taken from that sweep's series; their quadratic part is the same for every
-sweep. It takes the arrays whole: the error fields of all boundaries are
+sweep, and is kept for the process with the evaluator's set-up
+(leapfrog._kept), so a run on a system seen before does not sum it again.
+It takes the arrays whole: the error fields of all boundaries are
 one stack of rows, and the norms (grid.l2_norm, grid.h1_seminorm),
 lyapunov_value and the trace-bound ratio each take a stack of rows and
 return one value per row, so no Python loop runs per boundary. Each
@@ -76,6 +78,7 @@ from .grid import Gains, Grid1D, _slope_sq, _trapezoid_sq, h1_seminorm, l2_norm
 from .leapfrog import (
     LeapfrogState,
     _from_velocity_basis,
+    _kept,
     _leap,
     _run_recurrence,
     _to_velocity_basis,
@@ -693,17 +696,16 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     by D_f (S - I) S^k x. So each of its integrals is h + 2 g.x + x.G.x, h
     that of e, with g = sum_k a_k D S^k and G = sum_k w_k S^k' D'D S^k over
     the sweep's steps (a_k the weighted series, w_k the weights). g is a
-    _power_sum; G, which does not depend on e, is summed by doubling,
-    W(i + j) = W(i) + S^i' W(j) S^i with W(j) the sum over j steps.
+    _power_sum, redone on every run. G does not depend on e: _quadratic_part
+    sums it once per S, D, n and dt, kept by content (leapfrog._kept).
     """
-    dt, n, dim = grid.dt, grid.n_steps_per_pass, len(S)
+    dt, n = grid.dt, grid.n_steps_per_pass
     read = _readout_rows(grid)
     D = np.vstack([read, read[2] @ S - read[2]])
     # The term k = 0 is summed apart: D[4] reads f_1 - f_0, which is not
     # small off the sweep's states, while D[4] S^k, k >= 1, are differences
     # of consecutive f, and carried from D S they keep their own scale.
-    DS = D @ S
-    powers = _power_rows(S, DS)
+    powers = _power_rows(S, D @ S)
     # the weighted series a of one direction at a time, refilled in place
     a = np.empty((5, n + 1))
     a[4, n] = 0.0
@@ -714,10 +716,22 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
         a[:4, [0, n]] *= 0.5
         a[4, :n] = np.diff(e[2]) / dt
         gs.append(a[:, :1] * D + _power_sum(powers, a[:, 1:]))
-    # a monitored run's memory peaks in the doubling below; free these first
+    # on a system's first run, _quadratic_part's doubling would stack its
+    # temporaries on these; free them first
     del powers, a
+    key = ("sweep forms", (S.shape, S.tobytes()), D.tobytes(), n, dt)
+    return gs, _kept(key, _quadratic_part, S, D, n, dt)
+
+
+def _quadratic_part(S: np.ndarray, D: np.ndarray, n: int, dt: float) -> np.ndarray:
+    """G of _sweep_forms for the rows D over a sweep of n steps of dt.
+
+    Summed by doubling, W(i + j) = W(i) + S^i' W(j) S^i with W(j) the sum
+    over j steps.
+    """
+    DS = D @ S
     W = DS[:, :, None] * DS[:, None, :]
-    P, A, total, bits = S, np.eye(dim), np.zeros_like(W), n - 1
+    P, A, total, bits = S, np.eye(len(S)), np.zeros_like(W), n - 1
     while True:
         if bits & 1:
             total += A.T @ W @ A
@@ -735,7 +749,7 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
         first[:, :, None] * first[:, None, :] + last[:, :, None] * last[:, None, :]
     )
     G[4] = (total[4] + np.outer(D[4], D[4])) / dt
-    return gs, G
+    return G
 
 
 def _start_integrals(S: np.ndarray, records: list[np.ndarray], starts: np.ndarray, grid: Grid1D):
@@ -815,6 +829,9 @@ def run_back_and_forth(
             plant = run_plant_cycle(q, omega, grid)
             for e, zt in zip(records, plant.sweep_z):
                 e[:2] -= zt
+            # the backward sweep's truth rows, a copy as long as the records,
+            # would outlive the loop into the forms, where the run's memory peaks
+            del zt
             integrals = _start_integrals(S, records, starts[:-1], grid)
             history = _truth_history(q, plant, starts, ends, integrals, gains, omega, grid)
             err = estimates - q

@@ -286,6 +286,13 @@ class TestVerify:
     def test_unknown_group_exit_2(self, tmp_path):
         assert cmd_verify(tmp_path / "v", quiet=True, checks="nope") == EXIT_CONFIG
 
+    def test_repeated_group_exit_2(self, tmp_path):
+        # verify.csv's check names are its keys, so no group runs twice
+        out = tmp_path / "v"
+        argv = ["verify", "--out", str(out), "--checks", "grid,grid", "--quiet"]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_seed_flag_rejected(self, tmp_path):
         # verify runs no seeded scenario, so it takes no --seed
         out = tmp_path / "v"
@@ -424,6 +431,28 @@ class TestExitCodes:
     def test_non_integer_count_exit_2(self, tmp_path, bad):
         # an integer field is refused, not truncated or passed on to fail later
         p = write_config(tmp_path / "c.json", noise=0.1, **bad)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"cfl": True},
+            {"gamma1": True},
+            {"gamma2": True},
+            {"T": True},
+            {"omega": True},
+            {"noise": False},
+            {"source": {"profile": "modes", "coeffs": [1.0, True]}},
+        ],
+        ids=["cfl", "gamma1", "gamma2", "T", "omega", "noise", "coeffs"],
+    )
+    def test_boolean_real_exit_2(self, tmp_path, bad):
+        # JSON's true and false are not the numbers 1 and 0; refused, not run
+        # and recorded in the manifest as booleans
+        p = write_config(tmp_path / "c.json", **bad)
         out = tmp_path / "out"
         out.mkdir()
         assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CONFIG

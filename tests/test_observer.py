@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,8 +240,7 @@ def _run(S, B, D, x0, s):
 
 
 def _forget_set_up():
-    leapfrog._powers.clear()
-    leapfrog._plan.clear()
+    leapfrog._store.clear()
 
 
 class TestRunRecurrence:
@@ -324,7 +325,7 @@ class TestRunRecurrence:
 
     def test_free_and_forced_plans_are_kept_apart(self):
         # the same S and D with a B of no columns, a zero B of two and a B of
-        # two: each call keys its own plan and has the bits of a cold call
+        # two: each keys its own kept plan, and each call has the bits of a cold call
         S, B, D, x0 = _random_system(19)
         s = np.random.default_rng(20).standard_normal(3 * _RUN_BLOCK + 7)
         systems = {"free": B[:, :0], "zero": np.zeros_like(B), "forced": B}
@@ -332,16 +333,33 @@ class TestRunRecurrence:
         for name, inputs in systems.items():
             _forget_set_up()
             cold[name] = _run(S, inputs, D, x0, s)
-        keys = set()
+        _forget_set_up()
         for name in ("free", "zero", "free", "forced", "free"):
             out, x = _run(S, systems[name], D, x0, s)
             assert np.array_equal(out, cold[name][0]) and np.array_equal(x, cold[name][1])
-            ((key, (F, W)),) = leapfrog._plan.items()
+        # plan keys: ("plan", S's content, b, D's shape, B's bytes, D's bytes)
+        plans = {key[4]: item for key, item in leapfrog._store.items() if key[0] == "plan"}
+        assert len(plans) == 3
+        for name, inputs in systems.items():
+            F, W = plans[inputs.tobytes()]
             # a free plan has no input rows
             assert len(F) == (0 if name == "free" else 2 * _RUN_BLOCK)
             assert len(W) == len(S) + len(F)
-            keys.add(key)
-        assert len(keys) == 3
+
+    def test_system_seen_before_builds_nothing(self):
+        # A, then B and C, then A again: the second A call finds its plan and
+        # powers kept, builds nothing, and has the bits of a cold call
+        s = np.random.default_rng(21).standard_normal(3 * _RUN_BLOCK + 7)
+        a, *others = (_random_system(seed) for seed in (22, 23, 24))
+        _forget_set_up()
+        cold_out, cold_x = _run(*a, s)
+        for system in others:
+            _run(*system, s)
+        kept = dict(leapfrog._store)
+        out, x = _run(*a, s)
+        assert list(leapfrog._store) == list(kept)
+        assert all(leapfrog._store[key] is item for key, item in kept.items())
+        assert np.array_equal(out, cold_out) and np.array_equal(x, cold_x)
 
     def test_no_read_out_rows(self, grid):
         # the observer's system read out by its four rows and by none: x_n has
@@ -356,13 +374,20 @@ class TestRunRecurrence:
         assert _run_recurrence(S, B, D[:0], x0, s, none).tobytes() == x_read.tobytes()
 
     def test_kept_set_up_is_bounded(self):
+        # a stream of new systems fills the store up to its byte bound and no
+        # further, the oldest going first; each S keeps S^t and S^b only
         _forget_set_up()
         s = np.ones(_RUN_BLOCK + 5)
-        for seed in range(leapfrog._POWERS_HELD + 3):
-            _run(*_random_system(seed), s)
-        assert len(leapfrog._powers) == leapfrog._POWERS_HELD
-        assert len(leapfrog._plan) == 1
-        assert all(len(powers) <= 2 for powers in leapfrog._powers.values())  # S^t and S^b
+        contents = []
+        for seed in range(24):
+            S, B, D, x0 = _random_system(seed, dim=40)
+            _run(S, B, D, x0, s)
+            contents.append((S.shape, S.tobytes()))
+            assert leapfrog._held_bytes() <= leapfrog._KEPT_BYTES
+        assert leapfrog._held_bytes() > leapfrog._KEPT_BYTES // 2
+        kept = [key[1] for key in leapfrog._store]
+        assert contents[-1] in kept and contents[0] not in kept
+        assert all(kept.count(c) <= 3 for c in contents)  # one plan, S^t and S^b
 
 
 class TestSimulateCascade:
@@ -757,6 +782,33 @@ class TestMonitorForms:
         )
         gaps = series_gaps(history, cycle, h, res.per_cycle)
         assert max(gaps.values()) <= 1e-9, gaps
+
+    def test_cold_and_warm_runs_agree_bitwise(self, grid, monkeypatch):
+        # a run after the kept set-up is cleared has the bits of a warm run in
+        # every output; the forms' quadratic part is built once per system
+        q = poly_source(grid)
+        m = simulate_forward(q, 2.0, grid)
+        build, builds = observer._quadratic_part, []
+        monkeypatch.setattr(observer, "_quadratic_part", lambda *a: builds.append(a) or build(*a))
+
+        def run(sign=1.0):
+            return run_back_and_forth(
+                m, Gains(1.0, 0.5), 2.0, grid, 3, q_true=q, injection_sign=sign
+            )
+
+        _forget_set_up()
+        cold, warm = run(), run()
+        assert len(builds) == 1
+        run(-1.0)  # another S
+        run()
+        assert len(builds) == 2
+        assert np.array_equal(cold.estimates, warm.estimates)
+        for column in CYCLE_COLUMNS:
+            assert np.array_equal(cold.per_cycle[column], warm.per_cycle[column]), column
+        for field in dataclasses.fields(cold.history):
+            a, b = (getattr(r.history, field.name) for r in (cold, warm))
+            assert np.array_equal(a, b), field.name
+        assert np.array_equal(cold.final_state.x, warm.final_state.x)
 
     def test_zero_truth_zero_measurement(self, grid):
         # the forms of an all-zero run are zero: no energy, no trace, no refusal

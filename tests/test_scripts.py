@@ -39,3 +39,20 @@ def test_reference_scenario_file_set(tmp_path, own_path, monkeypatch):
         "manifest.json",
         "measurement.csv",
     ]
+
+
+def test_ab_inprocess_on_one_checkout(tmp_path, own_path, capsys):
+    # the checkout against itself, each side imported as its own package:
+    # same exit codes and the same CSV bytes
+    script = SCRIPTS[[p.name for p in SCRIPTS].index("ab_inprocess.py")]
+    main = runpy.run_path(str(script), run_name="script_import")["main"]
+    root = str(script.parents[1])
+    argv = [root, root, "--pairs", "2", "--work", str(tmp_path), "--", "verify", "--checks", "grid"]
+    try:
+        assert main([*argv, "--quiet"]) == 0
+    finally:
+        for name in [m for m in sys.modules if m.startswith(("bfwave_base", "bfwave_change"))]:
+            del sys.modules[name]
+    out = capsys.readouterr().out
+    assert "change won" in out and "every CSV byte-identical in every pair" in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base", "change"]
