@@ -15,12 +15,14 @@ Each side runs the command once untimed, so kept set-up and lazy imports
 are in place, then N pairs are timed, the side that goes first alternating.
 After every pair the CSV files of the two output directories are compared
 byte for byte (manifest.json holds a timestamp and the paths, so it is left
-out). The script prints each side's median time, their ratio (CHANGE over
-BASE), the pairs CHANGE won, and whether every CSV either side wrote was
-byte identical in every pair. Within one process the two sides share the host's
-speed at every moment, so BLAS-heavy commands compare more steadily than
-in separate processes; pin BLAS to one thread for timings
-(OPENBLAS_NUM_THREADS=1 and the like, set before the run).
+out). The script prints each side's median time with its quartiles and
+interquartile range, the ratio of the medians (CHANGE over BASE), the
+quartiles of the per-pair ratios, the pairs CHANGE won, and whether every
+CSV either side wrote was byte identical in every pair. Within one process
+the two sides share the host's speed at every moment, so BLAS-heavy
+commands compare more steadily than in separate processes; pin BLAS to one
+thread for timings (OPENBLAS_NUM_THREADS=1 and the like, set before the
+run).
 
 Exit status: 0 when the CSVs matched and both sides returned the same
 exit codes, 1 otherwise.
@@ -61,6 +63,13 @@ def _differing(a: Path, b: Path) -> list[str]:
     return found
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    """First quartile, median and third quartile (inclusive method)."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         usage="%(prog)s BASE CHANGE [--pairs N] [--work DIR] -- COMMAND ARGS...",
@@ -97,11 +106,17 @@ def main(argv=None) -> int:
             times[label].append(call(label))
         mismatched.update(_differing(work / "base", work / "change"))
     base, change = (statistics.median(times[label]) for label in ("base", "change"))
-    won = sum(c < b for b, c in zip(times["base"], times["change"]))
+    ratios = [c / b for b, c in zip(times["base"], times["change"])]
+    won = sum(r < 1 for r in ratios)
     print(f"command: bfwave {' '.join(command)}; outputs in {work}")
-    print(f"base   median {base * 1e3:.2f} ms over {args.pairs} timed calls")
-    print(f"change median {change * 1e3:.2f} ms over {args.pairs} timed calls")
+    for label in sides:
+        q1, med, q3 = (v * 1e3 for v in _quartiles(times[label]))
+        print(
+            f"{label:<6} median {med:.2f} ms, quartiles {q1:.2f} / {q3:.2f} ms"
+            f" (interquartile range {q3 - q1:.2f} ms) over {args.pairs} timed calls"
+        )
     print(f"ratio change/base {change / base:.3f}; change won {won} of {args.pairs} pairs")
+    print("per-pair ratio change/base quartiles {:.3f} / {:.3f} / {:.3f}".format(*_quartiles(ratios)))
     print(f"exit codes: base {sorted(codes['base'])}, change {sorted(codes['change'])}")
     if mismatched:
         print(f"CSVs differ: {', '.join(sorted(mismatched))}")

@@ -361,7 +361,9 @@ def cmd_full(config_path, out_dir=None, seed: int | None = None, quiet: bool = F
     return _result_exit(result)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="bfwave", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bfwave {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -389,8 +391,11 @@ def main(argv=None) -> int:
     )
     p_ver.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
     add_run("full", "simulate + invert + diagnostics")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "simulate":
         return cmd_simulate(args.config, args.out, args.seed, args.quiet)
     if args.command == "invert":

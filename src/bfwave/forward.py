@@ -9,10 +9,8 @@ RMS of the clean signal.
 from __future__ import annotations
 
 import csv
-import itertools
 import warnings
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -28,6 +26,11 @@ __all__ = [
 ]
 
 _CSV_BLOCK = 512  # measurement rows formatted per write; 4096 raised peak memory by 0.4 MB
+# Bytes of lines parsed per np.loadtxt call, about 1,500 rows. On the 12,001-row
+# reference file (2-core Xeon VM), one call fed by a Python line iterator took
+# 1.08-1.10x as long; one readlines() of the whole file is as fast, but raised a
+# fresh process's max RSS by 0.68 MB against 0.16 MB.
+_READ_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,16 +133,34 @@ def _row_refusal(lines, first: int) -> str:
     return "measurement rows do not hold 2 numeric fields each (t,y)"
 
 
+def _read_rows(fh, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns t and y of the lines left in fh, the first of them file line first."""
+    chunks = [np.empty((0, 2))]
+    with warnings.catch_warnings():  # a chunk of blank lines is refused below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        while lines := fh.readlines(_READ_CHUNK):
+            try:
+                ty = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            except ValueError:
+                ty = None
+            # np.loadtxt skips blank lines: a chunk with fewer rows than lines has one
+            if ty is None or ty.shape != (len(lines), 2):
+                raise ValueError(_row_refusal(lines, first))
+            chunks.append(ty)
+            first += len(lines)
+    return tuple(np.concatenate([ty[:, k] for ty in chunks]) for k in (0, 1))
+
+
 def read_measurement_csv(path) -> MeasurementRecord:
     """Read a t,y measurement, and its provenance line if it has one.
 
-    The rows are parsed by np.loadtxt into one float array: two fields
-    each, quoted or not, lines ending in LF or CRLF. A file without a
-    provenance line reads as clean. A blank row, or a row that is not two
-    numbers, is refused by its file line, found by a second pass over the
-    body that runs only when the first parse fails. The times must
-    increase, be uniform and start at 0, the last two to within
-    1e-12 + 1e-9 dt.
+    The rows are parsed by np.loadtxt, one chunk of lines at a time, into
+    float arrays: two fields each, quoted or not, lines ending in LF, CRLF
+    or CR. A file without a provenance line reads as clean. A blank row, or
+    a row that is not two numbers, is refused by its file line, found by a
+    second pass over its chunk that runs only when the chunk's parse fails.
+    The times must increase, be uniform and start at 0, the last two to
+    within 1e-12 + 1e-9 dt.
     """
     with open(path, newline="") as fh:
         line = fh.readline()
@@ -150,22 +171,9 @@ def read_measurement_csv(path) -> MeasurementRecord:
         header = next(csv.reader([line]))
         if header[:2] != ["t", "y"]:
             raise ValueError(f"unexpected measurement header {header!r}")
-        # np.loadtxt skips blank lines; counting the lines it takes finds them
-        lines = itertools.count()
-        with warnings.catch_warnings():  # an empty body is refused below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            body = map(itemgetter(1), zip(lines, fh))
-            try:
-                ty = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
-            except ValueError:
-                ty = None
-        # zip draws from lines once more before fh runs out
-        if ty is None or (len(ty) and ty.shape[1] != 2) or next(lines) - 1 != len(ty):
-            fh.seek(0)
-            raise ValueError(_row_refusal(itertools.islice(fh, first - 1, None), first))
-    if len(ty) < 2:
+        t, y = _read_rows(fh, first)
+    if len(t) < 2:
         raise ValueError("measurement needs at least two samples")
-    t, y = ty[:, 0], ty[:, 1].copy()  # the record keeps y alone, not all of ty
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise ValueError("measurement has non-finite samples")
     dt = t[1] - t[0]

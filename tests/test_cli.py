@@ -535,6 +535,30 @@ def assert_manifest_lists_directory(out):
     assert all(p.stat().st_mtime_ns <= manifest.stat().st_mtime_ns for p in others)
 
 
+class TestSharedParser:
+    """main parses with one parser per process; its calls share no parsed values."""
+
+    def test_seed_option_not_kept(self, tmp_path):
+        p = write_config(tmp_path / "c.json")
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "a"), "--seed", "5"]) == 0
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "b"), "--quiet"]) == 0
+        seeds = [json.loads((tmp_path / d / "manifest.json").read_text())["seed_used"] for d in "ab"]
+        assert seeds == [5, 42]
+
+    def test_checks_option_not_kept(self, tmp_path):
+        assert main(["verify", "--out", str(tmp_path / "a"), "--checks", "grid", "--quiet"]) == 0
+        assert main(["verify", "--out", str(tmp_path / "b"), "--quiet"]) == 0
+        _, rows = read_csv(tmp_path / "b" / "verify.csv")
+        assert [r[0] for r in rows] == [e.name for e in run_verify_battery().entries]
+
+    def test_version_after_a_command(self, tmp_path, capsys):
+        assert main(["verify", "--out", str(tmp_path / "v"), "--checks", "", "--quiet"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("bfwave ")
+
+
 class TestManifest:
     """manifest.json is written last and lists every file the command wrote."""
 

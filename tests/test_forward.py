@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bfwave.forward import (
     _CSV_BLOCK,
+    _READ_CHUNK,
     MeasurementRecord,
     add_noise,
     read_measurement_csv,
@@ -239,6 +240,9 @@ ACCEPTED = {
     "signed_exponent": "t,y\n+0E+00,0\n5E-01,+1E+00\n1,2\n",
     "no_final_newline": "t,y\n0,0\n0.5,1\n1,2",
     "extra_header_column": "t,y,z\n0,0\n0.5,1\n1,2\n",
+    # a lone CR ends a line too, as in universal-newline reading
+    "cr": "t,y\r0,0\r0.5,1\r1,2\r",
+    "mixed": "t,y\r\n0,0\n0.5,1\r1,2\r\n",
 }
 REFUSED = {
     "three_fields": ("t,y\n0,0,0\n0.5,1,1\n1,2,2\n", "fields"),
@@ -297,3 +301,52 @@ class TestReaderContract:
             path.write_text("t,y\r\n" + text, newline="")
             back = read_measurement_csv(path)
         assert back.y.tobytes() == np.array(y).tobytes()
+
+
+@pytest.fixture(scope="module")
+def reference_record():
+    # a noisy pass of the reference grid: 12,001 samples
+    g = build_grid(20, 0.005, 3.0)
+    return add_noise(simulate_forward(sine_mode(g), 2.0, g), 0.1, 11)
+
+
+@pytest.fixture
+def reference_lines(reference_record, tmp_path):
+    """The lines of the record's file: provenance at line 1, header at 2, rows from 3."""
+    path = write_measurement_csv(reference_record, tmp_path / "ref.csv")
+    return path.read_bytes().decode().splitlines(keepends=True)
+
+
+@pytest.mark.filterwarnings("error")
+class TestReaderPastFirstChunk:
+    """Reference-size files span many np.loadtxt chunks of _READ_CHUNK bytes."""
+
+    @staticmethod
+    def read(tmp_path, lines):
+        path = tmp_path / "m.csv"
+        path.write_text("".join(lines), newline="")
+        return read_measurement_csv(path)
+
+    def test_reads_back_as_csv_rows(self, tmp_path, reference_record, reference_lines):
+        assert len("".join(reference_lines)) > 4 * _READ_CHUNK
+        back = self.read(tmp_path, reference_lines)
+        t, y = np.array([[float(v) for v in row] for row in csv.reader(reference_lines[2:])]).T
+        assert back.y.tobytes() == y.tobytes() == reference_record.y.tobytes()
+        assert (back.dt, back.T) == (t[1] - t[0], t[-1])
+        assert (back.provenance, back.noise_level, back.noise_seed) == ("noisy", 0.1, 11)
+
+    def test_late_blank_row(self, tmp_path, reference_lines):
+        reference_lines.insert(8999, "\r\n")
+        with pytest.raises(ValueError, match="blank row at line 9000$"):
+            self.read(tmp_path, reference_lines)
+
+    def test_late_three_field_row(self, tmp_path, reference_lines):
+        reference_lines[11991] = reference_lines[11991].replace("\r\n", ",0\r\n")
+        with pytest.raises(ValueError, match="line 11992 does not hold 2 numeric fields"):
+            self.read(tmp_path, reference_lines)
+
+    def test_chunk_of_blank_lines(self, tmp_path, reference_lines):
+        # the first chunk holds nothing but blank lines, the rows follow
+        reference_lines[2:2] = ["\r\n"] * _READ_CHUNK
+        with pytest.raises(ValueError, match="blank row at line 3$"):
+            self.read(tmp_path, reference_lines)

@@ -55,4 +55,5 @@ def test_ab_inprocess_on_one_checkout(tmp_path, own_path, capsys):
             del sys.modules[name]
     out = capsys.readouterr().out
     assert "change won" in out and "every CSV byte-identical in every pair" in out
+    assert "per-pair ratio change/base quartiles" in out and "interquartile range" in out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["base", "change"]
