@@ -111,7 +111,7 @@ def blocked_free_levels(q0, grid, n: int) -> np.ndarray:
 
 def stepped_estimates(y, gains, omega, grid, cycles: int, dtype) -> np.ndarray:
     """Estimates after cycles 1..cycles of the stepped recurrence in dtype, one row each."""
-    step = _observer_step(gains, omega, grid, 1.0)
+    step = _observer_step(gains, omega, grid)
     n, nx1 = grid.n_steps_per_pass, grid.nx + 1
     y = np.asarray(y, dtype=dtype)
     u_prev = np.zeros((nx1, 1), dtype=dtype)

@@ -2,8 +2,9 @@
 
 Recovers an unknown spatial source q(x) of a harmonically forced 1D wave
 equation from the Neumann trace measured at one endpoint. The package
-bundles the leapfrog wave kernel, the cascade/observer iteration, an
-independent spectral oracle, and a diagnostics suite.
+bundles the leapfrog wave kernel, the cascade/observer iteration and a
+diagnostics suite, and needs numpy alone. The closed-form spectral oracle
+that checks it independently lives with the tests (tests/oracle.py).
 """
 
 __version__ = "0.1.0"
@@ -35,7 +36,6 @@ from .observer import (
     run_back_and_forth,
     simulate_cascade,
 )
-from .scenarios import minimal_horizon_scenario
 
 __all__ = [
     "__version__",
@@ -62,5 +62,4 @@ __all__ = [
     "observer_half_pass",
     "run_back_and_forth",
     "simulate_cascade",
-    "minimal_horizon_scenario",
 ]

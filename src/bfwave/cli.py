@@ -331,12 +331,10 @@ def cmd_invert(config_path, measurement_path, out_dir=None, quiet: bool = False)
 
 
 @_exit_codes
-def cmd_verify(
-    out_dir, quiet: bool = False, injection_sign: float = 1.0, checks: str | None = None
-) -> int:
+def cmd_verify(out_dir, quiet: bool = False, checks: str | None = None) -> int:
     groups = None if checks is None else [c for c in checks.split(",") if c]
     with _refused_as(ConfigError):  # unknown group
-        report = run_verify_battery(injection_sign=injection_sign, groups=groups)
+        report = run_verify_battery(groups=groups)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_checks_csv(out / "verify.csv", report)
@@ -389,7 +387,6 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated battery groups (grid,kernel,equivalence,hidden,observer)",
     )
-    p_ver.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
     add_run("full", "simulate + invert + diagnostics")
     return parser
 
@@ -401,8 +398,7 @@ def main(argv=None) -> int:
     if args.command == "invert":
         return cmd_invert(args.config, args.measurement, args.out, args.quiet)
     if args.command == "verify":
-        sign = -1.0 if args.inject_sign_error else 1.0
-        return cmd_verify(args.out, args.quiet, injection_sign=sign, checks=args.checks)
+        return cmd_verify(args.out, args.quiet, checks=args.checks)
     return cmd_full(args.config, args.out, args.seed, args.quiet)
 
 

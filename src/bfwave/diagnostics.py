@@ -269,15 +269,13 @@ def _battery_hidden_regularity() -> list[CheckResult]:
     ]
 
 
-def _battery_observer_run(injection_sign: float = 1.0) -> list[CheckResult]:
+def _battery_observer_run() -> list[CheckResult]:
     # reduced back-and-forth scenario: the reference scenario, coarser in time
     cfg = ScenarioConfig(cfl=0.02, iterations=8)
     g = cfg.grid()
     q = cfg.q_true(g)
     y = simulate_forward(q, cfg.omega, g)
-    res = run_back_and_forth(
-        y, cfg.gains(), cfg.omega, g, cfg.iterations, q_true=q, injection_sign=injection_sign
-    )
+    res = run_back_and_forth(y, cfg.gains(), cfg.omega, g, cfg.iterations, q_true=q)
     rel = res.per_cycle["l2_err"][-1] / l2_norm(q, g)
     note = f"relative L2 estimate error after {cfg.iterations} reduced-scenario iterations"
     return [*run_level_checks(res.history), _at_most("reconstruction_smoke", rel, 0.40, note)]
@@ -292,15 +290,13 @@ _BATTERY_GROUPS = {
 }
 
 
-def run_verify_battery(
-    injection_sign: float = 1.0, groups: list[str] | None = None
-) -> DiagnosticsReport:
+def run_verify_battery(groups: list[str] | None = None) -> DiagnosticsReport:
     """Run the built-in checks in this process, all groups by default.
 
     groups selects a subset by name (grid, kernel, equivalence, hidden,
     observer), run in the order given, each named once, since the check
     names key the report's rows; an empty selection yields an empty,
-    vacuously passing report. injection_sign != 1 is the fault-injection hook.
+    vacuously passing report.
     """
     names = list(_BATTERY_GROUPS) if groups is None else groups
     unknown = set(names) - set(_BATTERY_GROUPS)
@@ -311,6 +307,5 @@ def run_verify_battery(
         raise ValueError(f"repeated battery groups: {sorted(repeated)}")
     rows = []
     for name in names:
-        run = _BATTERY_GROUPS[name]
-        rows += run(injection_sign) if name == "observer" else run()
+        rows += _BATTERY_GROUPS[name]()
     return DiagnosticsReport(rows)

@@ -336,7 +336,7 @@ class BackAndForthResult:
 # the observer step and the sweep
 
 
-def _observer_step(gains: Gains, omega: float, grid: Grid1D, injection_sign: float):
+def _observer_step(gains: Gains, omega: float, grid: Grid1D):
     """One coupled observer step, in the sweep's local time, on columns of states.
 
     step(u_prev, u_curr, z1, z2, w, Yn, Yn1) returns the advanced
@@ -363,7 +363,7 @@ def _observer_step(gains: Gains, omega: float, grid: Grid1D, injection_sign: flo
         z2n = e21 * z1 + e22 * z2 + hdt * (e21 * b1 + e22 * trc + trc)
         wn = w + e31 * z1 + e32 * z2 + hdt * (e31 * b1 + e32 * trc - (Yn + Yn1))
         un = _leap(u_prev, u_curr, c2)
-        un[0] = injection_sign * (g1 * (z1n - Yn1) + g1g2 * wn)
+        un[0] = g1 * (z1n - Yn1) + g1g2 * wn
         un[-1] = 0.0
         return u_curr, un, z1n, z2n, wn
 
@@ -376,7 +376,6 @@ def _sweep(
     gains: Gains,
     omega: float,
     grid: Grid1D,
-    injection_sign: float,
     rec: np.ndarray,
 ) -> tuple[ObserverState, np.ndarray]:
     """Advance the coupled wave/oscillator pair over half-pass state.half_pass.
@@ -390,7 +389,7 @@ def _sweep(
     sweep's local time), the x=0 Dirichlet value and the left trace.
     """
     half = state.half_pass
-    _, S, B = _linear_parts(gains, omega, grid, injection_sign)
+    _, S, B = _linear_parts(gains, omega, grid)
     Yp = y if half % 2 == 0 else y[::-1]
     x = _run_recurrence(S, B, _readout_rows(grid), state.x, Yp, rec)
     return ObserverState(_turned(x, grid), half + 1), x
@@ -402,7 +401,6 @@ def observer_half_pass(
     gains: Gains,
     omega: float,
     grid: Grid1D,
-    injection_sign: float = 1.0,
 ) -> ObserverState:
     """Run one half-pass over the measurement and turn the state around for the next one.
 
@@ -413,7 +411,7 @@ def observer_half_pass(
     """
     y = pass_samples(measurement, grid)
     rec = np.empty((4, grid.n_steps_per_pass + 1))
-    return _sweep(state, y, gains, omega, grid, injection_sign, rec)[0]
+    return _sweep(state, y, gains, omega, grid, rec)[0]
 
 
 def extract_estimate(state: ObserverState, grid: Grid1D) -> np.ndarray:
@@ -621,7 +619,7 @@ def _turned(x: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: float):
+def _linear_parts(gains: Gains, omega: float, grid: Grid1D):
     """The turn R, the one-step matrix S and the step's input matrix B.
 
     A step takes the velocity-basis state x to S x + B (Y_k, Y_k+1), the
@@ -633,7 +631,7 @@ def _linear_parts(gains: Gains, omega: float, grid: Grid1D, injection_sign: floa
     eye = np.eye(2 * grid.nx + 5)
     basis = _state_parts(eye, grid)
     zero = _state_parts(np.zeros((len(eye), 2)), grid)
-    step = _observer_step(gains, omega, grid, injection_sign)
+    step = _observer_step(gains, omega, grid)
     parts = (
         _turned(eye, grid),
         _state_vector(*step(*basis, 0.0, 0.0), grid),
@@ -775,8 +773,6 @@ def run_back_and_forth(
     grid: Grid1D,
     n_iterations: int,
     q_true: np.ndarray | None = None,
-    *,
-    injection_sign: float = 1.0,
 ) -> BackAndForthResult:
     """Alternate forward/backward observer sweeps over the measurement.
 
@@ -787,9 +783,6 @@ def run_back_and_forth(
     q_true. With q_true the exact periodized truth cycle is integrated once,
     and after the iteration the error fields observer-minus-truth are
     sampled at every half-pass boundary from the run's kept states.
-
-    injection_sign is a fault-injection hook for the diagnostics battery
-    (a wrong sign must break the Lyapunov decrease); leave at 1.0.
     """
     if grid.T < 2.0:
         warnings.warn(
@@ -806,7 +799,7 @@ def run_back_and_forth(
     # own matrices overflow) goes on to its end, where its non-finite result
     # is reported once, not as a warning per overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        turn, S, B = _linear_parts(gains, omega, grid, injection_sign)
+        turn, S, B = _linear_parts(gains, omega, grid)
         Sn = np.linalg.matrix_power(S, n)
         # velocity-basis states: starts[h] before half-pass h (the last row is
         # the final state), ends[h] as sweep h leaves it, before the turn

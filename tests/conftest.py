@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from bfwave import ScenarioConfig, add_noise, l2_norm, run_back_and_forth, simulate_forward
-from bfwave.scenarios import minimal_horizon_scenario
+from bfwave import observer
 
 settings.register_profile(
     "numeric", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -44,7 +44,8 @@ def reference_run_noisy():
 
 @pytest.fixture(scope="session")
 def minimal_horizon_run():
-    cfg = minimal_horizon_scenario(T=2.0)
+    """The observability horizon T = 2, with the stronger gains (4, 2) it needs."""
+    cfg = ScenarioConfig(T=2.0, gamma1=4.0, gamma2=2.0)
     grid = cfg.grid()
     q = cfg.q_true(grid)
     m = simulate_forward(q, cfg.omega, grid)
@@ -61,6 +62,35 @@ def reduced_run():
     m = simulate_forward(q, cfg.omega, grid)
     res = run_back_and_forth(m, cfg.gains(), cfg.omega, grid, cfg.iterations, q_true=q)
     return dict(grid=grid, q=q, qn=l2_norm(q, grid), measurement=m, result=res)
+
+
+@pytest.fixture
+def sign_fault(monkeypatch):
+    """A sign fault in the observer step: its new level takes the injection value negated at x=0.
+
+    -x has the bits of -1.0 * x, so the one-step matrix S and input matrix B
+    are those of the injection taken with a factor -1. _linear_parts keeps S
+    and B per grid, gains and omega, so its cache is cleared on entry, lest
+    it hand back the true S, and on exit, lest the flipped one reach later
+    tests; leapfrog's store is keyed on the matrices' content and needs no
+    clearing.
+    """
+    true_step = observer._observer_step
+
+    def flipped_step(*system):
+        step = true_step(*system)
+
+        def flipped(*levels):
+            u_prev, un, *rest = step(*levels)
+            un[0] = -un[0]
+            return (u_prev, un, *rest)
+
+        return flipped
+
+    monkeypatch.setattr(observer, "_observer_step", flipped_step)
+    observer._linear_parts.cache_clear()
+    yield
+    observer._linear_parts.cache_clear()
 
 
 def pytest_addoption(parser):

@@ -1,8 +1,10 @@
-"""Closed-form sine-series solutions used as an independent reference.
+"""Closed-form sine-series solutions used by the tests as an independent reference.
 
 Everything here is derived analytically (Duhamel formulas plus quadrature);
 no finite-difference machinery is involved, so these routines can vouch for
-the solver rather than echo it.
+the solver rather than echo it. Of bfwave it takes only the grid, the
+resonance guard and the oscillator state type. It needs scipy; the
+package does not.
 """
 
 from __future__ import annotations
@@ -10,19 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .grid import Grid1D, check_resonance
-from .observer import OscillatorState
-
-__all__ = [
-    "sine_coefficients",
-    "synthesize_modes",
-    "free_modal_solution",
-    "forced_modal_solution",
-    "neumann_trace_series",
-    "oracle_measurement",
-    "oscillator_closed_form",
-    "poly_paper_coefficients",
-]
+from bfwave.grid import Grid1D, check_resonance
+from bfwave.observer import OscillatorState
 
 
 def _mode_freqs(n_modes: int) -> np.ndarray:

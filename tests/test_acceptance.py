@@ -18,7 +18,7 @@ from bfwave.diagnostics import (
     second_energy_boundedness,
 )
 from bfwave.forward import simulate_forward
-from bfwave.grid import Gains, build_grid, l2_norm
+from bfwave.grid import Gains, ScenarioConfig, build_grid, l2_norm
 from bfwave.leapfrog import (
     discrete_energy,
     init_leapfrog,
@@ -27,7 +27,6 @@ from bfwave.leapfrog import (
     step,
 )
 from bfwave.observer import run_back_and_forth, simulate_cascade
-from bfwave.scenarios import minimal_horizon_scenario
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -191,7 +190,7 @@ def test_criterion_8_minimal_horizon(minimal_horizon_run):
     # below the observability horizon: reported, not asserted
     sub = []
     for T in (1.5, 1.0):
-        cfg = minimal_horizon_scenario(T=T)
+        cfg = ScenarioConfig(T=T, gamma1=4.0, gamma2=2.0)
         g = build_grid(cfg.nx, 0.02, T)  # coarser dt; the rate is grid-insensitive
         q = cfg.q_true(g)
         m = simulate_forward(q, cfg.omega, g)

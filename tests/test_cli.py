@@ -309,10 +309,18 @@ class TestVerify:
         assert exc.value.code == 2  # argparse's usage error
         assert not out.exists()
 
-    @pytest.mark.slow
-    def test_verify_fault_injection_fails(self, tmp_path):
+    def test_inject_sign_error_flag_rejected(self, tmp_path):
+        # a sign fault is a test fixture (conftest.py), not an option of the command
         out = tmp_path / "v"
-        assert cmd_verify(out, quiet=True, injection_sign=-1.0) == EXIT_CHECK_FAILED
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--out", str(out), "--inject-sign-error"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert not out.exists()
+
+    @pytest.mark.slow
+    def test_verify_fault_injection_fails(self, tmp_path, sign_fault):
+        out = tmp_path / "v"
+        assert cmd_verify(out, quiet=True) == EXIT_CHECK_FAILED
         _, rows = read_csv(out / "verify.csv")
         failed = {r[0] for r in rows if r[3] == "false"}
         assert "lyapunov_decrease" in failed
@@ -759,13 +767,16 @@ class TestNoisyProvenance:
 
 
 def test_cli_import_loads_no_scipy():
-    # loading scipy.linalg about doubles a fresh `bfwave` command's start-up;
-    # only bfwave.oracle and the tests may use scipy. hashlib stays out too:
+    # loading scipy.linalg about doubles a fresh `bfwave` command's start-up,
+    # and the package needs numpy alone: no module of it may load scipy; only
+    # the tests and their oracle (tests/oracle.py) use it. hashlib stays out too:
     # importing it and a first blake2b call add 3.5 MB of peak memory
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
-        "import sys, bfwave.cli; print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')))"
+        "import importlib, pkgutil, sys, bfwave\n"
+        "for m in pkgutil.iter_modules(bfwave.__path__):\n"
+        "    importlib.import_module('bfwave.' + m.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(

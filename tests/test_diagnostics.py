@@ -116,15 +116,13 @@ class TestRunLevelChecks:
         h = reduced_run["result"].history
         assert not second_energy_boundedness(h).passed
 
-    def test_sign_fault_breaks_lyapunov_decrease(self):
+    def test_sign_fault_breaks_lyapunov_decrease(self, sign_fault):
         # a flipped injection must be caught by the decrease check
         cfg = ScenarioConfig(cfl=0.02, iterations=4)
         g = cfg.grid()
         q = cfg.q_true(g)
         m = simulate_forward(q, cfg.omega, g)
-        res = run_back_and_forth(
-            m, cfg.gains(), cfg.omega, g, cfg.iterations, q_true=q, injection_sign=-1.0
-        )
+        res = run_back_and_forth(m, cfg.gains(), cfg.omega, g, cfg.iterations, q_true=q)
         h = res.history
         assert not lyapunov_decrease_check(h.lyapunov, 1e-3 * h.lyapunov[0]).passed
 
@@ -233,8 +231,8 @@ class TestBattery:
         report = run_verify_battery()
         assert report.all_passed, report.summary()
 
-    def test_battery_catches_sign_fault(self):
-        report = run_verify_battery(injection_sign=-1.0)
+    def test_battery_catches_sign_fault(self, sign_fault):
+        report = run_verify_battery()
         names = {e.name: e for e in report.entries}
         assert not names["lyapunov_decrease"].passed
         assert not report.all_passed

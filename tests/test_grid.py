@@ -172,7 +172,7 @@ class TestConfigTypes:
         assert ScenarioConfig(omega=omega).omega == omega
 
     def test_oracle_shares_the_check(self):
-        from bfwave import oracle
+        import oracle
 
         check_resonance(np.pi, n_modes=0)  # no modes, nothing to hit
         with pytest.raises(ResonanceError):

@@ -38,7 +38,7 @@ from bfwave.observer import (
     run_plant_cycle,
     simulate_cascade,
 )
-from bfwave.oracle import oscillator_closed_form
+from oracle import oscillator_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def rel_gap(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(a))
 
 
-def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.0, hidden=None):
+def stepped_monitored_run(m, gains, omega, g, n_iterations, q, hidden=None):
     """A monitored run with every half-pass on _sweep, its records' integrals fed to the monitor.
 
     Returns (estimates, per_cycle, history) as run_back_and_forth would. A
@@ -78,7 +78,7 @@ def stepped_monitored_run(m, gains, omega, g, n_iterations, q, injection_sign=1.
     rec = np.empty((4, g.n_steps_per_pass + 1))
     for half in range(2 * n_iterations):
         starts.append(state.x)
-        state, ended = _sweep(state, m.y, gains, omega, g, injection_sign, rec)
+        state, ended = _sweep(state, m.y, gains, omega, g, rec)
         if hidden is not None:
             vel = boundary_velocity(starts, ends, g)
             q0 = _state_parts(starts[-1], g)[1]
@@ -364,7 +364,7 @@ class TestRunRecurrence:
     def test_no_read_out_rows(self, grid):
         # the observer's system read out by its four rows and by none: x_n has
         # the same bits, and the (0, n+1) out is never written
-        S, B = _linear_parts(Gains(1.0, 0.5), 2.0, grid, 1.0)[1:]
+        S, B = _linear_parts(Gains(1.0, 0.5), 2.0, grid)[1:]
         D = _readout_rows(grid)
         rng = np.random.default_rng(16)
         s, x0 = rng.standard_normal(grid.n_steps_per_pass + 1), rng.standard_normal(len(S))
@@ -571,7 +571,7 @@ class TestObserverHalfPass:
         for _ in range(start):
             state = observer_half_pass(state, m, gains, omega, grid)
         rec = np.empty((4, grid.n_steps_per_pass + 1))
-        ended = _state_parts(_sweep(state, m.y, gains, omega, grid, 1.0, rec)[1], grid)
+        ended = _state_parts(_sweep(state, m.y, gains, omega, grid, rec)[1], grid)
         s = 1.0 if start % 2 == 0 else -1.0  # the pass's physical time direction
         A = np.array([[-g2, s, 0.0], [-s * omega * omega, 0.0, 0.0], [1.0, 0.0, 0.0]])
         E = expm(dt * A)
@@ -666,7 +666,7 @@ class TestRunBackAndForth:
         m = simulate_forward(poly_source(grid), 2.0, grid)
         gains = Gains(1.0, 0.5)
         res = run_back_and_forth(m, gains, 2.0, grid, 3)
-        turn, S, B = _linear_parts(gains, 2.0, grid, 1.0)
+        turn, S, B = _linear_parts(gains, 2.0, grid)
         n, nx1 = grid.n_steps_per_pass, grid.nx + 1
         Sn = np.linalg.matrix_power(S, n)
         x, rec = np.zeros(len(S)), np.empty((4, n + 1))
@@ -742,16 +742,16 @@ class TestMonitorForms:
         for h, rec in enumerate(records):
             zero = initial_observer_state(g)
             zero.half_pass = h
-            _sweep(zero, m.y, gains, omega, g, 1.0, rec)
+            _sweep(zero, m.y, gains, omega, g, rec)
             rec[:2] -= truth_z[h]
         x = np.random.default_rng(5).standard_normal(2 * nx1 + 3)
         start = ObserverState(x, half)
         rec = np.empty((4, n + 1))
-        _sweep(start, m.y, gains, omega, g, 1.0, rec)
+        _sweep(start, m.y, gains, omega, g, rec)
         rec[:2] -= truth_z[half]
         want = _sweep_integrals(rec, g.dt)
         # row h of the run's evaluation takes the forms of h's replay order
-        S = _linear_parts(gains, omega, g, 1.0)[1]
+        S = _linear_parts(gains, omega, g)[1]
         got = _start_integrals(S, records, np.array([x, x]), g)[half]
         assert np.max(np.abs(got - want) / want) <= 1e-12, (got - want) / want
 
@@ -770,16 +770,14 @@ class TestMonitorForms:
             assert len(a) == 2 and a.tobytes() == b[:2].tobytes(), k
         assert np.array_equal(res.estimates[1], mapped.estimates[1])
 
-    def test_sign_fault_still_caught(self, reduced):
+    def test_sign_fault_still_caught(self, reduced, sign_fault):
         # the flipped injection reaches the forms as it reaches the sweep
         from bfwave.diagnostics import lyapunov_decrease_check
 
-        res = run_back_and_forth(*reduced["args"], q_true=reduced["q"], injection_sign=-1.0)
+        res = run_back_and_forth(*reduced["args"], q_true=reduced["q"])
         h = res.history
         assert not lyapunov_decrease_check(h.lyapunov, 1e-3 * h.lyapunov[0]).passed
-        _, cycle, history = stepped_monitored_run(
-            *reduced["args"], reduced["q"], injection_sign=-1.0
-        )
+        _, cycle, history = stepped_monitored_run(*reduced["args"], reduced["q"])
         gaps = series_gaps(history, cycle, h, res.per_cycle)
         assert max(gaps.values()) <= 1e-9, gaps
 
@@ -791,15 +789,13 @@ class TestMonitorForms:
         build, builds = observer._quadratic_part, []
         monkeypatch.setattr(observer, "_quadratic_part", lambda *a: builds.append(a) or build(*a))
 
-        def run(sign=1.0):
-            return run_back_and_forth(
-                m, Gains(1.0, 0.5), 2.0, grid, 3, q_true=q, injection_sign=sign
-            )
+        def run(gains=Gains(1.0, 0.5)):
+            return run_back_and_forth(m, gains, 2.0, grid, 3, q_true=q)
 
         _forget_set_up()
         cold, warm = run(), run()
         assert len(builds) == 1
-        run(-1.0)  # another S
+        run(Gains(2.0, 0.5))  # another S
         run()
         assert len(builds) == 2
         assert np.array_equal(cold.estimates, warm.estimates)
@@ -933,15 +929,15 @@ class TestCycleMap:
         assert u[0] == pytest.approx(bc, abs=1e-12)
         assert res.estimates.shape == (cfg.iterations + 1, grid.nx + 1)
 
-    def test_injection_sign_carried(self, grid):
-        # the fault-injection hook reaches the map as it reaches the sweep
+    def test_injection_sign_carried(self, grid, sign_fault):
+        # a sign fault in the step reaches the map as it reaches the sweep
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
         gains = Gains(1.0, 0.5)
-        res = run_back_and_forth(m, gains, 2.0, grid, 3, injection_sign=-1.0)
+        res = run_back_and_forth(m, gains, 2.0, grid, 3)
         s = initial_observer_state(grid)
         for _ in range(6):
-            s = observer_half_pass(s, m, gains, 2.0, grid, injection_sign=-1.0)
+            s = observer_half_pass(s, m, gains, 2.0, grid)
         assert np.max(np.abs(res.estimates[-1] - extract_estimate(s, grid))) <= 1e-9
 
 

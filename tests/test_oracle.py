@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from bfwave.forward import simulate_forward
 from bfwave.grid import ResonanceError, build_grid, l2_norm
 from bfwave.observer import OscillatorState
-from bfwave.oracle import (
+from oracle import (
     forced_modal_solution,
     free_modal_solution,
     neumann_trace_series,

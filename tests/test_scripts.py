@@ -4,7 +4,10 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bfwave import ScenarioConfig, run_back_and_forth, simulate_forward
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
@@ -19,6 +22,20 @@ def own_path(monkeypatch):
 def test_imports(script, own_path):
     # a library name that a script imports and that is gone fails here
     assert "main" in runpy.run_path(str(script), run_name="script_import")
+
+
+def test_extended_reference_stepped_route(own_path):
+    # the script's stepped route calls the library's observer step one time
+    # node at a time; in float64 it agrees with the map route
+    script = SCRIPTS[[p.name for p in SCRIPTS].index("extended_reference.py")]
+    stepped = runpy.run_path(str(script), run_name="script_import")["stepped_estimates"]
+    cfg = ScenarioConfig(cfl=0.05)
+    grid = cfg.grid()
+    m = simulate_forward(cfg.q_true(grid), cfg.omega, grid)
+    mapped = run_back_and_forth(m, cfg.gains(), cfg.omega, grid, 2).estimates[1:]
+    est = stepped(m.y, cfg.gains(), cfg.omega, grid, 2, np.float64)
+    assert est.shape == mapped.shape
+    assert np.max(np.abs(est - mapped)) <= 1e-9 * np.max(np.abs(mapped))
 
 
 def test_reference_scenario_file_set(tmp_path, own_path, monkeypatch):
