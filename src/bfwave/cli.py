@@ -33,6 +33,7 @@ from . import __version__
 from .diagnostics import DiagnosticsReport, run_level_checks, run_verify_battery
 from .forward import (
     MeasurementRecord,
+    _csv_rows,
     add_noise,
     read_measurement_csv,
     simulate_forward,
@@ -116,25 +117,28 @@ def write_manifest(out_dir: Path, cfg: ScenarioConfig, command: str, inputs: lis
         fh.write("\n")
 
 
-def _write_rows(path: Path, header: list[str], row: str, cells: list) -> None:
-    """The header, then the cells, one per % of the format row, each row through it.
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The header line, then the rows, CRLF after each line, in one write.
 
-    The file is formatted as one string and written at once. It holds the
-    bytes a csv.writer row loop writes: no field needs quoting.
+    The file holds the bytes a csv.writer row loop writes: no field needs
+    quoting. rows is an iterable of bytes, such as _csv_rows gives.
     """
-    rows = (row + "\r\n") * (len(cells) // row.count("%"))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + rows % tuple(cells))
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n" + b"".join(rows))
 
 
 def write_iterations_csv(path: Path, result: BackAndForthResult) -> Path:
-    """One row per cycle: its index and per_cycle's values, empty cells for a blind run."""
+    """One row per cycle: its index and per_cycle's values, empty cells for a blind run.
+
+    The index is formatted with the values: '%.17g' writes an integral
+    float below 2^53 as '%d' writes the integer.
+    """
     header, cycles = ["iter", *CYCLE_COLUMNS], np.arange(len(result.estimates))
     if result.per_cycle is None:
-        _write_rows(path, header, "%d" + "," * len(CYCLE_COLUMNS), cycles.tolist())
+        row = b"%d" + b"," * len(CYCLE_COLUMNS) + b"\r\n"
+        _write_csv(path, header, [row * len(cycles) % tuple(cycles.tolist())])
     else:
-        cells = np.column_stack([cycles, *result.per_cycle.values()]).ravel().tolist()
-        _write_rows(path, header, "%d" + ",%.17g" * len(CYCLE_COLUMNS), cells)
+        _write_csv(path, header, _csv_rows(cycles, *result.per_cycle.values()))
     return path
 
 
@@ -152,22 +156,23 @@ def write_estimate_csv(
     cols = [np.tile(x, len(q_hat)), q_hat.ravel()]
     if q_true is not None:
         cols.append(np.tile(q_true, len(q_hat)))
-    header, row = ["x", "q_hat", "q_true"][: len(cols)], ",".join(["%.17g"] * len(cols))
-    if iters is not None:
+    header = ["x", "q_hat", "q_true"][: len(cols)]
+    if iters is not None:  # integral, so written as '%d' writes them
         cols.insert(0, np.repeat(iters, len(x)))
-        header, row = ["iter", *header], "%d," + row
-    _write_rows(path, header, row, np.column_stack(cols).ravel().tolist())
+        header = ["iter", *header]
+    _write_csv(path, header, _csv_rows(*cols))
     return path
 
 
 def write_checks_csv(path: Path, report: DiagnosticsReport) -> tuple[Path, Path]:
     """The rows as CSV and, next to it, the human-readable summary; returns both paths."""
-    cells = [
-        c
-        for e in report.entries
-        for c in (e.name, float(e.value), float(e.threshold), str(e.passed).lower())
+    values = np.array([(e.value, e.threshold) for e in report.entries], dtype=float)
+    pairs = b"".join(_csv_rows(*values.reshape(-1, 2).T)).splitlines()
+    rows = [
+        b"%s,%s,%s\r\n" % (e.name.encode(), v, str(e.passed).lower().encode())
+        for e, v in zip(report.entries, pairs)
     ]
-    _write_rows(path, ["check", "value", "threshold", "pass"], "%s,%.17g,%.17g,%s", cells)
+    _write_csv(path, ["check", "value", "threshold", "pass"], rows)
     txt = path.with_suffix(".txt")
     with open(txt, "w") as fh:
         fh.write(report.summary())
@@ -178,8 +183,7 @@ def write_checks_csv(path: Path, report: DiagnosticsReport) -> tuple[Path, Path]
 
 def write_lyapunov_csv(path: Path, result: BackAndForthResult) -> Path:
     V = result.history.lyapunov
-    cells = np.column_stack((np.arange(len(V)) / 2.0, V)).ravel().tolist()
-    _write_rows(path, ["iter", "V"], "%.17g,%.17g", cells)
+    _write_csv(path, ["iter", "V"], _csv_rows(np.arange(len(V)) / 2.0, V))
     return path
 
 

@@ -9,7 +9,10 @@ RMS of the clean signal.
 from __future__ import annotations
 
 import csv
+import functools
+import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +28,11 @@ __all__ = [
     "read_measurement_csv",
 ]
 
-_CSV_BLOCK = 512  # measurement rows formatted per write; 4096 raised peak memory by 0.4 MB
+# Cells formatted per block by _csv_rows, a measurement block being _CSV_BLOCK
+# rows. Writing the reference measurement then peaks at 0.7 MB under tracemalloc;
+# 2048 cells raised that to 1.2 MB.
+_G17_CELLS = 1024
+_CSV_BLOCK = _G17_CELLS // 2
 # Bytes of lines parsed per np.loadtxt call, about 1,500 rows. On the 12,001-row
 # reference file (2-core Xeon VM), one call fed by a Python line iterator took
 # 1.08-1.10x as long; one readlines() of the whole file is as fast, but raised a
@@ -81,6 +88,144 @@ def add_noise(record: MeasurementRecord, level: float, seed: int) -> Measurement
     return replace(record, y=y_noisy, noise_level=level, noise_seed=seed, provenance="noisy")
 
 
+# _csv_rows formats a cell x with 10^_G17_EMIN <= |x| < 1e17 from one long-double
+# product P = |x| 10^k, k = 16 - floor(log10 |x|). 10^k is exact while 5^k <
+# 2^(nmant + 1) (k <= 27 for the x87's 64-bit significand), so P is the exact
+# product rounded once, and its nearest integer holds the 17 digits %.17g rounds
+# x to, unless P's fraction lies within P * eps (at least one ulp of P) of 1/2.
+# Such a cell, one outside the range (0, inf and nan among them), and one whose
+# P falls outside [1e16, 1e17) (a decade boundary, or log10 one off) goes to
+# '%.17g' % x. Where long double is double, P * eps exceeds 1/2: every cell does.
+_LD = np.finfo(np.longdouble)
+_G17_KMAX = int((_LD.nmant + 1) / math.log2(5))  # the largest k with 5^k < 2^(nmant + 1)
+_G17_EMIN = 16 - _G17_KMAX
+_G17_LO = 10.0**_G17_EMIN
+_G17_EPS = float(_LD.eps)
+# A cell's work row: slot 0 NUL, 1-6 '0', 7-23 its 17 digits, then the bytes
+# ".-e0123456789" from _DOT on and its terminator, "," or CRLF, at _TERM.
+_G17_ROW = 40
+_DOT, _MINUS, _EXP, _DIGIT, _TERM = 24, 25, 26, 27, 37
+_G17_WIDTH = 25  # the longest text: sign, "0.000", 17 digits, CRLF
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's lookup tables, built on first use.
+
+    pow10[k] is 10^k in long double, k = 0 .. _G17_KMAX. layout[c] lists
+    the work-row slot of each byte of a cell's text, and NUL slots after
+    it, for the class c = (sign, exponent - _G17_EMIN, significant digits
+    - 1). quads[g] is the four ASCII digits of g < 10^4 as one
+    little-endian word. rows_of holds the work rows, but for the digits,
+    of a cell before a "," and of one before a CRLF.
+    """
+    pow10 = np.full(_G17_KMAX + 1, 10, np.longdouble)
+    pow10[0] = 1
+    ne, nx = 17 - _G17_EMIN, -4 - _G17_EMIN  # exponents; the first nx are in e-notation
+    e = np.arange(_G17_EMIN, 17, dtype=np.int16)[:, None, None]
+    z = np.clip(-e, 0, 4)  # the '0's of "0.000" before the digits
+    z[:nx] = 0
+    m = np.maximum(e + 1, 1)  # bytes before the point
+    nf = np.maximum(z + np.arange(1, 18, dtype=np.int16)[:, None] - m, 0)  # digits after it
+    q = np.arange(_G17_WIDTH - 1, dtype=np.int16)
+    body = np.where(q == m, _DOT, 7 - z + q - (q > m))
+    tail = np.zeros((ne, 7), np.int16)  # what follows the digits: [e-dd] and the terminator
+    tail[:] = _TERM, _TERM + 1, 0, 0, 0, 0, 0
+    tail[:nx] = _EXP, _MINUS, _DIGIT, _DIGIT, _TERM, _TERM + 1, 0
+    tail[:nx, 2:4] += np.hstack(np.divmod(-e[:nx, 0], 10))
+    r = q - (m + nf + (nf > 0))  # bytes past the digits
+    after = tail.ravel().take(np.clip(r, 0, 6) + 7 * (e - _G17_EMIN))
+    layout = np.zeros((2, ne, 17, _G17_WIDTH), np.int16)
+    layout[0, ..., :-1] = np.where(r < 0, body, after)
+    layout[1, ..., 0] = _MINUS
+    layout[1, ..., 1:] = layout[0, ..., :-1]
+    d = np.arange(48, 58, dtype="<u4")
+    pairs = (d[:, None] | d << 8).ravel()
+    rows_of = np.zeros((2, _G17_ROW), np.uint8)
+    rows_of[:, 1:7] = ord("0")
+    rows_of[:, _DOT:_TERM] = np.frombuffer(b".-e0123456789", np.uint8)
+    rows_of[:, _TERM:] = (ord(","), 0, 0), (ord("\r"), ord("\n"), 0)
+    quads = (pairs[:, None] | pairs << 16).ravel()
+    tables = np.cumprod(pow10), layout.reshape(-1, _G17_WIDTH), quads, rows_of
+    for t in tables:  # shared by every call
+        t.flags.writeable = False
+    return tables
+
+
+def _g17_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell of the 1-D float array x: whether the kernel formats it, and
+    then its 17 digits as an integer and the decimal exponent of its first."""
+    a = np.abs(x)
+    ok = a < 1e17
+    ok &= a >= _G17_LO
+    a[~ok] = 1.0
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    np.minimum(e, 16, out=e)
+    np.maximum(e, _G17_EMIN, out=e)
+    p = a.astype(np.longdouble)
+    p *= _g17_tables()[0].take(16 - e)
+    d = p.astype(np.int64)  # floor(P)
+    p -= d
+    f = p.astype(float)
+    ok &= d >= 10**16
+    d += f > 0.5
+    ok &= d < 10**17
+    f -= 0.5
+    ok &= np.abs(f) > d * _G17_EPS
+    return ok, d, e
+
+
+def _csv_rows(*columns: np.ndarray) -> Iterator[bytes]:
+    """CSV bytes of the rows of equal-length float columns, a block of rows at a time.
+
+    Each cell holds the text of '%.17g' % x and ends in "," or, at the end
+    of its row, CRLF: the bytes '%.17g' row formatting gives. The cells of a
+    block are built as NUL-padded rows of bytes gathered from each cell's
+    work row, and tolist() trims the NULs.
+    """
+    _, layout, quads, rows_of = _g17_tables()
+    rows, cols = len(columns[0]), len(columns)
+    block = max(1, min(rows, _G17_CELLS // cols))
+    table = np.empty((block, cols))
+    work = np.empty((block, cols, _G17_ROW), np.uint8)
+    work[:] = rows_of[[0] * (cols - 1) + [1]]  # each cell's constants and terminator
+    work = work.reshape(-1, _G17_ROW)
+    words = work.view("<u4")
+    base = np.arange(0, work.size, _G17_ROW)[:, None]
+    ends = [b","] * (cols - 1) + [b"\r\n"]
+    for i in range(0, rows, block):
+        for k, column in enumerate(columns):
+            table[: rows - i, k] = column[i : i + block]
+        x = table[: rows - i].ravel()
+        n = len(x)
+        ok, d, e = _g17_digits(x)
+        # the digits: "000" and the first, then four groups of four
+        w = words[:n]
+        g = d // 10**16
+        w[:, 1] = quads.take(g)
+        d -= g * 10**16
+        hi = d // 10**8
+        lo = d - hi * 10**8
+        g = hi // 10**4
+        w[:, 2] = quads.take(g)
+        w[:, 3] = quads.take(hi - g * 10**4)
+        g = lo // 10**4
+        w[:, 4] = quads.take(g)
+        w[:, 5] = quads.take(lo - g * 10**4)
+        src = work[:n]
+        c = e * 17
+        c -= (src[:, 23:6:-1] != ord("0")).argmax(axis=1)  # trailing '0's of the 17
+        c += np.signbit(x) * (17 * (17 - _G17_EMIN)) + (16 - 17 * _G17_EMIN)
+        text = src.ravel().take(layout.take(c, axis=0) + base[:n])
+        cells = text.view(f"S{_G17_WIDTH}").ravel().tolist()
+        bad = (~ok).nonzero()[0]
+        for j, v in zip(bad.tolist(), x[bad].tolist()):
+            cells[j] = b"%.17g%s" % (v, ends[j % cols])
+        yield b"".join(cells)
+
+
 def write_measurement_csv(record: MeasurementRecord, path):
     """Columns t,y; a noisy record is preceded by one provenance comment line.
 
@@ -88,19 +233,17 @@ def write_measurement_csv(record: MeasurementRecord, path):
     (the seed left out when unknown); clean records have no such line.
     Every line ends in CRLF, as csv.writer ends its rows: the file holds the
     bytes a csv.writer row loop writes (no field needs quoting), formatted
-    _CSV_BLOCK rows per string. Returns path.
+    by _csv_rows _CSV_BLOCK rows per block. Returns path.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         if record.provenance == "noisy":
             meta = f"provenance=noisy noise_level={record.noise_level:.17g}"
             if record.noise_seed is not None:
                 meta += f" noise_seed={record.noise_seed}"
-            fh.write(f"# {meta}\r\n")
-        fh.write("t,y\r\n")
+            fh.write(f"# {meta}\r\n".encode())
+        fh.write(b"t,y\r\n")
         t = np.arange(len(record.y)) * record.dt
-        for i in range(0, len(t), _CSV_BLOCK):
-            block = np.column_stack((t[i : i + _CSV_BLOCK], record.y[i : i + _CSV_BLOCK]))
-            fh.write("%.17g,%.17g\r\n" * len(block) % tuple(block.ravel().tolist()))
+        fh.writelines(_csv_rows(t, record.y))
     return path
 
 
@@ -119,16 +262,34 @@ def _read_provenance(line: str) -> dict:
     return fields
 
 
+def _parse(lines) -> np.ndarray | None:
+    """The lines as an array of rows t,y, or None unless each line is one row of two numbers."""
+    try:
+        ty = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    # np.loadtxt skips blank lines: lines with fewer rows than lines hold one
+    return ty if ty.shape == (len(lines), 2) else None
+
+
 def _row_refusal(lines, first: int) -> str:
-    """Why body lines, the first of them file line first, are not rows t,y: the first bad line."""
-    for k, line in enumerate(lines, start=first):
+    """Why body lines, the first of them file line first, are not rows t,y: the first bad line.
+
+    Halves the span that holds the first bad line, one np.loadtxt call per
+    half, until one line is left; then lines are checked one at a time from
+    there, so a line that parses alone but not in its span reads as before.
+    """
+    lo, hi = 0, len(lines)  # lines[:lo] parse, lines[lo:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse(lines[lo:mid]) is not None:
+            lo = mid
+        else:
+            hi = mid
+    for k, line in enumerate(lines[lo:], start=first + lo):
         if not line.strip():
             return f"measurement has a blank row at line {k}"
-        try:
-            fields = np.loadtxt([line], delimiter=",", comments=None, quotechar='"', ndmin=1)
-        except ValueError:
-            fields = ()
-        if len(fields) != 2:
+        if _parse([line]) is None:
             return f"measurement line {k} does not hold 2 numeric fields (t,y)"
     return "measurement rows do not hold 2 numeric fields each (t,y)"
 
@@ -139,12 +300,8 @@ def _read_rows(fh, first: int) -> tuple[np.ndarray, np.ndarray]:
     with warnings.catch_warnings():  # a chunk of blank lines is refused below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         while lines := fh.readlines(_READ_CHUNK):
-            try:
-                ty = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
-            except ValueError:
-                ty = None
-            # np.loadtxt skips blank lines: a chunk with fewer rows than lines has one
-            if ty is None or ty.shape != (len(lines), 2):
+            ty = _parse(lines)
+            if ty is None:
                 raise ValueError(_row_refusal(lines, first))
             chunks.append(ty)
             first += len(lines)
@@ -157,8 +314,8 @@ def read_measurement_csv(path) -> MeasurementRecord:
     The rows are parsed by np.loadtxt, one chunk of lines at a time, into
     float arrays: two fields each, quoted or not, lines ending in LF, CRLF
     or CR. A file without a provenance line reads as clean. A blank row, or
-    a row that is not two numbers, is refused by its file line, found by a
-    second pass over its chunk that runs only when the chunk's parse fails.
+    a row that is not two numbers, is refused by its file line, found by
+    halving its chunk only when the chunk's parse fails.
     The times must increase, be uniform and start at 0, the last two to
     within 1e-12 + 1e-9 dt.
     """

@@ -1,5 +1,7 @@
 import csv
+import struct
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,15 +11,19 @@ from hypothesis import given, settings, strategies as st
 
 from bfwave.forward import (
     _CSV_BLOCK,
+    _G17_CELLS,
     _READ_CHUNK,
     MeasurementRecord,
+    _csv_rows,
+    _g17_digits,
+    _g17_tables,
     add_noise,
     read_measurement_csv,
     rms,
     simulate_forward,
     write_measurement_csv,
 )
-from bfwave.grid import build_grid
+from bfwave.grid import ScenarioConfig, build_grid
 
 
 @pytest.fixture(scope="module")
@@ -350,3 +356,114 @@ class TestReaderPastFirstChunk:
         reference_lines[2:2] = ["\r\n"] * _READ_CHUNK
         with pytest.raises(ValueError, match="blank row at line 3$"):
             self.read(tmp_path, reference_lines)
+
+
+def g17_rows(*columns) -> bytes:
+    """The bytes '%.17g' row formatting gives for the columns."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in rows).encode()
+
+
+def kernel_rows(*columns) -> bytes:
+    return b"".join(_csv_rows(*columns))
+
+
+bit_doubles = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+
+# (cell, whether the kernel formats it rather than '%.17g' % x)
+PINNED = [
+    (1.00000762939453125, False),  # 1.000007629394531250: a tie at the 17th digit
+    (1.006288126017779, False),  # 10^16 x has fraction 0.49972, within the band
+    (1.8042043684367362, False),  # 0.50016, within the band
+    (1e17, False),  # outside the range
+    (np.nextafter(1e17, 0.0), True),  # 99999999999999984
+    (1e-11, False),  # 9.9999999999999994e-12: 10^27 x < 1e16, a decade boundary
+    (np.nextafter(1e-11, 0.0), False),  # outside the range
+    (1e-07, False),  # 9.9999999999999995e-08, 10^23 x rounds up to 1e16
+    (0.0, False),
+    (-0.0, False),
+    (np.nan, False),
+    (np.inf, False),
+    (-np.inf, False),
+    (5e-324, False),
+    (2.2250738585072014e-308, False),
+    (1.7976931348623157e308, False),
+    (1e-05, True),  # 1.0000000000000001e-05: e-notation
+    (-2.5, True),
+    (0.1, True),
+    (12345.678, True),
+]
+
+
+class TestG17Kernel:
+    """_csv_rows, the one formatter of every CSV writer, against '%.17g'."""
+
+    @given(values=st.lists(st.one_of(st.floats(), bit_doubles), max_size=64), cols=st.integers(1, 3))
+    @settings(max_examples=300)
+    def test_any_double(self, values, cols):
+        rows = len(values) // cols
+        table = np.array(values[: rows * cols], dtype=float).reshape(rows, cols)
+        assert kernel_rows(*table.T) == g17_rows(*table.T)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20251019).integers(0, 2**64, 10**5, dtype=np.uint64)
+        x = bits.view(np.float64).reshape(-1, 2)
+        assert kernel_rows(*x.T) == g17_rows(*x.T)
+
+    def test_random_doubles_in_range(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(10**5) * 10.0 ** rng.integers(-10, 16, 10**5)
+        assert 1.0 - _g17_digits(x)[0].mean() < 0.05  # the kernel formats nearly all
+        assert kernel_rows(x[::2], x[1::2]) == g17_rows(x[::2], x[1::2])
+
+    @pytest.mark.parametrize("x, formatted", PINNED)
+    def test_pinned(self, x, formatted):
+        cell = np.array([x])
+        assert _g17_digits(cell)[0].tolist() == [formatted]
+        assert kernel_rows(cell) == ("%.17g\r\n" % x).encode()
+        assert kernel_rows(cell, -cell) == ("%.17g,%.17g\r\n" % (x, -x)).encode()
+
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_block_ends(self, cols, past):
+        rows = _G17_CELLS // cols + past
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-14, 19, (rows, cols))
+        pinned = [v for v, _ in PINNED]
+        x.ravel()[: len(pinned)] = x.ravel()[-len(pinned) :] = pinned
+        assert kernel_rows(*x.T) == g17_rows(*x.T)
+
+    def test_no_rows(self):
+        assert kernel_rows(np.empty(0), np.empty(0)) == b""
+
+    def test_log10_one_ulp_low(self, monkeypatch):
+        # such a log10 puts a power of ten one decade low: P lands at or above 1e17
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+        x = 10.0 ** np.arange(-10, 17)
+        assert kernel_rows(x, -x) == g17_rows(x, -x)
+
+
+class TestKernelGuard:
+    """Untimed guards of the kernel's cost on the clean reference measurement."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        cfg = ScenarioConfig()
+        grid = cfg.grid()
+        return simulate_forward(cfg.q_true(grid), cfg.omega, grid)
+
+    def test_few_cells_fall_back(self, reference):
+        t = np.arange(len(reference.y)) * reference.dt
+        ok = _g17_digits(np.concatenate([t, reference.y]))[0]
+        assert 1.0 - ok.mean() <= 0.05
+
+    def test_traced_peak_at_most_1_mb(self, reference, tmp_path):
+        _g17_tables.cache_clear()  # the tables' first build counts too
+        tracemalloc.start()
+        try:
+            write_measurement_csv(reference, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
