@@ -143,15 +143,19 @@ def write_iterations_csv(path: Path, result: BackAndForthResult) -> Path:
 
 
 def write_estimate_csv(
-    path: Path, x: np.ndarray, q_hat: np.ndarray, q_true=None, iters=None
+    path: Path, x: np.ndarray, q_hat: np.ndarray, q_true=None, iters=None, final=None
 ) -> Path:
     """Rows x,q_hat[,q_true], one per node.
 
     With iters, q_hat stacks one estimate per entry of iters, and each row
     leads with its estimate's iteration: iter,x,q_hat[,q_true], the nodes of
     each estimate in order. Every x, q_hat and q_true cell is the text the
-    file of that estimate alone holds.
+    file of that estimate alone holds, so with iters and a final path, the
+    file of the last estimate alone is written there from the last rows'
+    cells after their iter cell. Returns path.
     """
+    if final is not None and iters is None:
+        raise ValueError("a final file is cut from the rows of iters")
     q_hat = np.atleast_2d(q_hat)
     cols = [np.tile(x, len(q_hat)), q_hat.ravel()]
     if q_true is not None:
@@ -159,8 +163,11 @@ def write_estimate_csv(
     header = ["x", "q_hat", "q_true"][: len(cols)]
     if iters is not None:  # integral, so written as '%d' writes them
         cols.insert(0, np.repeat(iters, len(x)))
-        header = ["iter", *header]
-    _write_csv(path, header, _csv_rows(*cols))
+    body = b"".join(_csv_rows(*cols))
+    _write_csv(path, header if iters is None else ["iter", *header], [body])
+    if final is not None:  # the last estimate's rows, each without its iter cell
+        last = body.split(b"\r\n")[-1 - len(x) : -1]
+        _write_csv(final, header, [b"".join(row.partition(b",")[2] + b"\r\n" for row in last)])
     return path
 
 
@@ -291,12 +298,13 @@ def _invert_impl(
     written.append(write_iterations_csv(out / "iterations.csv", result))
     last = len(est) - 1
     snapshots = [*range(0, last, cfg.snapshot_stride), last]
+    final = out / "estimate_final.csv"  # the last snapshot is est[-1]
     written.append(
         write_estimate_csv(
-            out / "estimates.csv", x, [est[k] for k in snapshots], q_true, iters=snapshots
+            out / "estimates.csv", x, [est[k] for k in snapshots], q_true, snapshots, final
         )
     )
-    written.append(write_estimate_csv(out / "estimate_final.csv", x, est[-1], q_true))
+    written.append(final)
     if result.history is not None:
         noisy = measurement.provenance == "noisy"
         written.extend(write_checks_csv(out / "diagnostics.csv", _run_diagnostics(result, noisy)))

@@ -32,7 +32,8 @@ the levels, the backward leg from the turned state with no read-out at
 all; step is the stepped reference the tests' round trips run backward.
 _leap, neumann_trace, discrete_energy and continuation_level also take
 (nx+1, m) arrays, one level per column, which is how the observer's
-half-pass maps are built and how the kernel check takes its energies.
+half-pass maps are built; discrete_energy also takes a chain of
+consecutive levels, which is how the kernel check takes its energies.
 """
 
 from __future__ import annotations
@@ -127,17 +128,26 @@ def neumann_trace(u: np.ndarray, dx: float) -> float | np.ndarray:
     return float(tr) if u.ndim == 1 else tr
 
 
-def discrete_energy(state: LeapfrogState, grid: Grid1D) -> float | np.ndarray:
-    """Leapfrog-conserved energy of the two stored levels.
+def discrete_energy(levels: LeapfrogState | np.ndarray, grid: Grid1D) -> float | np.ndarray:
+    """Leapfrog-conserved energy of two consecutive levels.
 
     E = (dx/2) * [ sum_j ((u_curr - u_prev)/dt)_j^2
                    + sum_cells Dx(u_curr) * Dx(u_prev) ]
     Constant along homogeneous-BC trajectories up to round-off. A float for
-    one pair of levels; for (nx+1, m) arrays, the row of the m energies.
+    the pair of a state; for a state of (nx+1, m) arrays, the row of the m
+    energies. levels may also be a chain, an (nx+1, m+1) array of
+    consecutive levels, one per column: the row of the energies of its m
+    pairs, each level's gradient taken once, with the bits of the pairs'.
     """
-    v = (state.u_curr - state.u_prev) / grid.dt
-    gp = np.diff(state.u_prev, axis=0) / grid.dx
-    gc = np.diff(state.u_curr, axis=0) / grid.dx
+    if isinstance(levels, LeapfrogState):
+        u_prev, u_curr = levels.u_prev, levels.u_curr
+        gp = np.diff(u_prev, axis=0) / grid.dx
+        gc = np.diff(u_curr, axis=0) / grid.dx
+    else:
+        u_prev, u_curr = levels[:, :-1], levels[:, 1:]
+        grad = np.diff(levels, axis=0) / grid.dx
+        gp, gc = grad[:, :-1], grad[:, 1:]
+    v = (u_curr - u_prev) / grid.dt
     e = 0.5 * grid.dx * (np.sum(v * v, axis=0) + np.sum(gc * gp, axis=0))
     return float(e) if np.ndim(e) == 0 else e
 
@@ -168,11 +178,11 @@ def reversed_state(state: LeapfrogState, grid: Grid1D) -> LeapfrogState:
 
 _RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
 # Set-up kept for the process by content (_kept): _run_recurrence's powers
-# S^t, S^b and block plans, and the observer monitor's quadratic part. The
-# verify battery's 13 plans, the powers of its 8 matrices and its one
-# quadratic part count 1.33 MB (0.94 MB of arrays, the rest key bytes); a
-# stream of new systems grows the store to _KEPT_BYTES and no further, the
-# oldest items going first.
+# S^t, S^b and block plans, and the observer's S^n and its monitor's quadratic
+# part and power rows. The verify battery's 13 plans, the powers of its 8
+# matrices and its one S^n, quadratic part and block of power rows count
+# 1.62 MB (1.21 MB of arrays, the rest key bytes); a stream of new systems
+# grows the store to _KEPT_BYTES and no further, the oldest items going first.
 _KEPT_BYTES = 2 << 20
 _store: dict = {}  # key -> read-only array, or tuple of them; oldest first
 

@@ -45,7 +45,8 @@ start on, is the map x <- S^n x + c followed by the turn R, with S the
 one-step matrix (fixed by grid, gains and omega; Ramdani, Tucsnak & Weiss
 2010; Ito, Ramdani & Tucsnak 2011) and c the measurement's share: the
 sweep's end from the zero state over the pass's samples in their replay
-order. _linear_parts builds S, B and R once per grid, gains and omega. The
+order. _linear_parts builds S, B and R once per grid, gains and omega, and
+S^n is kept for the process by content (leapfrog._kept). The
 run keeps its states as two arrays of velocity-basis rows, the start of
 every half-pass and the end of every sweep, and calls nothing else inside
 the loop. The truth monitor is a function of those arrays run after it
@@ -53,8 +54,9 @@ the loop. The truth monitor is a function of those arrays run after it
 (_sweep_forms, evaluated by _start_integrals), expanded around the two
 sweeps from the zero state that give c, yield the integrals it would have
 taken from that sweep's series; their quadratic part is the same for every
-sweep, and is kept for the process with the evaluator's set-up
-(leapfrog._kept), so a run on a system seen before does not sum it again.
+sweep, and it and the rows their linear parts are summed over are kept for
+the process with the evaluator's set-up (leapfrog._kept), so a run on a
+system seen before builds neither again.
 It takes the arrays whole: the error fields of all boundaries are
 one stack of rows, and the norms (grid.l2_norm, grid.h1_seminorm),
 lyapunov_value and the trace-bound ratio each take a stack of rows and
@@ -694,16 +696,21 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     by D_f (S - I) S^k x. So each of its integrals is h + 2 g.x + x.G.x, h
     that of e, with g = sum_k a_k D S^k and G = sum_k w_k S^k' D'D S^k over
     the sweep's steps (a_k the weighted series, w_k the weights). g is a
-    _power_sum, redone on every run. G does not depend on e: _quadratic_part
-    sums it once per S, D, n and dt, kept by content (leapfrog._kept).
+    _power_sum, redone on every run over the rows of _power_rows. Neither G
+    nor those rows depend on e: _quadratic_part sums G once per S, D, n and
+    dt, and the rows are built once per S and D, both kept by content
+    (leapfrog._kept). G comes first, so that on a system's first run its
+    doubling's temporaries do not stack on the rows.
     """
     dt, n = grid.dt, grid.n_steps_per_pass
     read = _readout_rows(grid)
     D = np.vstack([read, read[2] @ S - read[2]])
+    content = (S.shape, S.tobytes())
+    G = _kept(("sweep forms", content, D.tobytes(), n, dt), _quadratic_part, S, D, n, dt)
     # The term k = 0 is summed apart: D[4] reads f_1 - f_0, which is not
     # small off the sweep's states, while D[4] S^k, k >= 1, are differences
     # of consecutive f, and carried from D S they keep their own scale.
-    powers = _power_rows(S, D @ S)
+    powers = _kept(("power rows", content, D.tobytes()), _power_rows, S, D @ S)
     # the weighted series a of one direction at a time, refilled in place
     a = np.empty((5, n + 1))
     a[4, n] = 0.0
@@ -714,11 +721,7 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
         a[:4, [0, n]] *= 0.5
         a[4, :n] = np.diff(e[2]) / dt
         gs.append(a[:, :1] * D + _power_sum(powers, a[:, 1:]))
-    # on a system's first run, _quadratic_part's doubling would stack its
-    # temporaries on these; free them first
-    del powers, a
-    key = ("sweep forms", (S.shape, S.tobytes()), D.tobytes(), n, dt)
-    return gs, _kept(key, _quadratic_part, S, D, n, dt)
+    return gs, G
 
 
 def _quadratic_part(S: np.ndarray, D: np.ndarray, n: int, dt: float) -> np.ndarray:
@@ -800,7 +803,7 @@ def run_back_and_forth(
     # is reported once, not as a warning per overflow
     with np.errstate(over="ignore", invalid="ignore"):
         turn, S, B = _linear_parts(gains, omega, grid)
-        Sn = np.linalg.matrix_power(S, n)
+        Sn = _kept(("matrix power", (S.shape, S.tobytes()), n), np.linalg.matrix_power, S, n)
         # velocity-basis states: starts[h] before half-pass h (the last row is
         # the final state), ends[h] as sweep h leaves it, before the turn
         starts = np.zeros((halves + 1, len(S)))

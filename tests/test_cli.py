@@ -624,8 +624,11 @@ class TestEstimatesCsv:
             for line in one.read_bytes().split(b"\r\n")[1:-1]:
                 want += b"%d," % k + line + b"\r\n"
         assert (out / "estimates.csv").read_bytes() == want
+        # estimate_final.csv, cut from estimates.csv, is the last estimate's own file
+        assert (out / "estimate_final.csv").read_bytes() == one.read_bytes()
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         assert str(out / "estimates.csv") in outputs
+        assert str(out / "estimate_final.csv") in outputs
 
     def test_file_counts(self, tmp_path):
         # one file for all snapshots: the clean reference full writes 8 files

@@ -16,7 +16,7 @@ from bfwave.diagnostics import (
 )
 from bfwave.forward import simulate_forward
 from bfwave.grid import Gains, ScenarioConfig, build_grid
-from bfwave.observer import OscillatorState, run_back_and_forth
+from bfwave.observer import OscillatorState, run_back_and_forth, simulate_cascade
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +154,32 @@ class TestHiddenRegularity:
             hidden_regularity_ratio(np.zeros(5), np.zeros(21), np.zeros(21), np.zeros(6), 1.0, grid)
 
 
+class TestEquivalenceBattery:
+    def test_one_cascade_wave_per_grid(self, monkeypatch):
+        # the rows equal, bit for bit, those of one forward run and one
+        # cascade per (nx, omega) pair
+        want = []
+        for nx, omega in ((20, 0.0), (20, 1.0), (40, 1.0)):
+            g = build_grid(nx, 0.005, 3.0)
+            q = np.sin(np.pi * g.nodes)
+            q[0] = q[-1] = 0.0
+            y = simulate_forward(q, omega, g).y
+            want.append(equivalence_report(y, simulate_cascade(q, omega, g).Y).value)
+        grids = []
+        cascade = diagnostics.simulate_cascade
+        monkeypatch.setattr(
+            diagnostics, "simulate_cascade", lambda q, w, g: grids.append(g.nx) or cascade(q, w, g)
+        )
+        rows = diagnostics._battery_equivalence()
+        assert grids == [20, 40]
+        assert [r.name for r in rows] == [
+            "output_equivalence_w0",
+            "output_equivalence_w1",
+            "output_equivalence_refinement",
+        ]
+        assert [r.value for r in rows] == [want[0], want[1], want[1] / want[2]]
+
+
 class TestEquivalenceReport:
     def test_identical_series(self):
         e = equivalence_report(np.ones(10), np.ones(10))
@@ -230,6 +256,21 @@ class TestBattery:
     def test_battery_all_green(self):
         report = run_verify_battery()
         assert report.all_passed, report.summary()
+
+    def test_battery_keeps_everything_under_the_bound(self, monkeypatch):
+        # a whole battery's set-up fits the kept store: no item leaves during it
+        class Recording(dict):
+            evicted = []
+
+            def __delitem__(self, key):
+                self.evicted.append(key)
+                super().__delitem__(key)
+
+        store = Recording()
+        monkeypatch.setattr(leapfrog, "_store", store)
+        run_verify_battery()
+        assert store and not store.evicted
+        assert leapfrog._held_bytes() <= leapfrog._KEPT_BYTES
 
     def test_battery_catches_sign_fault(self, sign_fault):
         report = run_verify_battery()

@@ -98,13 +98,28 @@ class TestNorms:
             with pytest.raises(ValueError):
                 norm(np.zeros((2, 20)), g)
 
-    @given(k=st.integers(-20, 20), data=st.lists(st.floats(-5, 5), min_size=21, max_size=21))
+    # entries of 0 or at least 1e-100 in size: every weighted square of such a
+    # field and of its scalings by 2^k, |k| <= 20, stays normal (a difference of
+    # two entries is 0 or at least 2^-53 times the smaller, so its square too)
+    _normal_entries = st.one_of(st.just(0.0), st.floats(1e-100, 5), st.floats(-5, -1e-100))
+
+    @given(k=st.integers(-20, 20), data=st.lists(_normal_entries, min_size=21, max_size=21))
     def test_homogeneity_exact_for_power_of_two(self, k, data):
         g = build_grid(20, 0.5, 1.0)
         f = np.array(data)
         c = 2.0**k
         assert l2_norm(c * f, g) == abs(c) * l2_norm(f, g)
         assert h1_seminorm(c * f, g) == abs(c) * h1_seminorm(f, g)
+
+    def test_homogeneity_not_exact_near_underflow(self):
+        # the limit of the claim above: here the scaled field's weighted
+        # square dx/2 (c f)^2 is subnormal, where scaling by 2^k rounds
+        g = build_grid(20, 0.5, 1.0)
+        f = np.zeros(21)
+        f[-1] = 1.3066088723634516e-149
+        c = 2.0**-15
+        assert l2_norm(c * f, g) == 6.304718090290435e-155
+        assert c * l2_norm(f, g) == 6.304718090290436e-155
 
     def test_second_order_convergence(self):
         # e^x has unequal boundary slopes, so the trapezoid error is genuinely O(dx^2)

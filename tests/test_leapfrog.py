@@ -203,6 +203,14 @@ class TestEnergy:
         assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-15
         assert isinstance(single[0], float)
 
+    def test_chain_of_levels(self, grid20):
+        # a chain's m energies have the bits of its m pairs' as one state
+        levels = np.random.default_rng(12).standard_normal((21, 9)) * 10.0 ** np.arange(-4, 5)
+        chain = discrete_energy(levels, grid20)
+        pairs = discrete_energy(LeapfrogState(levels[:, :-1], levels[:, 1:]), grid20)
+        assert chain.shape == (8,)
+        assert chain.tobytes() == pairs.tobytes()
+
     def test_conservation_10k_steps(self):
         g = build_grid(20, 0.005, 2.5)
         s = init_leapfrog(mode(g), None, g)

@@ -783,21 +783,34 @@ class TestMonitorForms:
 
     def test_cold_and_warm_runs_agree_bitwise(self, grid, monkeypatch):
         # a run after the kept set-up is cleared has the bits of a warm run in
-        # every output; the forms' quadratic part is built once per system
+        # every output; the forms' quadratic part, the rows of their linear
+        # parts and S^n are each built once per system
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
-        build, builds = observer._quadratic_part, []
-        monkeypatch.setattr(observer, "_quadratic_part", lambda *a: builds.append(a) or build(*a))
+        builds = {"G": [], "rows": [], "matrix_power": []}
+        for module, name, kind in (
+            (observer, "_quadratic_part", "G"),
+            (observer, "_power_rows", "rows"),
+            (np.linalg, "matrix_power", "matrix_power"),
+        ):
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, b=build, k=kind: builds[k].append(a) or b(*a))
 
         def run(gains=Gains(1.0, 0.5)):
             return run_back_and_forth(m, gains, 2.0, grid, 3, q_true=q)
 
+        def counts():
+            return {kind: len(calls) for kind, calls in builds.items()}
+
         _forget_set_up()
-        cold, warm = run(), run()
-        assert len(builds) == 1
+        cold = run()
+        # S^n, and S^128 inside the rows
+        assert counts() == {"G": 1, "rows": 1, "matrix_power": 2}
+        warm = run()
+        assert counts() == {"G": 1, "rows": 1, "matrix_power": 2}
         run(Gains(2.0, 0.5))  # another S
         run()
-        assert len(builds) == 2
+        assert counts() == {"G": 2, "rows": 2, "matrix_power": 4}
         assert np.array_equal(cold.estimates, warm.estimates)
         for column in CYCLE_COLUMNS:
             assert np.array_equal(cold.per_cycle[column], warm.per_cycle[column]), column
