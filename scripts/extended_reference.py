@@ -21,14 +21,15 @@ reference scenario in numpy longdouble, one step at a time: the library's
 own observer step
 (observer._observer_step) and turn (leapfrog.continuation_level, with the
 oscillator velocity z2 negated) applied to (nx+1, 1) long-double columns,
-the measurement replayed reversed on backward passes, as observer._sweep
-does. The coefficients are the library's float64 ones, so the reference
-differs from the float64 runs only in the rounding of the arithmetic. It
-then prints, for three float64 routes,
+the measurement replayed reversed on backward passes, as the composed
+route does. The coefficients are the library's float64 ones, so the
+reference differs from the float64 runs only in the rounding of the
+arithmetic. It then prints, for three float64 routes,
 
 * run_back_and_forth (every half-pass through the map, from the zero state),
-* composed observer_half_pass calls (every half-pass on the sweep, which
-  runs the one-step recurrence in blocks),
+* composed observer_half_pass calls (every half-pass a sweep of its own,
+  which runs the one-step recurrence in blocks; the tests' route,
+  tests/half_pass.py),
 * the stepped route: the same loop as the reference on float64 columns,
 
 the largest |estimate - reference| over the 50 cycle ends, divided by the
@@ -38,7 +39,8 @@ says so.
 
     python scripts/extended_reference.py      # about two minutes
 
-The package is imported from the `src/` directory next to this script.
+The package is imported from the `src/` directory next to this script,
+the composed route from the `tests/` directory.
 """
 
 import sys
@@ -47,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from bfwave.forward import simulate_forward  # noqa: E402
 from bfwave.grid import ScenarioConfig, build_grid  # noqa: E402
@@ -61,13 +64,8 @@ from bfwave.leapfrog import (  # noqa: E402
     init_leapfrog,
     neumann_trace,
 )
-from bfwave.observer import (  # noqa: E402
-    _observer_step,
-    extract_estimate,
-    initial_observer_state,
-    observer_half_pass,
-    run_back_and_forth,
-)
+from bfwave.observer import _observer_step, run_back_and_forth  # noqa: E402
+from half_pass import extract_estimate, initial_observer_state, observer_half_pass  # noqa: E402
 
 
 def stepped_measurement(q, omega, grid, dtype) -> np.ndarray:

@@ -29,10 +29,7 @@ from .leapfrog import (
 )
 from .observer import (
     BackAndForthResult,
-    ObserverState,
     OscillatorState,
-    extract_estimate,
-    observer_half_pass,
     run_back_and_forth,
     simulate_cascade,
 )
@@ -56,10 +53,7 @@ __all__ = [
     "run_homogeneous",
     "step",
     "BackAndForthResult",
-    "ObserverState",
     "OscillatorState",
-    "extract_estimate",
-    "observer_half_pass",
     "run_back_and_forth",
     "simulate_cascade",
 ]

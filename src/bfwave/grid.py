@@ -47,6 +47,10 @@ class Grid1D:
         return np.linspace(0.0, 1.0, self.nx + 1)
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+_OMEGA_MAX = float(np.sqrt(_FLOAT_MAX))  # the largest |omega| whose square is finite
+
+
 def _check_integer(name: str, value, least: int) -> None:
     """Refuse a non-integer (a bool, a float, JSON's Infinity) or a value below least."""
     if isinstance(value, bool) or not isinstance(value, Integral):
@@ -68,10 +72,14 @@ def build_grid(nx: int, cfl: float, T: float) -> Grid1D:
     _check_real("T", T)
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    if not 0.0 < T < np.inf:
+    if not 0.0 < T <= _FLOAT_MAX:  # an int past it would overflow in T / (cfl dx)
         raise ValueError(f"T must be positive and finite, got {T}")
     dx = 1.0 / nx
-    n = max(1, int(round(T / (cfl * dx))))
+    span = cfl * dx  # 0 for a cfl so small that the product underflows
+    steps = T / span if span > 0.0 else np.inf
+    if not steps < np.inf:
+        raise ValueError(f"T / (cfl * dx) must be a finite step count, got T={T}, cfl={cfl}")
+    n = max(1, int(round(steps)))
     # rounding down may push dt/dx above 1; one extra step restores stability
     if T / n > dx:
         n += 1
@@ -225,8 +233,10 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_real("omega", self.omega)
         _check_real("noise", self.noise)
-        if not np.isfinite(self.omega):
-            raise ValueError("omega must be finite")
+        # omega^2 enters the oscillator propagator; refused before a command writes
+        # anything. A magnitude test, so that NaN and an int of any size are refused too
+        if not abs(self.omega) <= _OMEGA_MAX:
+            raise ValueError(f"omega and its square must be finite, got {self.omega}")
         check_resonance(self.omega)
         _check_integer("iterations", self.iterations, 1)
         _check_integer("seed", self.seed, 0)

@@ -22,7 +22,8 @@ the observer's sweeps and oscillator drive run it too. Its set-up (the
 powers S^t and S^b of each S, and one block plan per (S, B, D)) is kept
 for the process by the content of its matrices in one store (_kept),
 which the observer's monitor shares, so a call on matrices seen before
-pays only for its own steps, with the bits of a first call. The store is
+pays only for its own steps, with the bits of a first call. Every key
+holds the content of its S (_content) as its second entry. The store is
 bounded by the bytes it holds, _KEPT_BYTES, the oldest items going first.
 The truth cascade and the kernel checks run the wave free, forward
 synthesis forced. A free run passes B with no columns, so it packs and
@@ -194,6 +195,11 @@ def _nbytes(obj) -> int:
     return obj.nbytes if isinstance(obj, np.ndarray) else len(obj) if isinstance(obj, bytes) else 0
 
 
+def _content(S: np.ndarray) -> tuple:
+    """S's part of every key of the store (_kept): its shape and bytes."""
+    return S.shape, S.tobytes()
+
+
 def _held_bytes() -> int:
     """What the store counts against _KEPT_BYTES: the bytes of its items and keys.
 
@@ -303,7 +309,7 @@ def _run_recurrence(
     n, dim, w = len(s) - 1, len(S), B.shape[1]  # w: 2 inputs per step, or 0 for a free run
     b = min(_RUN_BLOCK, n + 1)
     full, t = divmod(n, b)  # node n is t steps into the block after `full` whole ones
-    content = (S.shape, S.tobytes())  # S's part of every key
+    content = _content(S)
     plan = ("plan", content, b, D.shape, B.tobytes(), D.tobytes())  # a free B's bytes are empty
     F, W = _kept(plan, _block_plan, S, B, D, b)
     St, Sb = _left_power(S, content, t), _left_power(S, content, b)

@@ -1,4 +1,4 @@
-"""Cascade, periodized truth cycle, one observer sweep, the half-pass map, run_back_and_forth.
+"""Cascade, periodized truth cycle, the observer step, the half-pass map, run_back_and_forth.
 
 The unknown source becomes the initial displacement of a source-free
 cascade wave whose left Neumann trace drives a boundary oscillator with
@@ -35,21 +35,20 @@ of the truth cycle is the forward half time-reversed: its rows in reverse
 order, z2 negated.
 _observer_step is the one coupled observer step, and it alone computes
 the injection value that the x=0 node takes; _linear_parts applies it to
-the columns of the identity for S and B, and _sweep runs that recurrence
-over one half-pass, reading its boundary series off every state
-(_readout_rows).
+the columns of the identity for S and B.
 
-run_back_and_forth takes one route. A half-pass is linear in the observer
-state and affine in the measurement, so every half-pass, from the zero
-start on, is the map x <- S^n x + c followed by the turn R, with S the
-one-step matrix (fixed by grid, gains and omega; Ramdani, Tucsnak & Weiss
-2010; Ito, Ramdani & Tucsnak 2011) and c the measurement's share: the
-sweep's end from the zero state over the pass's samples in their replay
-order. _linear_parts builds S, B and R once per grid, gains and omega, and
-S^n is kept for the process by content (leapfrog._kept). The
-run keeps its states as two arrays of velocity-basis rows, the start of
-every half-pass and the end of every sweep, and calls nothing else inside
-the loop. The truth monitor is a function of those arrays run after it
+run_back_and_forth takes one route; the tests' reference for it runs every
+half-pass as a sweep of its own (tests/half_pass.py). A half-pass is linear
+in the observer state and affine in the measurement, so every half-pass,
+from the zero start on, is the map x <- S^n x + c followed by the turn R,
+with S the one-step matrix (fixed by grid, gains and omega; Ramdani,
+Tucsnak & Weiss 2010; Ito, Ramdani & Tucsnak 2011) and c the measurement's
+share: the sweep's end from the zero state over the pass's samples in their
+replay order. _linear_parts builds S, B and R once per grid, gains and
+omega, and S^n is kept for the process by content (leapfrog._kept). The run
+keeps its states as two arrays of velocity-basis rows, the start of every
+half-pass and the end of every sweep, and calls nothing else inside the
+loop. The truth monitor is a function of those arrays run after it
 (_truth_history): five quadratic forms in a sweep's start state
 (_sweep_forms, evaluated by _start_integrals), expanded around the two
 sweeps from the zero state that give c, yield the integrals it would have
@@ -79,6 +78,7 @@ from .forward import MeasurementRecord
 from .grid import Gains, Grid1D, _slope_sq, _trapezoid_sq, h1_seminorm, l2_norm
 from .leapfrog import (
     LeapfrogState,
+    _content,
     _from_velocity_basis,
     _kept,
     _leap,
@@ -92,7 +92,6 @@ from .leapfrog import (
 
 __all__ = [
     "OscillatorState",
-    "ObserverState",
     "CYCLE_COLUMNS",
     "RunHistory",
     "BackAndForthResult",
@@ -102,11 +101,8 @@ __all__ = [
     "run_plant_cycle",
     "hidden_regularity_ratio",
     "lyapunov_value",
-    "observer_half_pass",
-    "initial_observer_state",
     "pass_samples",
     "run_back_and_forth",
-    "extract_estimate",
 ]
 
 
@@ -129,9 +125,12 @@ def _expm(M: np.ndarray) -> np.ndarray:
     the oscillator propagator's entries land within 0.51 ulp of a 50-digit
     exponential for omega <= 20, dt <= 0.5; the same series in float64
     takes the stepped route of scripts/extended_reference.py to 1.24e-11,
-    past its 9e-12 gate.
+    past its 9e-12 gate. A non-finite M, whose halving would never end,
+    raises ValueError.
     """
     X = np.array(M, dtype=np.longdouble)
+    if not np.isfinite(X).all():
+        raise ValueError("matrix exponential of a non-finite matrix")
     squarings = 0
     while np.abs(X).sum(axis=0).max() > 0.5:
         X /= 2
@@ -153,7 +152,8 @@ def oscillator_propagator(omega: float, gamma2: float, dt: float) -> np.ndarray:
     gamma2 = 0 and runs the (z1, z2) block. w' = z1 gives the observer's
     integral channel the share of z1 that the rotation propagates exactly.
     The exponential is _expm's scaled and squared Taylor series, summed in
-    long double, so importing the package needs no scipy.
+    long double, so importing the package needs no scipy. An omega whose
+    square overflows raises ValueError.
     """
     A = np.array(
         [
@@ -245,7 +245,7 @@ def run_plant_cycle(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
 
 
 # ---------------------------------------------------------------------------
-# observer state
+# the measurement
 
 
 def pass_samples(measurement: MeasurementRecord, grid: Grid1D) -> np.ndarray:
@@ -262,24 +262,6 @@ def pass_samples(measurement: MeasurementRecord, grid: Grid1D) -> np.ndarray:
             f"dt={measurement.dt}, a pass needs {n + 1} at dt={grid.dt}"
         )
     return measurement.y
-
-
-@dataclass
-class ObserverState:
-    """Observer at a half-pass boundary, ready to run pass `half_pass`.
-
-    x is the velocity-basis vector (u, v, z1, z2, w), v = (u - u_prev)/dt,
-    that the one-step matrix S acts on. It is in the local time of that pass,
-    so at an odd half_pass (before a backward pass) z2 holds the negated
-    physical velocity. w is the integral of z1 - Y, each pass in its local time.
-    """
-
-    x: np.ndarray
-    half_pass: int
-
-
-def initial_observer_state(grid: Grid1D) -> ObserverState:
-    return ObserverState(np.zeros(2 * grid.nx + 5), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +307,19 @@ class BackAndForthResult:
     after k cycles (row 0 the zero initial guess). per_cycle maps each name
     of CYCLE_COLUMNS to one value per cycle: the estimate's L2 and H1 errors,
     the Lyapunov value and the energy residual at its cycle boundary; None
-    without a truth. final_state is the state after the last half-pass.
+    without a truth. final_state is the velocity-basis vector (u, v, z1, z2,
+    w) after the last half-pass, turned for the forward pass that would
+    come next.
     """
 
     estimates: np.ndarray
     per_cycle: dict[str, np.ndarray] | None
     history: RunHistory | None
-    final_state: ObserverState
+    final_state: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# the observer step and the sweep
+# the observer step
 
 
 def _observer_step(gains: Gains, omega: float, grid: Grid1D):
@@ -370,61 +354,6 @@ def _observer_step(gains: Gains, omega: float, grid: Grid1D):
         return u_curr, un, z1n, z2n, wn
 
     return step
-
-
-def _sweep(
-    state: ObserverState,
-    y: np.ndarray,
-    gains: Gains,
-    omega: float,
-    grid: Grid1D,
-    rec: np.ndarray,
-) -> tuple[ObserverState, np.ndarray]:
-    """Advance the coupled wave/oscillator pair over half-pass state.half_pass.
-
-    The pass replays the one-pass samples y, reversed on a backward
-    half-pass, through the one-step recurrence x <- S x + B (Y_k, Y_k+1)
-    of _linear_parts, run by _run_recurrence. Returns the state turned
-    around for the next half-pass (_turned) and the velocity-basis state as
-    the sweep left it (before the turn). The rows of rec, shape (4, n+1),
-    receive the read-outs of _readout_rows at each node: z1, z2 (in the
-    sweep's local time), the x=0 Dirichlet value and the left trace.
-    """
-    half = state.half_pass
-    _, S, B = _linear_parts(gains, omega, grid)
-    Yp = y if half % 2 == 0 else y[::-1]
-    x = _run_recurrence(S, B, _readout_rows(grid), state.x, Yp, rec)
-    return ObserverState(_turned(x, grid), half + 1), x
-
-
-def observer_half_pass(
-    state: ObserverState,
-    measurement: MeasurementRecord,
-    gains: Gains,
-    omega: float,
-    grid: Grid1D,
-) -> ObserverState:
-    """Run one half-pass over the measurement and turn the state around for the next one.
-
-    The returned state sits at the next half-pass boundary, already in the
-    next pass's local time (wave re-seeded, oscillator velocity negated),
-    so consecutive calls realize the back-and-forth sweep. The measurement
-    must hold exactly one pass of samples.
-    """
-    y = pass_samples(measurement, grid)
-    rec = np.empty((4, grid.n_steps_per_pass + 1))
-    return _sweep(state, y, gains, omega, grid, rec)[0]
-
-
-def extract_estimate(state: ObserverState, grid: Grid1D) -> np.ndarray:
-    """Observer displacement at a cycle boundary t = 2kT, endpoints pinned.
-
-    The raw x=0 node carries the injection value, which vanishes only in
-    the limit; the source is known to vanish at both walls, so pin them.
-    """
-    if state.half_pass % 2 != 0:
-        raise ValueError("estimates exist at cycle boundaries (after a backward half-pass)")
-    return _pinned(state.x[: grid.nx + 1])
 
 
 def _pinned(u: np.ndarray) -> np.ndarray:
@@ -705,7 +634,7 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     dt, n = grid.dt, grid.n_steps_per_pass
     read = _readout_rows(grid)
     D = np.vstack([read, read[2] @ S - read[2]])
-    content = (S.shape, S.tobytes())
+    content = _content(S)
     G = _kept(("sweep forms", content, D.tobytes(), n, dt), _quadratic_part, S, D, n, dt)
     # The term k = 0 is summed apart: D[4] reads f_1 - f_0, which is not
     # small off the sweep's states, while D[4] S^k, k >= 1, are differences
@@ -803,7 +732,7 @@ def run_back_and_forth(
     # is reported once, not as a warning per overflow
     with np.errstate(over="ignore", invalid="ignore"):
         turn, S, B = _linear_parts(gains, omega, grid)
-        Sn = _kept(("matrix power", (S.shape, S.tobytes()), n), np.linalg.matrix_power, S, n)
+        Sn = _kept(("matrix power", _content(S), n), np.linalg.matrix_power, S, n)
         # velocity-basis states: starts[h] before half-pass h (the last row is
         # the final state), ends[h] as sweep h leaves it, before the turn
         starts = np.zeros((halves + 1, len(S)))
@@ -834,5 +763,4 @@ def run_back_and_forth(
             cycle = (l2_norm(err, grid), h1_seminorm(err, grid))
             cycle += (history.lyapunov[::2], history.energy_residuals[::2])
             per_cycle = dict(zip(CYCLE_COLUMNS, cycle))
-    final = ObserverState(starts[-1].copy(), halves)
-    return BackAndForthResult(estimates, per_cycle, history, final)
+    return BackAndForthResult(estimates, per_cycle, history, starts[-1].copy())

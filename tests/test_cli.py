@@ -426,6 +426,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "bad",
+        [{"omega": 1.7e308}, {"omega": 10**160}, {"T": 1e308}, {"T": 10**400}, {"cfl": 5e-324}],
+        ids=["omega_squared", "int_omega_squared", "T_steps", "int_T", "cfl_steps"],
+    )
+    def test_overflowing_value_exit_2(self, tmp_path, capsys, bad):
+        # finite values whose square or step count is not: omega^2 = inf would
+        # never end the propagator's halving, and T / (cfl dx) overflows or
+        # divides by a product that underflows to zero; JSON integers past
+        # float64's range are refused the same way
+        p = write_config(tmp_path / "c.json", **bad)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not any(out.iterdir())
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    @pytest.mark.parametrize(
+        "bad",
         [
             {"nx": 20.5},
             {"iterations": 2.5},

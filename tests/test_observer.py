@@ -16,27 +16,29 @@ from bfwave.leapfrog import (
 )
 from bfwave.observer import (
     CYCLE_COLUMNS,
-    ObserverState,
     OscillatorState,
     _linear_parts,
     _readout_rows,
     _second_x_derivative,
     _start_integrals,
     _state_parts,
-    _sweep,
     _sweep_integrals,
     _trace_bound_ratio,
     _truth_history,
-    extract_estimate,
     hidden_regularity_ratio,
-    initial_observer_state,
     lyapunov_value,
-    observer_half_pass,
     oscillator_drive,
     oscillator_propagator,
     run_back_and_forth,
     run_plant_cycle,
     simulate_cascade,
+)
+from half_pass import (
+    ObserverState,
+    extract_estimate,
+    initial_observer_state,
+    observer_half_pass,
+    sweep,
 )
 from oracle import oscillator_closed_form
 
@@ -64,9 +66,9 @@ def rel_gap(a, b):
 
 
 def stepped_monitored_run(m, gains, omega, g, n_iterations, q, hidden=None):
-    """A monitored run with every half-pass on _sweep, its records' integrals fed to the monitor.
+    """A monitored run with every half-pass on half_pass.sweep, fed to the same monitor.
 
-    Returns (estimates, per_cycle, history) as run_back_and_forth would. A
+    The monitor takes the integrals of the sweeps' records. Returns (estimates, per_cycle, history) as run_back_and_forth would. A
     list hidden receives every sweep's hidden_regularity_ratio of its record,
     the boundary data q0, q1 the monitor's: the start's displacement and
     the velocity at the boundary.
@@ -78,7 +80,7 @@ def stepped_monitored_run(m, gains, omega, g, n_iterations, q, hidden=None):
     rec = np.empty((4, g.n_steps_per_pass + 1))
     for half in range(2 * n_iterations):
         starts.append(state.x)
-        state, ended = _sweep(state, m.y, gains, omega, g, rec)
+        state, ended = sweep(state, m.y, gains, omega, g, rec)
         if hidden is not None:
             vel = boundary_velocity(starts, ends, g)
             q0 = _state_parts(starts[-1], g)[1]
@@ -225,6 +227,11 @@ class TestOscillatorPropagator:
             rot = np.array([[c, s / omega], [-omega * s, c]])
         E = oscillator_propagator(omega, 0.0, dt)[:2, :2]
         assert np.max(np.abs(E - rot)) <= 4 * np.spacing(np.max(np.abs(rot)))
+
+    def test_non_finite_matrix_refused(self):
+        # omega^2 overflows to inf, which no halving brings under 1/2
+        with pytest.raises(ValueError, match="non-finite"):
+            oscillator_propagator(1.7e308, 0.5, 2.5e-4)
 
 
 def _random_system(seed: int, dim: int = 9, rows: int = 3):
@@ -529,7 +536,7 @@ class TestObserverHalfPass:
         assert np.max(np.abs(s.x[: grid.nx + 1])) <= 1e-9
 
     def test_matches_driver(self, grid):
-        # composing the public half-pass (the sweep) reproduces the driver's
+        # composing the half-pass route (half_pass.sweep) reproduces run_back_and_forth's
         # first cycle (the map from the zero state) to rounding
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
@@ -539,7 +546,7 @@ class TestObserverHalfPass:
         s = observer_half_pass(s, m, gains, 2.0, grid)
         res = run_back_and_forth(m, gains, 2.0, grid, 1)
         (up, u, *z, w), (fin_up, fin_u, *fin_z, fin_w) = (
-            _state_parts(st.x, grid) for st in (s, res.final_state)
+            _state_parts(x, grid) for x in (s.x, res.final_state)
         )
         assert rel_gap(u, fin_u) <= 1e-12
         assert rel_gap(up, fin_up) <= 1e-12
@@ -571,7 +578,7 @@ class TestObserverHalfPass:
         for _ in range(start):
             state = observer_half_pass(state, m, gains, omega, grid)
         rec = np.empty((4, grid.n_steps_per_pass + 1))
-        ended = _state_parts(_sweep(state, m.y, gains, omega, grid, rec)[1], grid)
+        ended = _state_parts(sweep(state, m.y, gains, omega, grid, rec)[1], grid)
         s = 1.0 if start % 2 == 0 else -1.0  # the pass's physical time direction
         A = np.array([[-g2, s, 0.0], [-s * omega * omega, 0.0, 0.0], [1.0, 0.0, 0.0]])
         E = expm(dt * A)
@@ -621,7 +628,7 @@ class TestRunBackAndForth:
         # x=0 node of the observer wave equals the injection formula
         res = reduced_run["result"]
         m = reduced_run["measurement"]
-        _, u, z1, _, w = _state_parts(res.final_state.x, reduced_run["grid"])
+        _, u, z1, _, w = _state_parts(res.final_state, reduced_run["grid"])
         g1, g2 = 1.0, 0.5  # the reduced run's gains
         bc = g1 * (z1 - float(m.y[0])) + g1 * g2 * w
         assert u[0] == pytest.approx(bc, abs=1e-13)
@@ -681,7 +688,7 @@ class TestRunBackAndForth:
 
     def test_monitoring_leaves_the_sweep_unchanged(self, grid):
         # monitored and unmonitored runs take one route: monitoring reads the
-        # iteration and never changes it. Against the public half-pass (the
+        # iteration and never changes it. Against the composed half-pass (the
         # sweep), cycle 1 is within 1e-12 relative and cycle 2 within 1e-9.
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
@@ -691,7 +698,7 @@ class TestRunBackAndForth:
         assert len(a.estimates) == len(b.estimates) == 3
         for qa, qb in zip(a.estimates, b.estimates):
             assert np.array_equal(qa, qb)
-        assert np.array_equal(a.final_state.x, b.final_state.x)
+        assert np.array_equal(a.final_state, b.final_state)
         s = initial_observer_state(grid)
         composed = [extract_estimate(s, grid)]
         for _ in range(4):
@@ -700,7 +707,7 @@ class TestRunBackAndForth:
                 composed.append(extract_estimate(s, grid))
         assert rel_gap(composed[1], b.estimates[1]) <= 1e-12
         assert np.max(np.abs(composed[2] - b.estimates[2])) <= 1e-9
-        u_prev = [_state_parts(st.x, grid)[0] for st in (s, b.final_state)]
+        u_prev = [_state_parts(x, grid)[0] for x in (s.x, b.final_state)]
         assert np.max(np.abs(u_prev[0] - u_prev[1])) <= 1e-9
 
 
@@ -742,12 +749,12 @@ class TestMonitorForms:
         for h, rec in enumerate(records):
             zero = initial_observer_state(g)
             zero.half_pass = h
-            _sweep(zero, m.y, gains, omega, g, rec)
+            sweep(zero, m.y, gains, omega, g, rec)
             rec[:2] -= truth_z[h]
         x = np.random.default_rng(5).standard_normal(2 * nx1 + 3)
         start = ObserverState(x, half)
         rec = np.empty((4, n + 1))
-        _sweep(start, m.y, gains, omega, g, rec)
+        sweep(start, m.y, gains, omega, g, rec)
         rec[:2] -= truth_z[half]
         want = _sweep_integrals(rec, g.dt)
         # row h of the run's evaluation takes the forms of h's replay order
@@ -817,7 +824,7 @@ class TestMonitorForms:
         for field in dataclasses.fields(cold.history):
             a, b = (getattr(r.history, field.name) for r in (cold, warm))
             assert np.array_equal(a, b), field.name
-        assert np.array_equal(cold.final_state.x, warm.final_state.x)
+        assert np.array_equal(cold.final_state, warm.final_state)
 
     def test_zero_truth_zero_measurement(self, grid):
         # the forms of an all-zero run are zero: no energy, no trace, no refusal
@@ -934,8 +941,7 @@ class TestCycleMap:
         for a, b in zip(res.estimates, mapped.estimates):
             assert np.array_equal(a, b)
         # the rebuilt final state keeps the injection invariant at x=0
-        assert res.final_state.half_pass == 2 * cfg.iterations
-        _, u, z1, _, w = _state_parts(res.final_state.x, grid)
+        _, u, z1, _, w = _state_parts(res.final_state, grid)
         y0 = float(m.y[0])
         g1, g2 = cfg.gamma1, cfg.gamma2
         bc = g1 * (z1 - y0) + g1 * g2 * w

@@ -26,16 +26,19 @@ def test_imports(script, own_path):
 
 def test_extended_reference_stepped_route(own_path):
     # the script's stepped route calls the library's observer step one time
-    # node at a time; in float64 it agrees with the map route
+    # node at a time, and its composed route (tests/half_pass.py) sweeps one
+    # half-pass at a time; in float64 each agrees with the map route
     script = SCRIPTS[[p.name for p in SCRIPTS].index("extended_reference.py")]
-    stepped = runpy.run_path(str(script), run_name="script_import")["stepped_estimates"]
+    routes = runpy.run_path(str(script), run_name="script_import")
     cfg = ScenarioConfig(cfl=0.05)
     grid = cfg.grid()
     m = simulate_forward(cfg.q_true(grid), cfg.omega, grid)
     mapped = run_back_and_forth(m, cfg.gains(), cfg.omega, grid, 2).estimates[1:]
-    est = stepped(m.y, cfg.gains(), cfg.omega, grid, 2, np.float64)
-    assert est.shape == mapped.shape
-    assert np.max(np.abs(est - mapped)) <= 1e-9 * np.max(np.abs(mapped))
+    stepped = routes["stepped_estimates"](m.y, cfg.gains(), cfg.omega, grid, 2, np.float64)
+    composed = routes["half_pass_estimates"](m, cfg.gains(), cfg.omega, grid, 2)
+    for est in (stepped, composed):
+        assert est.shape == mapped.shape
+        assert np.max(np.abs(est - mapped)) <= 1e-9 * np.max(np.abs(mapped))
 
 
 def test_reference_scenario_file_set(tmp_path, own_path, monkeypatch):
