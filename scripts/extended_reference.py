@@ -13,8 +13,9 @@ of its energy drift and round trip (nx 20, cfl 0.005, from sin(pi x)), as a
 long-double loop of _leap steps. It prints how far two float64 routes are
 from it, at the end state the round trip turns and over every level the
 drift reads: the blocked recurrence the check runs (leapfrog._run_recurrence
-on _wave_parts' S, read out as the levels) and the same loop stepped in
-float64, as leapfrog.step runs it.
+on _wave_parts' S, read out as the levels) and the same loop of _leap steps
+in float64, the scheme of the tests' stepped wave reference (step in
+tests/stepped.py).
 
 Then the estimates. It runs the observer recurrence of the clean 50-cycle
 reference scenario in numpy longdouble, one step at a time: the library's

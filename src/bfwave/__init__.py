@@ -25,7 +25,6 @@ from .leapfrog import (
     discrete_energy,
     init_leapfrog,
     run_homogeneous,
-    step,
 )
 from .observer import (
     BackAndForthResult,
@@ -51,7 +50,6 @@ __all__ = [
     "discrete_energy",
     "init_leapfrog",
     "run_homogeneous",
-    "step",
     "BackAndForthResult",
     "OscillatorState",
     "run_back_and_forth",

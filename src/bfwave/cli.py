@@ -34,6 +34,7 @@ from .diagnostics import DiagnosticsReport, run_level_checks, run_verify_battery
 from .forward import (
     MeasurementRecord,
     _csv_rows,
+    _write_csv,
     add_noise,
     read_measurement_csv,
     simulate_forward,
@@ -65,7 +66,7 @@ def load_config(path) -> ScenarioConfig:
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past Python's 4,300 digits
         raise ConfigError(f"malformed JSON in {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -117,16 +118,6 @@ def write_manifest(out_dir: Path, cfg: ScenarioConfig, command: str, inputs: lis
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The header line, then the rows, CRLF after each line, in one write.
-
-    The file holds the bytes a csv.writer row loop writes: no field needs
-    quoting. rows is an iterable of bytes, such as _csv_rows gives.
-    """
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + b"\r\n" + b"".join(rows))
-
-
 def write_iterations_csv(path: Path, result: BackAndForthResult) -> Path:
     """One row per cycle: its index and per_cycle's values, empty cells for a blind run.
 
@@ -136,38 +127,26 @@ def write_iterations_csv(path: Path, result: BackAndForthResult) -> Path:
     header, cycles = ["iter", *CYCLE_COLUMNS], np.arange(len(result.estimates))
     if result.per_cycle is None:
         row = b"%d" + b"," * len(CYCLE_COLUMNS) + b"\r\n"
-        _write_csv(path, header, [row * len(cycles) % tuple(cycles.tolist())])
-    else:
-        _write_csv(path, header, _csv_rows(cycles, *result.per_cycle.values()))
-    return path
+        return _write_csv(path, header, [row * len(cycles) % tuple(cycles.tolist())])
+    return _write_csv(path, header, _csv_rows(cycles, *result.per_cycle.values()))
 
 
-def write_estimate_csv(
-    path: Path, x: np.ndarray, q_hat: np.ndarray, q_true=None, iters=None, final=None
-) -> Path:
-    """Rows x,q_hat[,q_true], one per node.
+def write_estimate_csv(path: Path, x, q_hat: np.ndarray, q_true, iters, final: Path) -> Path:
+    """Rows iter,x,q_hat[,q_true], one per node of each estimate q_hat[i], iteration iters[i].
 
-    With iters, q_hat stacks one estimate per entry of iters, and each row
-    leads with its estimate's iteration: iter,x,q_hat[,q_true], the nodes of
-    each estimate in order. Every x, q_hat and q_true cell is the text the
-    file of that estimate alone holds, so with iters and a final path, the
-    file of the last estimate alone is written there from the last rows'
-    cells after their iter cell. Returns path.
+    At final, the last estimate's own file, rows x,q_hat[,q_true], is cut
+    from the last rows: every x, q_hat and q_true cell is the text the file
+    of its estimate alone holds. q_true is None for a blind run. Returns path.
     """
-    if final is not None and iters is None:
-        raise ValueError("a final file is cut from the rows of iters")
-    q_hat = np.atleast_2d(q_hat)
-    cols = [np.tile(x, len(q_hat)), q_hat.ravel()]
+    # iters are integral, so written as '%d' writes them
+    cols = [np.repeat(iters, len(x)), np.tile(x, len(q_hat)), q_hat.ravel()]
     if q_true is not None:
         cols.append(np.tile(q_true, len(q_hat)))
-    header = ["x", "q_hat", "q_true"][: len(cols)]
-    if iters is not None:  # integral, so written as '%d' writes them
-        cols.insert(0, np.repeat(iters, len(x)))
+    header = ["x", "q_hat", "q_true"][: len(cols) - 1]
     body = b"".join(_csv_rows(*cols))
-    _write_csv(path, header if iters is None else ["iter", *header], [body])
-    if final is not None:  # the last estimate's rows, each without its iter cell
-        last = body.split(b"\r\n")[-1 - len(x) : -1]
-        _write_csv(final, header, [b"".join(row.partition(b",")[2] + b"\r\n" for row in last)])
+    _write_csv(path, ["iter", *header], [body])
+    last = body.split(b"\r\n")[-1 - len(x) : -1]  # the last estimate's rows, iter cell cut below
+    _write_csv(final, header, [b"".join(row.partition(b",")[2] + b"\r\n" for row in last)])
     return path
 
 
@@ -190,8 +169,7 @@ def write_checks_csv(path: Path, report: DiagnosticsReport) -> tuple[Path, Path]
 
 def write_lyapunov_csv(path: Path, result: BackAndForthResult) -> Path:
     V = result.history.lyapunov
-    _write_csv(path, ["iter", "V"], _csv_rows(np.arange(len(V)) / 2.0, V))
-    return path
+    return _write_csv(path, ["iter", "V"], _csv_rows(np.arange(len(V)) / 2.0, V))
 
 
 def _run_diagnostics(result: BackAndForthResult, noisy: bool) -> DiagnosticsReport:
@@ -299,12 +277,8 @@ def _invert_impl(
     last = len(est) - 1
     snapshots = [*range(0, last, cfg.snapshot_stride), last]
     final = out / "estimate_final.csv"  # the last snapshot is est[-1]
-    written.append(
-        write_estimate_csv(
-            out / "estimates.csv", x, [est[k] for k in snapshots], q_true, snapshots, final
-        )
-    )
-    written.append(final)
+    path = write_estimate_csv(out / "estimates.csv", x, est[snapshots], q_true, snapshots, final)
+    written += [path, final]
     if result.history is not None:
         noisy = measurement.provenance == "noisy"
         written.extend(write_checks_csv(out / "diagnostics.csv", _run_diagnostics(result, noisy)))

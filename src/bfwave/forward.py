@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid1D, _trapezoid_sq
+from .grid import Grid1D, _same_time, _trapezoid_sq
 from .leapfrog import run_homogeneous
 
 __all__ = [
@@ -226,25 +226,34 @@ def _csv_rows(*columns: np.ndarray) -> Iterator[bytes]:
         yield b"".join(cells)
 
 
+def _write_csv(path, header: list[str], rows, provenance: str | None = None):
+    """The one CSV file writer: a "# <provenance>" line if given, the header, then the rows.
+
+    Lines end in CRLF and no field needs quoting: the bytes of a csv.writer row
+    loop. rows, bytes such as _csv_rows gives, are written as they stream. Returns path.
+    """
+    with open(path, "wb") as fh:
+        if provenance is not None:
+            fh.write(f"# {provenance}\r\n".encode())
+        fh.write(",".join(header).encode() + b"\r\n")
+        fh.writelines(rows)
+    return path
+
+
 def write_measurement_csv(record: MeasurementRecord, path):
     """Columns t,y; a noisy record is preceded by one provenance comment line.
 
     The line reads "# provenance=noisy noise_level=<level> noise_seed=<seed>"
-    (the seed left out when unknown); clean records have no such line.
-    Every line ends in CRLF, as csv.writer ends its rows: the file holds the
-    bytes a csv.writer row loop writes (no field needs quoting), formatted
-    by _csv_rows _CSV_BLOCK rows per block. Returns path.
+    (the seed left out when unknown); clean records have no such line. The
+    rows go through _csv_rows, _CSV_BLOCK rows per block, and _write_csv. Returns path.
     """
-    with open(path, "wb") as fh:
-        if record.provenance == "noisy":
-            meta = f"provenance=noisy noise_level={record.noise_level:.17g}"
-            if record.noise_seed is not None:
-                meta += f" noise_seed={record.noise_seed}"
-            fh.write(f"# {meta}\r\n".encode())
-        fh.write(b"t,y\r\n")
-        t = np.arange(len(record.y)) * record.dt
-        fh.writelines(_csv_rows(t, record.y))
-    return path
+    meta = None
+    if record.provenance == "noisy":
+        meta = f"provenance=noisy noise_level={record.noise_level:.17g}"
+        if record.noise_seed is not None:
+            meta += f" noise_seed={record.noise_seed}"
+    t = np.arange(len(record.y)) * record.dt
+    return _write_csv(path, ["t", "y"], _csv_rows(t, record.y), meta)
 
 
 def _read_provenance(line: str) -> dict:
@@ -316,8 +325,8 @@ def read_measurement_csv(path) -> MeasurementRecord:
     or CR. A file without a provenance line reads as clean. A blank row, or
     a row that is not two numbers, is refused by its file line, found by
     halving its chunk only when the chunk's parse fails.
-    The times must increase, be uniform and start at 0, the last two to
-    within 1e-12 + 1e-9 dt.
+    The times must increase, be uniform and start at 0, the last two by
+    the one sample-time rule (grid._same_time).
     """
     with open(path, newline="") as fh:
         line = fh.readline()
@@ -336,8 +345,8 @@ def read_measurement_csv(path) -> MeasurementRecord:
     dt = t[1] - t[0]
     if not dt > 0:  # the tolerances below assume a positive step
         raise ValueError("measurement time does not increase")
-    if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-12 + 1e-9 * dt):
+    if not _same_time(np.diff(t), dt, dt):
         raise ValueError("measurement sampling is not uniform")
-    if abs(t[0]) > 1e-12 + 1e-9 * dt:
+    if not _same_time(t[0], 0.0, dt):
         raise ValueError(f"measurement time starts at {t[0]:.17g}, not at 0")
     return MeasurementRecord(y=y, dt=float(dt), T=float(t[-1]), **fields)

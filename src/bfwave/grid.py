@@ -49,14 +49,24 @@ class Grid1D:
 
 _FLOAT_MAX = float(np.finfo(float).max)
 _OMEGA_MAX = float(np.sqrt(_FLOAT_MAX))  # the largest |omega| whose square is finite
+# a run keeps 2 iterations + 1 state rows, a numpy dimension: at most intp's largest
+_MAX_ITERATIONS = (int(np.iinfo(np.intp).max) - 1) // 2
 
 
-def _check_integer(name: str, value, least: int) -> None:
-    """Refuse a non-integer (a bool, a float, JSON's Infinity) or a value below least."""
+def _same_time(a, b, dt: float) -> bool:
+    """The one sample-time rule of the measurement reader and pass_samples:
+    every time of a lies within 1e-12 + 1e-9 dt of b. A NaN matches nothing."""
+    return bool(np.all(np.abs(np.subtract(a, b)) <= 1e-12 + 1e-9 * dt))
+
+
+def _check_integer(name: str, value, least: int, most: float = np.inf) -> None:
+    """Refuse a non-integer (a bool, a float, JSON's Infinity) or one outside [least, most]."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most:.17g}, got {value}")
 
 
 def _check_real(name: str, value) -> None:
@@ -67,7 +77,7 @@ def _check_real(name: str, value) -> None:
 
 def build_grid(nx: int, cfl: float, T: float) -> Grid1D:
     """Build a grid with dx = 1/nx and dt snapped to divide T exactly."""
-    _check_integer("nx", nx, 3)
+    _check_integer("nx", nx, 3, _FLOAT_MAX)
     _check_real("cfl", cfl)
     _check_real("T", T)
     if not 0.0 < cfl <= 1.0:
@@ -156,7 +166,7 @@ class SourceSpec:
     coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_integer("source mode index k", self.k, 1)
+        _check_integer("source mode index k", self.k, 1, _FLOAT_MAX)
 
 
 def eval_source_profile(spec: SourceSpec, grid: Grid1D) -> np.ndarray:
@@ -183,6 +193,7 @@ def eval_source_profile(spec: SourceSpec, grid: Grid1D) -> np.ndarray:
 
 # |omega| closer than this to a natural frequency k*pi counts as resonant
 RESONANCE_TOL = 1e-8
+_OMEGA_RESOLVED = 2.0**26
 
 
 class ResonanceError(ValueError):
@@ -192,8 +203,14 @@ class ResonanceError(ValueError):
 def check_resonance(omega: float, n_modes: int | None = None) -> None:
     """Refuse |omega| within RESONANCE_TOL of k*pi, k >= 1 (and k <= n_modes if given).
 
-    Only the nearest k can be that close; a non-finite omega is not resonant.
+    Only the nearest k can be that close; NaN is not resonant. From |omega| = 2^26 up
+    (inf included) the check cannot decide and refuses with a plain ValueError: floats
+    in [2^26, 2^27) lie 2^-26 = 1.5e-8 apart, more than RESONANCE_TOL, so there the
+    rounding of omega and of k*pi (np.pi is 1.2e-16 short of pi, times k), not the
+    data, would decide; below, floats lie at most 7.5e-9 apart.
     """
+    if abs(omega) >= _OMEGA_RESOLVED:
+        raise ValueError(f"|omega| must be below 2^26 to decide resonance, got {omega}")
     k = max(1.0, float(np.rint(abs(omega) / np.pi)))
     if abs(abs(omega) - k * np.pi) < RESONANCE_TOL and (n_modes is None or k <= n_modes):
         k = int(k)
@@ -215,6 +232,10 @@ class ScenarioConfig:
     The defaults are the clean reference experiment: q = x - x^2 on a
     20-cell grid, T = 3, cfl = 0.005 (dt = 2.5e-4), omega = 2,
     gamma1 = 1, gamma2 = 1/2, 50 iterations, seed 42.
+
+    |omega| must lie below 2^26, where check_resonance can decide. nx and source.k
+    must lie within float64's range, and iterations low enough that the run's
+    2 iterations + 1 state rows are a numpy dimension.
     """
 
     source: SourceSpec | None = field(default_factory=SourceSpec)
@@ -238,7 +259,7 @@ class ScenarioConfig:
         if not abs(self.omega) <= _OMEGA_MAX:
             raise ValueError(f"omega and its square must be finite, got {self.omega}")
         check_resonance(self.omega)
-        _check_integer("iterations", self.iterations, 1)
+        _check_integer("iterations", self.iterations, 1, _MAX_ITERATIONS)
         _check_integer("seed", self.seed, 0)
         _check_integer("snapshot_stride", self.snapshot_stride, 1)
         if not 0.0 <= self.noise < np.inf:

@@ -10,8 +10,8 @@ the two stored levels, so a sweep runs backward in time once
 reversed_state has swapped the roles of past and future at the turn.
 Callers that alternate directions read theirs from their own pass index.
 
-A stepped level goes through the one interior update _leap (step, the
-start-up ghost level of init_leapfrog, continuation_level), and the left
+A stepped level goes through the one interior update _leap (the start-up
+ghost level of init_leapfrog, continuation_level), and the left
 Neumann trace through the one stencil neumann_trace; callers only set the
 two boundary nodes. run_homogeneous, the one run with homogeneous walls,
 free or forced, is not stepped: it is the linear recurrence x <- S x + B s_k
@@ -30,7 +30,8 @@ synthesis forced. A free run passes B with no columns, so it packs and
 carries no inputs. The verify battery's energy drift and round trip run
 the same free recurrence through _run_recurrence, the drift read out as
 the levels, the backward leg from the turned state with no read-out at
-all; step is the stepped reference the tests' round trips run backward.
+all. The stepped reference that the tests' round trips run backward is
+not in the package: it is step in tests/stepped.py, one _leap per call.
 _leap, neumann_trace, discrete_energy and continuation_level also take
 (nx+1, m) arrays, one level per column, which is how the observer's
 half-pass maps are built; discrete_energy also takes a chain of
@@ -49,7 +50,6 @@ from .grid import Grid1D
 __all__ = [
     "LeapfrogState",
     "init_leapfrog",
-    "step",
     "neumann_trace",
     "discrete_energy",
     "run_homogeneous",
@@ -109,14 +109,6 @@ def init_leapfrog(q0: np.ndarray, f0: np.ndarray | None, grid: Grid1D) -> Leapfr
     up[0] = q0[0]
     up[-1] = q0[-1]
     return LeapfrogState(u_prev=up, u_curr=q0.copy())
-
-
-def step(state: LeapfrogState, left_bc_next: float, grid: Grid1D) -> LeapfrogState:
-    """Advance one unforced step; the new level gets left_bc_next at x=0 and 0 at x=1."""
-    un = _leap(state.u_prev, state.u_curr, grid.cfl * grid.cfl)
-    un[0] = left_bc_next
-    un[-1] = 0.0
-    return LeapfrogState(u_prev=state.u_curr, u_curr=un)
 
 
 def neumann_trace(u: np.ndarray, dx: float) -> float | np.ndarray:

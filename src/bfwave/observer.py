@@ -75,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forward import MeasurementRecord
-from .grid import Gains, Grid1D, _slope_sq, _trapezoid_sq, h1_seminorm, l2_norm
+from .grid import Gains, Grid1D, _same_time, _slope_sq, _trapezoid_sq, h1_seminorm, l2_norm
 from .leapfrog import (
     LeapfrogState,
     _content,
@@ -84,7 +84,6 @@ from .leapfrog import (
     _leap,
     _run_recurrence,
     _to_velocity_basis,
-    _wave_parts,
     continuation_level,
     neumann_trace,
     run_homogeneous,
@@ -251,12 +250,13 @@ def run_plant_cycle(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
 def pass_samples(measurement: MeasurementRecord, grid: Grid1D) -> np.ndarray:
     """The measurement's samples, refused unless they fill exactly one pass.
 
-    One pass is n_steps_per_pass + 1 samples at the grid's dt. Forward
+    One pass is n_steps_per_pass + 1 samples at the grid's dt, matched by
+    the one sample-time rule (grid._same_time). Forward
     half-passes replay them in order, backward ones reversed, so the
     periodized signal is continuous at every turn. Raises ValueError.
     """
     n = grid.n_steps_per_pass
-    if len(measurement.y) != n + 1 or abs(measurement.dt - grid.dt) > 1e-12 + 1e-9 * grid.dt:
+    if len(measurement.y) != n + 1 or not _same_time(measurement.dt, grid.dt, grid.dt):
         raise ValueError(
             f"sampling mismatch: measurement has {len(measurement.y)} samples at "
             f"dt={measurement.dt}, a pass needs {n + 1} at dt={grid.dt}"
@@ -470,20 +470,21 @@ def _truth_history(
     nx1, dt = grid.nx + 1, grid.dt
     g1, om2 = gains.gamma1, omega * omega
     g1g2 = g1 * gains.gamma2
+    u_prev, u, z1, z2, _ = (a.T for a in _state_parts(starts.T, grid))
     # the velocity at a boundary, in the local time of the sweep that ended
     # there (zero at the start): from the level before it, on both sides of the turn
-    before = [_state_parts(x.T, grid)[0].T for x in (starts[1:], ends)]
-    vel = np.vstack([np.zeros(nx1), (before[0] - before[1]) / (2.0 * dt)])
+    before_end = _state_parts(ends.T, grid)[0].T
+    vel = np.vstack([np.zeros(nx1), (u_prev[1:] - before_end) / (2.0 * dt)])
     # integrals of (z1 - z1_truth)^2 and (z2 - z2_truth)^2 up to each boundary
     int_zt_sq = np.cumsum(np.vstack([np.zeros(2), integrals[:, :2]]), axis=0)
     # the truth at boundary h, by its parity: the field and velocity (q, 0) at
     # t = 0 and the turn state at t = T, and the oscillator at the first node
     # of the coming sweep
     parity = np.arange(len(starts)) % 2
-    w1 = starts[:, :nx1] - np.stack([q, plant.field_T])[parity]
+    w1 = u - np.stack([q, plant.field_T])[parity]
     w2 = vel - np.stack([np.zeros(nx1), plant.vel_T])[parity]
     z_truth = np.stack([z[:, 0] for z in plant.sweep_z])[parity]
-    zt1, zt2 = (starts[:, 2 * nx1 : 2 * nx1 + 2] - z_truth).T
+    zt1, zt2 = z1 - z_truth[:, 0], z2 - z_truth[:, 1]
     w2t = l2_norm(_second_x_derivative(w1, grid.dx), grid)
     tr_err = neumann_trace(w1.T, grid.dx)
     sweeps = len(integrals)
@@ -503,7 +504,7 @@ def _truth_history(
         + h1_seminorm(q, grid) ** 2
         + l2_norm(_second_x_derivative(q, grid.dx), grid) ** 2,
         hidden_ratios=_trace_bound_ratio(
-            *integrals[:, 2:].T, starts[:sweeps, :nx1], vel[:sweeps], grid.T, grid
+            *integrals[:, 2:].T, u[:sweeps], vel[:sweeps], grid.T, grid
         ),
     )
 
@@ -515,7 +516,8 @@ def _truth_history(
 # the sweep leaves S^n x + c from the start x, and the turn R re-seeds it, with
 # S the one-step matrix over a zero measurement and c = sum_k S^(n-1-k) B
 # (Y_k, Y_k+1) over the pass's samples in replay order. The state vector is
-# (u_curr, (u_curr - u_prev)/dt, z1, z2, w). In this velocity basis the
+# (u_curr, (u_curr - u_prev)/dt, z1, z2, w), written and read only through its
+# codec, _state_vector and _state_parts. In this velocity basis the
 # map keeps the 50-cycle reference estimates within 8.9e-12 (relative) of an
 # extended-precision run of the same recurrence stepped node by node (a float64
 # stepped run: 8.0e-12; scripts/extended_reference.py); in the two-level basis
@@ -574,12 +576,9 @@ def _linear_parts(gains: Gains, omega: float, grid: Grid1D):
 
 
 def _readout_rows(grid: Grid1D) -> np.ndarray:
-    """The rows that read z1, z2, the x=0 Dirichlet value f and the left trace off a state."""
-    nx1 = grid.nx + 1
-    D = np.zeros((4, 2 * nx1 + 3))
-    D[0, 2 * nx1] = D[1, 2 * nx1 + 1] = D[2, 0] = 1.0
-    D[3, : 2 * nx1] = _wave_parts(grid)[1]
-    return D
+    """The rows reading z1, z2, the x=0 value f and the left trace: _state_parts on the identity."""
+    _, u, z1, z2, _ = _state_parts(np.eye(2 * grid.nx + 5), grid)
+    return np.array([z1, z2, u[0], neumann_trace(u, grid.dx)])
 
 
 _POWER_BLOCK = 128  # steps whose rows _power_rows holds at once
@@ -725,7 +724,7 @@ def run_back_and_forth(
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
     y = pass_samples(measurement, grid)
-    n, nx1, halves = grid.n_steps_per_pass, grid.nx + 1, 2 * n_iterations
+    n, halves = grid.n_steps_per_pass, 2 * n_iterations
     history = per_cycle = None
     # a run that blows up (an unstable cfl, or gains so large that the step's
     # own matrices overflow) goes on to its end, where its non-finite result
@@ -748,7 +747,7 @@ def run_back_and_forth(
         for h in range(halves):
             ends[h] = Sn @ starts[h] + offsets[h % 2]
             starts[h + 1] = turn @ ends[h]
-        estimates = _pinned(starts[::2, :nx1])
+        estimates = _pinned(_state_parts(starts[::2].T, grid)[1].T)
         if q_true is not None:
             q = np.asarray(q_true, dtype=float)
             plant = run_plant_cycle(q, omega, grid)

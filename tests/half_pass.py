@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from bfwave.leapfrog import _run_recurrence
-from bfwave.observer import _linear_parts, _pinned, _readout_rows, _turned, pass_samples
+from bfwave.observer import (
+    _linear_parts,
+    _pinned,
+    _readout_rows,
+    _state_parts,
+    _turned,
+    pass_samples,
+)
 
 
 @dataclass
@@ -73,4 +80,4 @@ def extract_estimate(state: ObserverState, grid) -> np.ndarray:
     """
     if state.half_pass % 2 != 0:
         raise ValueError("estimates exist at cycle boundaries (after a backward half-pass)")
-    return _pinned(state.x[: grid.nx + 1])
+    return _pinned(_state_parts(state.x, grid)[1])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from bfwave.grid import Grid1D, check_resonance
+from bfwave.grid import Grid1D, _same_time, check_resonance
 from bfwave.observer import OscillatorState
 
 
@@ -118,7 +118,7 @@ def oscillator_closed_form(
     """
     g = np.asarray(forcing, dtype=float)
     m = int(round(t / dt))
-    if not np.isclose(m * dt, t, rtol=0, atol=1e-12 + 1e-9 * dt) or m >= len(g):
+    if not _same_time(m * dt, t, dt) or m >= len(g):
         raise ValueError("t must be a forcing sample time within range")
     s = np.arange(m + 1) * dt
     # R(t - s)(0, g) = R(t) (r12(-s) g, r22(-s) g): one quadrature per channel

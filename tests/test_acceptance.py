@@ -13,7 +13,6 @@ import pytest
 from bfwave.cli import EXIT_OK, cmd_full
 from bfwave.diagnostics import (
     energy_identity_residual,
-    hidden_regularity_ratio,
     lyapunov_decrease_check,
     second_energy_boundedness,
 )
@@ -24,9 +23,9 @@ from bfwave.leapfrog import (
     init_leapfrog,
     reversed_state,
     run_homogeneous,
-    step,
 )
-from bfwave.observer import run_back_and_forth, simulate_cascade
+from bfwave.observer import hidden_regularity_ratio, run_back_and_forth, simulate_cascade
+from stepped import step
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -426,14 +426,48 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"omega": 1.7e308}, {"omega": 10**160}, {"T": 1e308}, {"T": 10**400}, {"cfl": 5e-324}],
-        ids=["omega_squared", "int_omega_squared", "T_steps", "int_T", "cfl_steps"],
+        [
+            {"omega": 1.7e308},
+            {"omega": 10**160},
+            {"T": 1e308},
+            {"T": 10**400},
+            {"cfl": 5e-324},
+            {"omega": 1e8},
+            {"omega": 1e9},
+            {"omega": 1e20},
+            {"omega": 1e80, "cfl": 0.05},
+            {"omega": 1e100},
+            {"nx": 10**400},
+            {"source": {"profile": "sine_k", "k": 10**400}},
+            {"iterations": 10**400},
+            {"iterations": 10**300},
+        ],
+        ids=[
+            "omega_squared",
+            "int_omega_squared",
+            "T_steps",
+            "int_T",
+            "cfl_steps",
+            "omega_1e8",
+            "omega_1e9",
+            "omega_1e20",
+            "omega_1e80",
+            "omega_1e100",
+            "int_nx",
+            "int_k",
+            "int_iterations",
+            "iterations_rows",
+        ],
     )
     def test_overflowing_value_exit_2(self, tmp_path, capsys, bad):
         # finite values whose square or step count is not: omega^2 = inf would
         # never end the propagator's halving, and T / (cfl dx) overflows or
         # divides by a product that underflows to zero; JSON integers past
-        # float64's range are refused the same way
+        # float64's range are refused the same way. From |omega| = 2^26 up,
+        # floats lie further apart than the resonance tolerance, so the
+        # resonance check cannot decide: 1e8 and 1e9 ran, 1e20 and 1e100 were
+        # refused as resonant by rounding, 1e80 wrote NaN estimates. 10**300
+        # iterations would make 2 * 10**300 + 1 state rows, past numpy's dimensions
         p = write_config(tmp_path / "c.json", **bad)
         out = tmp_path / "out"
         out.mkdir()
@@ -441,6 +475,24 @@ class TestExitCodes:
         assert not any(out.iterdir())
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    def test_integer_past_the_digit_limit_exit_2(self, tmp_path, capsys):
+        # json.load refuses an integer of more than 4,300 digits with a plain
+        # ValueError, not a JSONDecodeError
+        p = tmp_path / "c.json"
+        p.write_text('{"iterations": 1' + "0" * 5000 + "}")
+        out = tmp_path / "out"
+        assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: malformed JSON"), err
+
+    def test_omega_below_the_resolution_bound_runs(self, tmp_path):
+        # 3e7 < 2^26: floats there lie 3.7e-9 apart, and the check resolves 1e-8
+        p = write_config(tmp_path / "c.json", omega=3e7)
+        out = tmp_path / "out"
+        assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_OK
+        assert_manifest_lists_directory(out)
 
     @pytest.mark.parametrize(
         "bad",
@@ -636,14 +688,14 @@ class TestEstimatesCsv:
         q_true = None if blind else cfg.q_true(grid)
         measurement = read_measurement_csv(m)
         result = run_back_and_forth(measurement, cfg.gains(), cfg.omega, grid, iterations)
-        want = b"iter,x,q_hat" + (b"" if blind else b",q_true") + b"\r\n"
-        for k in snapshots:
-            one = write_estimate_csv(tmp_path / "e.csv", grid.nodes, result.estimates[k], q_true)
-            for line in one.read_bytes().split(b"\r\n")[1:-1]:
-                want += b"%d," % k + line + b"\r\n"
-        assert (out / "estimates.csv").read_bytes() == want
+        header = ["x", "q_hat"] + ([] if blind else ["q_true"])
+        rows = {k: estimate_rows(grid.nodes, result.estimates[k], q_true) for k in snapshots}
+        want = [[k, *row] for k in snapshots for row in rows[k]]
+        ref = csv_writer_bytes(tmp_path / "ref.csv", ["iter", *header], want)
+        assert (out / "estimates.csv").read_bytes() == ref
         # estimate_final.csv, cut from estimates.csv, is the last estimate's own file
-        assert (out / "estimate_final.csv").read_bytes() == one.read_bytes()
+        ref = csv_writer_bytes(tmp_path / "ref.csv", header, rows[snapshots[-1]])
+        assert (out / "estimate_final.csv").read_bytes() == ref
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         assert str(out / "estimates.csv") in outputs
         assert str(out / "estimate_final.csv") in outputs
@@ -677,6 +729,12 @@ def g17(v) -> str:
     return format(float(v), ".17g")
 
 
+def estimate_rows(x, q_hat, q_true) -> list[list[str]]:
+    """The '%.17g' cells x,q_hat[,q_true] of one estimate, one row per node."""
+    cols = [x, q_hat] if q_true is None else [x, q_hat, q_true]
+    return [list(map(g17, r)) for r in zip(*cols)]
+
+
 @pytest.fixture(scope="module")
 def short_runs():
     """A monitored and a blind 3-cycle run of one coarse measurement."""
@@ -702,16 +760,19 @@ class TestCsvFormatting:
 
     @pytest.mark.parametrize("with_truth", [False, True])
     def test_estimate_bytes(self, tmp_path, with_truth):
+        # two snapshots of extreme cells, the final file cut from the last one's rows
         rng = np.random.default_rng(1)
         x = np.linspace(0.0, 1.0, 21)
-        q_hat = rng.standard_normal(21) * 10.0 ** rng.integers(-300, 300, 21)
-        q_hat[:5] = [0.0, -0.0, np.nan, np.inf, 5e-324]
+        q_hat = rng.standard_normal((2, 21)) * 10.0 ** rng.integers(-300, 300, (2, 21))
+        q_hat[:, :5] = [0.0, -0.0, np.nan, np.inf, 5e-324], [-np.inf, 1e-300, -0.0, 1.0, 0.1]
         q_true = x - x * x if with_truth else None
-        path = write_estimate_csv(tmp_path / "e.csv", x, q_hat, q_true)
-        cols = [x, q_hat] if q_true is None else [x, q_hat, q_true]
-        header = ["x", "q_hat", "q_true"][: len(cols)]
-        rows = [list(map(g17, r)) for r in zip(*cols)]
-        assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+        iters, final = [0, 7], tmp_path / "final.csv"
+        path = write_estimate_csv(tmp_path / "e.csv", x, q_hat, q_true, iters, final)
+        header = ["x", "q_hat", "q_true"][: 2 if q_true is None else 3]
+        rows = [estimate_rows(x, q, q_true) for q in q_hat]
+        want = [[k, *row] for k, est in zip(iters, rows) for row in est]
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", ["iter", *header], want)
+        assert final.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header, rows[-1])
 
     @pytest.mark.parametrize("run", ["monitored", "blind"])
     def test_iterations_bytes(self, tmp_path, short_runs, run):

@@ -7,16 +7,20 @@ from bfwave.diagnostics import (
     energy_identity_check,
     energy_identity_residual,
     equivalence_report,
-    hidden_regularity_ratio,
     lyapunov_decrease_check,
-    lyapunov_value,
     run_level_checks,
     run_verify_battery,
     second_energy_boundedness,
 )
 from bfwave.forward import simulate_forward
 from bfwave.grid import Gains, ScenarioConfig, build_grid
-from bfwave.observer import OscillatorState, run_back_and_forth, simulate_cascade
+from bfwave.observer import (
+    OscillatorState,
+    hidden_regularity_ratio,
+    lyapunov_value,
+    run_back_and_forth,
+    simulate_cascade,
+)
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,7 @@ from bfwave.forward import (
     write_measurement_csv,
 )
 from bfwave.grid import ScenarioConfig, build_grid
+from bfwave.observer import pass_samples
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +275,33 @@ REFUSED = {
     "decreasing_time": ("t,y\n0,0\n-0.5,1\n-1,2\n", "time does not increase"),
     "constant_time": ("t,y\n0,0\n0,1\n0,2\n", "time does not increase"),
 }
+
+
+class TestSampleTimeRule:
+    """The reader and pass_samples apply one sample-time rule: within 1e-12 + 1e-9 dt."""
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["just_inside", "just_outside"])
+    def test_reader_and_pass_samples_agree(self, grid, tmp_path, inside):
+        off = (0.9 if inside else 1.1) * (1e-12 + 1e-9 * grid.dt)
+        n = grid.n_steps_per_pass
+        t, y = np.arange(n + 1) * grid.dt, np.zeros(n + 1)
+        last_step = t.copy()
+        last_step[-1] += off  # one step off the first one's length
+        files = {"uniform": last_step, "start": t + off}  # every time off, the first off 0
+
+        def accepted(call, *args) -> bool:
+            try:
+                call(*args)
+            except ValueError:
+                return False
+            return True
+
+        for name, times in files.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("t,y\n" + "".join(f"{a:.17g},0\n" for a in times))
+            assert accepted(read_measurement_csv, path) is inside, name
+        m = MeasurementRecord(y=y, dt=grid.dt + off, T=grid.T)
+        assert accepted(pass_samples, m, grid) is inside
 
 
 @pytest.mark.filterwarnings("error")  # numpy's "input contained no data" included

@@ -16,8 +16,8 @@ from bfwave.leapfrog import (
     neumann_trace,
     reversed_state,
     run_homogeneous,
-    step,
 )
+from stepped import step
 
 
 @pytest.fixture
@@ -366,7 +366,7 @@ class TestBoundarySchedule:
 
     def test_driven_run_respects_trace_bound(self):
         # smooth boundary data from rest: the trace-bound ratio stays <= 1
-        from bfwave.diagnostics import hidden_regularity_ratio
+        from bfwave.observer import hidden_regularity_ratio
 
         g = build_grid(20, 0.02, 2.0)
         n = g.n_steps_per_pass

@@ -451,7 +451,8 @@ class TestPlantCycle:
 
     def test_two_cycle_field_return(self, grid):
         # periodized truth returns to (q, 0) at every t = 2kT
-        from bfwave.leapfrog import reversed_state, step
+        from bfwave.leapfrog import reversed_state
+        from stepped import step
 
         q = poly_source(grid)
         state = init_leapfrog(q, None, grid)
@@ -568,7 +569,8 @@ class TestObserverHalfPass:
         # difference, which the sweep carries as the one channel w.
         from scipy.linalg import expm
 
-        from bfwave.leapfrog import neumann_trace, step
+        from bfwave.leapfrog import neumann_trace
+        from stepped import step
 
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
