@@ -28,7 +28,6 @@ from .leapfrog import (
 )
 from .observer import (
     BackAndForthResult,
-    OscillatorState,
     run_back_and_forth,
     simulate_cascade,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "init_leapfrog",
     "run_homogeneous",
     "BackAndForthResult",
-    "OscillatorState",
     "run_back_and_forth",
     "simulate_cascade",
 ]

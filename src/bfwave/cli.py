@@ -6,10 +6,11 @@ existing measurement), verify (built-in diagnostics battery), full
 
 Exit codes: 0 success, 1 failed check (a verify row, or a non-finite
 estimate or iteration report from invert or full, whose files are still
-written), 2 config error, 3 I/O error, 4 unreadable measurement, sampling
-mismatch or non-finite samples. A
-command checks its config, output directory and measurement (against
-observer.pass_samples) before it writes, so exit 2 or 4 leaves no files;
+written), 2 config error (a run too large for memory included), 3 I/O
+error, 4 unreadable measurement, sampling mismatch or non-finite samples.
+A command checks its config and measurement (against
+observer.pass_samples) and computes its results before it creates the
+output directory, so exit 2 or 4 leaves no files;
 _exit_codes is the one place where refusals become exit codes. The
 writers return the paths they wrote, and simulate, invert and full write
 manifest.json last, listing exactly those.
@@ -194,6 +195,9 @@ def _exit_codes(command):
         except ConfigError as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
+        except MemoryError as e:  # numpy refuses an array past what the process can map
+            print(f"config error: the run does not fit in memory: {e}", file=sys.stderr)
+            return EXIT_CONFIG
         except MeasurementError as e:
             print(f"measurement error: {e}", file=sys.stderr)
             return EXIT_MISMATCH
@@ -244,36 +248,40 @@ def _setup(config_path, out_dir, seed: int | None = None, needs_source: str | No
 
 
 def _synthesize(
-    cfg: ScenarioConfig, grid: Grid1D, out: Path, seed: int, written: list
-) -> MeasurementRecord:
-    """Write measurement.csv and, with noise, measurement_noisy.csv.
-
-    Returns the measurement to invert: the noisy one when there is noise.
-    Paths of the written files are appended to written.
-    """
+    cfg: ScenarioConfig, grid: Grid1D, seed: int
+) -> list[tuple[str, MeasurementRecord]]:
+    """The measurement files to write, by name: measurement.csv and, with noise,
+    measurement_noisy.csv. The last is the measurement to invert."""
     measurement = simulate_forward(cfg.q_true(grid), cfg.omega, grid)
-    written.append(write_measurement_csv(measurement, out / "measurement.csv"))
+    files = [("measurement.csv", measurement)]
     if cfg.noise > 0:
-        measurement = add_noise(measurement, cfg.noise, seed)
-        written.append(write_measurement_csv(measurement, out / "measurement_noisy.csv"))
-    return measurement
+        files.append(("measurement_noisy.csv", add_noise(measurement, cfg.noise, seed)))
+    return files
 
 
-def _invert_impl(
-    cfg: ScenarioConfig,
-    grid: Grid1D,
-    measurement: MeasurementRecord,
-    out: Path,
-    quiet: bool,
-    written: list,
-) -> BackAndForthResult:
-    """Run the estimator and write its files, appending their paths to written."""
+def _invert(
+    cfg: ScenarioConfig, grid: Grid1D, measurement: MeasurementRecord
+) -> tuple[np.ndarray | None, BackAndForthResult]:
+    """The config's source profile (None without one) and the estimator's run against it."""
     q_true = cfg.q_true(grid) if cfg.source is not None else None
     result = run_back_and_forth(
         measurement, cfg.gains(), cfg.omega, grid, cfg.iterations, q_true=q_true
     )
+    return q_true, result
+
+
+def _write_run(
+    cfg: ScenarioConfig,
+    grid: Grid1D,
+    measurement: MeasurementRecord,
+    q_true: np.ndarray | None,
+    result: BackAndForthResult,
+    out: Path,
+    quiet: bool,
+) -> list[Path]:
+    """Write the estimator's files; returns their paths."""
     x, est = grid.nodes, result.estimates
-    written.append(write_iterations_csv(out / "iterations.csv", result))
+    written = [write_iterations_csv(out / "iterations.csv", result)]
     last = len(est) - 1
     snapshots = [*range(0, last, cfg.snapshot_stride), last]
     final = out / "estimate_final.csv"  # the last snapshot is est[-1]
@@ -287,18 +295,18 @@ def _invert_impl(
         if result.per_cycle is not None:
             msg += f", final L2 error {result.per_cycle['l2_err'][-1]:.4g}"
         print(msg)
-    return result
+    return written
 
 
 @_exit_codes
 def cmd_simulate(config_path, out_dir=None, seed: int | None = None, quiet: bool = False) -> int:
     cfg, out, seed_used = _setup(config_path, out_dir, seed, needs_source="simulate")
+    files = _synthesize(cfg, cfg.grid(), seed_used)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    measurement = _synthesize(cfg, cfg.grid(), out, seed_used, written)
+    written = [write_measurement_csv(m, out / name) for name, m in files]
     write_manifest(out, cfg, "simulate", [config_path], written, seed_used)
     if not quiet:
-        print(f"wrote measurement ({len(measurement.y)} samples) to {out}")
+        print(f"wrote measurement ({len(files[-1][1].y)} samples) to {out}")
     return EXIT_OK
 
 
@@ -309,9 +317,9 @@ def cmd_invert(config_path, measurement_path, out_dir=None, quiet: bool = False)
     with _refused_as(MeasurementError):
         measurement = read_measurement_csv(measurement_path)
         pass_samples(measurement, grid)
+    q_true, result = _invert(cfg, grid, measurement)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    result = _invert_impl(cfg, grid, measurement, out, quiet, written)
+    written = _write_run(cfg, grid, measurement, q_true, result, out, quiet)
     write_manifest(out, cfg, "invert", [config_path, measurement_path], written, seed_used)
     return _result_exit(result)
 
@@ -334,10 +342,12 @@ def cmd_full(config_path, out_dir=None, seed: int | None = None, quiet: bool = F
     cfg, out, seed_used = _setup(config_path, out_dir, seed, needs_source="full")
     t0 = time.perf_counter()
     grid = cfg.grid()
+    files = _synthesize(cfg, grid, seed_used)
+    measurement = files[-1][1]
+    q_true, result = _invert(cfg, grid, measurement)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    measurement = _synthesize(cfg, grid, out, seed_used, written)
-    result = _invert_impl(cfg, grid, measurement, out, quiet, written)
+    written = [write_measurement_csv(m, out / name) for name, m in files]
+    written += _write_run(cfg, grid, measurement, q_true, result, out, quiet)
     written.append(write_lyapunov_csv(out / "lyapunov.csv", result))
     write_manifest(out, cfg, "full", [config_path], written, seed_used)
     if not quiet:

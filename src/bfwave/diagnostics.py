@@ -12,7 +12,7 @@ import numpy as np
 
 from . import observer
 from .forward import simulate_forward
-from .grid import ScenarioConfig, build_grid, h1_seminorm, l2_norm
+from .grid import ScenarioConfig, SourceSpec, build_grid, eval_source_profile, h1_seminorm, l2_norm
 from .leapfrog import (
     _from_velocity_basis,
     _run_recurrence,
@@ -24,7 +24,6 @@ from .leapfrog import (
     run_homogeneous,
 )
 from .observer import (
-    ZERO_OSC,
     RunHistory,
     oscillator_drive,
     run_back_and_forth,
@@ -234,8 +233,7 @@ def _battery_equivalence() -> list[CheckResult]:
     # once per grid, and its trace drives the oscillator at the other omega
     for nx, omegas in ((20, (0.0, 1.0)), (40, (1.0,))):
         g = build_grid(nx, 0.005, 3.0)
-        q = np.sin(np.pi * g.nodes)
-        q[0] = q[-1] = 0.0
+        q = eval_source_profile(SourceSpec("sine_k", 1), g)
         trace = None
         for omega in omegas:
             y = simulate_forward(q, omega, g).y
@@ -243,7 +241,7 @@ def _battery_equivalence() -> list[CheckResult]:
                 cascade = simulate_cascade(q, omega, g)
                 trace, Y = cascade.trace, cascade.Y
             else:
-                Y = oscillator_drive(ZERO_OSC, trace, omega, g.dt)[:, 0]
+                Y = oscillator_drive((0.0, 0.0), trace, omega, g.dt)[:, 0]
             entry = equivalence_report(y, Y)
             if omega == 1.0:
                 gaps_w1.append(entry.value)
@@ -259,8 +257,7 @@ def _battery_equivalence() -> list[CheckResult]:
 def _battery_hidden_regularity() -> list[CheckResult]:
     # homogeneous boundary data, q0 = sin(pi x), T = 2: the exact ratio is 1/4
     g = build_grid(20, 0.005, 2.0)
-    q0 = np.sin(np.pi * g.nodes)
-    q0[0] = q0[-1] = 0.0
+    q0 = eval_source_profile(SourceSpec("sine_k", 1), g)
     _, tr = run_homogeneous(q0, g, g.n_steps_per_pass)
     f = np.zeros_like(tr)
     r = observer.hidden_regularity_ratio(f, q0, np.zeros_like(q0), tr, g.T, g)

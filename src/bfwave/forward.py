@@ -28,11 +28,10 @@ __all__ = [
     "read_measurement_csv",
 ]
 
-# Cells formatted per block by _csv_rows, a measurement block being _CSV_BLOCK
+# Cells formatted per block by _csv_rows, a measurement block being half as many
 # rows. Writing the reference measurement then peaks at 0.7 MB under tracemalloc;
 # 2048 cells raised that to 1.2 MB.
 _G17_CELLS = 1024
-_CSV_BLOCK = _G17_CELLS // 2
 # Bytes of lines parsed per np.loadtxt call, about 1,500 rows. On the 12,001-row
 # reference file (2-core Xeon VM), one call fed by a Python line iterator took
 # 1.08-1.10x as long; one readlines() of the whole file is as fast, but raised a
@@ -245,7 +244,7 @@ def write_measurement_csv(record: MeasurementRecord, path):
 
     The line reads "# provenance=noisy noise_level=<level> noise_seed=<seed>"
     (the seed left out when unknown); clean records have no such line. The
-    rows go through _csv_rows, _CSV_BLOCK rows per block, and _write_csv. Returns path.
+    rows go through _csv_rows, _G17_CELLS // 2 rows per block, and _write_csv. Returns path.
     """
     meta = None
     if record.provenance == "noisy":

@@ -48,7 +48,6 @@ class Grid1D:
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
-_OMEGA_MAX = float(np.sqrt(_FLOAT_MAX))  # the largest |omega| whose square is finite
 # a run keeps 2 iterations + 1 state rows, a numpy dimension: at most intp's largest
 _MAX_ITERATIONS = (int(np.iinfo(np.intp).max) - 1) // 2
 
@@ -203,13 +202,13 @@ class ResonanceError(ValueError):
 def check_resonance(omega: float, n_modes: int | None = None) -> None:
     """Refuse |omega| within RESONANCE_TOL of k*pi, k >= 1 (and k <= n_modes if given).
 
-    Only the nearest k can be that close; NaN is not resonant. From |omega| = 2^26 up
-    (inf included) the check cannot decide and refuses with a plain ValueError: floats
-    in [2^26, 2^27) lie 2^-26 = 1.5e-8 apart, more than RESONANCE_TOL, so there the
-    rounding of omega and of k*pi (np.pi is 1.2e-16 short of pi, times k), not the
-    data, would decide; below, floats lie at most 7.5e-9 apart.
+    Only the nearest k can be that close. NaN cannot be decided, and neither can
+    |omega| from 2^26 up (inf included): floats in [2^26, 2^27) lie 2^-26 = 1.5e-8
+    apart, more than RESONANCE_TOL, so there the rounding of omega and of k*pi (np.pi
+    is 1.2e-16 short of pi, times k), not the data, would decide; below, floats lie at
+    most 7.5e-9 apart. Both are refused with a plain ValueError.
     """
-    if abs(omega) >= _OMEGA_RESOLVED:
+    if not abs(omega) < _OMEGA_RESOLVED:
         raise ValueError(f"|omega| must be below 2^26 to decide resonance, got {omega}")
     k = max(1.0, float(np.rint(abs(omega) / np.pi)))
     if abs(abs(omega) - k * np.pi) < RESONANCE_TOL and (n_modes is None or k <= n_modes):
@@ -254,10 +253,6 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_real("omega", self.omega)
         _check_real("noise", self.noise)
-        # omega^2 enters the oscillator propagator; refused before a command writes
-        # anything. A magnitude test, so that NaN and an int of any size are refused too
-        if not abs(self.omega) <= _OMEGA_MAX:
-            raise ValueError(f"omega and its square must be finite, got {self.omega}")
         check_resonance(self.omega)
         _check_integer("iterations", self.iterations, 1, _MAX_ITERATIONS)
         _check_integer("seed", self.seed, 0)

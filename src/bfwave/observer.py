@@ -70,7 +70,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,7 +89,6 @@ from .leapfrog import (
 )
 
 __all__ = [
-    "OscillatorState",
     "CYCLE_COLUMNS",
     "RunHistory",
     "BackAndForthResult",
@@ -103,16 +101,6 @@ __all__ = [
     "pass_samples",
     "run_back_and_forth",
 ]
-
-
-class OscillatorState(NamedTuple):
-    """Boundary oscillator pair: position and velocity."""
-
-    z1: float
-    z2: float
-
-
-ZERO_OSC = OscillatorState(0.0, 0.0)
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
@@ -166,12 +154,13 @@ def oscillator_propagator(omega: float, gamma2: float, dt: float) -> np.ndarray:
     return E
 
 
-def oscillator_drive(z0: OscillatorState, trace: np.ndarray, omega: float, dt: float) -> np.ndarray:
+def oscillator_drive(z0, trace: np.ndarray, omega: float, dt: float) -> np.ndarray:
     """Uncoupled plant oscillator run over a given trace series, one row per node.
 
     Exact homogeneous propagation, trapezoidal forcing: the trace enters
     channel 2, so a step is z <- E z + (dt/2) (E e2 trace_k + e2 trace_k+1),
-    E the propagator's (z1, z2) block, run by _run_recurrence. Row 0 is z0.
+    E the propagator's (z1, z2) block, run by _run_recurrence. Row 0 is the
+    start z0, any (z1, z2) pair.
     """
     E = oscillator_propagator(omega, 0.0, dt)[:2, :2]
     B = 0.5 * dt * np.column_stack([E[:, 1], (0.0, 1.0)])
@@ -209,7 +198,7 @@ def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> CascadeResult
     if q[0] != 0.0 or q[-1] != 0.0:
         raise ValueError("cascade initial datum must vanish at both endpoints")
     state, tr = run_homogeneous(q, grid, grid.n_steps_per_pass)
-    z = oscillator_drive(ZERO_OSC, tr, omega, grid.dt)
+    z = oscillator_drive((0.0, 0.0), tr, omega, grid.dt)
     return CascadeResult(trace=tr, z=z, final_wave=state)
 
 
@@ -434,7 +423,8 @@ def hidden_regularity_ratio(
 def lyapunov_value(
     w1_err: np.ndarray,
     w2_err: np.ndarray,
-    z_err: OscillatorState,
+    z1_err,
+    z2_err,
     gains: Gains,
     omega: float,
     grid: Grid1D,
@@ -444,14 +434,14 @@ def lyapunov_value(
     V = (1/2)(|w1_x|^2 + |w2|^2 + gamma1*omega^2*z1^2 + gamma1*z2^2);
     positive definite in (w1_x, w2, z1, z2) and non-increasing along the
     monitored error dynamics. A float for one error state; for stacks of
-    fields w1_err, w2_err and arrays z_err.z1, z_err.z2, one value per row.
+    fields w1_err, w2_err and arrays z1_err, z2_err, one value per row.
     """
     g1, om2 = gains.gamma1, omega * omega
     return 0.5 * (
         h1_seminorm(w1_err, grid) ** 2
         + l2_norm(w2_err, grid) ** 2
-        + g1 * om2 * z_err.z1 * z_err.z1
-        + g1 * z_err.z2 * z_err.z2
+        + g1 * om2 * z1_err * z1_err
+        + g1 * z2_err * z2_err
     )
 
 
@@ -489,7 +479,7 @@ def _truth_history(
     tr_err = neumann_trace(w1.T, grid.dx)
     sweeps = len(integrals)
     return RunHistory(
-        lyapunov=lyapunov_value(w1, w2, OscillatorState(zt1, zt2), gains, omega, grid),
+        lyapunov=lyapunov_value(w1, w2, zt1, zt2, gains, omega, grid),
         energy_lhs=h1_seminorm(w1, grid) ** 2
         + l2_norm(w2, grid) ** 2
         + g1 * zt2 * zt2

@@ -92,17 +92,3 @@ def sign_fault(monkeypatch):
     yield
     observer._linear_parts.cache_clear()
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--skip-slow", action="store_true", default=False, help="skip the long reference runs"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if not config.getoption("--skip-slow"):
-        return
-    marker = pytest.mark.skip(reason="--skip-slow given")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(marker)

@@ -13,7 +13,6 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from bfwave.grid import Grid1D, _same_time, check_resonance
-from bfwave.observer import OscillatorState
 
 
 def _mode_freqs(n_modes: int) -> np.ndarray:
@@ -106,15 +105,16 @@ def oscillator_closed_form(
     omega: float,
     forcing: np.ndarray,
     dt: float,
-    z0: OscillatorState,
+    z0,
     t: float,
-) -> OscillatorState:
+) -> tuple[float, float]:
     """Variation-of-constants solution of the driven oscillator.
 
     z(t) = R(t) z(0) + integral_0^t R(t-s) (0, g(s)) ds, z = (z1, z2), with R
     the rotation-type propagator for frequency omega; the convolution is
     evaluated by cumulative Simpson over the forcing samples (spacing dt).
-    t must be a sample time.
+    z0 is the start pair (z1, z2), and the result the pair at t. t must be
+    a sample time.
     """
     g = np.asarray(forcing, dtype=float)
     m = int(round(t / dt))
@@ -127,7 +127,5 @@ def oscillator_closed_form(
     if m > 0:
         j1, j2 = cumulative_simpson(np.array([r12m, r22m]) * g[: m + 1], dx=dt)[:, -1]
     c11, c12, c21, c22 = _rotation(omega, s[-1])
-    return OscillatorState(
-        z1=float(c11 * (z0.z1 + j1) + c12 * (z0.z2 + j2)),
-        z2=float(c21 * (z0.z1 + j1) + c22 * (z0.z2 + j2)),
-    )
+    a1, a2 = z0[0] + j1, z0[1] + j2
+    return float(c11 * a1 + c12 * a2), float(c21 * a1 + c22 * a2)

@@ -441,6 +441,8 @@ class TestExitCodes:
             {"source": {"profile": "sine_k", "k": 10**400}},
             {"iterations": 10**400},
             {"iterations": 10**300},
+            {"iterations": 10**12},
+            {"nx": 3_000_000, "cfl": 0.5},
         ],
         ids=[
             "omega_squared",
@@ -457,6 +459,8 @@ class TestExitCodes:
             "int_k",
             "int_iterations",
             "iterations_rows",
+            "iterations_memory",
+            "nx_memory",
         ],
     )
     def test_overflowing_value_exit_2(self, tmp_path, capsys, bad):
@@ -467,7 +471,10 @@ class TestExitCodes:
         # floats lie further apart than the resonance tolerance, so the
         # resonance check cannot decide: 1e8 and 1e9 ran, 1e20 and 1e100 were
         # refused as resonant by rounding, 1e80 wrote NaN estimates. 10**300
-        # iterations would make 2 * 10**300 + 1 state rows, past numpy's dimensions
+        # iterations would make 2 * 10**300 + 1 state rows, past numpy's dimensions.
+        # 2 * 10**12 + 1 state rows (655 TiB) and a one-step matrix of 6e6 rows
+        # (262 TiB) pass the config's bounds but not memory: past what a 64-bit
+        # process can map, numpy refuses them at once, before any file is written
         p = write_config(tmp_path / "c.json", **bad)
         out = tmp_path / "out"
         out.mkdir()
@@ -486,6 +493,30 @@ class TestExitCodes:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: malformed JSON"), err
+
+    def test_nan_omega_exit_2(self, tmp_path, capsys):
+        # JSON's NaN reaches check_resonance, which cannot decide it
+        p = write_config(tmp_path / "c.json", omega=float("nan"))
+        assert "NaN" in p.read_text()
+        out = tmp_path / "out"
+        assert main(["full", "--config", str(p), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "2^26" in err[0], err
+
+    def test_invert_too_large_for_memory_exit_2(self, tmp_path, capsys):
+        # a measurement that fills one pass, inverted over 10**12 cycles: the
+        # state rows cannot be allocated, and the output directory is not made
+        sim = tmp_path / "sim"
+        assert cmd_simulate(write_config(tmp_path / "ok.json"), sim, quiet=True) == EXIT_OK
+        p = write_config(tmp_path / "c.json", iterations=10**12)
+        out = tmp_path / "out"
+        m = str(sim / "measurement.csv")
+        argv = ["invert", "--config", str(p), "--measurement", m, "--out", str(out), "--quiet"]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
 
     def test_omega_below_the_resolution_bound_runs(self, tmp_path):
         # 3e7 < 2^26: floats there lie 3.7e-9 apart, and the check resolves 1e-8

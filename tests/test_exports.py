@@ -34,6 +34,24 @@ def test_one_home_per_name(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("bfwave", "OscillatorState"),
+        ("bfwave.observer", "OscillatorState"),
+        ("bfwave.observer", "ZERO_OSC"),
+        ("bfwave.grid", "_OMEGA_MAX"),
+        ("bfwave.forward", "_CSV_BLOCK"),
+        ("bfwave.leapfrog", "_carried_power"),
+    ],
+)
+def test_removed_parts_stay_gone(module, name):
+    # an oscillator start is any (z1, z2) pair, check_resonance is the one omega
+    # bound, a measurement block is half of _G17_CELLS rows, and a power of S is
+    # built from the identity
+    assert not hasattr(importlib.import_module(module), name)
+
+
 def test_stepped_reference_resolves():
     from stepped import step
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfwave.forward import (
-    _CSV_BLOCK,
     _G17_CELLS,
     _READ_CHUNK,
     MeasurementRecord,
@@ -212,7 +211,7 @@ class TestMeasurementCsv:
         path = write_measurement_csv(m, tmp_path / "m.csv")
         assert path.read_bytes() == csv_writer_bytes(m, tmp_path / "ref.csv")
 
-    @pytest.mark.parametrize("n", [2 * _CSV_BLOCK - 1, 2 * _CSV_BLOCK, 2 * _CSV_BLOCK + 1])
+    @pytest.mark.parametrize("n", [_G17_CELLS - 1, _G17_CELLS, _G17_CELLS + 1])
     def test_bytes_equal_csv_writer_at_block_ends(self, tmp_path, n):
         rng = np.random.default_rng(n)
         y = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)

@@ -186,6 +186,13 @@ class TestConfigTypes:
     def test_non_resonant_omega_accepted(self, omega):
         assert ScenarioConfig(omega=omega).omega == omega
 
+    def test_nan_omega_cannot_be_decided(self):
+        # one bound refuses NaN: check_resonance's, which ScenarioConfig calls
+        with pytest.raises(ValueError, match=r"below 2\^26"):
+            check_resonance(float("nan"))
+        with pytest.raises(ValueError, match=r"below 2\^26"):
+            ScenarioConfig(omega=float("nan"))
+
     def test_oracle_shares_the_check(self):
         import oracle
 

@@ -16,7 +16,6 @@ from bfwave.leapfrog import (
 )
 from bfwave.observer import (
     CYCLE_COLUMNS,
-    OscillatorState,
     _linear_parts,
     _readout_rows,
     _second_x_derivative,
@@ -127,22 +126,21 @@ class TestOscillatorStep:
 
     def test_exact_rotation_quarter_turn(self):
         # homogeneous plant dynamics are propagated exactly
-        z = OscillatorState(1.0, 0.0)
-        z = OscillatorState(*oscillator_drive(z, [0.0, 0.0], 1.0, np.pi / 2.0)[-1])
-        assert z.z1 == pytest.approx(0.0, abs=1e-15)
-        assert z.z2 == pytest.approx(-1.0, rel=1e-14)
+        z1, z2 = oscillator_drive((1.0, 0.0), [0.0, 0.0], 1.0, np.pi / 2.0)[-1]
+        assert z1 == pytest.approx(0.0, abs=1e-15)
+        assert z2 == pytest.approx(-1.0, rel=1e-14)
 
     def test_zero_stays_zero(self):
-        zs = oscillator_drive(OscillatorState(0, 0), [0.0, 0.0], 1.7, 0.01)
-        assert OscillatorState(*zs[-1]) == OscillatorState(0.0, 0.0)
+        zs = oscillator_drive((0, 0), [0.0, 0.0], 1.7, 0.01)
+        assert tuple(zs[-1]) == (0.0, 0.0)
 
     def test_constant_trace_closed_form(self):
         # z1(t) = 1 - cos t for plant, omega = 1, unit trace forcing
         dt = 5e-4
-        z = OscillatorState(0.0, 0.0)
+        z = (0.0, 0.0)
         for _ in range(2000):
-            z = OscillatorState(*oscillator_drive(z, [1.0, 1.0], 1.0, dt)[-1])
-        assert z.z1 == pytest.approx(1.0 - np.cos(1.0), abs=1e-6)
+            z = oscillator_drive(z, [1.0, 1.0], 1.0, dt)[-1]
+        assert z[0] == pytest.approx(1.0 - np.cos(1.0), abs=1e-6)
 
     def test_matches_quadrature_oracle(self):
         # independent cross-check on a slowly varying forcing
@@ -150,13 +148,13 @@ class TestOscillatorStep:
         n = 1500
         s = np.arange(n + 1) * dt
         g = np.sin(1.3 * s)
-        z = OscillatorState(0.2, -0.1)
+        z = (0.2, -0.1)
         zs = z
         for k in range(n):
-            zs = OscillatorState(*oscillator_drive(zs, g[k : k + 2], 2.0, dt)[-1])
+            zs = oscillator_drive(zs, g[k : k + 2], 2.0, dt)[-1]
         zo = oscillator_closed_form(2.0, g, dt, z, n * dt)
-        assert zs.z1 == pytest.approx(zo.z1, abs=1e-6)
-        assert zs.z2 == pytest.approx(zo.z2, abs=1e-6)
+        assert zs[0] == pytest.approx(zo[0], abs=1e-6)
+        assert zs[1] == pytest.approx(zo[1], abs=1e-6)
 
     @given(
         z1=st.floats(-2, 2),
@@ -167,12 +165,10 @@ class TestOscillatorStep:
     def test_backward_inverts_forward(self, z1, z2, omega):
         # the time-reversed oscillator is the forward one with z2 negated at the
         # turn: the (z1, z2) rotation inverts
-        z = OscillatorState(z1, z2)
-        fwd = OscillatorState(*oscillator_drive(z, [0.0, 0.0], omega, 0.05)[-1])
-        turned = fwd._replace(z2=-fwd.z2)
-        back = OscillatorState(*oscillator_drive(turned, [0.0, 0.0], omega, 0.05)[-1])
-        assert back.z1 == pytest.approx(z.z1, abs=1e-12)
-        assert -back.z2 == pytest.approx(z.z2, abs=1e-12)
+        f1, f2 = oscillator_drive((z1, z2), [0.0, 0.0], omega, 0.05)[-1]
+        b1, b2 = oscillator_drive((f1, -f2), [0.0, 0.0], omega, 0.05)[-1]
+        assert b1 == pytest.approx(z1, abs=1e-12)
+        assert -b2 == pytest.approx(z2, abs=1e-12)
 
 
 class TestOscillatorDrive:
@@ -189,7 +185,7 @@ class TestOscillatorDrive:
         ref[0] = (0.2, -0.1)
         for k in range(n):
             ref[k + 1] = E @ ref[k] + 0.5 * dt * (E @ e2 * g[k] + e2 * g[k + 1])
-        z = oscillator_drive(OscillatorState(0.2, -0.1), g, omega, dt)
+        z = oscillator_drive((0.2, -0.1), g, omega, dt)
         assert z.shape == ref.shape
         assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -198,7 +194,7 @@ class TestOscillatorDrive:
         E = oscillator_propagator(2.0, 0.0, 1e-3)
         with pytest.raises(ValueError):
             E[0, 0] = 5.0
-        z = oscillator_drive(OscillatorState(1.0, 0.0), np.zeros(5), 2.0, 1e-3)
+        z = oscillator_drive((1.0, 0.0), np.zeros(5), 2.0, 1e-3)
         assert z[-1, 0] == pytest.approx(np.cos(2.0 * 4e-3), rel=1e-14)
 
 
@@ -430,8 +426,8 @@ class TestSimulateCascade:
         e3 = np.max(np.abs(out.Y[2 * n // 3 :]))
         assert e1 < e2 < e3
         # and it matches the quadrature oracle driven by the same trace
-        zo = oscillator_closed_form(np.pi, out.trace, g.dt, OscillatorState(0, 0), g.T)
-        assert out.Y[-1] == pytest.approx(zo.z1, abs=1e-4)
+        zo1, _ = oscillator_closed_form(np.pi, out.trace, g.dt, (0, 0), g.T)
+        assert out.Y[-1] == pytest.approx(zo1, abs=1e-4)
 
 
 class TestPlantCycle:
@@ -443,8 +439,8 @@ class TestPlantCycle:
         q = poly_source(grid)
         plant = run_plant_cycle(q, 2.0, grid)
         trace = simulate_cascade(q, 2.0, grid).trace
-        turn = OscillatorState(*plant.z[-1])
-        back = oscillator_drive(turn._replace(z2=-turn.z2), trace[::-1], 2.0, grid.dt)
+        z1, z2 = plant.z[-1]
+        back = oscillator_drive((z1, -z2), trace[::-1], 2.0, grid.dt)
         mirror = plant.z[::-1] * np.array([1.0, -1.0])
         assert np.max(np.abs(back - mirror)) <= 1e-12 * np.max(np.abs(mirror))
         assert np.max(np.abs(back[-1])) <= 1e-12
@@ -870,7 +866,7 @@ class TestWholeArrayMonitor:
             w1 = _state_parts(x, g)[1] - pf
             w2 = boundary_velocity(starts, ends[:h], g) - pv
             z1, z2 = x[2 * nx1] - zt[0], x[2 * nx1 + 1] - zt[1]
-            V.append(lyapunov_value(w1, w2, OscillatorState(z1, z2), gains, omega, g))
+            V.append(lyapunov_value(w1, w2, z1, z2, gains, omega, g))
             w2t = l2_norm(_second_x_derivative(w1, g.dx), g)
             tr = neumann_trace(w1, g.dx)
             lhs.append(
