@@ -17,6 +17,16 @@ on _wave_parts' S, read out as the levels) and the same loop of _leap steps
 in float64, the scheme of the tests' stepped wave reference (step in
 tests/stepped.py).
 
+Then the truth cascade of the reference source (nx 20, cfl 0.005, T 3) at
+omega 2 and 1, and of the same source at nx 40, omega 1: the free wave
+stepped as a loop of _leap steps on long-double levels, its left trace
+driving the plant oscillator's trapezoid step on the library's float64 E
+and B (observer._oscillator_forcing), also in long double. It prints the
+largest |z - reference| over the largest |reference|, for z1 and z2, of
+two float64 routes: simulate_cascade, which runs wave and oscillator as
+one free recurrence, and the two-stage route, the free wave run
+(leapfrog.run_homogeneous) then oscillator_drive over its trace.
+
 Then the estimates. It runs the observer recurrence of the clean 50-cycle
 reference scenario in numpy longdouble, one step at a time: the library's
 own observer step
@@ -64,8 +74,15 @@ from bfwave.leapfrog import (  # noqa: E402
     continuation_level,
     init_leapfrog,
     neumann_trace,
+    run_homogeneous,
 )
-from bfwave.observer import _observer_step, run_back_and_forth  # noqa: E402
+from bfwave.observer import (  # noqa: E402
+    _observer_step,
+    _oscillator_forcing,
+    oscillator_drive,
+    run_back_and_forth,
+    simulate_cascade,
+)
 from half_pass import extract_estimate, initial_observer_state, observer_half_pass  # noqa: E402
 
 
@@ -106,6 +123,36 @@ def blocked_free_levels(q0, grid, n: int) -> np.ndarray:
     x0 = _to_velocity_basis(init_leapfrog(q0, None, grid), grid)
     _run_recurrence(S, np.zeros((2 * nx1, 0)), np.eye(nx1, 2 * nx1), x0, np.zeros(n + 1), levels)
     return levels
+
+
+def stepped_cascade(q, omega, grid, dtype) -> np.ndarray:
+    """Oscillator (z1, z2) at every node of the cascade from (q, 0), stepped in dtype, one row each."""
+    start = init_leapfrog(q, None, grid)
+    u_prev, u_curr = (a.astype(dtype)[:, None] for a in (start.u_prev, start.u_curr))
+    c2, dx = dtype(grid.cfl) * dtype(grid.cfl), dtype(grid.dx)
+    E, B = (a.astype(dtype) for a in _oscillator_forcing(omega, grid.dt))
+    z = np.zeros((grid.n_steps_per_pass + 1, 2), dtype=dtype)
+    trace = neumann_trace(u_curr, dx)
+    for k in range(grid.n_steps_per_pass):
+        un = _leap(u_prev, u_curr, c2)
+        un[0] = un[-1] = 0.0
+        u_prev, u_curr = u_curr, un
+        following = neumann_trace(u_curr, dx)
+        z[k + 1] = E @ z[k] + B @ np.concatenate([trace, following])
+        trace = following
+    return z
+
+
+def cascade_gaps(q, omega, grid) -> dict[str, np.ndarray]:
+    """Per route, the largest |z - reference| over max |reference|, for z1 and z2."""
+    ref = stepped_cascade(q, omega, grid, np.longdouble)
+    _, trace = run_homogeneous(q, grid, grid.n_steps_per_pass)
+    routes = {
+        "simulate_cascade (folded)": simulate_cascade(q, omega, grid).z,
+        "run_homogeneous + oscillator_drive": oscillator_drive((0.0, 0.0), trace, omega, grid.dt),
+    }
+    scale = np.max(np.abs(ref), axis=0)
+    return {k: (np.max(np.abs(z - ref), axis=0) / scale).astype(float) for k, z in routes.items()}
 
 
 def stepped_estimates(y, gains, omega, grid, cycles: int, dtype) -> np.ndarray:
@@ -173,6 +220,11 @@ def main() -> None:
             f"  {label}: largest |level - reference| / max|reference| = {end:.2e} at the end, "
             f"{every:.2e} over every level"
         )
+    print("extended-precision cascade: largest |z - reference| / max|reference|, z1 and z2")
+    for nx, omega in ((20, 2.0), (20, 1.0), (40, 1.0)):
+        cg = build_grid(nx, cfg.cfl, cfg.T)
+        for label, (g1, g2) in cascade_gaps(cfg.q_true(cg), omega, cg).items():
+            print(f"  nx {nx}, omega {omega:g}, {label}: {g1:.2e}, {g2:.2e}")
     t0 = time.perf_counter()
     ref = stepped_estimates(m.y, gains, cfg.omega, grid, cycles, np.longdouble)
     print(f"extended-precision reference: {cycles} cycles in {time.perf_counter() - t0:.1f} s")

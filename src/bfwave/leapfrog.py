@@ -18,15 +18,16 @@ free or forced, is not stepped: it is the linear recurrence x <- S x + B s_k
 on the velocity-basis state (u, (u - u_prev)/dt), S assembled from the
 update's formulas with the walls pinned (_wave_parts), evaluated in blocks
 by _run_recurrence. That is the package's one linear-recurrence evaluator;
-the observer's sweeps and oscillator drive run it too. Its set-up (the
+the observer's sweeps, cascade and oscillator drive run it too. Its set-up (the
 powers S^t and S^b of each S, and one block plan per (S, B, D)) is kept
 for the process by the content of its matrices in one store (_kept),
 which the observer's monitor shares, so a call on matrices seen before
 pays only for its own steps, with the bits of a first call. Every key
 holds the content of its S (_content) as its second entry. The store is
 bounded by the bytes it holds, _KEPT_BYTES, the oldest items going first.
-The truth cascade and the kernel checks run the wave free, forward
-synthesis forced. A free run passes B with no columns, so it packs and
+The kernel checks run the wave free, forward synthesis forced, and the
+observer's truth cascade runs _wave_parts' S inside one free system with
+its oscillator. A free run passes B with no columns, so it packs and
 carries no inputs. The verify battery's energy drift and round trip run
 the same free recurrence through _run_recurrence, the drift read out as
 the levels, the backward leg from the turned state with no read-out at
@@ -172,9 +173,9 @@ def reversed_state(state: LeapfrogState, grid: Grid1D) -> LeapfrogState:
 _RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
 # Set-up kept for the process by content (_kept): _run_recurrence's powers
 # S^t, S^b and block plans, and the observer's S^n and its monitor's quadratic
-# part and power rows. The verify battery's 13 plans, the powers of its 8
+# part and power rows. The verify battery's 12 plans, the powers of its 8
 # matrices and its one S^n, quadratic part and block of power rows count
-# 1.62 MB (1.21 MB of arrays, the rest key bytes); a stream of new systems
+# 1.97 MB (1.34 MB of arrays, the rest key bytes); a stream of new systems
 # grows the store to _KEPT_BYTES and no further, the oldest items going first.
 _KEPT_BYTES = 2 << 20
 _store: dict = {}  # key -> read-only array, or tuple of them; oldest first

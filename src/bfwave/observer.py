@@ -24,15 +24,17 @@ vector (u, v, z1, z2, w), v = (u - u_prev)/dt, with one integral channel,
 w = integral of z1 - Y; the step, the sweep, the map and the turn act on it.
 
 Each loop is written once, and none in this module or in the wave runs it
-calls advances one time node per Python iteration. A sweep, the plant
-oscillator and the cascade's wave are each a time-invariant linear
-recurrence x_k+1 = S x_k + B (s_k, s_k+1) over a sample series, and
+calls advances one time node per Python iteration. A sweep and the truth
+cascade are each a time-invariant linear recurrence
+x_k+1 = S x_k + B (s_k, s_k+1) over a sample series, and
 leapfrog._run_recurrence, the one evaluator of such recurrences, runs them
-in blocks of steps. oscillator_drive runs the uncoupled plant oscillator
-(S its propagator) over a trace series (the cascade); the cascade's wave is
-leapfrog.run_homogeneous, which runs the same evaluator. The backward half
-of the truth cycle is the forward half time-reversed: its rows in reverse
-order, z2 negated.
+in blocks of steps. The cascade is one free system: the wave's one-step
+matrix and trace row (leapfrog._wave_parts) coupled to the plant
+oscillator's step (_oscillator_forcing, the one home of its trapezoid
+forcing), run once from (q, 0) and a resting oscillator. oscillator_drive
+runs that oscillator step alone over a given trace series. The backward
+half of the truth cycle is the forward half time-reversed: its rows in
+reverse order, z2 negated.
 _observer_step is the one coupled observer step, and it alone computes
 the injection value that the x=0 node takes; _linear_parts applies it to
 the columns of the identity for S and B.
@@ -83,9 +85,10 @@ from .leapfrog import (
     _leap,
     _run_recurrence,
     _to_velocity_basis,
+    _wave_parts,
     continuation_level,
+    init_leapfrog,
     neumann_trace,
-    run_homogeneous,
 )
 
 __all__ = [
@@ -113,7 +116,8 @@ def _expm(M: np.ndarray) -> np.ndarray:
     exponential for omega <= 20, dt <= 0.5; the same series in float64
     takes the stepped route of scripts/extended_reference.py to 1.24e-11,
     past its 9e-12 gate. A non-finite M, whose halving would never end,
-    raises ValueError.
+    raises ValueError, and so does an M whose squaring overflows (a finite
+    omega far above any mode of the grid, such as 1e20), with no warning.
     """
     X = np.array(M, dtype=np.longdouble)
     if not np.isfinite(X).all():
@@ -126,9 +130,13 @@ def _expm(M: np.ndarray) -> np.ndarray:
     E = eye
     for k in range(20, 0, -1):
         E = eye + X @ E / k
-    for _ in range(squarings):
-        E = E @ E
-    return E.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            E = E @ E
+        E = E.astype(np.float64)
+    if not np.isfinite(E).all():
+        raise ValueError("matrix exponential overflows")
+    return E
 
 
 @lru_cache(maxsize=64)
@@ -140,7 +148,8 @@ def oscillator_propagator(omega: float, gamma2: float, dt: float) -> np.ndarray:
     integral channel the share of z1 that the rotation propagates exactly.
     The exponential is _expm's scaled and squared Taylor series, summed in
     long double, so importing the package needs no scipy. An omega whose
-    square overflows raises ValueError.
+    square overflows, or whose exponential overflows on the way, raises
+    ValueError.
     """
     A = np.array(
         [
@@ -154,16 +163,24 @@ def oscillator_propagator(omega: float, gamma2: float, dt: float) -> np.ndarray:
     return E
 
 
+def _oscillator_forcing(omega: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The plant oscillator's step z <- E z + B (trace_k, trace_k+1).
+
+    Exact homogeneous propagation, trapezoidal forcing: E is the
+    propagator's (z1, z2) block and the trace enters channel 2, so
+    B = (dt/2) (E e2, e2).
+    """
+    E = oscillator_propagator(omega, 0.0, dt)[:2, :2]
+    return E, 0.5 * dt * np.column_stack([E[:, 1], (0.0, 1.0)])
+
+
 def oscillator_drive(z0, trace: np.ndarray, omega: float, dt: float) -> np.ndarray:
     """Uncoupled plant oscillator run over a given trace series, one row per node.
 
-    Exact homogeneous propagation, trapezoidal forcing: the trace enters
-    channel 2, so a step is z <- E z + (dt/2) (E e2 trace_k + e2 trace_k+1),
-    E the propagator's (z1, z2) block, run by _run_recurrence. Row 0 is the
+    The step of _oscillator_forcing, run by _run_recurrence. Row 0 is the
     start z0, any (z1, z2) pair.
     """
-    E = oscillator_propagator(omega, 0.0, dt)[:2, :2]
-    B = 0.5 * dt * np.column_stack([E[:, 1], (0.0, 1.0)])
+    E, B = _oscillator_forcing(omega, dt)
     z = np.empty((2, len(trace)))
     _run_recurrence(E, B, np.eye(2), np.asarray(z0, dtype=float), trace, z)
     return z.T
@@ -192,14 +209,29 @@ def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> CascadeResult
     Returns the oscillator output Y (output-equivalent to the forced
     plant's trace) together with the driving trace series. The oscillator
     here sees both trace endpoints of each step; there is no feedback, so
-    nothing forces the explicit coupling used by the observer.
+    nothing forces the explicit coupling used by the observer. Wave and
+    oscillator are one free system on (x, z), x the wave's velocity-basis
+    state: x <- S x, z <- E z + B (D x, D S x), with S and D of the wave
+    run (_wave_parts) and E, B of the oscillator step (_oscillator_forcing).
+    _run_recurrence runs it once, reading out the trace, z1 and z2.
     """
     q = np.asarray(q, dtype=float)
     if q[0] != 0.0 or q[-1] != 0.0:
         raise ValueError("cascade initial datum must vanish at both endpoints")
-    state, tr = run_homogeneous(q, grid, grid.n_steps_per_pass)
-    z = oscillator_drive((0.0, 0.0), tr, omega, grid.dt)
-    return CascadeResult(trace=tr, z=z, final_wave=state)
+    S, D = _wave_parts(grid)
+    E, B = _oscillator_forcing(omega, grid.dt)
+    dim = len(S)
+    Sc = np.zeros((dim + 2, dim + 2))
+    Sc[:dim, :dim] = S
+    Sc[dim:, :dim] = B @ np.vstack([D, D @ S])  # z takes (D x, D S x) through B
+    Sc[dim:, dim:] = E
+    Dc = np.zeros((3, dim + 2))
+    Dc[0, :dim], Dc[1:, dim:] = D, np.eye(2)
+    x0 = np.append(_to_velocity_basis(init_leapfrog(q, None, grid), grid), (0.0, 0.0))
+    n = grid.n_steps_per_pass
+    out = np.empty((3, n + 1))
+    x = _run_recurrence(Sc, np.zeros((dim + 2, 0)), Dc, x0, np.zeros(n + 1), out)
+    return CascadeResult(trace=out[0], z=out[1:].T, final_wave=_from_velocity_basis(x[:dim], grid))
 
 
 @dataclass

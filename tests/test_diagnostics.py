@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bfwave import diagnostics, leapfrog
+from bfwave import diagnostics, leapfrog, observer
 from bfwave.diagnostics import (
     energy_identity_check,
     energy_identity_residual,
@@ -17,6 +17,7 @@ from bfwave.grid import Gains, ScenarioConfig, build_grid
 from bfwave.observer import (
     hidden_regularity_ratio,
     lyapunov_value,
+    oscillator_drive,
     run_back_and_forth,
     simulate_cascade,
 )
@@ -156,7 +157,9 @@ class TestHiddenRegularity:
 class TestEquivalenceBattery:
     def test_one_cascade_wave_per_grid(self, monkeypatch):
         # the rows equal, bit for bit, those of one forward run and one
-        # cascade per (nx, omega) pair
+        # cascade per (nx, omega) pair, and the battery runs exactly those
+        # cascades: the wave and the oscillator are one system, so no wave
+        # run is shared between the two omegas of a grid
         want = []
         for nx, omega in ((20, 0.0), (20, 1.0), (40, 1.0)):
             g = build_grid(nx, 0.005, 3.0)
@@ -170,7 +173,7 @@ class TestEquivalenceBattery:
             diagnostics, "simulate_cascade", lambda q, w, g: grids.append(g.nx) or cascade(q, w, g)
         )
         rows = diagnostics._battery_equivalence()
-        assert grids == [20, 40]
+        assert grids == [20, 20, 40]
         assert [r.name for r in rows] == [
             "output_equivalence_w0",
             "output_equivalence_w1",
@@ -270,6 +273,20 @@ class TestBattery:
         run_verify_battery()
         assert store and not store.evicted
         assert leapfrog._held_bytes() <= leapfrog._KEPT_BYTES
+
+    def test_battery_drives_no_oscillator(self, monkeypatch):
+        # every cascade of the battery, the observer check's truth cycle
+        # included, runs wave and oscillator as one system: no 2x2 drive
+        drives = []
+
+        def counted(*args):
+            drives.append(args)
+            return oscillator_drive(*args)
+
+        monkeypatch.setattr(observer, "oscillator_drive", counted)
+        monkeypatch.setattr(diagnostics, "oscillator_drive", counted, raising=False)
+        assert run_verify_battery().all_passed
+        assert drives == []
 
     def test_battery_catches_sign_fault(self, sign_fault):
         report = run_verify_battery()

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,14 @@ class TestOscillatorPropagator:
         with pytest.raises(ValueError, match="non-finite"):
             oscillator_propagator(1.7e308, 0.5, 2.5e-4)
 
+    def test_overflowing_exponential_refused(self):
+        # omega^2 is finite, but squaring the series back overflows: refused
+        # with no warning, not returned as a matrix of NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                oscillator_propagator(1e20, 0.5, 2.5e-3)
+
 
 def _random_system(seed: int, dim: int = 9, rows: int = 3):
     rng = np.random.default_rng(seed)
@@ -414,6 +423,31 @@ class TestSimulateCascade:
         out = simulate_cascade(q, 0.0, grid)
         assert np.max(np.abs(y - out.Y)) <= 1e-2 * np.max(np.abs(y))
 
+    def test_one_free_recurrence(self, grid, monkeypatch):
+        # wave and oscillator run as one system: one _run_recurrence call,
+        # free (a B of no columns), reading out the trace, z1 and z2
+        calls = []
+
+        def counted(S, B, D, x0, s, out):
+            calls.append((B.shape[1], D.shape))
+            return _run_recurrence(S, B, D, x0, s, out)
+
+        monkeypatch.setattr(observer, "_run_recurrence", counted)
+        simulate_cascade(poly_source(grid), 2.0, grid)
+        assert calls == [(0, (3, 2 * (grid.nx + 1) + 2))]
+
+    def test_two_stage_route(self, grid):
+        # the free wave run then the oscillator driven over its trace: the
+        # same trace, wave and output up to rounding
+        q = poly_source(grid)
+        out = simulate_cascade(q, 2.0, grid)
+        state, trace = leapfrog.run_homogeneous(q, grid, grid.n_steps_per_pass)
+        z = oscillator_drive((0.0, 0.0), trace, 2.0, grid.dt)
+        assert rel_gap(trace, out.trace) <= 1e-13
+        assert rel_gap(z, out.z) <= 1e-13
+        assert rel_gap(state.u_curr, out.final_wave.u_curr) <= 1e-13
+        assert rel_gap(state.u_prev, out.final_wave.u_prev) <= 1e-13
+
     def test_resonant_forcing_grows(self):
         # at omega = pi the cascade still runs; the output envelope grows
         g = build_grid(20, 0.02, 3.0)
@@ -444,6 +478,13 @@ class TestPlantCycle:
         mirror = plant.z[::-1] * np.array([1.0, -1.0])
         assert np.max(np.abs(back - mirror)) <= 1e-12 * np.max(np.abs(mirror))
         assert np.max(np.abs(back[-1])) <= 1e-12
+
+    def test_drives_no_oscillator(self, grid, monkeypatch):
+        # the truth cycle's oscillator runs inside the cascade, not as a 2x2 drive
+        drives = []
+        monkeypatch.setattr(observer, "oscillator_drive", lambda *a: drives.append(a))
+        plant = run_plant_cycle(poly_source(grid), 2.0, grid)
+        assert drives == [] and plant.z.shape == (grid.n_steps_per_pass + 1, 2)
 
     def test_two_cycle_field_return(self, grid):
         # periodized truth returns to (q, 0) at every t = 2kT

@@ -41,6 +41,51 @@ def test_extended_reference_stepped_route(own_path):
         assert np.max(np.abs(est - mapped)) <= 1e-9 * np.max(np.abs(mapped))
 
 
+def test_extended_reference_cascade_section(own_path):
+    # the cascade section on a short grid: both float64 routes, z1 and z2,
+    # a rounding gap from the long-double stepped cascade
+    script = SCRIPTS[[p.name for p in SCRIPTS].index("extended_reference.py")]
+    gaps = runpy.run_path(str(script), run_name="script_import")["cascade_gaps"]
+    cfg = ScenarioConfig(cfl=0.1)
+    grid = cfg.grid()
+    found = gaps(cfg.q_true(grid), cfg.omega, grid)
+    assert sorted(found) == ["run_homogeneous + oscillator_drive", "simulate_cascade (folded)"]
+    for z_gaps in found.values():
+        assert z_gaps.shape == (2,)
+        assert np.all(z_gaps <= 1e-13)
+
+
+def _write_csv(path, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def test_output_gap_table(tmp_path, own_path, capsys):
+    # one CSV identical, one with a cell rounded, one with a pass cell
+    # changed, and one on one side only: one report line each, and the
+    # changed pass cell on its own line
+    script = SCRIPTS[[p.name for p in SCRIPTS].index("output_gap.py")]
+    main = runpy.run_path(str(script), run_name="script_import")["main"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    header = ["name", "value", "threshold", "passed"]
+    rows = [header, ["x", "0.25", "1", "true"], ["y", "0.12345678901234", "1", "true"]]
+    for root in (a, b):
+        _write_csv(root / "same.csv", rows)
+    _write_csv(a / "sub" / "rounded.csv", rows)
+    _write_csv(b / "sub" / "rounded.csv", [*rows[:2], ["y", "0.123457", "1", "true"]])
+    _write_csv(a / "passed.csv", rows)
+    _write_csv(b / "passed.csv", [rows[0], ["x", "0.25", "1", "false"], rows[2]])
+    _write_csv(b / "extra.csv", rows)
+    assert main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "passed.csv: numeric cells equal",
+        "  row 1, column passed: 'true' -> 'false'",
+        "same.csv: identical",
+        "sub/rounded.csv: largest relative difference 1.71e-06 at row 2, column value",
+        f"only in {b}: extra.csv",
+    ]
+
+
 def test_reference_scenario_file_set(tmp_path, own_path, monkeypatch):
     # the clean reference (ScenarioConfig's defaults): the full run's files and
     # the config it ran, no noisy measurement
