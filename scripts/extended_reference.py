@@ -25,7 +25,8 @@ and B (observer._oscillator_forcing), also in long double. It prints the
 largest |z - reference| over the largest |reference|, for z1 and z2, of
 two float64 routes: simulate_cascade, which runs wave and oscillator as
 one free recurrence, and the two-stage route, the free wave run
-(leapfrog.run_homogeneous) then oscillator_drive over its trace.
+(leapfrog.run_homogeneous) then the oscillator driven alone over its
+trace (oscillator_drive, on the same forcing pair; tests/two_stage.py).
 
 Then the estimates. It runs the observer recurrence of the clean 50-cycle
 reference scenario in numpy longdouble, one step at a time: the library's
@@ -51,7 +52,7 @@ says so.
     python scripts/extended_reference.py      # about two minutes
 
 The package is imported from the `src/` directory next to this script,
-the composed route from the `tests/` directory.
+the composed route and oscillator_drive from the `tests/` directory.
 """
 
 import sys
@@ -79,11 +80,11 @@ from bfwave.leapfrog import (  # noqa: E402
 from bfwave.observer import (  # noqa: E402
     _observer_step,
     _oscillator_forcing,
-    oscillator_drive,
     run_back_and_forth,
     simulate_cascade,
 )
 from half_pass import extract_estimate, initial_observer_state, observer_half_pass  # noqa: E402
+from two_stage import oscillator_drive  # noqa: E402
 
 
 def stepped_measurement(q, omega, grid, dtype) -> np.ndarray:

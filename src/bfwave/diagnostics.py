@@ -17,10 +17,10 @@ from .leapfrog import (
     _from_velocity_basis,
     _run_recurrence,
     _to_velocity_basis,
+    _turned_wave,
     _wave_parts,
     discrete_energy,
     init_leapfrog,
-    reversed_state,
     run_homogeneous,
 )
 from .observer import RunHistory, run_back_and_forth, simulate_cascade
@@ -199,7 +199,7 @@ def _battery_kernel() -> list[CheckResult]:
         drift = max(drift, float(np.max(np.abs(e - e0))) / e0)
     # forward n steps (the drift loop's), turn, backward n steps must reproduce
     # the start; only the end state of the backward leg is read, so it reads out no rows
-    back = _to_velocity_basis(reversed_state(_from_velocity_basis(x, g), g), g)
+    back = _turned_wave(x, g)
     x = _run_recurrence(S, free, trace_row[:0], back, np.zeros(n + 1), np.empty((0, n + 1)))
     rt = float(np.max(np.abs(_from_velocity_basis(x, g).u_curr - q0)))
     # order of accuracy against the closed-form mode, generic sampling time

@@ -6,9 +6,9 @@ exactly time reversible and conserves its discrete energy, which is what
 makes repeated forward/backward sweeps trustworthy.
 
 A state carries no time label or direction: the stencil is symmetric in
-the two stored levels, so a sweep runs backward in time once
-reversed_state has swapped the roles of past and future at the turn.
-Callers that alternate directions read theirs from their own pass index.
+the two stored levels, so a sweep runs backward in time once the turn
+(_turned_wave) has swapped the roles of past and future. Callers that
+alternate directions read theirs from their own pass index.
 
 A stepped level goes through the one interior update _leap (the start-up
 ghost level of init_leapfrog, continuation_level), and the left
@@ -31,8 +31,9 @@ its oscillator. A free run passes B with no columns, so it packs and
 carries no inputs. The verify battery's energy drift and round trip run
 the same free recurrence through _run_recurrence, the drift read out as
 the levels, the backward leg from the turned state with no read-out at
-all. The stepped reference that the tests' round trips run backward is
-not in the package: it is step in tests/stepped.py, one _leap per call.
+all. _turned_wave, the one turn, makes that state; the observer's turn
+calls it too. The stepped reference of the tests' round trips is not
+in the package: step and reversed_state in tests/stepped.py.
 _leap, neumann_trace, discrete_energy and continuation_level also take
 (nx+1, m) arrays, one level per column, which is how the observer's
 half-pass maps are built; discrete_energy also takes a chain of
@@ -55,7 +56,6 @@ __all__ = [
     "discrete_energy",
     "run_homogeneous",
     "continuation_level",
-    "reversed_state",
 ]
 
 
@@ -160,16 +160,6 @@ def continuation_level(state: LeapfrogState, grid: Grid1D) -> np.ndarray:
     return g
 
 
-def reversed_state(state: LeapfrogState, grid: Grid1D) -> LeapfrogState:
-    """Turn the trajectory around at u_curr.
-
-    The previous level of the reversed state is the forward continuation of
-    the old one, which makes forward-then-backward sweeps retrace the
-    discrete trajectory exactly (zero forcing, matching boundary data).
-    """
-    return LeapfrogState(u_prev=continuation_level(state, grid), u_curr=state.u_curr.copy())
-
-
 _RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
 # Set-up kept for the process by content (_kept): _run_recurrence's powers
 # S^t, S^b and block plans, and the observer's S^n and its monitor's quadratic
@@ -179,6 +169,7 @@ _RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
 # grows the store to _KEPT_BYTES and no further, the oldest items going first.
 _KEPT_BYTES = 2 << 20
 _store: dict = {}  # key -> read-only array, or tuple of them; oldest first
+_held = 0  # the bytes of _store's keys and items, counted as they come and go
 
 
 def _nbytes(obj) -> int:
@@ -193,30 +184,28 @@ def _content(S: np.ndarray) -> tuple:
     return S.shape, S.tobytes()
 
 
-def _held_bytes() -> int:
-    """What the store counts against _KEPT_BYTES: the bytes of its items and keys.
-
-    A bytes object that several keys share is counted in each.
-    """
-    return sum(_nbytes(key) + _nbytes(item) for key, item in _store.items())
-
-
 def _kept(key: tuple, build, *args):
     """build(*args), made read-only and kept under key for the process.
 
     key holds the content (shape and bytes) of every matrix the result
     depends on, so a call on matrices seen before has the bits of a first
-    call without redoing it. After a build, the oldest items leave until
-    _held_bytes is at most _KEPT_BYTES; the newest stays, even alone above it.
+    call without redoing it. _held counts the bytes of every key and item
+    (_nbytes; a bytes object that several keys share is counted in each).
+    After a build, the oldest items leave until _held is at most
+    _KEPT_BYTES; the newest stays, even alone above it.
     """
+    global _held
     item = _store.get(key)
     if item is None:
         item = build(*args)
         for a in item if isinstance(item, tuple) else (item,):
             a.flags.writeable = False
         _store[key] = item  # the first key object is kept, so no call leaves a new one behind
-        while len(_store) > 1 and _held_bytes() > _KEPT_BYTES:
-            del _store[next(iter(_store))]
+        _held += _nbytes(key) + _nbytes(item)
+        while len(_store) > 1 and _held > _KEPT_BYTES:
+            oldest = next(iter(_store))
+            _held -= _nbytes(oldest) + _nbytes(_store[oldest])
+            del _store[oldest]
     return item
 
 
@@ -367,6 +356,17 @@ def _from_velocity_basis(x: np.ndarray, grid: Grid1D) -> LeapfrogState:
     """The two levels of the velocity-basis state x: u, and u - dt v before it."""
     u = x[: grid.nx + 1]
     return LeapfrogState(u_prev=u - grid.dt * x[grid.nx + 1 :], u_curr=u)
+
+
+def _turned_wave(x: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """The turn of a velocity-basis state, or of a matrix of one state per column.
+
+    u stays and the continuation level becomes the level before it, which
+    makes forward-then-backward runs retrace the discrete trajectory
+    exactly (zero forcing, matching boundary data).
+    """
+    state = _from_velocity_basis(x, grid)
+    return _to_velocity_basis(LeapfrogState(continuation_level(state, grid), state.u_curr), grid)
 
 
 def run_homogeneous(

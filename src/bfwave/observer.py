@@ -12,7 +12,7 @@ forward for even k and backward (the time-reversed dynamics) for odd k.
 The time-reversed system is the forward one in the reversed time, so
 every sweep takes the same step, and the state is stored in the local
 time of the sweep it is ready for: the turn (_turned) re-seeds the wave
-(leapfrog.reversed_state) and negates the oscillator velocity z2. Only
+(leapfrog._turned_wave) and negates the oscillator velocity z2. Only
 the replay order of the measurement, reversed on a backward sweep, comes
 from the parity of the half-pass index. The oscillator is propagated with
 the matrix exponential of its homogeneous part, a scaled and squared
@@ -31,10 +31,9 @@ leapfrog._run_recurrence, the one evaluator of such recurrences, runs them
 in blocks of steps. The cascade is one free system: the wave's one-step
 matrix and trace row (leapfrog._wave_parts) coupled to the plant
 oscillator's step (_oscillator_forcing, the one home of its trapezoid
-forcing), run once from (q, 0) and a resting oscillator. oscillator_drive
-runs that oscillator step alone over a given trace series. The backward
-half of the truth cycle is the forward half time-reversed: its rows in
-reverse order, z2 negated.
+forcing), run once from (q, 0) and a resting oscillator; no run drives
+the oscillator on its own. The backward half of the truth cycle is the
+forward half time-reversed: its rows in reverse order, z2 negated.
 _observer_step is the one coupled observer step, and it alone computes
 the injection value that the x=0 node takes; _linear_parts applies it to
 the columns of the identity for S and B.
@@ -85,6 +84,7 @@ from .leapfrog import (
     _leap,
     _run_recurrence,
     _to_velocity_basis,
+    _turned_wave,
     _wave_parts,
     continuation_level,
     init_leapfrog,
@@ -95,7 +95,6 @@ __all__ = [
     "CYCLE_COLUMNS",
     "RunHistory",
     "BackAndForthResult",
-    "oscillator_drive",
     "oscillator_propagator",
     "simulate_cascade",
     "run_plant_cycle",
@@ -172,18 +171,6 @@ def _oscillator_forcing(omega: float, dt: float) -> tuple[np.ndarray, np.ndarray
     """
     E = oscillator_propagator(omega, 0.0, dt)[:2, :2]
     return E, 0.5 * dt * np.column_stack([E[:, 1], (0.0, 1.0)])
-
-
-def oscillator_drive(z0, trace: np.ndarray, omega: float, dt: float) -> np.ndarray:
-    """Uncoupled plant oscillator run over a given trace series, one row per node.
-
-    The step of _oscillator_forcing, run by _run_recurrence. Row 0 is the
-    start z0, any (z1, z2) pair.
-    """
-    E, B = _oscillator_forcing(omega, dt)
-    z = np.empty((2, len(trace)))
-    _run_recurrence(E, B, np.eye(2), np.asarray(z0, dtype=float), trace, z)
-    return z.T
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +551,12 @@ def _state_parts(x: np.ndarray, grid: Grid1D) -> tuple:
 def _turned(x: np.ndarray, grid: Grid1D) -> np.ndarray:
     """The turn of a velocity-basis vector, or of a matrix of one state per column.
 
-    The wave is re-seeded, its level before u the continuation level
-    (leapfrog.reversed_state), and z2 is negated. The turn matrix R is this
-    arithmetic on the columns of the identity.
+    The wave part turns (leapfrog._turned_wave) and z2 is negated. The turn
+    matrix R is this arithmetic on the columns of the identity.
     """
-    u_prev, u_curr, z1, z2, w = _state_parts(x, grid)
-    ghost = continuation_level(LeapfrogState(u_prev, u_curr), grid)
-    return _state_vector(ghost, u_curr, z1, -z2, w, grid)
+    dim = 2 * (grid.nx + 1)
+    z1, z2, w = x[dim:]
+    return np.concatenate([_turned_wave(x[:dim], grid), np.array([z1, -z2, w])])
 
 
 @lru_cache(maxsize=8)

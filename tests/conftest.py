@@ -1,10 +1,14 @@
+import importlib
+import pkgutil
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import bfwave
 from bfwave import ScenarioConfig, add_noise, l2_norm, run_back_and_forth, simulate_forward
-from bfwave import observer
+from bfwave import leapfrog, observer
 
 settings.register_profile(
     "numeric", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -92,3 +96,19 @@ def sign_fault(monkeypatch):
     yield
     observer._linear_parts.cache_clear()
 
+
+@pytest.fixture
+def recurrence_shapes(monkeypatch):
+    """The shape of S of every _run_recurrence call, spied on through every module's binding."""
+    shapes = []
+    run = leapfrog._run_recurrence
+
+    def spied(S, *rest):
+        shapes.append(np.shape(S))
+        return run(S, *rest)
+
+    for info in pkgutil.iter_modules(bfwave.__path__):
+        module = importlib.import_module(f"bfwave.{info.name}")
+        if getattr(module, "_run_recurrence", None) is run:
+            monkeypatch.setattr(module, "_run_recurrence", spied)
+    return shapes

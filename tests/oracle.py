@@ -2,8 +2,8 @@
 
 Everything here is derived analytically (Duhamel formulas plus quadrature);
 no finite-difference machinery is involved, so these routines can vouch for
-the solver rather than echo it. Of bfwave it takes only the grid, the
-resonance guard and the oscillator state type. It needs scipy; the
+the solver rather than echo it. Of bfwave it takes only the grid type,
+the sample-time rule and the resonance guard. It needs scipy; the
 package does not.
 """
 

@@ -21,11 +21,10 @@ from bfwave.grid import Gains, ScenarioConfig, build_grid, l2_norm
 from bfwave.leapfrog import (
     discrete_energy,
     init_leapfrog,
-    reversed_state,
     run_homogeneous,
 )
 from bfwave.observer import hidden_regularity_ratio, run_back_and_forth, simulate_cascade
-from stepped import step
+from stepped import reversed_state, step
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from bfwave.cli import (
     write_lyapunov_csv,
 )
 from bfwave.diagnostics import run_verify_battery
-from bfwave.forward import read_measurement_csv, simulate_forward
+from bfwave.forward import read_measurement_csv, simulate_forward, write_measurement_csv
 from bfwave.grid import ScenarioConfig, SourceSpec
 from bfwave.observer import run_back_and_forth
 
@@ -613,6 +614,40 @@ class TestExitCodes:
         out = tmp_path / "out"
         m = tmp_path / "sim" / "measurement.csv"
         assert cmd_invert(blind, m, out, quiet=True) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.count("\n") == 1
+        assert_manifest_lists_directory(out)
+        _, rows = read_csv(out / "estimate_final.csv")
+        assert "nan" in {q for _, q in rows}
+
+    @pytest.mark.filterwarnings("error")  # the run overflows without a RuntimeWarning
+    def test_huge_source_full_exit_1(self, tmp_path, capsys):
+        # a stable grid and a source of 1e300: the measurement is finite, the
+        # monitored errors overflow; no unstable cfl is needed
+        source = {"profile": "modes", "coeffs": [1e300]}
+        p = write_config(
+            tmp_path / "c.json", cfl=0.005, iterations=50, snapshot_stride=10**6, source=source
+        )
+        out = tmp_path / "out"
+        assert cmd_full(p, out, quiet=True) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["check failed: non-finite estimate or iteration report"]
+        assert_manifest_lists_directory(out)
+        _, rows = read_csv(out / "iterations.csv")
+        assert rows[-1] == ["50", "inf", "inf", "nan", "nan"]
+
+    @pytest.mark.filterwarnings("error")  # the run overflows without a RuntimeWarning
+    def test_huge_measurement_blind_invert_exit_1(self, tmp_path, capsys):
+        # the reference measurement scaled to max |y| = 1e307 on a stable grid
+        p = write_config(tmp_path / "c.json", cfl=0.005, snapshot_stride=10**6)
+        assert cmd_simulate(p, tmp_path / "sim", quiet=True) == EXIT_OK
+        m = read_measurement_csv(tmp_path / "sim" / "measurement.csv")
+        huge = tmp_path / "huge.csv"
+        write_measurement_csv(replace(m, y=m.y * (1e307 / np.max(np.abs(m.y)))), huge)
+        blind = write_config(
+            tmp_path / "b.json", cfl=0.005, iterations=50, snapshot_stride=10**6, source=None
+        )
+        out = tmp_path / "out"
+        assert cmd_invert(blind, huge, out, quiet=True) == EXIT_CHECK_FAILED
         assert capsys.readouterr().err.count("\n") == 1
         assert_manifest_lists_directory(out)
         _, rows = read_csv(out / "estimate_final.csv")

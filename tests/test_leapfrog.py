@@ -9,15 +9,15 @@ from bfwave.leapfrog import (
     _leap,
     _run_recurrence,
     _to_velocity_basis,
+    _turned_wave,
     _wave_parts,
     continuation_level,
     discrete_energy,
     init_leapfrog,
     neumann_trace,
-    reversed_state,
     run_homogeneous,
 )
-from stepped import step
+from stepped import reversed_state, step
 
 
 @pytest.fixture
@@ -311,21 +311,21 @@ class TestRunHomogeneous:
 
 
 def blocked_free_run(state, g, n):
-    """n free steps from state through the blocked recurrence of run_homogeneous."""
+    """n free steps from the turn of state through the blocked recurrence of run_homogeneous."""
     S, D = _wave_parts(g)
-    x0 = _to_velocity_basis(state, g)
+    x0 = _turned_wave(_to_velocity_basis(state, g), g)
     x = _run_recurrence(S, np.zeros((len(S), 0)), D, x0, np.zeros(n + 1), np.empty((1, n + 1)))
     return _from_velocity_basis(x, g)
 
 
 class TestBlockedRoundTrip:
-    """Blocked both ways, as the verify battery's kernel check runs it."""
+    """Turned and blocked both ways, as the verify battery's kernel check runs it."""
 
     def test_round_trip(self):
         g = build_grid(20, 0.005, 2.5)
         q0 = mode(g)
         fwd, _ = run_homogeneous(q0, g, g.n_steps_per_pass)
-        back = blocked_free_run(reversed_state(fwd, g), g, g.n_steps_per_pass)
+        back = blocked_free_run(fwd, g, g.n_steps_per_pass)
         assert np.max(np.abs(back.u_curr - q0)) <= 1e-12
         start = init_leapfrog(q0, None, g)
         assert np.max(np.abs(back.u_prev - start.u_prev)) <= 1e-12
@@ -336,8 +336,20 @@ class TestBlockedRoundTrip:
         g = build_grid(12, 0.9, 1.0)
         q0 = mode(g, k)
         fwd, _ = run_homogeneous(q0, g, n)
-        back = blocked_free_run(reversed_state(fwd, g), g, n)
+        back = blocked_free_run(fwd, g, n)
         assert np.max(np.abs(back.u_curr - q0)) <= 1e-12
+
+    def test_turn_is_the_stepped_turn_bitwise(self):
+        # the one turn on velocity-basis states has the bits of the stepped
+        # reference's turn taken through the basis change, on one state and
+        # on a matrix of them, one per column
+        g = build_grid(20, 0.3, 1.0)
+        rng = np.random.default_rng(31)
+        for x in (rng.standard_normal(2 * (g.nx + 1)), rng.standard_normal((2 * (g.nx + 1), 5))):
+            stepped = _to_velocity_basis(reversed_state(_from_velocity_basis(x, g), g), g)
+            turned = _turned_wave(x, g)
+            assert turned.shape == x.shape
+            assert turned.tobytes() == stepped.tobytes()
 
 
 class TestBoundarySchedule:
