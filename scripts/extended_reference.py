@@ -1,27 +1,31 @@
 #!/usr/bin/env python3
 """How far the reference measurement and estimates are from extended-precision runs.
 
+Every wave reference below is one loop (stepped_levels): leapfrog._leap
+steps with pinned walls on levels of a given dtype, the coefficients the
+library's float64 ones, in long double for the reference and in float64
+for the stepped route it is compared with.
+
 First the measurement: the forced wave recurrence of forward synthesis,
-run from rest as a loop of leapfrog._leap steps on long-double levels (the
-forcing q cos(omega k dt) and the pinned walls as in run_homogeneous, the
-coefficients the library's float64 ones). It prints the largest
-|trace - reference| over the largest |reference| for simulate_forward's
-trace (the blocked run) and for the same loop stepped in float64.
+run from rest in that loop (the forcing q cos(omega k dt) and the pinned
+walls as in run_homogeneous), its traces kept in long double. It prints
+the largest |trace - reference| over the largest |reference| for
+simulate_forward's trace (the blocked run) and for the same loop stepped
+in float64.
 
 Then the verify battery's kernel check: the free 10,000-step forward leg
-of its energy drift and round trip (nx 20, cfl 0.005, from sin(pi x)), as a
-long-double loop of _leap steps. It prints how far two float64 routes are
-from it, at the end state the round trip turns and over every level the
-drift reads: the blocked recurrence the check runs (leapfrog._run_recurrence
-on _wave_parts' S, read out as the levels) and the same loop of _leap steps
-in float64, the scheme of the tests' stepped wave reference (step in
-tests/stepped.py).
+of its energy drift and round trip (nx 20, cfl 0.005, from sin(pi x)), in
+that loop in long double. It prints how far two float64 routes are from
+it, at the end state the round trip turns and over every level the drift
+reads: the blocked recurrence the check runs (leapfrog._run_recurrence on
+_wave_parts' S, read out as the levels) and the same loop in float64, the
+scheme of the tests' stepped wave reference (step in tests/stepped.py).
 
 Then the truth cascade of the reference source (nx 20, cfl 0.005, T 3) at
 omega 2 and 1, and of the same source at nx 40, omega 1: the free wave
-stepped as a loop of _leap steps on long-double levels, its left trace
-driving the plant oscillator's trapezoid step on the library's float64 E
-and B (observer._oscillator_forcing), also in long double. It prints the
+stepped in that loop in long double, its left trace driving the plant
+oscillator's trapezoid step on the library's float64 E and B
+(observer._oscillator_forcing), also in long double. It prints the
 largest |z - reference| over the largest |reference|, for z1 and z2, of
 two float64 routes: simulate_cascade, which runs wave and oscillator as
 one free recurrence, and the two-stage route, the free wave run
@@ -30,13 +34,14 @@ trace (oscillator_drive, on the same forcing pair; tests/two_stage.py).
 
 Then the estimates. It runs the observer recurrence of the clean 50-cycle
 reference scenario in numpy longdouble, one step at a time: the library's
-own observer step
-(observer._observer_step) and turn (leapfrog.continuation_level, with the
-oscillator velocity z2 negated) applied to (nx+1, 1) long-double columns,
-the measurement replayed reversed on backward passes, as the composed
-route does. The coefficients are the library's float64 ones, so the
-reference differs from the float64 runs only in the rounding of the
-arithmetic. It then prints, for three float64 routes,
+own observer step (observer._observer_step, which advances the wave by
+leapfrog._wave_parts' S) and turn (leapfrog._turned_wave, with the
+oscillator velocity z2 negated, as observer._turned does) applied to
+velocity-basis long-double columns, the measurement replayed reversed on
+backward passes, as the composed route does. The coefficients are the
+library's float64 ones, so the reference differs from the float64 runs
+only in the rounding of the arithmetic. It then prints, for three float64
+routes,
 
 * run_back_and_forth (every half-pass through the map, from the zero state),
 * composed observer_half_pass calls (every half-pass a sweep of its own,
@@ -49,7 +54,7 @@ largest |reference|. Where longdouble has no more mantissa bits than
 float64, the reference is no better than what it measures, and the script
 says so.
 
-    python scripts/extended_reference.py      # about two minutes
+    python scripts/extended_reference.py      # about two and a half minutes
 
 The package is imported from the `src/` directory next to this script,
 the composed route and oscillator_drive from the `tests/` directory.
@@ -71,8 +76,8 @@ from bfwave.leapfrog import (  # noqa: E402
     _leap,
     _run_recurrence,
     _to_velocity_basis,
+    _turned_wave,
     _wave_parts,
-    continuation_level,
     init_leapfrog,
     neumann_trace,
     run_homogeneous,
@@ -87,33 +92,31 @@ from half_pass import extract_estimate, initial_observer_state, observer_half_pa
 from two_stage import oscillator_drive  # noqa: E402
 
 
-def stepped_measurement(q, omega, grid, dtype) -> np.ndarray:
-    """Left trace of the forced wave from rest, stepped node by node in dtype."""
-    start = init_leapfrog(np.zeros(grid.nx + 1), q, grid)
-    u_prev, u_curr = start.u_prev.astype(dtype), start.u_curr.astype(dtype)
-    c2, dt = dtype(grid.cfl) * dtype(grid.cfl), dtype(grid.dt)
-    dt2q = dt * dt * np.asarray(q, dtype=dtype)
-    traces = [neumann_trace(u_curr, dtype(grid.dx))]
-    for k in range(grid.n_steps_per_pass):
-        un = _leap(u_prev, u_curr, c2, dt2q * np.cos(dtype(omega) * k * dt))
-        un[0] = un[-1] = 0.0
-        u_prev, u_curr = u_curr, un
-        traces.append(neumann_trace(u_curr, dtype(grid.dx)))
-    return np.array(traces)
+def stepped_levels(start: LeapfrogState, grid, n: int, dtype, forcing=None) -> np.ndarray:
+    """Levels 0..n, one per column, of the wave from start with pinned walls, stepped in dtype.
 
-
-def stepped_free_levels(q0, grid, n: int, dtype) -> np.ndarray:
-    """Levels 0..n, one per column, of the free wave from init_leapfrog(q0), stepped in dtype."""
-    start = init_leapfrog(q0, None, grid)
+    forcing(k), when given, is the dt^2 f that step k adds to the interior.
+    """
     u_prev, u_curr = start.u_prev.astype(dtype), start.u_curr.astype(dtype)
     c2 = dtype(grid.cfl) * dtype(grid.cfl)
     levels = [u_curr]
-    for _ in range(n):
-        un = _leap(u_prev, u_curr, c2)
+    for k in range(n):
+        un = _leap(u_prev, u_curr, c2, None if forcing is None else forcing(k))
         un[0] = un[-1] = 0.0
         u_prev, u_curr = u_curr, un
         levels.append(u_curr)
     return np.array(levels).T
+
+
+def stepped_measurement(q, omega, grid, dtype) -> np.ndarray:
+    """Left trace of the forced wave from rest, stepped node by node in dtype."""
+    start = init_leapfrog(np.zeros(grid.nx + 1), q, grid)
+    dt = dtype(grid.dt)
+    dt2q = dt * dt * np.asarray(q, dtype=dtype)
+    levels = stepped_levels(
+        start, grid, grid.n_steps_per_pass, dtype, lambda k: dt2q * np.cos(dtype(omega) * k * dt)
+    )
+    return neumann_trace(levels, dtype(grid.dx))
 
 
 def blocked_free_levels(q0, grid, n: int) -> np.ndarray:
@@ -128,19 +131,13 @@ def blocked_free_levels(q0, grid, n: int) -> np.ndarray:
 
 def stepped_cascade(q, omega, grid, dtype) -> np.ndarray:
     """Oscillator (z1, z2) at every node of the cascade from (q, 0), stepped in dtype, one row each."""
-    start = init_leapfrog(q, None, grid)
-    u_prev, u_curr = (a.astype(dtype)[:, None] for a in (start.u_prev, start.u_curr))
-    c2, dx = dtype(grid.cfl) * dtype(grid.cfl), dtype(grid.dx)
+    n = grid.n_steps_per_pass
+    levels = stepped_levels(init_leapfrog(q, None, grid), grid, n, dtype)
+    trace = neumann_trace(levels, dtype(grid.dx))
     E, B = (a.astype(dtype) for a in _oscillator_forcing(omega, grid.dt))
-    z = np.zeros((grid.n_steps_per_pass + 1, 2), dtype=dtype)
-    trace = neumann_trace(u_curr, dx)
-    for k in range(grid.n_steps_per_pass):
-        un = _leap(u_prev, u_curr, c2)
-        un[0] = un[-1] = 0.0
-        u_prev, u_curr = u_curr, un
-        following = neumann_trace(u_curr, dx)
-        z[k + 1] = E @ z[k] + B @ np.concatenate([trace, following])
-        trace = following
+    z = np.zeros((n + 1, 2), dtype=dtype)
+    for k in range(n):
+        z[k + 1] = E @ z[k] + B @ trace[k : k + 2]
     return z
 
 
@@ -161,18 +158,16 @@ def stepped_estimates(y, gains, omega, grid, cycles: int, dtype) -> np.ndarray:
     step = _observer_step(gains, omega, grid)
     n, nx1 = grid.n_steps_per_pass, grid.nx + 1
     y = np.asarray(y, dtype=dtype)
-    u_prev = np.zeros((nx1, 1), dtype=dtype)
-    u_curr = u_prev.copy()
+    x = np.zeros((2 * nx1, 1), dtype=dtype)
     z1 = z2 = w = np.zeros(1, dtype=dtype)
     estimates = []
     for half in range(2 * cycles):
         Yp = y if half % 2 == 0 else y[::-1]
         for k in range(n):
-            u_prev, u_curr, z1, z2, w = step(u_prev, u_curr, z1, z2, w, Yp[k], Yp[k + 1])
-        u_prev = continuation_level(LeapfrogState(u_prev, u_curr), grid)
-        z2 = -z2
+            x, z1, z2, w = step(x, z1, z2, w, Yp[k], Yp[k + 1])
+        x, z2 = _turned_wave(x, grid), -z2
         if half % 2 == 1:
-            q_hat = u_curr[:, 0].copy()
+            q_hat = x[:nx1, 0].copy()
             q_hat[0] = q_hat[-1] = 0.0
             estimates.append(q_hat)
     return np.array(estimates)
@@ -207,10 +202,11 @@ def main() -> None:
         print(f"  {label}: largest |trace - reference| / max|reference| = {gap:.2e}")
     kg = build_grid(20, 0.005, 2.5)
     q0, n = np.sin(np.pi * kg.nodes), kg.n_steps_per_pass
-    ref_levels = stepped_free_levels(q0, kg, n, np.longdouble)
+    start = init_leapfrog(q0, None, kg)
+    ref_levels = stepped_levels(start, kg, n, np.longdouble)
     kernel = {
         "blocked (kernel check)": blocked_free_levels(q0, kg, n),
-        "stepped float64": stepped_free_levels(q0, kg, n, np.float64),
+        "stepped float64": stepped_levels(start, kg, n, np.float64),
     }
     scale = float(np.max(np.abs(ref_levels)))
     print(f"extended-precision kernel-check forward leg: {n} free steps")

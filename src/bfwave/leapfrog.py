@@ -16,28 +16,28 @@ Neumann trace through the one stencil neumann_trace; callers only set the
 two boundary nodes. run_homogeneous, the one run with homogeneous walls,
 free or forced, is not stepped: it is the linear recurrence x <- S x + B s_k
 on the velocity-basis state (u, (u - u_prev)/dt), S assembled from the
-update's formulas with the walls pinned (_wave_parts), evaluated in blocks
-by _run_recurrence. That is the package's one linear-recurrence evaluator;
-the observer's sweeps, cascade and oscillator drive run it too. Its set-up (the
-powers S^t and S^b of each S, and one block plan per (S, B, D)) is kept
-for the process by the content of its matrices in one store (_kept),
-which the observer's monitor shares, so a call on matrices seen before
-pays only for its own steps, with the bits of a first call. Every key
-holds the content of its S (_content) as its second entry. The store is
-bounded by the bytes it holds, _KEPT_BYTES, the oldest items going first.
-The kernel checks run the wave free, forward synthesis forced, and the
-observer's truth cascade runs _wave_parts' S inside one free system with
-its oscillator. A free run passes B with no columns, so it packs and
-carries no inputs. The verify battery's energy drift and round trip run
-the same free recurrence through _run_recurrence, the drift read out as
-the levels, the backward leg from the turned state with no read-out at
-all. _turned_wave, the one turn, makes that state; the observer's turn
-calls it too. The stepped reference of the tests' round trips is not
-in the package: step and reversed_state in tests/stepped.py.
-_leap, neumann_trace, discrete_energy and continuation_level also take
-(nx+1, m) arrays, one level per column, which is how the observer's
-half-pass maps are built; discrete_energy also takes a chain of
-consecutive levels, which is how the kernel check takes its energies.
+update's formulas with the walls pinned (_wave_parts, the one wave
+one-step matrix: the observer's step and truth cascade advance their wave
+by it too), evaluated in blocks by _run_recurrence, the package's one
+linear-recurrence evaluator, which the observer's sweeps and cascade run
+too. Its set-up (the powers S^t and S^b of each S, and one block plan per
+(S, B, D)) is kept for the process by the content of its matrices in one
+store (_kept), which the observer's monitor shares, so a call on matrices
+seen before pays only for its own steps, with the bits of a first call.
+Every key holds the content of its S (_content) as its second entry. The
+store is bounded by the bytes it holds, _KEPT_BYTES, the oldest items
+going first. The kernel checks run the wave free, forward synthesis
+forced. A free run passes B with no columns, so it packs and carries no
+inputs. The verify battery's energy drift and round trip run the same
+free recurrence through _run_recurrence, the drift read out as the
+levels, the backward leg from the turned state with no read-out at all.
+_turned_wave, the one turn, makes that state; the observer's turn calls
+it too. The stepped reference of the tests' round trips is not in the
+package: step and reversed_state in tests/stepped.py. neumann_trace,
+discrete_energy and continuation_level also take (nx+1, m) arrays, one
+level per column, which is how the observer's step and turn are applied
+to the identity; discrete_energy also takes a chain of consecutive
+levels, which is how the kernel check takes its energies.
 """
 
 from __future__ import annotations
@@ -329,8 +329,9 @@ def _wave_parts(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     these formulas: taken from _leap on the columns of the identity, they
     differ by up to 2.2e-14, and a forward run through them fails the
     round trip of 1e4 steps forward and back at nx 20, cfl 0.005 (5.6e-12
-    against 8.2e-13, gate 1e-12). D x is the left Neumann trace of u.
-    Built once per grid; read-only.
+    against 8.2e-13, gate 1e-12); the observer's step advances its wave by
+    this S too. D x is the left Neumann trace of u. Built once per grid;
+    read-only.
     """
     nx1, dt, c2 = grid.nx + 1, grid.dt, grid.cfl * grid.cfl
     S = np.zeros((2 * nx1, 2 * nx1))

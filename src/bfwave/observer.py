@@ -22,6 +22,8 @@ within each step (explicit coupling); the measured output Y
 enters with both endpoints. The observer state is one velocity-basis
 vector (u, v, z1, z2, w), v = (u - u_prev)/dt, with one integral channel,
 w = integral of z1 - Y; the step, the sweep, the map and the turn act on it.
+The observer's wave block is the wave's one-step matrix (_wave_parts' S)
+in every row but the x=0 node and its velocity.
 
 Each loop is written once, and none in this module or in the wave runs it
 calls advances one time node per Python iteration. A sweep and the truth
@@ -34,9 +36,10 @@ oscillator's step (_oscillator_forcing, the one home of its trapezoid
 forcing), run once from (q, 0) and a resting oscillator; no run drives
 the oscillator on its own. The backward half of the truth cycle is the
 forward half time-reversed: its rows in reverse order, z2 negated.
-_observer_step is the one coupled observer step, and it alone computes
-the injection value that the x=0 node takes; _linear_parts applies it to
-the columns of the identity for S and B.
+_observer_step is the one coupled observer step: it advances the wave by
+_wave_parts' S, as the cascade does, and it alone computes the injection
+value that the x=0 node takes; _linear_parts applies it to the columns of
+the identity for S and B.
 
 run_back_and_forth takes one route; the tests' reference for it runs every
 half-pass as a sweep of its own (tests/half_pass.py). A half-pass is linear
@@ -81,7 +84,6 @@ from .leapfrog import (
     _content,
     _from_velocity_basis,
     _kept,
-    _leap,
     _run_recurrence,
     _to_velocity_basis,
     _turned_wave,
@@ -333,33 +335,35 @@ class BackAndForthResult:
 def _observer_step(gains: Gains, omega: float, grid: Grid1D):
     """One coupled observer step, in the sweep's local time, on columns of states.
 
-    step(u_prev, u_curr, z1, z2, w, Yn, Yn1) returns the advanced
-    (u_prev, u_curr, z1, z2, w) for (nx+1, m) arrays of levels and rows of m
-    oscillator and integral values, where Yn and Yn1 are the measurement at
-    the two ends of the step. The oscillator holds the left trace of u_curr
-    over the whole step (explicit coupling). w, the integral of z1 - Y, takes
-    the z1 share of the propagator's third row and the trapezoid of Y; the
-    new wave level takes the injection value g1 (z1 - Y) + g1 g2 w at x=0.
+    step(x, z1, z2, w, Yn, Yn1) returns the advanced (x, z1, z2, w) for
+    (2(nx+1), m) velocity-basis wave states and rows of m oscillator and
+    integral values, Yn and Yn1 the measurement at the two ends of the step.
+    The oscillator holds the left trace of u over the whole step (explicit
+    coupling). w, the integral of z1 - Y, takes the z1 share of the
+    propagator's third row and the trapezoid of Y. The wave advances by
+    _wave_parts' S; then its x=0 node takes the injection value
+    g1 (z1 - Y) + g1 g2 w, and the velocity there the node's change over dt.
     _linear_parts applies it to the columns of the identity, so it defines
     the one-step matrix S and input matrix B that every sweep runs.
     """
     E = oscillator_propagator(omega, gains.gamma2, grid.dt)
     (e11, e12, _), (e21, e22, _), (e31, e32, _) = E.tolist()
-    hdt = 0.5 * grid.dt
-    dx, c2 = grid.dx, grid.cfl * grid.cfl
+    Sw = _wave_parts(grid)[0]
+    nx1, dt, dx = grid.nx + 1, grid.dt, grid.dx
+    hdt = 0.5 * dt
     g1, g2 = gains.gamma1, gains.gamma2
     g1g2 = g1 * g2
 
-    def step(u_prev, u_curr, z1, z2, w, Yn, Yn1):
-        trc = neumann_trace(u_curr, dx)
+    def step(x, z1, z2, w, Yn, Yn1):
+        trc = neumann_trace(x[:nx1], dx)
         b1 = g2 * Yn
         z1n = e11 * z1 + e12 * z2 + hdt * (e11 * b1 + e12 * trc + g2 * Yn1)
         z2n = e21 * z1 + e22 * z2 + hdt * (e21 * b1 + e22 * trc + trc)
         wn = w + e31 * z1 + e32 * z2 + hdt * (e31 * b1 + e32 * trc - (Yn + Yn1))
-        un = _leap(u_prev, u_curr, c2)
-        un[0] = g1 * (z1n - Yn1) + g1g2 * wn
-        un[-1] = 0.0
-        return u_curr, un, z1n, z2n, wn
+        xn = Sw @ x
+        xn[0] = g1 * (z1n - Yn1) + g1g2 * wn
+        xn[nx1] = (xn[0] - x[0]) / dt
+        return xn, z1n, z2n, wn
 
     return step
 
@@ -525,20 +529,14 @@ def _truth_history(
 # the sweep leaves S^n x + c from the start x, and the turn R re-seeds it, with
 # S the one-step matrix over a zero measurement and c = sum_k S^(n-1-k) B
 # (Y_k, Y_k+1) over the pass's samples in replay order. The state vector is
-# (u_curr, (u_curr - u_prev)/dt, z1, z2, w), written and read only through its
-# codec, _state_vector and _state_parts. In this velocity basis the
-# map keeps the 50-cycle reference estimates within 8.9e-12 (relative) of an
-# extended-precision run of the same recurrence stepped node by node (a float64
-# stepped run: 8.0e-12; scripts/extended_reference.py); in the two-level basis
-# (u_prev, u_curr), where the cycle map is about 400 in norm, they drift by up
-# to 7.5e-7. One cycle is x <- M x + b with M = (R S^n)^2 (Ramdani, Tucsnak &
-# Weiss 2010).
-
-
-def _state_vector(u_prev, u_curr, z1, z2, w, grid: Grid1D) -> np.ndarray:
-    """Velocity-basis vector of a state, or matrix of one state per column."""
-    wave = _to_velocity_basis(LeapfrogState(u_prev, u_curr), grid)
-    return np.concatenate([wave, np.array([z1, z2, w])])
+# (u_curr, (u_curr - u_prev)/dt, z1, z2, w), which the step advances as it
+# stands, its wave part by _wave_parts' S, and _state_parts reads as levels.
+# In this velocity basis the map keeps the 50-cycle reference estimates within
+# 5.7e-12 (relative) of an extended-precision run of the same recurrence stepped
+# node by node (a float64 stepped run: 1.3e-13; scripts/extended_reference.py);
+# in the two-level basis (u_prev, u_curr), where the cycle map is about 400 in
+# norm, they drift by up to 7.5e-7. One cycle is x <- M x + b with
+# M = (R S^n)^2 (Ramdani, Tucsnak & Weiss 2010).
 
 
 def _state_parts(x: np.ndarray, grid: Grid1D) -> tuple:
@@ -570,13 +568,12 @@ def _linear_parts(gains: Gains, omega: float, grid: Grid1D):
     the arrays are read-only.
     """
     eye = np.eye(2 * grid.nx + 5)
-    basis = _state_parts(eye, grid)
-    zero = _state_parts(np.zeros((len(eye), 2)), grid)
+    zero = np.zeros((len(eye), 2))
     step = _observer_step(gains, omega, grid)
     parts = (
         _turned(eye, grid),
-        _state_vector(*step(*basis, 0.0, 0.0), grid),
-        _state_vector(*step(*zero, np.array([1.0, 0.0]), np.array([0.0, 1.0])), grid),
+        np.vstack(step(eye[:-3], *eye[-3:], 0.0, 0.0)),
+        np.vstack(step(zero[:-3], *zero[-3:], np.array([1.0, 0.0]), np.array([0.0, 1.0]))),
     )
     for a in parts:
         a.flags.writeable = False

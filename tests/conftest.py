@@ -7,7 +7,15 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import bfwave
-from bfwave import ScenarioConfig, add_noise, l2_norm, run_back_and_forth, simulate_forward
+from bfwave import (
+    Gains,
+    ScenarioConfig,
+    add_noise,
+    build_grid,
+    l2_norm,
+    run_back_and_forth,
+    simulate_forward,
+)
 from bfwave import leapfrog, observer
 
 settings.register_profile(
@@ -70,29 +78,39 @@ def reduced_run():
 
 @pytest.fixture
 def sign_fault(monkeypatch):
-    """A sign fault in the observer step: its new level takes the injection value negated at x=0.
+    """A sign fault in the observer step: its x=0 node takes the injection value negated.
 
-    -x has the bits of -1.0 * x, so the one-step matrix S and input matrix B
-    are those of the injection taken with a factor -1. _linear_parts keeps S
-    and B per grid, gains and omega, so its cache is cleared on entry, lest
-    it hand back the true S, and on exit, lest the flipped one reach later
-    tests; leapfrog's store is keyed on the matrices' content and needs no
+    The x=0 velocity is recomputed from the flipped value, as the step
+    computes it from the true one; -x has the bits of -1.0 * x, so the
+    one-step matrix S and input matrix B are those of the injection taken
+    with a factor -1. On one grid (nx 20, cfl 0.02) the faulty S and B are
+    checked to differ from the true ones in rows 0 and nx+1 only, so a
+    fixture that flips anything else fails. _linear_parts keeps S and B per
+    grid, gains and omega, so its cache is cleared on entry, lest it hand
+    back the true S, and on exit, lest the flipped one reach later tests;
+    leapfrog's store is keyed on the matrices' content and needs no
     clearing.
     """
     true_step = observer._observer_step
 
-    def flipped_step(*system):
-        step = true_step(*system)
+    def flipped_step(gains, omega, grid):
+        step = true_step(gains, omega, grid)
 
-        def flipped(*levels):
-            u_prev, un, *rest = step(*levels)
-            un[0] = -un[0]
-            return (u_prev, un, *rest)
+        def flipped(x, *rest):
+            xn, *advanced = step(x, *rest)
+            xn[0] = -xn[0]
+            xn[grid.nx + 1] = (xn[0] - x[0]) / grid.dt
+            return (xn, *advanced)
 
         return flipped
 
+    system = (Gains(1.0, 0.5), 2.0, build_grid(20, 0.02, 3.0))
+    true_parts = observer._linear_parts(*system)[1:]
     monkeypatch.setattr(observer, "_observer_step", flipped_step)
     observer._linear_parts.cache_clear()
+    for true, faulty in zip(true_parts, observer._linear_parts(*system)[1:]):
+        rows = np.flatnonzero((true != faulty).any(axis=1))
+        assert rows.tolist() == [0, system[2].nx + 1], rows
     yield
     observer._linear_parts.cache_clear()
 

@@ -49,6 +49,7 @@ def test_one_home_per_name(module, name):
         ("bfwave.observer", "oscillator_drive"),
         ("bfwave.leapfrog", "reversed_state"),
         ("bfwave.leapfrog", "_held_bytes"),
+        ("bfwave.observer", "_state_vector"),
     ],
 )
 def test_removed_parts_stay_gone(module, name):
@@ -56,7 +57,8 @@ def test_removed_parts_stay_gone(module, name):
     # bound, a measurement block is half of _G17_CELLS rows, and a power of S is
     # built from the identity; the oscillator runs only inside the cascade (the
     # tests drive it alone through tests/two_stage.py), the one turn is
-    # leapfrog._turned_wave, and the kept store counts its bytes as they come and go
+    # leapfrog._turned_wave, the kept store counts its bytes as they come and go,
+    # and the observer step advances velocity-basis states, which need no encoding
     assert not hasattr(importlib.import_module(module), name)
 
 

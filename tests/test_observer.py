@@ -970,6 +970,20 @@ class TestWholeArrayMonitor:
 class TestCycleMap:
     """Every run: every half-pass through its map, from the zero state."""
 
+    @pytest.mark.parametrize("nx", [20, 40])
+    @pytest.mark.parametrize("cfl", [0.005, 0.02, 0.5, 0.9])
+    def test_wave_block_is_the_wave_step(self, nx, cfl):
+        # the observer steps its wave by _wave_parts' S: off the x=0 node and
+        # its velocity, S's wave rows are the wave's, bit for bit, and read
+        # no oscillator or integral entry
+        g = build_grid(nx, cfl, 3.0)
+        S = _linear_parts(Gains(1.0, 0.5), 2.0, g)[1]
+        Sw = leapfrog._wave_parts(g)[0]
+        dim = len(Sw)
+        rows = np.setdiff1d(np.arange(dim), [0, nx + 1])
+        assert S[rows, :dim].tobytes() == Sw[rows].tobytes()
+        assert not S[rows, dim:].any()
+
     @pytest.mark.slow
     @pytest.mark.parametrize("run", ["reference_run", "reference_run_noisy"])
     def test_matches_step_path(self, run, request):
