@@ -34,8 +34,11 @@ in blocks of steps. The cascade is one free system: the wave's one-step
 matrix and trace row (leapfrog._wave_parts) coupled to the plant
 oscillator's step (_oscillator_forcing, the one home of its trapezoid
 forcing), run once from (q, 0) and a resting oscillator; no run drives
-the oscillator on its own. The backward half of the truth cycle is the
-forward half time-reversed: its rows in reverse order, z2 negated.
+the oscillator on its own. That one run is the truth cycle
+(simulate_cascade): the oscillator's (z1, z2) at every node, read out,
+and the wave at the turn, from its end state. The backward half of the
+cycle is the forward half time-reversed: its rows in reverse order, z2
+negated.
 _observer_step is the one coupled observer step: it advances the wave by
 _wave_parts' S, as the cascade does, and it alone computes the injection
 value that the x=0 node takes; _linear_parts applies it to the columns of
@@ -80,7 +83,6 @@ import numpy as np
 from .forward import MeasurementRecord
 from .grid import Gains, Grid1D, _same_time, _slope_sq, _trapezoid_sq, h1_seminorm, l2_norm
 from .leapfrog import (
-    LeapfrogState,
     _content,
     _from_velocity_basis,
     _kept,
@@ -99,7 +101,6 @@ __all__ = [
     "BackAndForthResult",
     "oscillator_propagator",
     "simulate_cascade",
-    "run_plant_cycle",
     "hidden_regularity_ratio",
     "lyapunov_value",
     "pass_samples",
@@ -180,29 +181,44 @@ def _oscillator_forcing(omega: float, dt: float) -> tuple[np.ndarray, np.ndarray
 
 
 @dataclass
-class CascadeResult:
-    """One pass of the cascade: driving trace and oscillator (z1, z2) at every node."""
+class PlantCycle:
+    """One 2T cycle of the periodized truth system, from one cascade run.
 
-    trace: np.ndarray
+    The backward half is the forward half time-reversed, so the cycle is
+    exactly periodic and a single integration serves every iteration. z
+    holds (z1, z2) at the n+1 nodes of the forward half, z1 the output Y;
+    the backward half's (z1, z2), in its own local time, are z's rows in
+    reverse order with z2 negated. field_T and vel_T are the wave at the
+    turn t = T.
+    """
+
     z: np.ndarray
-    final_wave: LeapfrogState
+    field_T: np.ndarray
+    vel_T: np.ndarray
 
     @property
     def Y(self) -> np.ndarray:
         return self.z[:, 0]
 
+    @property
+    def sweep_z(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (z1, z2) at the nodes of a forward and of a backward sweep, each in its local time."""
+        z = self.z.T
+        return z, z[:, ::-1] * np.array([[1.0], [-1.0]])
 
-def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> CascadeResult:
-    """Source-free wave from (q, 0) feeding the boundary oscillator.
 
-    Returns the oscillator output Y (output-equivalent to the forced
-    plant's trace) together with the driving trace series. The oscillator
-    here sees both trace endpoints of each step; there is no feedback, so
-    nothing forces the explicit coupling used by the observer. Wave and
-    oscillator are one free system on (x, z), x the wave's velocity-basis
-    state: x <- S x, z <- E z + B (D x, D S x), with S and D of the wave
-    run (_wave_parts) and E, B of the oscillator step (_oscillator_forcing).
-    _run_recurrence runs it once, reading out the trace, z1 and z2.
+def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
+    """Source-free wave from (q, 0) feeding the boundary oscillator: the truth cycle.
+
+    Returns the oscillator's (z1, z2), whose z1 is the output Y
+    (output-equivalent to the forced plant's trace), and the wave at the
+    turn. The oscillator here sees both trace endpoints of each step; there
+    is no feedback, so nothing forces the explicit coupling used by the
+    observer. Wave and oscillator are one free system on (x, z), x the
+    wave's velocity-basis state: x <- S x, z <- E z + B (D x, D S x), with S
+    and D of the wave run (_wave_parts) and E, B of the oscillator step
+    (_oscillator_forcing). _run_recurrence runs it once, reading out z1 and
+    z2.
     """
     q = np.asarray(q, dtype=float)
     if q[0] != 0.0 or q[-1] != 0.0:
@@ -214,43 +230,14 @@ def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> CascadeResult
     Sc[:dim, :dim] = S
     Sc[dim:, :dim] = B @ np.vstack([D, D @ S])  # z takes (D x, D S x) through B
     Sc[dim:, dim:] = E
-    Dc = np.zeros((3, dim + 2))
-    Dc[0, :dim], Dc[1:, dim:] = D, np.eye(2)
+    Dc = np.eye(2, dim + 2, dim)  # reads z1, z2
     x0 = np.append(_to_velocity_basis(init_leapfrog(q, None, grid), grid), (0.0, 0.0))
     n = grid.n_steps_per_pass
-    out = np.empty((3, n + 1))
+    out = np.empty((2, n + 1))
     x = _run_recurrence(Sc, np.zeros((dim + 2, 0)), Dc, x0, np.zeros(n + 1), out)
-    return CascadeResult(trace=out[0], z=out[1:].T, final_wave=_from_velocity_basis(x[:dim], grid))
-
-
-@dataclass
-class PlantCycle:
-    """One 2T cycle of the periodized truth system.
-
-    The backward half is the forward half time-reversed, so the cycle is
-    exactly periodic and a single integration serves every iteration. z
-    holds (z1, z2) at the n+1 nodes of the forward half; the backward
-    half's (z1, z2), in its own local time, are z's rows in reverse order
-    with z2 negated. field_T and vel_T are the wave at the turn t = T.
-    """
-
-    z: np.ndarray
-    field_T: np.ndarray
-    vel_T: np.ndarray
-
-    @property
-    def sweep_z(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows (z1, z2) at the nodes of a forward and of a backward sweep, each in its local time."""
-        z = self.z.T
-        return z, z[:, ::-1] * np.array([[1.0], [-1.0]])
-
-
-def run_plant_cycle(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
-    """Integrate the truth cycle once: the cascade, and the wave at the turn."""
-    cascade = simulate_cascade(q, omega, grid)
-    end = cascade.final_wave
+    end = _from_velocity_basis(x[:dim], grid)
     vel_T = (continuation_level(end, grid) - end.u_prev) / (2.0 * grid.dt)
-    return PlantCycle(z=cascade.z, field_T=end.u_curr.copy(), vel_T=vel_T)
+    return PlantCycle(z=out.T, field_T=end.u_curr.copy(), vel_T=vel_T)
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +703,10 @@ def run_back_and_forth(
     estimate after k full cycles (estimates[0] is the zero initial guess);
     per_cycle holds each cycle's errors when q_true is given. Every half-pass
     is the map x <- R (S^n x + c), from the zero state on, with or without
-    q_true. With q_true the exact periodized truth cycle is integrated once,
-    and after the iteration the error fields observer-minus-truth are
-    sampled at every half-pass boundary from the run's kept states.
+    q_true. With q_true the exact periodized truth cycle is integrated once
+    (simulate_cascade), and after the iteration the error fields
+    observer-minus-truth are sampled at every half-pass boundary from the
+    run's kept states.
     """
     if grid.T < 2.0:
         warnings.warn(
@@ -755,7 +743,7 @@ def run_back_and_forth(
         estimates = _pinned(_state_parts(starts[::2].T, grid)[1].T)
         if q_true is not None:
             q = np.asarray(q_true, dtype=float)
-            plant = run_plant_cycle(q, omega, grid)
+            plant = simulate_cascade(q, omega, grid)
             for e, zt in zip(records, plant.sweep_z):
                 e[:2] -= zt
             # the backward sweep's truth rows, a copy as long as the records,

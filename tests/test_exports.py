@@ -50,6 +50,8 @@ def test_one_home_per_name(module, name):
         ("bfwave.leapfrog", "reversed_state"),
         ("bfwave.leapfrog", "_held_bytes"),
         ("bfwave.observer", "_state_vector"),
+        ("bfwave.observer", "run_plant_cycle"),
+        ("bfwave.observer", "CascadeResult"),
     ],
 )
 def test_removed_parts_stay_gone(module, name):
@@ -58,7 +60,8 @@ def test_removed_parts_stay_gone(module, name):
     # built from the identity; the oscillator runs only inside the cascade (the
     # tests drive it alone through tests/two_stage.py), the one turn is
     # leapfrog._turned_wave, the kept store counts its bytes as they come and go,
-    # and the observer step advances velocity-basis states, which need no encoding
+    # the observer step advances velocity-basis states, which need no encoding,
+    # and the one cascade run returns the truth cycle itself
     assert not hasattr(importlib.import_module(module), name)
 
 
