@@ -20,11 +20,11 @@ update's formulas with the walls pinned (_wave_parts, the one wave
 one-step matrix: the observer's step and truth cascade advance their wave
 by it too), evaluated in blocks by _run_recurrence, the package's one
 linear-recurrence evaluator, which the observer's sweeps and cascade run
-too. Its set-up (the powers S^t and S^b of each S, and one block plan per
-(S, B, D)) is kept for the process by the content of its matrices in one
-store (_kept), which the observer's monitor shares, so a call on matrices
-seen before pays only for its own steps, with the bits of a first call.
-Every key holds the content of its S (_content) as its second entry. The
+too. Its set-up (one block plan per (S, B, D), holding S^b, and S^t per S
+and t) is kept for the process in one store (_kept), which the
+observer's monitor shares, so a call on matrices seen before pays only for
+its own steps, with the bits of a first call. _kept(build, *args) keys an
+item on its build and arguments, an array by its shape and bytes. The
 store is bounded by the bytes it holds, _KEPT_BYTES, the oldest items
 going first. The kernel checks run the wave free, forward synthesis
 forced. A free run passes B with no columns, so it packs and carries no
@@ -161,12 +161,12 @@ def continuation_level(state: LeapfrogState, grid: Grid1D) -> np.ndarray:
 
 
 _RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
-# Set-up kept for the process by content (_kept): _run_recurrence's powers
-# S^t, S^b and block plans, and the observer's S^n and its monitor's quadratic
-# part and power rows. The verify battery's 12 plans, the powers of its 8
-# matrices and its one S^n, quadratic part and block of power rows count
-# 1.97 MB (1.34 MB of arrays, the rest key bytes); a stream of new systems
-# grows the store to _KEPT_BYTES and no further, the oldest items going first.
+# Set-up kept for the process by content (_kept): _run_recurrence's block
+# plans, each holding S^b, and powers S^t, and the observer's S^n and its
+# monitor's quadratic part and power rows. The verify battery's 19 items (13
+# plans, 3 S^t, one S^n, quadratic part and block of power rows) count
+# 1,807,408 B (1,380,392 B of arrays, the rest key bytes); a stream of new
+# systems grows the store to _KEPT_BYTES and no further, oldest first.
 _KEPT_BYTES = 2 << 20
 _store: dict = {}  # key -> read-only array, or tuple of them; oldest first
 _held = 0  # the bytes of _store's keys and items, counted as they come and go
@@ -179,22 +179,18 @@ def _nbytes(obj) -> int:
     return obj.nbytes if isinstance(obj, np.ndarray) else len(obj) if isinstance(obj, bytes) else 0
 
 
-def _content(S: np.ndarray) -> tuple:
-    """S's part of every key of the store (_kept): its shape and bytes."""
-    return S.shape, S.tobytes()
+def _kept(build, *args):
+    """build(*args), made read-only and kept for the process under the key (build, *args).
 
-
-def _kept(key: tuple, build, *args):
-    """build(*args), made read-only and kept under key for the process.
-
-    key holds the content (shape and bytes) of every matrix the result
-    depends on, so a call on matrices seen before has the bits of a first
-    call without redoing it. _held counts the bytes of every key and item
-    (_nbytes; a bytes object that several keys share is counted in each).
-    After a build, the oldest items leave until _held is at most
-    _KEPT_BYTES; the newest stays, even alone above it.
+    In the key an array argument stands as its shape and bytes, any other by
+    its value, so a call on matrices seen before has the bits of a first call
+    without redoing it, and no two builds share an item. _held counts the
+    bytes of every key and item (_nbytes; the same bytes in several keys are
+    counted in each). After a build, the oldest items leave until _held is
+    at most _KEPT_BYTES; the newest stays, even alone above it.
     """
     global _held
+    key = (build, *((a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in args))
     item = _store.get(key)
     if item is None:
         item = build(*args)
@@ -209,38 +205,33 @@ def _kept(key: tuple, build, *args):
     return item
 
 
-def _left_power(S: np.ndarray, content: tuple, e: int) -> np.ndarray:
-    """S^e as the left product S (S (... S I)), kept under S's content (_kept).
+def _left_power(S: np.ndarray, e: int) -> np.ndarray:
+    """S^e as the left product S (S (... S I)).
 
-    Read-only. Repeated squaring would be cheaper but less accurate: its
-    error grows coherently over hundreds of blocks (1.5e-12 against 2.3e-13
-    for a wave run of 1e4 steps at cfl 0.9, relative to a long-double one).
+    Repeated squaring would be cheaper but less accurate: its error grows
+    coherently over hundreds of blocks (1.5e-12 against 2.3e-13 for a wave
+    run of 1e4 steps at cfl 0.9, relative to a long-double one).
     """
-    if not e:
-        return np.eye(len(S))  # the identity is cheaper made than kept
-
-    def chain():
-        Se = np.eye(len(S))
-        for _ in range(e):
-            Se = S @ Se
-        return Se
-
-    return _kept(("power", content, e), chain)
+    Se = np.eye(len(S))
+    for _ in range(e):
+        Se = S @ Se
+    return Se
 
 
 def _block_plan(
     S: np.ndarray, B: np.ndarray, D: np.ndarray, b: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices F and W of _run_recurrence's blocks of b steps.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrices F, W and S^b of _run_recurrence's blocks of b steps.
 
     With w = B.shape[1] inputs per step, row w l + c of F is column c of
     S^(b-1-l) B, which carries input l of a block to its end. W stacks the
     rows D S^j, j < b, over the lower-triangular Toeplitz matrix of the
     responses D S^(j-1-l) B, so that the read-outs of a block are its start
     state and inputs times W. A free run (w = 0) has no F rows and no
-    Toeplitz rows: W is the rows D S^j alone. A plan holds (dim + w b) b rows
-    values, 220 KB for the kernel check's 21 free read-out rows;
-    _run_recurrence keeps one per (b, S, B, D).
+    Toeplitz rows: W is the rows D S^j alone. S^b, the left product of
+    _left_power, carries a block's start state to the next. A plan holds
+    (dim + w b) b rows + dim^2 values, 239,904 B for the kernel check's 21
+    free read-out rows; _run_recurrence keeps one per (S, B, D, b).
     """
     (rows, dim), w = D.shape, B.shape[1]
     P = np.empty((b, rows, dim))  # D S^j
@@ -255,7 +246,7 @@ def _block_plan(
     lag = np.arange(b) - np.arange(b)[:, None] - 1  # [l, j] = j - 1 - l
     T = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2).reshape(w * b, b * rows)
     W = np.vstack([P.transpose(2, 0, 1).reshape(dim, b * rows), T])
-    return F, W
+    return F, W, _left_power(S, b)
 
 
 def _run_recurrence(
@@ -277,20 +268,18 @@ def _run_recurrence(
     S^t applied to its start plus the responses S^(t-1-l) B of its first t
     inputs. A free run packs no inputs: it reads out through the rows
     D S^j alone and carries each block start straight into the next. The
-    powers (_left_power) and the plan (_block_plan) are kept for the
-    process by the content of S, B and D (_kept), so a call on matrices
-    seen before pays only for its own steps, with the same bits as a first
-    call.
+    plan (_block_plan, which holds S^b) and S^t (_left_power) are kept for
+    the process (_kept), so a call on matrices seen before pays only for
+    its own steps, with the same bits as a first call: one look-up, and a
+    second for S^t when t > 0.
     """
     S, B, D = (np.asarray(a, dtype=float) for a in (S, B, D))
     s = np.asarray(s, dtype=float)
     n, dim, w = len(s) - 1, len(S), B.shape[1]  # w: 2 inputs per step, or 0 for a free run
     b = min(_RUN_BLOCK, n + 1)
     full, t = divmod(n, b)  # node n is t steps into the block after `full` whole ones
-    content = _content(S)
-    plan = ("plan", content, b, D.shape, B.tobytes(), D.tobytes())  # a free B's bytes are empty
-    F, W = _kept(plan, _block_plan, S, B, D, b)
-    St, Sb = _left_power(S, content, t), _left_power(S, content, b)
+    F, W, Sb = _kept(_block_plan, S, B, D, b)
+    St = _kept(_left_power, S, t) if t else np.eye(dim)  # the identity is cheaper made than kept
     # row i: the start x of block i, then its inputs u_k = (s_k, s_k+1), zero past s_n
     XU = np.empty((full + 1, dim + w * b))
     X, U = XU[:, :dim], XU[:, dim:]

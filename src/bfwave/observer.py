@@ -83,7 +83,6 @@ import numpy as np
 from .forward import MeasurementRecord
 from .grid import Gains, Grid1D, _same_time, _slope_sq, _trapezoid_sq, h1_seminorm, l2_norm
 from .leapfrog import (
-    _content,
     _from_velocity_basis,
     _kept,
     _run_recurrence,
@@ -625,12 +624,11 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     dt, n = grid.dt, grid.n_steps_per_pass
     read = _readout_rows(grid)
     D = np.vstack([read, read[2] @ S - read[2]])
-    content = _content(S)
-    G = _kept(("sweep forms", content, D.tobytes(), n, dt), _quadratic_part, S, D, n, dt)
+    G = _kept(_quadratic_part, S, D, n, dt)
     # The term k = 0 is summed apart: D[4] reads f_1 - f_0, which is not
     # small off the sweep's states, while D[4] S^k, k >= 1, are differences
     # of consecutive f, and carried from D S they keep their own scale.
-    powers = _kept(("power rows", content, D.tobytes()), _power_rows, S, D @ S)
+    powers = _kept(_power_rows, S, D @ S)
     # the weighted series a of one direction at a time, refilled in place
     a = np.empty((5, n + 1))
     a[4, n] = 0.0
@@ -724,7 +722,7 @@ def run_back_and_forth(
     # is reported once, not as a warning per overflow
     with np.errstate(over="ignore", invalid="ignore"):
         turn, S, B = _linear_parts(gains, omega, grid)
-        Sn = _kept(("matrix power", _content(S), n), np.linalg.matrix_power, S, n)
+        Sn = _kept(np.linalg.matrix_power, S, n)
         # velocity-basis states: starts[h] before half-pass h (the last row is
         # the final state), ends[h] as sweep h leaves it, before the turn
         starts = np.zeros((halves + 1, len(S)))

@@ -49,6 +49,7 @@ def test_one_home_per_name(module, name):
         ("bfwave.observer", "oscillator_drive"),
         ("bfwave.leapfrog", "reversed_state"),
         ("bfwave.leapfrog", "_held_bytes"),
+        ("bfwave.leapfrog", "_content"),
         ("bfwave.observer", "_state_vector"),
         ("bfwave.observer", "run_plant_cycle"),
         ("bfwave.observer", "CascadeResult"),
@@ -59,9 +60,9 @@ def test_removed_parts_stay_gone(module, name):
     # bound, a measurement block is half of _G17_CELLS rows, and a power of S is
     # built from the identity; the oscillator runs only inside the cascade (the
     # tests drive it alone through tests/two_stage.py), the one turn is
-    # leapfrog._turned_wave, the kept store counts its bytes as they come and go,
-    # the observer step advances velocity-basis states, which need no encoding,
-    # and the one cascade run returns the truth cycle itself
+    # leapfrog._turned_wave, the kept store counts its bytes as they come and go
+    # and makes its own keys, the observer step advances velocity-basis states,
+    # which need no encoding, and the one cascade run returns the truth cycle itself
     assert not hasattr(importlib.import_module(module), name)
 
 

@@ -355,11 +355,12 @@ class TestRunRecurrence:
         for name in ("free", "zero", "free", "forced", "free"):
             out, x = _run(S, systems[name], D, x0, s)
             assert np.array_equal(out, cold[name][0]) and np.array_equal(x, cold[name][1])
-        # plan keys: ("plan", S's content, b, D's shape, B's bytes, D's bytes)
-        plans = {key[4]: item for key, item in leapfrog._store.items() if key[0] == "plan"}
+        # plan keys: (_block_plan, S, B, D, b), each array as its shape and bytes
+        plan = leapfrog._block_plan
+        plans = {key[2]: item for key, item in leapfrog._store.items() if key[0] is plan}
         assert len(plans) == 3
         for name, inputs in systems.items():
-            F, W = plans[inputs.tobytes()]
+            F, W, Sb = plans[inputs.shape, inputs.tobytes()]
             # a free plan has no input rows
             assert len(F) == (0 if name == "free" else 2 * _RUN_BLOCK)
             assert len(W) == len(S) + len(F)
@@ -393,7 +394,7 @@ class TestRunRecurrence:
 
     def test_kept_set_up_is_bounded(self):
         # a stream of new systems fills the store up to its byte bound and no
-        # further, the oldest going first; each S keeps S^t and S^b only
+        # further, the oldest going first; each S keeps its plan, which holds S^b, and S^t
         _forget_set_up()
         s = np.ones(_RUN_BLOCK + 5)
         contents = []
@@ -405,7 +406,30 @@ class TestRunRecurrence:
         assert leapfrog._held > leapfrog._KEPT_BYTES // 2
         kept = [key[1] for key in leapfrog._store]
         assert contents[-1] in kept and contents[0] not in kept
-        assert all(kept.count(c) <= 3 for c in contents)  # one plan, S^t and S^b
+        assert all(kept.count(c) <= 2 for c in contents)  # one plan, holding S^b, and S^t
+
+    def test_a_key_names_its_build(self):
+        # the same S and argument under two builds: two items, each with its
+        # own builder's bits (repeated squaring and the left chain differ)
+        S = _random_system(25)[0]
+        _forget_set_up()
+        squared = leapfrog._kept(np.linalg.matrix_power, S, 32)
+        chained = leapfrog._kept(leapfrog._left_power, S, 32)
+        assert len(leapfrog._store) == 2
+        assert squared.tobytes() == np.linalg.matrix_power(S, 32).tobytes()
+        assert chained.tobytes() == leapfrog._left_power(S, 32).tobytes()
+        assert not np.array_equal(squared, chained)
+
+    def test_plan_holds_the_left_chain_power(self):
+        # a plan's S^b is S (S (... S I)), byte for byte
+        S, B, D, x0 = _random_system(26)
+        _forget_set_up()
+        _run(S, B, D, x0, np.ones(3 * _RUN_BLOCK + 7))
+        (Sb,) = [item[2] for key, item in leapfrog._store.items() if key[0] is leapfrog._block_plan]
+        chain = np.eye(len(S))
+        for _ in range(_RUN_BLOCK):
+            chain = S @ chain
+        assert Sb.tobytes() == chain.tobytes()
 
     def test_held_count_is_a_full_walk_after_evictions(self, monkeypatch):
         # a bound of a few systems' set-up forces evictions on a stream of new
