@@ -20,13 +20,14 @@ update's formulas with the walls pinned (_wave_parts, the one wave
 one-step matrix: the observer's step and truth cascade advance their wave
 by it too), evaluated in blocks by _run_recurrence, the package's one
 linear-recurrence evaluator, which the observer's sweeps and cascade run
-too. Its set-up (one block plan per (S, B, D), holding S^b, and S^t per S
-and t) is kept for the process in one store (_kept), which the
-observer's monitor shares, so a call on matrices seen before pays only for
-its own steps, with the bits of a first call. _kept(build, *args) keys an
-item on its build and arguments, an array by its shape and bytes. The
-store is bounded by the bytes it holds, _KEPT_BYTES, the oldest items
-going first. The kernel checks run the wave free, forward synthesis
+too. What a process keeps per system is in one store, _kept(build,
+*args), keyed on the build and its arguments (an array by its shape and
+bytes) and bounded by the bytes it holds, _KEPT_BYTES, oldest out first:
+the evaluator's set-up (a block plan per (S, B, D), holding S^b, and S^t
+per S and t), _wave_parts (_keeps makes every call of a build a _kept
+call) and the observer's parts, S^n and monitor set-up. A call on matrices
+seen before pays only for its own steps, with the bits of a first call.
+The kernel checks run the wave free, forward synthesis
 forced. A free run passes B with no columns, so it packs and carries no
 inputs. The verify battery's energy drift and round trip run the same
 free recurrence through _run_recurrence, the drift read out as the
@@ -42,8 +43,8 @@ levels, which is how the kernel check takes its energies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -162,12 +163,13 @@ def continuation_level(state: LeapfrogState, grid: Grid1D) -> np.ndarray:
 
 _RUN_BLOCK = 32  # steps whose read-out rows _run_recurrence holds at once
 # Set-up kept for the process by content (_kept): _run_recurrence's block
-# plans, each holding S^b, and powers S^t, and the observer's S^n and its
-# monitor's quadratic part and power rows. The verify battery's 19 items (13
-# plans, 3 S^t, one S^n, quadratic part and block of power rows) count
-# 1,807,408 B (1,380,392 B of arrays, the rest key bytes); a stream of new
+# plans, each holding S^b, and powers S^t, the wave's and the observer's
+# one-step parts, and the observer's S^n, its monitor's quadratic part and
+# free plan of power rows. One verify battery leaves 31 items, 2,021,920 B;
+# a reference full after it 39 items, 2,752,400 B (arrays and key bytes), so
+# at 3 MiB both fit and a second battery builds nothing. A stream of new
 # systems grows the store to _KEPT_BYTES and no further, oldest first.
-_KEPT_BYTES = 2 << 20
+_KEPT_BYTES = 3 << 20
 _store: dict = {}  # key -> read-only array, or tuple of them; oldest first
 _held = 0  # the bytes of _store's keys and items, counted as they come and go
 
@@ -184,10 +186,12 @@ def _kept(build, *args):
 
     In the key an array argument stands as its shape and bytes, any other by
     its value, so a call on matrices seen before has the bits of a first call
-    without redoing it, and no two builds share an item. _held counts the
-    bytes of every key and item (_nbytes; the same bytes in several keys are
-    counted in each). After a build, the oldest items leave until _held is
-    at most _KEPT_BYTES; the newest stays, even alone above it.
+    without redoing it, and no two builds share an item. An item keyed by
+    value (a grid, gains) goes stale when the code of its build, or code it
+    calls, is patched: empty the store. _held counts the bytes of every key
+    and item (_nbytes; the same bytes in several keys are counted in each).
+    After a build, the oldest items leave until _held is at most
+    _KEPT_BYTES; the newest stays, even alone above it.
     """
     global _held
     key = (build, *((a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in args))
@@ -203,6 +207,11 @@ def _kept(build, *args):
             _held -= _nbytes(oldest) + _nbytes(_store[oldest])
             del _store[oldest]
     return item
+
+
+def _keeps(build):
+    """build with every call kept for the process: build(*args) is _kept(build, *args)."""
+    return functools.wraps(build)(lambda *args: _kept(build, *args))
 
 
 def _left_power(S: np.ndarray, e: int) -> np.ndarray:
@@ -228,24 +237,26 @@ def _block_plan(
     rows D S^j, j < b, over the lower-triangular Toeplitz matrix of the
     responses D S^(j-1-l) B, so that the read-outs of a block are its start
     state and inputs times W. A free run (w = 0) has no F rows and no
-    Toeplitz rows: W is the rows D S^j alone. S^b, the left product of
-    _left_power, carries a block's start state to the next. A plan holds
-    (dim + w b) b rows + dim^2 values, 239,904 B for the kernel check's 21
-    free read-out rows; _run_recurrence keeps one per (S, B, D, b).
+    Toeplitz rows: W is the rows D S^j alone, column r + j len(D) row r of
+    D S^j, which the observer's monitor sums over too (its _power_sum). S^b,
+    the left product of _left_power, carries a block's start state to the
+    next. A plan holds (dim + w b) b rows + dim^2 values, 239,904 B for the
+    kernel check's 21 free read-out rows; it is kept per (S, B, D, b).
     """
     (rows, dim), w = D.shape, B.shape[1]
-    P = np.empty((b, rows, dim))  # D S^j
+    W = np.empty((dim + w * b, b * rows))  # filled through views: no stacked copies
+    P = W[:dim].reshape(dim, b, rows).transpose(1, 2, 0)  # D S^j
     G = np.empty((b, dim, w))  # S^j B
-    P[0], G[0] = D, B
+    P[0] = Dj = np.ascontiguousarray(D)
+    G[0] = B
     for j in range(1, b):
-        P[j] = P[j - 1] @ S
+        P[j] = Dj = Dj @ S  # carried contiguous, as a stacked chain would be
         G[j] = S @ G[j - 1]
     F = G[::-1].transpose(0, 2, 1).reshape(w * b, dim)
     # read-out j of a block: D S^j x + sum_(l<j) D S^(j-1-l) B u_l
     H = np.concatenate([D @ G, np.zeros((1, rows, w))])  # H[b] = 0 serves l >= j
     lag = np.arange(b) - np.arange(b)[:, None] - 1  # [l, j] = j - 1 - l
-    T = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2).reshape(w * b, b * rows)
-    W = np.vstack([P.transpose(2, 0, 1).reshape(dim, b * rows), T])
+    W[dim:].reshape(b, w, b, rows)[...] = H[np.where(lag >= 0, lag, b)].transpose(0, 3, 1, 2)
     return F, W, _left_power(S, b)
 
 
@@ -307,7 +318,7 @@ def _run_recurrence(
     return St @ X[-1] + U[-1, : w * t] @ F[w * (b - t) :]
 
 
-@lru_cache(maxsize=8)
+@_keeps
 def _wave_parts(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """The wave's one-step matrix S with pinned walls, and the trace row D.
 
@@ -319,8 +330,8 @@ def _wave_parts(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     differ by up to 2.2e-14, and a forward run through them fails the
     round trip of 1e4 steps forward and back at nx 20, cfl 0.005 (5.6e-12
     against 8.2e-13, gate 1e-12); the observer's step advances its wave by
-    this S too. D x is the left Neumann trace of u. Built once per grid;
-    read-only.
+    this S too. D x is the left Neumann trace of u. Kept for the process
+    per grid (_keeps).
     """
     nx1, dt, c2 = grid.nx + 1, grid.dt, grid.cfl * grid.cfl
     S = np.zeros((2 * nx1, 2 * nx1))
@@ -332,8 +343,6 @@ def _wave_parts(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     S[walls + nx1, walls] = -1.0 / dt
     D = np.zeros((1, 2 * nx1))
     D[0, :nx1] = neumann_trace(np.eye(nx1), grid.dx)
-    for a in (S, D):
-        a.flags.writeable = False
     return S, D
 
 

@@ -51,18 +51,18 @@ from the zero start on, is the map x <- S^n x + c followed by the turn R,
 with S the one-step matrix (fixed by grid, gains and omega; Ramdani,
 Tucsnak & Weiss 2010; Ito, Ramdani & Tucsnak 2011) and c the measurement's
 share: the sweep's end from the zero state over the pass's samples in their
-replay order. _linear_parts builds S, B and R once per grid, gains and
-omega, and S^n is kept for the process by content (leapfrog._kept). The run
-keeps its states as two arrays of velocity-basis rows, the start of every
-half-pass and the end of every sweep, and calls nothing else inside the
-loop. The truth monitor is a function of those arrays run after it
+replay order. _linear_parts builds S, B and R; they, S^n and the cascade's
+oscillator step are kept for the process in leapfrog's one store (_kept).
+The run keeps its states as two arrays of velocity-basis rows, the start
+of every half-pass and the end of every sweep, and calls nothing else
+inside the loop. The truth monitor is a function of those arrays run after it
 (_truth_history): five quadratic forms in a sweep's start state
 (_sweep_forms, evaluated by _start_integrals), expanded around the two
 sweeps from the zero state that give c, yield the integrals it would have
 taken from that sweep's series; their quadratic part is the same for every
-sweep, and it and the rows their linear parts are summed over are kept for
-the process with the evaluator's set-up (leapfrog._kept), so a run on a
-system seen before builds neither again.
+sweep, and it and the rows their linear parts are summed over, a free block
+plan of the evaluator's (leapfrog._block_plan), are kept in the same store,
+so a run on a system seen before builds neither again.
 It takes the arrays whole: the error fields of all boundaries are
 one stack of rows, and the norms (grid.l2_norm, grid.h1_seminorm),
 lyapunov_value and the trace-bound ratio each take a stack of rows and
@@ -76,14 +76,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .forward import MeasurementRecord
 from .grid import Gains, Grid1D, _same_time, _slope_sq, _trapezoid_sq, h1_seminorm, l2_norm
 from .leapfrog import (
+    _block_plan,
     _from_velocity_basis,
+    _keeps,
     _kept,
     _run_recurrence,
     _to_velocity_basis,
@@ -140,9 +141,8 @@ def _expm(M: np.ndarray) -> np.ndarray:
     return E
 
 
-@lru_cache(maxsize=64)
 def oscillator_propagator(omega: float, gamma2: float, dt: float) -> np.ndarray:
-    """exp(dt*A) for the augmented (z1, z2, w) system; the array is read-only.
+    """exp(dt*A) for the augmented (z1, z2, w) system.
 
     z1' = -gamma2*z1 + z2, z2' = -omega^2*z1 + trace forcing; the plant is
     gamma2 = 0 and runs the (z1, z2) block. w' = z1 gives the observer's
@@ -150,7 +150,7 @@ def oscillator_propagator(omega: float, gamma2: float, dt: float) -> np.ndarray:
     The exponential is _expm's scaled and squared Taylor series, summed in
     long double, so importing the package needs no scipy. An omega whose
     square overflows, or whose exponential overflows on the way, raises
-    ValueError.
+    ValueError. Its callers' items are kept, so it runs once per system.
     """
     A = np.array(
         [
@@ -159,9 +159,7 @@ def oscillator_propagator(omega: float, gamma2: float, dt: float) -> np.ndarray:
             [1.0, 0.0, 0.0],
         ]
     )
-    E = _expm(dt * A)
-    E.flags.writeable = False
-    return E
+    return _expm(dt * A)
 
 
 def _oscillator_forcing(omega: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -216,14 +214,14 @@ def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
     observer. Wave and oscillator are one free system on (x, z), x the
     wave's velocity-basis state: x <- S x, z <- E z + B (D x, D S x), with S
     and D of the wave run (_wave_parts) and E, B of the oscillator step
-    (_oscillator_forcing). _run_recurrence runs it once, reading out z1 and
-    z2.
+    (_oscillator_forcing, kept for the process per omega and dt).
+    _run_recurrence runs it once, reading out z1 and z2.
     """
     q = np.asarray(q, dtype=float)
     if q[0] != 0.0 or q[-1] != 0.0:
         raise ValueError("cascade initial datum must vanish at both endpoints")
     S, D = _wave_parts(grid)
-    E, B = _oscillator_forcing(omega, grid.dt)
+    E, B = _kept(_oscillator_forcing, omega, grid.dt)
     dim = len(S)
     Sc = np.zeros((dim + 2, dim + 2))
     Sc[:dim, :dim] = S
@@ -415,12 +413,15 @@ def hidden_regularity_ratio(
              + 2(2+T)(||q0_x||^2 + ||q1||^2) ]
     where f is the x=0 Dirichlet data of the run and trace its x=0 Neumann
     trace. The H1 norm is the full one (values plus difference-quotient
-    derivative), the conservative reading.
+    derivative), the conservative reading. Series of fewer than two
+    samples, which span no time step, are refused with ValueError.
     """
     f = np.asarray(f, dtype=float)
     trace = np.asarray(trace, dtype=float)
     if f.shape != trace.shape:
         raise ValueError("boundary data and trace series must share sampling")
+    if f.size < 2:
+        raise ValueError("boundary data and trace series need at least two samples")
     dt = T / (len(f) - 1)
     return float(
         _trace_bound_ratio(
@@ -543,27 +544,24 @@ def _turned(x: np.ndarray, grid: Grid1D) -> np.ndarray:
     return np.concatenate([_turned_wave(x[:dim], grid), np.array([z1, -z2, w])])
 
 
-@lru_cache(maxsize=8)
+@_keeps
 def _linear_parts(gains: Gains, omega: float, grid: Grid1D):
     """The turn R, the one-step matrix S and the step's input matrix B.
 
     A step takes the velocity-basis state x to S x + B (Y_k, Y_k+1), the
     measurement at its two ends. Each is the step's or the turn's own
     arithmetic applied to the columns of the identity, B to the zero state
-    under unit measurement values. Built once per grid, gains and omega;
-    the arrays are read-only.
+    under unit measurement values. Kept for the process per grid, gains and
+    omega (leapfrog._keeps).
     """
     eye = np.eye(2 * grid.nx + 5)
     zero = np.zeros((len(eye), 2))
     step = _observer_step(gains, omega, grid)
-    parts = (
+    return (
         _turned(eye, grid),
         np.vstack(step(eye[:-3], *eye[-3:], 0.0, 0.0)),
         np.vstack(step(zero[:-3], *zero[-3:], np.array([1.0, 0.0]), np.array([0.0, 1.0]))),
     )
-    for a in parts:
-        a.flags.writeable = False
-    return parts
 
 
 def _readout_rows(grid: Grid1D) -> np.ndarray:
@@ -572,30 +570,20 @@ def _readout_rows(grid: Grid1D) -> np.ndarray:
     return np.array([z1, z2, u[0], neumann_trace(u, grid.dx)])
 
 
-_POWER_BLOCK = 128  # steps whose rows _power_rows holds at once
+_POWER_BLOCK = 128  # steps whose power rows the monitor's free plan holds at once
 
 
-def _power_rows(S: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows S^j, j < b, stacked along a first axis, and S^b; b = _POWER_BLOCK.
+def _power_sum(plan: tuple[np.ndarray, np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
+    """sum_k a[:, k] * (rows S^k), one result row per row of rows.
 
-    The rows are carried one step at a time.
+    plan is leapfrog._block_plan's free plan of S read out by the rows: its
+    W holds the rows S^j, j < b, and S^b is a left product. Each block of b
+    terms is one matrix product with the rows S^j, and the blocks are joined
+    by Horner's rule in S^b. That is about b + K/b small products for K
+    terms, each sum as accurate as the rows.
     """
-    b = _POWER_BLOCK
-    block = np.empty((b, *rows.shape))
-    block[0] = rows
-    for j in range(1, b):
-        block[j] = block[j - 1] @ S
-    return block, np.linalg.matrix_power(S, b)
-
-
-def _power_sum(powers: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
-    """sum_k a[:, k] * (rows S^k), one result row per row of rows; powers = _power_rows(S, rows).
-
-    Each block of b terms is one matrix product with the rows S^j, j < b,
-    and the blocks are joined by Horner's rule in S^b. That is about
-    b + K/b small products for K terms, each sum as accurate as the rows.
-    """
-    block, Sb = powers
+    _, W, Sb = plan
+    block = W.T.reshape(-1, len(a), len(Sb))  # [j, r]: row r of rows S^j, a view
     b = len(block)
     full = a.shape[1] // b
     tail = a[:, full * b :]
@@ -615,11 +603,12 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     by D_f (S - I) S^k x. So each of its integrals is h + 2 g.x + x.G.x, h
     that of e, with g = sum_k a_k D S^k and G = sum_k w_k S^k' D'D S^k over
     the sweep's steps (a_k the weighted series, w_k the weights). g is a
-    _power_sum, redone on every run over the rows of _power_rows. Neither G
-    nor those rows depend on e: _quadratic_part sums G once per S, D, n and
-    dt, and the rows are built once per S and D, both kept by content
-    (leapfrog._kept). G comes first, so that on a system's first run its
-    doubling's temporaries do not stack on the rows.
+    _power_sum over the rows (D S) S^j, j < 128, and S^128 of a free block
+    plan (leapfrog._block_plan, B of no columns). Neither G nor the plan
+    depends on e: _quadratic_part sums G once per S, D, n and dt, and the
+    plan is built once per S and D, both kept by content (leapfrog._kept).
+    G comes first, so that on a system's first run its doubling's
+    temporaries do not stack on the rows.
     """
     dt, n = grid.dt, grid.n_steps_per_pass
     read = _readout_rows(grid)
@@ -628,7 +617,7 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
     # The term k = 0 is summed apart: D[4] reads f_1 - f_0, which is not
     # small off the sweep's states, while D[4] S^k, k >= 1, are differences
     # of consecutive f, and carried from D S they keep their own scale.
-    powers = _kept(_power_rows, S, D @ S)
+    plan = _kept(_block_plan, S, np.zeros((len(S), 0)), D @ S, _POWER_BLOCK)
     # the weighted series a of one direction at a time, refilled in place
     a = np.empty((5, n + 1))
     a[4, n] = 0.0
@@ -638,7 +627,7 @@ def _sweep_forms(S: np.ndarray, series: list[np.ndarray], grid: Grid1D):
         np.multiply(e, dt, out=a[:4])
         a[:4, [0, n]] *= 0.5
         a[4, :n] = np.diff(e[2]) / dt
-        gs.append(a[:, :1] * D + _power_sum(powers, a[:, 1:]))
+        gs.append(a[:, :1] * D + _power_sum(plan, a[:, 1:]))
     return gs, G
 
 

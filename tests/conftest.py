@@ -85,11 +85,11 @@ def sign_fault(monkeypatch):
     one-step matrix S and input matrix B are those of the injection taken
     with a factor -1. On one grid (nx 20, cfl 0.02) the faulty S and B are
     checked to differ from the true ones in rows 0 and nx+1 only, so a
-    fixture that flips anything else fails. _linear_parts keeps S and B per
-    grid, gains and omega, so its cache is cleared on entry, lest it hand
-    back the true S, and on exit, lest the flipped one reach later tests;
-    leapfrog's store is keyed on the matrices' content and needs no
-    clearing.
+    fixture that flips anything else fails. _linear_parts is kept per grid,
+    gains and omega in leapfrog's store, by value, so the fixture runs on a
+    store of its own, empty on entry, lest it hand back the true S, and
+    gone on exit, lest the flipped one reach later tests; the store the
+    tests had before comes back.
     """
     true_step = observer._observer_step
 
@@ -107,12 +107,11 @@ def sign_fault(monkeypatch):
     system = (Gains(1.0, 0.5), 2.0, build_grid(20, 0.02, 3.0))
     true_parts = observer._linear_parts(*system)[1:]
     monkeypatch.setattr(observer, "_observer_step", flipped_step)
-    observer._linear_parts.cache_clear()
+    monkeypatch.setattr(leapfrog, "_store", {})
+    monkeypatch.setattr(leapfrog, "_held", 0)
     for true, faulty in zip(true_parts, observer._linear_parts(*system)[1:]):
         rows = np.flatnonzero((true != faulty).any(axis=1))
         assert rows.tolist() == [0, system[2].nx + 1], rows
-    yield
-    observer._linear_parts.cache_clear()
 
 
 @pytest.fixture

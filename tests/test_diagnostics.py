@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfwave import diagnostics, leapfrog
+from bfwave.cli import config_to_dict, main
 from bfwave.diagnostics import (
     energy_identity_check,
     energy_identity_residual,
@@ -152,6 +155,14 @@ class TestHiddenRegularity:
         with pytest.raises(ValueError):
             hidden_regularity_ratio(np.zeros(5), np.zeros(21), np.zeros(21), np.zeros(6), 1.0, grid)
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_short_series_refused(self, grid, samples):
+        # fewer than two samples span no step: refused, not a division by zero
+        # or an empty index
+        series = np.ones(samples)
+        with pytest.raises(ValueError, match="two samples"):
+            hidden_regularity_ratio(series, np.zeros(21), np.zeros(21), series, 1.0, grid)
+
 
 class TestEquivalenceBattery:
     def test_one_cascade_wave_per_grid(self, monkeypatch):
@@ -252,6 +263,22 @@ def test_battery_groups_run_in_given_order():
     ]
 
 
+class _RecordingStore(dict):
+    """A kept store that records the keys it is given (built) and loses (evicted)."""
+
+    def __init__(self):
+        super().__init__()
+        self.built, self.evicted = [], []
+
+    def __setitem__(self, key, item):
+        self.built.append(key)
+        super().__setitem__(key, item)
+
+    def __delitem__(self, key):
+        self.evicted.append(key)
+        super().__delitem__(key)
+
+
 @pytest.mark.slow
 class TestBattery:
     def test_battery_all_green(self):
@@ -260,14 +287,7 @@ class TestBattery:
 
     def test_battery_keeps_everything_under_the_bound(self, monkeypatch):
         # a whole battery's set-up fits the kept store: no item leaves during it
-        class Recording(dict):
-            evicted = []
-
-            def __delitem__(self, key):
-                self.evicted.append(key)
-                super().__delitem__(key)
-
-        store = Recording()
+        store = _RecordingStore()
         monkeypatch.setattr(leapfrog, "_store", store)
         monkeypatch.setattr(leapfrog, "_held", 0)
         run_verify_battery()
@@ -276,6 +296,25 @@ class TestBattery:
         # the running count is the bytes of every key and item, walked afresh
         walked = sum(leapfrog._nbytes(key) + leapfrog._nbytes(item) for key, item in store.items())
         assert leapfrog._held == walked
+
+    def test_battery_full_battery_builds_nothing_twice(self, tmp_path, monkeypatch):
+        # a battery, a reference full and a second battery in one process: all
+        # their set-up fits the kept store, nothing is evicted, and the second
+        # battery finds every item it needs
+        store = _RecordingStore()
+        monkeypatch.setattr(leapfrog, "_store", store)
+        monkeypatch.setattr(leapfrog, "_held", 0)
+        config = tmp_path / "reference.json"
+        config.write_text(json.dumps(config_to_dict(ScenarioConfig())))
+        assert run_verify_battery().all_passed
+        assert main(["full", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        kept = dict(store)
+        assert len(store.built) == len(kept)
+        assert run_verify_battery().all_passed
+        assert not store.evicted
+        assert len(store.built) == len(kept)
+        assert all(store[key] is item for key, item in kept.items())
+        assert leapfrog._held <= leapfrog._KEPT_BYTES
 
     def test_battery_drives_no_oscillator(self, recurrence_shapes):
         # every cascade of the battery, the observer check's truth cycle

@@ -53,6 +53,7 @@ def test_one_home_per_name(module, name):
         ("bfwave.observer", "_state_vector"),
         ("bfwave.observer", "run_plant_cycle"),
         ("bfwave.observer", "CascadeResult"),
+        ("bfwave.observer", "_power_rows"),
     ],
 )
 def test_removed_parts_stay_gone(module, name):
@@ -62,7 +63,8 @@ def test_removed_parts_stay_gone(module, name):
     # tests drive it alone through tests/two_stage.py), the one turn is
     # leapfrog._turned_wave, the kept store counts its bytes as they come and go
     # and makes its own keys, the observer step advances velocity-basis states,
-    # which need no encoding, and the one cascade run returns the truth cycle itself
+    # which need no encoding, the one cascade run returns the truth cycle itself,
+    # and the monitor's power rows are a free block plan (leapfrog._block_plan)
     assert not hasattr(importlib.import_module(module), name)
 
 
@@ -105,3 +107,46 @@ def test_stepped_reference_resolves():
     from bfwave.observer import hidden_regularity_ratio, lyapunov_value
 
     assert callable(step) and callable(hidden_regularity_ratio) and callable(lyapunov_value)
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    """Every module of the package, parsed, by its name."""
+    paths = Path(bfwave.__file__).parent.glob("*.py")
+    return {path.stem: ast.parse(path.read_text()) for path in paths}
+
+
+def _is_functools(node: ast.AST, name: str) -> bool:
+    """Whether node reads functools.<name>, or name as imported from functools."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == name and getattr(node.value, "id", None) == "functools"
+    return getattr(node, "id", None) == name or isinstance(node, ast.alias) and node.name == name
+
+
+def test_no_lru_cache_in_the_package():
+    # the set-up a process keeps (one-step parts, plans, powers) lives in
+    # leapfrog's one store, bounded by its bytes, not in caches of their own
+    uses = [
+        f"{module}:{node.lineno}"
+        for module, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if _is_functools(node, "lru_cache")
+    ]
+    assert not uses, uses
+
+
+def test_cache_only_on_builders_of_no_arguments():
+    # functools.cache keeps an item per argument tuple, unbounded and outside the
+    # store: only a builder that takes no arguments, and so keeps one item, uses it
+    cached, uses = {}, 0
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            uses += _is_functools(node, "cache")
+            if isinstance(node, ast.FunctionDef) and any(
+                _is_functools(d, "cache") for d in node.decorator_list
+            ):
+                a = node.args
+                cached[module, node.name] = [*a.posonlyargs, *a.args, *a.kwonlyargs]
+                cached[module, node.name] += [p for p in (a.vararg, a.kwarg) if p]
+    assert sorted(cached) == [("cli", "_parser"), ("forward", "_g17_tables")]
+    assert not any(cached.values()), cached
+    assert uses == len(cached)  # a decorator each, no functools.cache(build) elsewhere

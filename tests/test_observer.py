@@ -189,14 +189,6 @@ class TestOscillatorDrive:
         assert z.shape == ref.shape
         assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_propagator_is_read_only(self):
-        # the cached propagator is shared by every later drive and observer step
-        E = oscillator_propagator(2.0, 0.0, 1e-3)
-        with pytest.raises(ValueError):
-            E[0, 0] = 5.0
-        z = oscillator_drive((1.0, 0.0), np.zeros(5), 2.0, 1e-3)
-        assert z[-1, 0] == pytest.approx(np.cos(2.0 * 4e-3), rel=1e-14)
-
 
 class TestOscillatorPropagator:
     # omega 0 is the free particle, gamma2 5 is overdamped at omega 2, and dt 0.5
@@ -407,6 +399,22 @@ class TestRunRecurrence:
         kept = [key[1] for key in leapfrog._store]
         assert contents[-1] in kept and contents[0] not in kept
         assert all(kept.count(c) <= 2 for c in contents)  # one plan, holding S^b, and S^t
+
+    def test_kept_items_are_read_only(self, grid):
+        # an item the store hands out is shared by every later call on the same
+        # arguments, through _kept or a builder that _keeps wraps: no array of
+        # it can be written, views included
+        items = [
+            leapfrog._kept(observer._oscillator_forcing, 2.0, grid.dt),
+            leapfrog._wave_parts(grid),
+            _linear_parts(Gains(1.0, 0.5), 2.0, grid),
+            leapfrog._kept(leapfrog._block_plan, *_random_system(27)[:3], _RUN_BLOCK),
+        ]
+        for item in items:
+            for a in item:
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 5.0
+        assert leapfrog._wave_parts(grid) is items[1]
 
     def test_a_key_names_its_build(self):
         # the same S and argument under two builds: two items, each with its
@@ -880,14 +888,14 @@ class TestMonitorForms:
 
     def test_cold_and_warm_runs_agree_bitwise(self, grid, monkeypatch):
         # a run after the kept set-up is cleared has the bits of a warm run in
-        # every output; the forms' quadratic part, the rows of their linear
-        # parts and S^n are each built once per system
+        # every output; the forms' quadratic part, the free plan of the rows of
+        # their linear parts and S^n are each built once per system
         q = poly_source(grid)
         m = simulate_forward(q, 2.0, grid)
         builds = {"G": [], "rows": [], "matrix_power": []}
         for module, name, kind in (
             (observer, "_quadratic_part", "G"),
-            (observer, "_power_rows", "rows"),
+            (observer, "_block_plan", "rows"),
             (np.linalg, "matrix_power", "matrix_power"),
         ):
             build = getattr(module, name)
@@ -901,13 +909,15 @@ class TestMonitorForms:
 
         _forget_set_up()
         cold = run()
-        # S^n, and S^128 inside the rows
-        assert counts() == {"G": 1, "rows": 1, "matrix_power": 2}
+        # one monitor plan (the sweeps' plans are built in leapfrog), and
+        # matrix_power for S^n only: the plan's S^128 is a left product
+        assert counts() == {"G": 1, "rows": 1, "matrix_power": 1}
+        assert builds["rows"][0][1].shape == (len(builds["G"][0][0]), 0)  # a free plan
         warm = run()
-        assert counts() == {"G": 1, "rows": 1, "matrix_power": 2}
+        assert counts() == {"G": 1, "rows": 1, "matrix_power": 1}
         run(Gains(2.0, 0.5))  # another S
         run()
-        assert counts() == {"G": 2, "rows": 2, "matrix_power": 4}
+        assert counts() == {"G": 2, "rows": 2, "matrix_power": 2}
         assert np.array_equal(cold.estimates, warm.estimates)
         for column in CYCLE_COLUMNS:
             assert np.array_equal(cold.per_cycle[column], warm.per_cycle[column]), column

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfwave import ScenarioConfig, run_back_and_forth, simulate_forward
+from bfwave import ScenarioConfig, leapfrog, run_back_and_forth, simulate_forward
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
@@ -39,6 +39,29 @@ def test_extended_reference_stepped_route(own_path):
     for est in (stepped, composed):
         assert est.shape == mapped.shape
         assert np.max(np.abs(est - mapped)) <= 1e-9 * np.max(np.abs(mapped))
+
+
+def test_extended_reference_leaves_the_store_clean(own_path, monkeypatch):
+    # the stepped route builds its observer step while observer._wave_parts
+    # hands out S in long double; none of that reaches the kept store, so a
+    # float64 run on the same system afterwards has the bits of a run on a
+    # freshly reset store
+    script = SCRIPTS[[p.name for p in SCRIPTS].index("extended_reference.py")]
+    stepped = runpy.run_path(str(script), run_name="script_import")["stepped_estimates"]
+    cfg = ScenarioConfig(nx=8, cfl=0.1)
+    grid = cfg.grid()
+    m = simulate_forward(cfg.q_true(grid), cfg.omega, grid)
+    runs = []
+    for long_double_first in (False, True):
+        monkeypatch.setattr(leapfrog, "_store", {})
+        monkeypatch.setattr(leapfrog, "_held", 0)
+        if long_double_first:
+            estimates = stepped(m.y, cfg.gains(), cfg.omega, grid, 1, np.longdouble)
+            assert estimates.dtype == np.longdouble
+        runs.append(run_back_and_forth(m, cfg.gains(), cfg.omega, grid, 2))
+    fresh, after = runs
+    assert after.estimates.tobytes() == fresh.estimates.tobytes()
+    assert after.final_state.tobytes() == fresh.final_state.tobytes()
 
 
 def test_extended_reference_cascade_section(own_path):
