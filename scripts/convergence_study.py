@@ -36,7 +36,7 @@ def main() -> None:
         q = np.sin(np.pi * g.nodes)
         q[0] = q[-1] = 0.0
         fin, _ = run_homogeneous(q, g, g.n_steps_per_pass)
-        err = float(np.max(np.abs(fin.u_curr - np.sin(np.pi * g.nodes) * np.cos(np.pi * g.T))))
+        err = float(np.max(np.abs(fin[: nx + 1] - np.sin(np.pi * g.nodes) * np.cos(np.pi * g.T))))
         ratio = "" if prev is None else f"  ratio {prev / err:.2f}"
         print(f"  nx={nx:3d}: {err:.3e}{ratio}")
         prev = err

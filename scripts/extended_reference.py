@@ -73,17 +73,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from bfwave.forward import simulate_forward  # noqa: E402
 from bfwave.grid import ScenarioConfig, build_grid  # noqa: E402
 from bfwave.leapfrog import (  # noqa: E402
-    LeapfrogState,
     _leap,
     _run_recurrence,
-    _to_velocity_basis,
     _turned_wave,
     _wave_parts,
     init_leapfrog,
     neumann_trace,
     run_homogeneous,
 )
-from bfwave import observer  # noqa: E402
+from bfwave import leapfrog, observer  # noqa: E402
 from bfwave.observer import (  # noqa: E402
     _observer_step,
     _oscillator_forcing,
@@ -94,12 +92,22 @@ from half_pass import extract_estimate, initial_observer_state, observer_half_pa
 from two_stage import oscillator_drive  # noqa: E402
 
 
-def stepped_levels(start: LeapfrogState, grid, n: int, dtype, forcing=None) -> np.ndarray:
-    """Levels 0..n, one per column, of the wave from start with pinned walls, stepped in dtype.
+def start_levels(q0, f0, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The level pair (u_prev, q0) of init_leapfrog's start, the two arrays it encodes.
+
+    Decoded from the velocity-basis start instead, u_prev would be rounded
+    once more, and the measurement's float64 stepped figure would move.
+    """
+    with patch.object(leapfrog, "_to_velocity_basis", lambda u_prev, u, grid: (u_prev, u)):
+        return init_leapfrog(q0, f0, grid)
+
+
+def stepped_levels(start: tuple, grid, n: int, dtype, forcing=None) -> np.ndarray:
+    """Levels 0..n, one per column, of the wave from the pair start with pinned walls, in dtype.
 
     forcing(k), when given, is the dt^2 f that step k adds to the interior.
     """
-    u_prev, u_curr = start.u_prev.astype(dtype), start.u_curr.astype(dtype)
+    u_prev, u_curr = (a.astype(dtype) for a in start)
     c2 = dtype(grid.cfl) * dtype(grid.cfl)
     levels = [u_curr]
     for k in range(n):
@@ -112,7 +120,7 @@ def stepped_levels(start: LeapfrogState, grid, n: int, dtype, forcing=None) -> n
 
 def stepped_measurement(q, omega, grid, dtype) -> np.ndarray:
     """Left trace of the forced wave from rest, stepped node by node in dtype."""
-    start = init_leapfrog(np.zeros(grid.nx + 1), q, grid)
+    start = start_levels(np.zeros(grid.nx + 1), q, grid)
     dt = dtype(grid.dt)
     dt2q = dt * dt * np.asarray(q, dtype=dtype)
     levels = stepped_levels(
@@ -126,7 +134,7 @@ def blocked_free_levels(q0, grid, n: int) -> np.ndarray:
     S, _ = _wave_parts(grid)
     nx1 = grid.nx + 1
     levels = np.empty((nx1, n + 1))
-    x0 = _to_velocity_basis(init_leapfrog(q0, None, grid), grid)
+    x0 = init_leapfrog(q0, None, grid)
     _run_recurrence(S, np.zeros((2 * nx1, 0)), np.eye(nx1, 2 * nx1), x0, np.zeros(n + 1), levels)
     return levels
 
@@ -134,7 +142,7 @@ def blocked_free_levels(q0, grid, n: int) -> np.ndarray:
 def stepped_cascade(q, omega, grid, dtype) -> np.ndarray:
     """Oscillator (z1, z2) at every node of the cascade from (q, 0), stepped in dtype, one row each."""
     n = grid.n_steps_per_pass
-    levels = stepped_levels(init_leapfrog(q, None, grid), grid, n, dtype)
+    levels = stepped_levels(start_levels(q, None, grid), grid, n, dtype)
     trace = neumann_trace(levels, dtype(grid.dx))
     E, B = (a.astype(dtype) for a in _oscillator_forcing(omega, grid.dt))
     z = np.zeros((n + 1, 2), dtype=dtype)
@@ -211,7 +219,7 @@ def main() -> None:
         print(f"  {label}: largest |trace - reference| / max|reference| = {gap:.2e}")
     kg = build_grid(20, 0.005, 2.5)
     q0, n = np.sin(np.pi * kg.nodes), kg.n_steps_per_pass
-    start = init_leapfrog(q0, None, kg)
+    start = start_levels(q0, None, kg)
     ref_levels = stepped_levels(start, kg, n, np.longdouble)
     kernel = {
         "blocked (kernel check)": blocked_free_levels(q0, kg, n),

@@ -20,12 +20,7 @@ from .grid import (
     l2_norm,
 )
 from .forward import MeasurementRecord, add_noise, simulate_forward
-from .leapfrog import (
-    LeapfrogState,
-    discrete_energy,
-    init_leapfrog,
-    run_homogeneous,
-)
+from .leapfrog import discrete_energy, init_leapfrog, run_homogeneous
 from .observer import (
     BackAndForthResult,
     run_back_and_forth,
@@ -45,7 +40,6 @@ __all__ = [
     "MeasurementRecord",
     "add_noise",
     "simulate_forward",
-    "LeapfrogState",
     "discrete_energy",
     "init_leapfrog",
     "run_homogeneous",

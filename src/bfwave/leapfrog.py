@@ -1,24 +1,26 @@
 """Explicit leapfrog integrator for u_tt = u_xx + f on (0, 1).
 
 Dirichlet data at x = 0 (possibly time dependent), homogeneous Dirichlet
-at x = 1. The scheme stores two consecutive displacement levels; it is
+at x = 1. The scheme advances two consecutive displacement levels; it is
 exactly time reversible and conserves its discrete energy, which is what
 makes repeated forward/backward sweeps trustworthy.
 
-A state carries no time label or direction: the stencil is symmetric in
-the two stored levels, so a sweep runs backward in time once the turn
-(_turned_wave) has swapped the roles of past and future. Callers that
-alternate directions read theirs from their own pass index.
+The one wave state is the velocity-basis vector x = (u, (u - u_prev)/dt),
+which init_leapfrog and run_homogeneous return; _from_velocity_basis, the
+one decoder, gives its levels (u_prev, u) as plain arrays. It has no time
+label or direction: the stencil is symmetric in the two levels, so a sweep
+runs backward once the turn (_turned_wave) has swapped past and future.
+Callers that alternate directions read theirs from their own pass index.
 
 A stepped level goes through the one interior update _leap (the start-up
-ghost level of init_leapfrog, continuation_level), and the left
+ghost level of init_leapfrog, the turn's _continuation_level), and the left
 Neumann trace through the one stencil neumann_trace; callers only set the
 two boundary nodes. run_homogeneous, the one run with homogeneous walls,
 free or forced, is not stepped: it is the linear recurrence x <- S x + B s_k
-on the velocity-basis state (u, (u - u_prev)/dt), S assembled from the
-update's formulas with the walls pinned (_wave_parts, the one wave
-one-step matrix: the observer's step and truth cascade advance their wave
-by it too), evaluated in blocks by _run_recurrence, the package's one
+on the velocity-basis state, S assembled from the update's formulas with
+the walls pinned (_wave_parts, the one wave one-step matrix: the
+observer's step and truth cascade advance their wave by it too),
+evaluated in blocks by _run_recurrence, the package's one
 linear-recurrence evaluator, which the observer's sweeps and cascade run
 too. What a process keeps per system is in one store, _kept(build,
 *args), keyed on the build and its arguments (an array by its shape and
@@ -34,46 +36,27 @@ free recurrence through _run_recurrence, the drift read out as the
 levels, the backward leg from the turned state with no read-out at all.
 _turned_wave, the one turn, makes that state; the observer's turn calls
 it too. The stepped reference of the tests' round trips is not in the
-package: step and reversed_state in tests/stepped.py. neumann_trace,
-discrete_energy and continuation_level also take (nx+1, m) arrays, one
-level per column, which is how the observer's step and turn are applied
-to the identity; discrete_energy also takes a chain of consecutive
-levels, which is how the kernel check takes its energies.
+package: step and reversed_state in tests/stepped.py, on level pairs.
+neumann_trace, _continuation_level and the codecs also take (nx+1, m)
+arrays, one level per column, which is how the observer's step and turn
+are applied to the identity; discrete_energy takes a chain of levels, one
+per column, which is how the kernel check takes its energies.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D
+from .grid import Grid1D, _check_integer
 
 __all__ = [
-    "LeapfrogState",
     "init_leapfrog",
     "neumann_trace",
     "discrete_energy",
     "run_homogeneous",
-    "continuation_level",
 ]
-
-
-@dataclass
-class LeapfrogState:
-    """Two consecutive time levels of the displacement field.
-
-    u_prev is one step before u_curr along the direction of integration.
-    Arrays are treated as immutable.
-    """
-
-    u_prev: np.ndarray
-    u_curr: np.ndarray
-
-    def __post_init__(self):
-        if self.u_prev.shape != self.u_curr.shape:
-            raise ValueError("level shapes differ")
 
 
 def _leap(u_prev, u_curr, c2, dt2_f=None):
@@ -95,9 +78,10 @@ def _leap(u_prev, u_curr, c2, dt2_f=None):
     return un
 
 
-def init_leapfrog(q0: np.ndarray, f0: np.ndarray | None, grid: Grid1D) -> LeapfrogState:
-    """Second-order start from rest: ghost level from a Taylor expansion at t = 0.
+def init_leapfrog(q0: np.ndarray, f0: np.ndarray | None, grid: Grid1D) -> np.ndarray:
+    """Second-order start from rest: the velocity-basis state of q0 and its ghost level.
 
+    The ghost level, from a Taylor expansion at t = 0, is
     u_prev = q0 + (dt^2/2)(D2 q0 + f0), which is _leap from (q0, q0) with
     half the coefficients.
     """
@@ -110,7 +94,7 @@ def init_leapfrog(q0: np.ndarray, f0: np.ndarray | None, grid: Grid1D) -> Leapfr
     up = _leap(q0, q0, 0.5 * grid.cfl * grid.cfl, half_dt2_f)
     up[0] = q0[0]
     up[-1] = q0[-1]
-    return LeapfrogState(u_prev=up, u_curr=q0.copy())
+    return _to_velocity_basis(up, q0, grid)
 
 
 def neumann_trace(u: np.ndarray, dx: float) -> float | np.ndarray:
@@ -123,40 +107,34 @@ def neumann_trace(u: np.ndarray, dx: float) -> float | np.ndarray:
     return float(tr) if u.ndim == 1 else tr
 
 
-def discrete_energy(levels: LeapfrogState | np.ndarray, grid: Grid1D) -> float | np.ndarray:
-    """Leapfrog-conserved energy of two consecutive levels.
+def discrete_energy(levels: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Leapfrog-conserved energies of a chain of consecutive levels.
 
+    levels is an (nx+1, m+1) array, m >= 1, one level per column; the
+    result is the row of the m energies of its pairs (u_prev, u_curr),
     E = (dx/2) * [ sum_j ((u_curr - u_prev)/dt)_j^2
-                   + sum_cells Dx(u_curr) * Dx(u_prev) ]
-    Constant along homogeneous-BC trajectories up to round-off. A float for
-    the pair of a state; for a state of (nx+1, m) arrays, the row of the m
-    energies. levels may also be a chain, an (nx+1, m+1) array of
-    consecutive levels, one per column: the row of the energies of its m
-    pairs, each level's gradient taken once, with the bits of the pairs'.
+                   + sum_cells Dx(u_curr) * Dx(u_prev) ],
+    each level's gradient taken once. Constant along homogeneous-BC
+    trajectories up to round-off. One state's energy is that of the
+    one-pair chain of its levels, np.stack(_from_velocity_basis(x, grid), 1).
     """
-    if isinstance(levels, LeapfrogState):
-        u_prev, u_curr = levels.u_prev, levels.u_curr
-        gp = np.diff(u_prev, axis=0) / grid.dx
-        gc = np.diff(u_curr, axis=0) / grid.dx
-    else:
-        u_prev, u_curr = levels[:, :-1], levels[:, 1:]
-        grad = np.diff(levels, axis=0) / grid.dx
-        gp, gc = grad[:, :-1], grad[:, 1:]
-    v = (u_curr - u_prev) / grid.dt
-    e = 0.5 * grid.dx * (np.sum(v * v, axis=0) + np.sum(gc * gp, axis=0))
-    return float(e) if np.ndim(e) == 0 else e
+    if levels.ndim != 2 or levels.shape[0] != grid.nx + 1 or levels.shape[1] < 2:
+        raise ValueError(f"a chain of levels is ({grid.nx + 1}, m + 1), m >= 1, not {levels.shape}")
+    grad = np.diff(levels, axis=0) / grid.dx
+    v = (levels[:, 1:] - levels[:, :-1]) / grid.dt
+    return 0.5 * grid.dx * (np.sum(v * v, axis=0) + np.sum(grad[:, 1:] * grad[:, :-1], axis=0))
 
 
-def continuation_level(state: LeapfrogState, grid: Grid1D) -> np.ndarray:
-    """The unforced level one step past u_curr.
+def _continuation_level(u_prev: np.ndarray, u: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """The unforced level one step past u, u_prev the level before it.
 
     Used for centered velocities at the last computed node and for turning
     a trajectory around without losing second-order accuracy.
     """
-    g = _leap(state.u_prev, state.u_curr, grid.cfl * grid.cfl)
+    g = _leap(u_prev, u, grid.cfl * grid.cfl)
     # boundary values are never consumed by interior updates; extrapolate left,
     # keep the pinned right end
-    g[0] = 2.0 * state.u_curr[0] - state.u_prev[0]
+    g[0] = 2.0 * u[0] - u_prev[0]
     g[-1] = 0.0
     return g
 
@@ -346,15 +324,15 @@ def _wave_parts(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return S, D
 
 
-def _to_velocity_basis(state: LeapfrogState, grid: Grid1D) -> np.ndarray:
+def _to_velocity_basis(u_prev: np.ndarray, u: np.ndarray, grid: Grid1D) -> np.ndarray:
     """The state x = (u, v), v = (u - u_prev)/dt, that _wave_parts' S acts on."""
-    return np.concatenate([state.u_curr, (state.u_curr - state.u_prev) / grid.dt])
+    return np.concatenate([u, (u - u_prev) / grid.dt])
 
 
-def _from_velocity_basis(x: np.ndarray, grid: Grid1D) -> LeapfrogState:
-    """The two levels of the velocity-basis state x: u, and u - dt v before it."""
+def _from_velocity_basis(x: np.ndarray, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """The level pair (u_prev, u) of the velocity-basis state x: u, and u - dt v before it."""
     u = x[: grid.nx + 1]
-    return LeapfrogState(u_prev=u - grid.dt * x[grid.nx + 1 :], u_curr=u)
+    return u - grid.dt * x[grid.nx + 1 :], u
 
 
 def _turned_wave(x: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -364,24 +342,27 @@ def _turned_wave(x: np.ndarray, grid: Grid1D) -> np.ndarray:
     makes forward-then-backward runs retrace the discrete trajectory
     exactly (zero forcing, matching boundary data).
     """
-    state = _from_velocity_basis(x, grid)
-    return _to_velocity_basis(LeapfrogState(continuation_level(state, grid), state.u_curr), grid)
+    u_prev, u = _from_velocity_basis(x, grid)
+    return _to_velocity_basis(_continuation_level(u_prev, u, grid), u, grid)
 
 
 def run_homogeneous(
     q0: np.ndarray, grid: Grid1D, n_steps: int, q: np.ndarray | None = None, omega: float = 0.0
-) -> tuple[LeapfrogState, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run from (q0, 0) with homogeneous Dirichlet walls.
 
     Free evolution, or with q given, forced by q(x) cos(omega t). Returns
-    the final state and the left Neumann trace at every visited node
-    (n_steps + 1 values including the initial one). The run is the
+    the final velocity-basis state x = (u, (u - u_prev)/dt), whose first
+    nx + 1 entries are the field, and the left Neumann trace at every
+    visited node (n_steps + 1 values including the initial one). n_steps
+    must be a non-negative integer (ValueError otherwise). The run is the
     recurrence x <- S x + B (s_k, s_k+1) of _wave_parts from the
     velocity-basis start of init_leapfrog, evaluated by _run_recurrence:
     the forcing enters as s_k = cos(omega k dt) through the input column
     (dt^2 q, dt q) on interior nodes. A free run passes B with no columns,
     so it carries no inputs at all.
     """
+    _check_integer("n_steps", n_steps, 0)
     S, D = _wave_parts(grid)
     nx1, dt = grid.nx + 1, grid.dt
     B = np.zeros((2 * nx1, 0 if q is None else 2))
@@ -390,7 +371,6 @@ def run_homogeneous(
         B[1 : nx1 - 1, 0] = dt * dt * q[1:-1]
         B[nx1 + 1 : -1, 0] = dt * q[1:-1]
         s = np.cos(omega * np.arange(n_steps + 1) * dt)
-    x0 = _to_velocity_basis(init_leapfrog(q0, q, grid), grid)
     traces = np.empty((1, n_steps + 1))
-    x = _run_recurrence(S, B, D, x0, s, traces)
-    return _from_velocity_basis(x, grid), traces[0]
+    x = _run_recurrence(S, B, D, init_leapfrog(q0, q, grid), s, traces)
+    return x, traces[0]

@@ -83,14 +83,13 @@ from .forward import MeasurementRecord
 from .grid import Gains, Grid1D, _same_time, _slope_sq, _trapezoid_sq, h1_seminorm, l2_norm
 from .leapfrog import (
     _block_plan,
+    _continuation_level,
     _from_velocity_basis,
     _keeps,
     _kept,
     _run_recurrence,
-    _to_velocity_basis,
     _turned_wave,
     _wave_parts,
-    continuation_level,
     init_leapfrog,
     neumann_trace,
 )
@@ -228,13 +227,13 @@ def simulate_cascade(q: np.ndarray, omega: float, grid: Grid1D) -> PlantCycle:
     Sc[dim:, :dim] = B @ np.vstack([D, D @ S])  # z takes (D x, D S x) through B
     Sc[dim:, dim:] = E
     Dc = np.eye(2, dim + 2, dim)  # reads z1, z2
-    x0 = np.append(_to_velocity_basis(init_leapfrog(q, None, grid), grid), (0.0, 0.0))
+    x0 = np.append(init_leapfrog(q, None, grid), (0.0, 0.0))
     n = grid.n_steps_per_pass
     out = np.empty((2, n + 1))
     x = _run_recurrence(Sc, np.zeros((dim + 2, 0)), Dc, x0, np.zeros(n + 1), out)
-    end = _from_velocity_basis(x[:dim], grid)
-    vel_T = (continuation_level(end, grid) - end.u_prev) / (2.0 * grid.dt)
-    return PlantCycle(z=out.T, field_T=end.u_curr.copy(), vel_T=vel_T)
+    u_prev, u = _from_velocity_basis(x[:dim], grid)
+    vel_T = (_continuation_level(u_prev, u, grid) - u_prev) / (2.0 * grid.dt)
+    return PlantCycle(z=out.T, field_T=u.copy(), vel_T=vel_T)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +527,8 @@ def _truth_history(
 
 def _state_parts(x: np.ndarray, grid: Grid1D) -> tuple:
     """(u_prev, u_curr, z1, z2, w) of a velocity-basis vector or matrix."""
-    nx1 = grid.nx + 1
-    wave = _from_velocity_basis(x[: 2 * nx1], grid)
-    return wave.u_prev, wave.u_curr, *x[2 * nx1 :]
+    dim = 2 * (grid.nx + 1)
+    return *_from_velocity_basis(x[:dim], grid), *x[dim:]
 
 
 def _turned(x: np.ndarray, grid: Grid1D) -> np.ndarray:

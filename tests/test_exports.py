@@ -54,6 +54,9 @@ def test_one_home_per_name(module, name):
         ("bfwave.observer", "run_plant_cycle"),
         ("bfwave.observer", "CascadeResult"),
         ("bfwave.observer", "_power_rows"),
+        ("bfwave", "LeapfrogState"),
+        ("bfwave.leapfrog", "LeapfrogState"),
+        ("bfwave.leapfrog", "continuation_level"),
     ],
 )
 def test_removed_parts_stay_gone(module, name):
@@ -64,7 +67,9 @@ def test_removed_parts_stay_gone(module, name):
     # leapfrog._turned_wave, the kept store counts its bytes as they come and go
     # and makes its own keys, the observer step advances velocity-basis states,
     # which need no encoding, the one cascade run returns the truth cycle itself,
-    # and the monitor's power rows are a free block plan (leapfrog._block_plan)
+    # the monitor's power rows are a free block plan (leapfrog._block_plan), and
+    # the one wave state is the velocity-basis vector, whose level pair
+    # leapfrog._from_velocity_basis gives as plain arrays
     assert not hasattr(importlib.import_module(module), name)
 
 

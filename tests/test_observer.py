@@ -10,7 +10,8 @@ from bfwave.grid import Gains, ScenarioConfig, build_grid, h1_seminorm, l2_norm
 from bfwave import leapfrog, observer
 from bfwave.leapfrog import (
     _RUN_BLOCK,
-    LeapfrogState,
+    _continuation_level,
+    _from_velocity_basis,
     _run_recurrence,
     init_leapfrog,
     neumann_trace,
@@ -493,15 +494,16 @@ class TestSimulateCascade:
         # same output and turn state up to rounding
         q = poly_source(grid)
         out = simulate_cascade(q, 2.0, grid)
-        state, trace = leapfrog.run_homogeneous(q, grid, grid.n_steps_per_pass)
+        x, trace = leapfrog.run_homogeneous(q, grid, grid.n_steps_per_pass)
         z = oscillator_drive((0.0, 0.0), trace, 2.0, grid.dt)
-        vel = (leapfrog.continuation_level(state, grid) - state.u_prev) / (2.0 * grid.dt)
+        u_prev, u = _from_velocity_basis(x, grid)
+        vel = (_continuation_level(u_prev, u, grid) - u_prev) / (2.0 * grid.dt)
         assert rel_gap(z, out.z) <= 1e-13
-        assert rel_gap(state.u_curr, out.field_T) <= 1e-13
+        assert rel_gap(u, out.field_T) <= 1e-13
         # vel_T is a difference of levels over 2 dt, so its rounding is gated
         # on the levels' scale (relative to vel_T's own it reads 3.3e-13 here)
         gap = np.max(np.abs(vel - out.vel_T)) * 2.0 * grid.dt
-        assert gap <= 1e-13 * np.max(np.abs(state.u_curr))
+        assert gap <= 1e-13 * np.max(np.abs(u))
 
     def test_result_is_the_truth_cycle(self, grid):
         # one result: the oscillator series and the wave at the turn, no trace
@@ -551,13 +553,13 @@ class TestPlantCycle:
         from stepped import reversed_state, step
 
         q = poly_source(grid)
-        state = init_leapfrog(q, None, grid)
+        state = _from_velocity_basis(init_leapfrog(q, None, grid), grid)
         for _cycle in range(2):
             for _half in range(2):
                 for _ in range(grid.n_steps_per_pass):
                     state = step(state, 0.0, grid)
                 state = reversed_state(state, grid)
-            assert np.max(np.abs(state.u_curr - q)) <= 1e-12
+            assert np.max(np.abs(state[1] - q)) <= 1e-12
 
 
 class TestExtendedMeasurement:
@@ -682,24 +684,24 @@ class TestObserverHalfPass:
         E = expm(dt * A)
         y = m.y if s > 0 else m.y[::-1]
         u_prev, u_curr, z1, z2, w = _state_parts(state.x, grid)
-        wave, y_int = LeapfrogState(u_prev, u_curr), 0.0
+        wave, y_int = (u_prev, u_curr), 0.0
         z = np.array([z1, s * z2, w])
-        ref = [(z[0], s * z[1], wave.u_curr[0])]
+        ref = [(z[0], s * z[1], wave[1][0])]
         traces = []
         for k in range(grid.n_steps_per_pass):
-            tr = neumann_trace(wave.u_curr, grid.dx)
+            tr = neumann_trace(wave[1], grid.dx)
             traces.append(tr)
             b, b_next = np.array([[g2 * y[k], s * tr, 0.0], [g2 * y[k + 1], s * tr, 0.0]])
             z = E @ z + 0.5 * dt * (E @ b + b_next)
             y_int += 0.5 * dt * (y[k] + y[k + 1])
             bc = g1 * (z[0] - y[k + 1]) + g1 * g2 * (z[2] - y_int)
             wave = step(wave, bc, grid)
-            ref.append((z[0], s * z[1], wave.u_curr[0]))
-        traces.append(neumann_trace(wave.u_curr, grid.dx))
+            ref.append((z[0], s * z[1], wave[1][0]))
+        traces.append(neumann_trace(wave[1], grid.dx))
         ref = np.vstack([np.array(ref).T, traces])
         assert np.allclose(rec, ref, rtol=1e-10, atol=1e-12)
-        assert np.allclose(ended[1], wave.u_curr, rtol=1e-10, atol=1e-12)
-        assert np.allclose(ended[0], wave.u_prev, rtol=1e-10, atol=1e-12)
+        assert np.allclose(ended[1], wave[1], rtol=1e-10, atol=1e-12)
+        assert np.allclose(ended[0], wave[0], rtol=1e-10, atol=1e-12)
 
 
 class TestRunBackAndForth:

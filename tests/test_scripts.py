@@ -78,6 +78,20 @@ def test_extended_reference_cascade_section(own_path):
         assert np.all(z_gaps <= 1e-13)
 
 
+def test_convergence_study_tables(own_path, capsys):
+    # the study reads run_homogeneous's end state and two outputs: each of its
+    # three tables prints a row per resolution, each row after the first with
+    # its ratio, which is about 4 for a second-order quantity
+    script = SCRIPTS[[p.name for p in SCRIPTS].index("convergence_study.py")]
+    runpy.run_path(str(script), run_name="script_import")["main"]()
+    lines = capsys.readouterr().out.splitlines()
+    titles = [i for i, line in enumerate(lines) if not line.startswith("  ")]
+    assert [lines[i].split(" ")[0] for i in titles] == ["free", "output", "energy-balance"]
+    assert [len(rows) for rows in np.split(lines, titles)[1:]] == [4, 4, 3]
+    ratios = [float(line.split("  ratio ")[1]) for line in lines if "  ratio " in line]
+    assert len(ratios) == 5 and all(3.0 <= r <= 5.0 for r in ratios)
+
+
 def _write_csv(path, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("".join(",".join(row) + "\n" for row in rows))
